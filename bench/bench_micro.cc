@@ -20,6 +20,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/client_store.h"
@@ -995,8 +996,10 @@ int RunKernelsSweep(const std::string& path) {
 }
 
 /// Writes BENCH_compression.json: the WireCodec zoo over a 64K-float sync
-/// payload. Per codec: wire bytes and the uplink reduction factor vs the
-/// raw float32 payload, the in-place encode cost, the dense vs
+/// payload. A `host` object records what the timings depend on (cores,
+/// active SIMD level, FEDRA_NUM_THREADS). Per codec: wire bytes and the
+/// uplink reduction factor vs the raw float32 payload, the in-place encode
+/// cost, the mask selection alone (MaskPreview), the dense vs
 /// mask-restricted (sparse) SketchFDA state cost — the monitoring side of
 /// the "AMS sketch accumulates the compressed drift" contract — and the
 /// error-feedback residual energy after 32 rounds of re-sending the same
@@ -1028,7 +1031,17 @@ int RunCompressionSweep(const std::string& path) {
   const auto drift = RandomVec(dim, 95);
   SketchVarianceMonitor sketch_monitor(dim, 5, 250, 0xa5a5a5a5ULL);
   std::vector<float> state(sketch_monitor.StateSize());
-  std::string json = "[\n";
+  // FEDRA_NUM_THREADS is recorded verbatim, or null when unset.
+  const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
+  const char* quote = num_threads_env != nullptr ? "\"" : "";
+  char host[256];
+  std::snprintf(host, sizeof(host),
+                "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
+                "\"fedra_num_threads\": %s%s%s},\n  \"codecs\": [\n",
+                std::thread::hardware_concurrency(),
+                simd::LevelName(simd::ActiveLevel()), quote,
+                num_threads_env != nullptr ? num_threads_env : "null", quote);
+  std::string json = host;
   bool first = true;
   for (const Codec& codec : codecs) {
     SyncCompressor compressor(codec.config, dim, 1);
@@ -1049,8 +1062,8 @@ int RunCompressionSweep(const std::string& path) {
     const double dense_state_us = SecondsPerCall([&] {
       sketch_monitor.ComputeLocalState(drift.data(), state.data());
     }) * 1e6;
-    // Masked monitoring splits into selection (MaskPreview, O(dim)
-    // nth_element — shared with the codec's own mask) and the sketch
+    // Masked monitoring splits into selection (MaskPreview, an O(dim)
+    // radix select shared with the codec's own mask) and the sketch
     // accumulation proper, which shrinks to O(kept x rows).
     double mask_preview_us = 0.0;
     double sparse_state_us = dense_state_us;
@@ -1075,24 +1088,26 @@ int RunCompressionSweep(const std::string& path) {
     char buf[512];
     std::snprintf(
         buf, sizeof(buf),
-        "%s  {\"codec\": \"%s\", \"dim\": %zu, \"raw_bytes\": %zu,\n"
-        "   \"wire_bytes\": %zu, \"reduction_x\": %.2f,\n"
-        "   \"encode_us\": %.3f, \"dense_state_us\": %.3f,\n"
-        "   \"sparse_state_us\": %.3f, \"ef_energy_after_32\": %.6f}",
+        "%s    {\"codec\": \"%s\", \"dim\": %zu, \"raw_bytes\": %zu,\n"
+        "     \"wire_bytes\": %zu, \"reduction_x\": %.2f,\n"
+        "     \"encode_us\": %.3f, \"mask_preview_us\": %.3f,\n"
+        "     \"dense_state_us\": %.3f, \"sparse_state_us\": %.3f,\n"
+        "     \"ef_energy_after_32\": %.6f}",
         first ? "" : ",\n", codec.config.ToString().c_str(), dim, raw_bytes,
         wire_bytes,
         static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes),
-        encode_us, dense_state_us, sparse_state_us, ef_energy);
+        encode_us, mask_preview_us, dense_state_us, sparse_state_us,
+        ef_energy);
     json += buf;
     first = false;
     std::printf(
-        "codec=%-10s wire=%zu reduction=%.2fx encode_us=%.1f "
+        "codec=%-10s wire=%zu reduction=%.2fx encode_us=%.1f mask_us=%.1f "
         "state_us dense=%.1f sparse=%.1f\n",
         codec.label, wire_bytes,
         static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes),
-        encode_us, dense_state_us, sparse_state_us);
+        encode_us, mask_preview_us, dense_state_us, sparse_state_us);
   }
-  json += "\n]\n";
+  json += "\n  ]\n}\n";
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());

@@ -14,6 +14,10 @@ python3 scripts/lint_determinism.py --self-test
 python3 scripts/lint_determinism.py src
 echo "lint: determinism lint clean on src/"
 
+# The end-to-end benchmark's statistics (quartiles, bounds, the pair-win
+# rule compare.py applies) on synthetic inputs; pure Python, no build.
+python3 bench/e2e/test_e2e_stats.py
+
 # shellcheck disable=SC2086  # word-splitting of the extra args is the point
 cmake -B "$BUILD_DIR" -S . ${FEDRA_CMAKE_ARGS:-}
 cmake --build "$BUILD_DIR" -j"$(nproc)"

@@ -1,6 +1,8 @@
 #include "core/compression.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -164,27 +166,63 @@ std::string CompressionConfig::ToString() const {
 
 namespace {
 
-/// Symmetric uniform quantization to `levels` positive steps; in-place.
-/// Coordinates a mask stage zeroed stay exactly zero, so quantize composes
-/// with sparsification without densifying the payload.
-void QuantizeInPlace(float* data, size_t n, int bits) {
+/// Symmetric uniform quantization to `levels` positive steps, in place, of
+/// the `count` coordinates data[index(j)]. After a mask stage only the kept
+/// coordinates are passed: the dropped ones are +0, which can neither raise
+/// max_abs nor move under round(+0 / scale) * scale, so that equals
+/// quantizing the whole vector bit for bit whenever scale is a positive
+/// finite float.
+template <typename Index>
+void QuantizeInPlace(float* data, size_t count, int bits, Index index) {
   const float levels = static_cast<float>((1 << (bits - 1)) - 1);
   float max_abs = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    max_abs = std::max(max_abs, std::fabs(data[i]));
+  for (size_t j = 0; j < count; ++j) {
+    max_abs = std::max(max_abs, std::fabs(data[index(j)]));
   }
   if (max_abs == 0.0f) {
     return;
   }
   const float scale = max_abs / levels;
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = std::round(data[i] / scale) * scale;
+  for (size_t j = 0; j < count; ++j) {
+    float& x = data[index(j)];
+    x = std::round(x / scale) * scale;
   }
 }
 
 size_t KeptOfRange(double fraction, size_t len) {
   return std::max<size_t>(
       1, static_cast<size_t>(fraction * static_cast<double>(len)));
+}
+
+/// The mask stage's ranking key: the float's bits without the sign. For
+/// finite floats it orders exactly like |x| (IEEE-754 magnitudes are
+/// monotone in their bit patterns) and gives +0 and -0 the same key; +-Inf
+/// rank above every finite value and NaNs above Inf. The order is total,
+/// so selection is defined for every input.
+inline uint32_t MagnitudeKey(float x) {
+  return std::bit_cast<uint32_t>(x) & 0x7fffffffu;
+}
+
+// The 31-bit key splits into three radix digits, high to low.
+constexpr int kMidShift = 10;
+constexpr int kHighShift = 20;
+constexpr size_t kHighBuckets = size_t{1} << (31 - kHighShift);  // 2048
+constexpr size_t kDigitBuckets = size_t{1} << kMidShift;  // 1024
+constexpr uint32_t kDigitMask = kDigitBuckets - 1;
+
+/// Scans `counts` from the top bucket down to the one holding the
+/// `*rank`-th largest key (1-based); on return `*rank` is that key's rank
+/// within the bucket.
+uint32_t BoundaryBucket(const uint32_t* counts, size_t buckets,
+                        size_t* rank) {
+  for (size_t b = buckets; b-- > 0;) {
+    if (counts[b] >= *rank) {
+      return static_cast<uint32_t>(b);
+    }
+    *rank -= counts[b];
+  }
+  FEDRA_CHECK(false) << "radix select rank exceeds the range length";
+  return 0;
 }
 
 }  // namespace
@@ -223,8 +261,7 @@ SyncCompressor::SyncCompressor(const CompressionConfig& config, size_t dim,
     original_.resize(dim);
   }
   if (mask_stage_ >= 0) {
-    scratch_indices_.resize(dim);
-    keep_.resize(dim);
+    radix_scratch_.resize(dim);
     kept_indices_.reserve(dim);
   }
 }
@@ -291,9 +328,8 @@ void SyncCompressor::EnsureScratch(size_t n) {
     original_.resize(n);
     grew = true;
   }
-  if (mask_stage_ >= 0 && keep_.size() < n) {
-    keep_.resize(n);
-    scratch_indices_.resize(n);
+  if (mask_stage_ >= 0 && radix_scratch_.size() < n) {
+    radix_scratch_.resize(n);
     kept_indices_.reserve(n);
     grew = true;
   }
@@ -305,36 +341,67 @@ void SyncCompressor::EnsureScratch(size_t n) {
 void SyncCompressor::SelectRangeTopK(const float* data, size_t begin,
                                      size_t len, size_t kept) {
   if (kept >= len) {
-    std::fill(keep_.begin() + static_cast<long>(begin),
-              keep_.begin() + static_cast<long>(begin + len), uint8_t{1});
+    for (size_t i = begin; i < begin + len; ++i) {
+      kept_indices_.push_back(static_cast<uint32_t>(i));
+    }
     return;
   }
+  const float* x = data + begin;
+  uint32_t* scratch = radix_scratch_.data();
+  // Digit 1 (key bits 30..20): histogram every key and find the bucket
+  // holding the kept-th largest; `rank` becomes its rank inside it.
+  size_t rank = kept;
+  std::array<uint32_t, kHighBuckets> high_counts{};
   for (size_t i = 0; i < len; ++i) {
-    scratch_indices_[i] = i;
+    ++high_counts[MagnitudeKey(x[i]) >> kHighShift];
   }
-  // Magnitude descending with an ascending-index tie-break: without it,
-  // equal-magnitude coordinates land on either side of the cut in
-  // std::nth_element's implementation-defined order, and compressed runs
-  // stop being bit-reproducible across stdlibs.
-  std::nth_element(scratch_indices_.begin(),
-                   scratch_indices_.begin() + static_cast<long>(kept - 1),
-                   scratch_indices_.begin() + static_cast<long>(len),
-                   [data, begin](size_t a, size_t b) {
-                     const float fa = std::fabs(data[begin + a]);
-                     const float fb = std::fabs(data[begin + b]);
-                     if (fa != fb) {
-                       return fa > fb;
-                     }
-                     return a < b;
-                   });
-  for (size_t i = 0; i < kept; ++i) {
-    keep_[begin + scratch_indices_[i]] = 1;
+  const uint32_t high =
+      BoundaryBucket(high_counts.data(), kHighBuckets, &rank);
+  // Every kept coordinate lies in bucket `high` or above: compact those
+  // candidate indices (ascending), so the remaining passes skip the rest.
+  const uint32_t floor_key = high << kHighShift;
+  size_t candidates = 0;
+  for (size_t i = 0; i < len; ++i) {
+    scratch[candidates] = static_cast<uint32_t>(i);
+    candidates += MagnitudeKey(x[i]) >= floor_key;
   }
+  // Digit 2 (bits 19..10), over the candidates in bucket `high`.
+  std::array<uint32_t, kDigitBuckets> counts{};
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t key = MagnitudeKey(x[scratch[j]]);
+    counts[(key >> kMidShift) & kDigitMask] += (key >> kHighShift) == high;
+  }
+  const uint32_t mid = BoundaryBucket(counts.data(), kDigitBuckets, &rank);
+  // Digit 3 (bits 9..0), over the candidates sharing both upper digits.
+  const uint32_t upper = (high << (kHighShift - kMidShift)) | mid;
+  counts.fill(0);
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t key = MagnitudeKey(x[scratch[j]]);
+    counts[key & kDigitMask] += (key >> kMidShift) == upper;
+  }
+  const uint32_t low = BoundaryBucket(counts.data(), kDigitBuckets, &rank);
+  // The kept-th largest key is `threshold`: keep every larger key and the
+  // `rank` lowest-index coordinates equal to it. That is the prefix of the
+  // (key desc, index asc) order, emitted in ascending index order.
+  const uint32_t threshold = (upper << kMidShift) | low;
+  const auto offset = static_cast<uint32_t>(begin);
+  size_t ties = rank;
+  size_t count = 0;
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t i = scratch[j];
+    const uint32_t key = MagnitudeKey(x[i]);
+    const bool tie = key == threshold && ties > 0;
+    scratch[count] = offset + i;  // count <= j: compacts in place
+    count += (key > threshold) | tie;
+    ties -= tie;
+  }
+  FEDRA_DCHECK_EQ(count, kept);
+  kept_indices_.insert(kept_indices_.end(), scratch, scratch + count);
 }
 
 size_t SyncCompressor::SelectMask(const CodecStageConfig& stage,
                                   const float* data, size_t n) {
-  std::fill(keep_.begin(), keep_.begin() + static_cast<long>(n), uint8_t{0});
+  kept_indices_.clear();
   if (stage.kind == CodecStageKind::kLayerTopK &&
       layer_offsets_.size() >= 2 && n == dim_) {
     for (size_t b = 0; b + 1 < layer_offsets_.size(); ++b) {
@@ -348,12 +415,6 @@ size_t SyncCompressor::SelectMask(const CodecStageConfig& stage,
     }
   } else {
     SelectRangeTopK(data, 0, n, std::min(n, KeptOfRange(stage.fraction, n)));
-  }
-  kept_indices_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (keep_[i] != 0) {
-      kept_indices_.push_back(static_cast<uint32_t>(i));
-    }
   }
   return kept_indices_.size();
 }
@@ -391,15 +452,24 @@ size_t SyncCompressor::CompressInPlace(int worker, float* data, size_t n) {
       case CodecStageKind::kTopK:
       case CodecStageKind::kLayerTopK: {
         SelectMask(stage, data, n);
-        for (size_t i = 0; i < n; ++i) {
-          if (keep_[i] == 0) {
-            data[i] = 0.0f;
-          }
+        // Zero the gaps between consecutive kept indices (ascending).
+        size_t next = 0;
+        for (uint32_t kept : kept_indices_) {
+          std::fill(data + next, data + kept, 0.0f);
+          next = kept + 1;
         }
+        std::fill(data + next, data + n, 0.0f);
         break;
       }
       case CodecStageKind::kQuantize:
-        QuantizeInPlace(data, n, stage.bits);
+        // Validate() orders any mask stage first, so kept_indices_ is set.
+        if (mask_stage_ >= 0) {
+          const uint32_t* kept = kept_indices_.data();
+          QuantizeInPlace(data, kept_indices_.size(), stage.bits,
+                          [kept](size_t j) { return kept[j]; });
+        } else {
+          QuantizeInPlace(data, n, stage.bits, [](size_t j) { return j; });
+        }
         break;
     }
   }

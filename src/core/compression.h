@@ -26,9 +26,15 @@
 // which reduces exactly to the historical single-codec formulas
 // (q8 = n + 4, q4 = ceil(n/2) + 4, top-k = kept * 8).
 //
-// Determinism: the mask stage breaks magnitude ties by ascending index, so
-// compressed runs are bit-reproducible across stdlib nth_element
-// implementations.
+// Determinism: the mask stage ranks coordinates by the key
+// bits(x) & 0x7fffffff (the float's bits without the sign) and keeps the
+// first k of the order (key desc, index asc): ties break to the lowest
+// index. For finite floats the key orders exactly like |x|, with +0 and -0
+// equal. The key order is total, so the selection is defined and
+// deterministic for every input: +-Inf rank above every finite value, and
+// NaNs above Inf. The select is an exact three-digit radix select
+// (11/10/10 bits) with no comparator and no stdlib-defined order, so
+// compressed runs are bit-reproducible across stdlibs and thread counts.
 
 #ifndef FEDRA_CORE_COMPRESSION_H_
 #define FEDRA_CORE_COMPRESSION_H_
@@ -170,11 +176,12 @@ class SyncCompressor {
   size_t scratch_reallocs() const { return scratch_reallocs_; }
 
  private:
-  /// Applies mask stage selection over data, filling keep_ / kept_indices_.
+  /// Applies mask stage selection over data, filling kept_indices_.
   /// Returns the kept count.
   size_t SelectMask(const CodecStageConfig& stage, const float* data,
                     size_t n);
-  /// Top-k selection over [begin, begin+len) of data, marking keep_.
+  /// Exact radix top-k over [begin, begin+len) of data: appends the kept
+  /// indices to kept_indices_ in ascending order.
   void SelectRangeTopK(const float* data, size_t begin, size_t len,
                        size_t kept);
   /// Kept-coordinate count of the mask stage for an n-float payload.
@@ -190,8 +197,7 @@ class SyncCompressor {
   std::vector<std::vector<float>> residuals_;  // per worker
   // Scratch, pre-sized to dim at construction so the per-sync hot path
   // performs no allocations (scratch_reallocs() audits this).
-  std::vector<size_t> scratch_indices_;
-  std::vector<uint8_t> keep_;
+  std::vector<uint32_t> radix_scratch_;  // select candidates, then output
   std::vector<float> original_;
   std::vector<uint32_t> kept_indices_;
   size_t scratch_reallocs_ = 0;

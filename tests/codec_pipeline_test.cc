@@ -5,8 +5,10 @@
 // the pipeline unlocked.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,9 +178,9 @@ TEST(CodecPipelineTest, LayerTopKKeepsEveryLayerAlive) {
 // ------------------------------------------------- deterministic tie-break
 
 TEST(CodecDeterminismTest, MagnitudeTiesBreakToLowestIndex) {
-  // Every coordinate has |v| == 1: nth_element alone would make the kept
-  // set implementation-defined. The codec's comparator breaks ties by
-  // ascending index, so the survivors are exactly the lowest indices.
+  // Every coordinate has |v| == 1, so only the tie rule decides the kept
+  // set. The mask breaks ties by ascending index, so the survivors are
+  // exactly the lowest indices.
   const size_t n = 8;
   std::vector<float> v(n);
   for (size_t i = 0; i < n; ++i) {
@@ -199,19 +201,305 @@ TEST(CodecDeterminismTest, MagnitudeTiesBreakToLowestIndex) {
   EXPECT_EQ(codec.kept_indices()[1], 1u);
 }
 
+TEST(CodecDeterminismTest, NonFiniteValuesRankAboveEveryFiniteValue) {
+  // The mask ranks by bits(x) & 0x7fffffff, a total order: NaN > +-Inf >
+  // every finite magnitude. A comparator on fabs() is no strict weak order
+  // under NaN; the key order makes the selection defined and repeatable.
+  const size_t n = 64;
+  auto v = RandomVec(n, 77);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  v[5] = nan;
+  v[17] = -inf;
+  v[40] = -nan;
+  v[41] = inf;
+  // kept = 2 (fraction 2/64): exactly the two NaNs.
+  SyncCompressor two(CompressionConfig::TopK(2.0 / 64.0, false), n, 1);
+  ASSERT_EQ(two.MaskPreview(v.data(), n), 2u);
+  EXPECT_EQ(two.kept_indices(), (std::vector<uint32_t>{5, 40}));
+  // kept = 4: the NaNs and the infinities, whatever their signs.
+  SyncCompressor four(CompressionConfig::TopKQuantize(4.0 / 64.0, 8), n, 1);
+  ASSERT_EQ(four.MaskPreview(v.data(), n), 4u);
+  EXPECT_EQ(four.kept_indices(), (std::vector<uint32_t>{5, 17, 40, 41}));
+  // Encoding is repeatable bit for bit, NaN payloads included.
+  auto a = v;
+  auto b = v;
+  SyncCompressor other(CompressionConfig::TopKQuantize(4.0 / 64.0, 8), n, 1);
+  four.CompressInPlace(0, a.data(), n);
+  other.CompressInPlace(0, b.data(), n);
+  EXPECT_EQ(four.kept_indices(), other.kept_indices());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), n * sizeof(float)), 0);
+  EXPECT_EQ(std::memcmp(four.ResidualData(0), other.ResidualData(0),
+                        n * sizeof(float)),
+            0);
+}
+
+// --------------------------------------------- radix select vs nth_element
+
+// The mask stage's previous selection, kept as the oracle: nth_element over
+// an index array with the (|x| desc, index asc) comparator. Undefined under
+// NaN (not a strict weak order), so it only sees NaN-free inputs.
+void OracleSelectRange(const float* data, size_t begin, size_t len,
+                       size_t kept, std::vector<uint8_t>* keep) {
+  if (kept >= len) {
+    std::fill(keep->begin() + static_cast<long>(begin),
+              keep->begin() + static_cast<long>(begin + len), uint8_t{1});
+    return;
+  }
+  std::vector<size_t> order(len);
+  for (size_t i = 0; i < len; ++i) {
+    order[i] = i;
+  }
+  std::nth_element(order.begin(), order.begin() + static_cast<long>(kept - 1),
+                   order.end(), [data, begin](size_t a, size_t b) {
+                     const float fa = std::fabs(data[begin + a]);
+                     const float fb = std::fabs(data[begin + b]);
+                     if (fa != fb) {
+                       return fa > fb;
+                     }
+                     return a < b;
+                   });
+  for (size_t i = 0; i < kept; ++i) {
+    (*keep)[begin + order[i]] = 1;
+  }
+}
+
+size_t OracleKeptOfRange(double fraction, size_t len) {
+  return std::min(len, std::max<size_t>(1, static_cast<size_t>(
+                                               fraction *
+                                               static_cast<double>(len))));
+}
+
+/// Oracle mask: kept indices ascending. Empty `offsets` means global top-k;
+/// otherwise per-layer top-k over the block starts in `offsets`.
+std::vector<uint32_t> OracleKept(const float* data, size_t n, double fraction,
+                                 const std::vector<size_t>& offsets) {
+  std::vector<uint8_t> keep(n, 0);
+  if (offsets.empty()) {
+    OracleSelectRange(data, 0, n, OracleKeptOfRange(fraction, n), &keep);
+  } else {
+    for (size_t b = 0; b < offsets.size(); ++b) {
+      const size_t end = b + 1 < offsets.size() ? offsets[b + 1] : n;
+      const size_t len = end - offsets[b];
+      OracleSelectRange(data, offsets[b], len,
+                        OracleKeptOfRange(fraction, len), &keep);
+    }
+  }
+  std::vector<uint32_t> kept;
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i] != 0) {
+      kept.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return kept;
+}
+
+/// Oracle encode: EF add, mask, dense quantize over all n coordinates
+/// (`bits` == 0: no quantize stage), residual update. Returns the kept set.
+std::vector<uint32_t> OracleCompress(float* data, size_t n, double fraction,
+                                     int bits,
+                                     const std::vector<size_t>& offsets,
+                                     float* residual) {
+  for (size_t i = 0; i < n; ++i) {
+    data[i] += residual[i];
+  }
+  const std::vector<float> original(data, data + n);
+  const std::vector<uint32_t> kept = OracleKept(data, n, fraction, offsets);
+  std::vector<uint8_t> keep(n, 0);
+  for (uint32_t i : kept) {
+    keep[i] = 1;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (keep[i] == 0) {
+      data[i] = 0.0f;
+    }
+  }
+  if (bits > 0) {
+    const float levels = static_cast<float>((1 << (bits - 1)) - 1);
+    float max_abs = 0.0f;
+    for (size_t i = 0; i < n; ++i) {
+      max_abs = std::max(max_abs, std::fabs(data[i]));
+    }
+    if (max_abs != 0.0f) {
+      const float scale = max_abs / levels;
+      for (size_t i = 0; i < n; ++i) {
+        data[i] = std::round(data[i] / scale) * scale;
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    residual[i] = original[i] - data[i];
+  }
+  return kept;
+}
+
+/// Input families the parity sweep draws from.
+std::vector<float> ParityInput(int family, size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  switch (family) {
+    case 0:
+    case 1:
+    case 2:
+    case 3: {  // Gaussians at 1e-6, 1e-3, 1 and 1e2 scale.
+      const float scales[] = {1e-6f, 1e-3f, 1.0f, 1e2f};
+      for (auto& x : v) {
+        x = rng.NextGaussian(0.0f, scales[family]);
+      }
+      break;
+    }
+    case 4:  // Heavy ties: five magnitudes, both signs.
+      for (auto& x : v) {
+        const float level = static_cast<float>(rng.NextUint64() % 5);
+        x = (rng.NextUint64() % 2 == 0) ? level : -level;
+      }
+      break;
+    case 5:  // Mostly +0 and -0, a few nonzero.
+      for (auto& x : v) {
+        const uint64_t r = rng.NextUint64() % 16;
+        x = r == 0 ? rng.NextGaussian(0.0f, 1.0f) : (r % 2 == 0 ? 0.0f : -0.0f);
+      }
+      break;
+    case 6:  // Denormals and zeros, sprinkled with tiny normals.
+      for (auto& x : v) {
+        const uint64_t r = rng.NextUint64();
+        const uint32_t sign = (r & 1u) ? 0x80000000u : 0u;
+        uint32_t bits = sign | static_cast<uint32_t>((r >> 8) & 0x7fffffu);
+        if (r % 7 == 0) {
+          bits = sign;  // +-0
+        } else if (r % 11 == 0) {
+          bits |= 0x00800000u;  // smallest normal exponent
+        }
+        x = std::bit_cast<float>(bits);
+      }
+      break;
+    case 7:  // Quantized grid: Gaussians rounded to multiples of 1/16.
+      for (auto& x : v) {
+        x = std::round(rng.NextGaussian(0.0f, 1.0f) * 16.0f) / 16.0f;
+      }
+      break;
+    default: {  // +-Inf among Gaussians.
+      const float inf = std::numeric_limits<float>::infinity();
+      for (auto& x : v) {
+        const uint64_t r = rng.NextUint64() % 13;
+        x = r == 0 ? inf : (r == 1 ? -inf : rng.NextGaussian(0.0f, 1.0f));
+      }
+      break;
+    }
+  }
+  return v;
+}
+
+constexpr int kParityFamilies = 9;
+constexpr int kInfFamily = 8;
+
+/// Runs `rounds` EF encodes of `input` through the codec and the oracle and
+/// requires bit-identical kept sets, payloads and residuals. Also checks
+/// MaskPreview against the oracle on the raw input.
+void ExpectCodecMatchesOracle(double fraction, int bits, bool layered,
+                              const std::vector<size_t>& offsets,
+                              const std::vector<float>& input, int rounds) {
+  const size_t n = input.size();
+  std::vector<CodecStageConfig> stages = {
+      layered ? CodecStageConfig::LayerTopK(fraction)
+              : CodecStageConfig::TopK(fraction)};
+  if (bits > 0) {
+    stages.push_back(CodecStageConfig::Quantize(bits));
+  }
+  SyncCompressor codec(CompressionConfig::Stages(stages), n, 1);
+  std::vector<size_t> oracle_offsets;
+  if (layered) {
+    codec.SetLayerOffsets(offsets, n);
+    oracle_offsets = offsets;
+  }
+  codec.MaskPreview(input.data(), n);
+  ASSERT_EQ(codec.kept_indices(),
+            OracleKept(input.data(), n, fraction, oracle_offsets));
+  std::vector<float> residual(n, 0.0f);
+  for (int round = 0; round < rounds; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    auto got = input;
+    auto want = input;
+    codec.CompressInPlace(0, got.data(), n);
+    ASSERT_EQ(codec.kept_indices(),
+              OracleCompress(want.data(), n, fraction, bits, oracle_offsets,
+                             residual.data()));
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(float)), 0);
+    ASSERT_EQ(std::memcmp(codec.ResidualData(0), residual.data(),
+                          n * sizeof(float)),
+              0);
+  }
+}
+
+TEST(CodecRadixSelectTest, MatchesNthElementOracleBitForBit) {
+  const size_t lengths[] = {1, 2, 3, 7, 64, 1000, 4099};
+  for (int family = 0; family < kParityFamilies; ++family) {
+    for (size_t n : lengths) {
+      const auto input =
+          ParityInput(family, n, 500 + 31 * static_cast<uint64_t>(family) + n);
+      // kept = 1, len - 1, len, and two interior fractions.
+      const double fractions[] = {1e-9,
+                                  (static_cast<double>(n) - 0.5) /
+                                      static_cast<double>(n),
+                                  1.0, 0.05, 0.3};
+      for (double fraction : fractions) {
+        SCOPED_TRACE(::testing::Message() << "family " << family << " n " << n
+                                          << " fraction " << fraction);
+        // Infinities make the EF residual NaN (Inf - Inf), which the oracle
+        // cannot rank, and an Inf scale turns every quantized coordinate
+        // NaN: one mask-only round for that family.
+        if (family == kInfFamily) {
+          ExpectCodecMatchesOracle(fraction, 0, false, {}, input, 1);
+          continue;
+        }
+        ExpectCodecMatchesOracle(fraction, 0, false, {}, input, 3);
+        ExpectCodecMatchesOracle(fraction, 8, false, {}, input, 3);
+      }
+    }
+  }
+}
+
+TEST(CodecRadixSelectTest, LayerTopKMatchesOracleOnUnevenLayers) {
+  // 1-element layers, a 2-element layer, and uneven large blocks.
+  const size_t n = 3001;
+  const std::vector<size_t> offsets = {0, 1, 2, 4, 517, 518, 2049, 3000};
+  for (int family = 0; family < kParityFamilies; ++family) {
+    const auto input = ParityInput(family, n, 900 + family);
+    for (double fraction : {1e-9, 0.05, 0.5, 1.0}) {
+      SCOPED_TRACE(::testing::Message() << "family " << family << " fraction "
+                                        << fraction);
+      if (family == kInfFamily) {
+        ExpectCodecMatchesOracle(fraction, 0, true, offsets, input, 1);
+        continue;
+      }
+      ExpectCodecMatchesOracle(fraction, 0, true, offsets, input, 3);
+      ExpectCodecMatchesOracle(fraction, 8, true, offsets, input, 3);
+    }
+  }
+}
+
 // -------------------------------------------------- allocation-free path
 
 TEST(CodecScratchTest, HotPathNeverReallocates) {
   const size_t n = 2048;
   SyncCompressor codec(CompressionConfig::TopKQuantize(0.05, 8), n, 4);
+  SyncCompressor layered(
+      CompressionConfig::Stages({CodecStageConfig::LayerTopK(0.05),
+                                 CodecStageConfig::Quantize(8)}),
+      n, 4);
+  layered.SetLayerOffsets({0, 1, 100, 1024, 2047}, n);
   for (int round = 0; round < 50; ++round) {
     for (int worker = 0; worker < 4; ++worker) {
       auto v = RandomVec(n, 100 + static_cast<uint64_t>(round));
+      auto w = v;
       codec.CompressInPlace(worker, v.data(), n);
       codec.MaskPreview(v.data(), n);
+      layered.CompressInPlace(worker, w.data(), n);
+      layered.MaskPreview(w.data(), n);
     }
   }
   EXPECT_EQ(codec.scratch_reallocs(), 0u);
+  EXPECT_EQ(layered.scratch_reallocs(), 0u);
 }
 
 // --------------------------------------- EF residuals under fleet rotation

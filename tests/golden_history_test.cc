@@ -399,5 +399,49 @@ TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortBitIdentical) {
   EXPECT_EQ(fleet.comm.check_in_syncs, 0ull);
 }
 
+// ---------------------------------------------------------------------------
+// Compressed fleet: a top-5% + q8 WireCodec with error feedback on a churned
+// fleet of K = 8 slots over a 256-client population. The mask stage feeds
+// both the FDA monitor (masked drift) and every coded sync, and the EF
+// residuals page through the client store, so any change to which
+// coordinates the mask keeps, in which order, or to the quantized values
+// moves these numbers. Captured with FEDRA_GOLDEN_PRINT=1 before the
+// mask stage's top-k selection was rewritten; the rewrite must reproduce
+// them unmodified.
+const GoldenPoint kMlpCodecFleet[] = {
+    {20, 0.234375, 0.421875, 681472ull, 1ull, 0.20033235314285719},
+    {40, 0.3046875, 0.453125, 1666180ull, 6ull, 0.40077802571428589},
+    {60, 0.3984375, 0.484375, 2788744ull, 13ull, 0.60127839200000033},
+};
+
+TEST(GoldenHistoryTest, CompressedChurnedFleetMatchesGolden) {
+  SynthImageData data = SmallMnistLike();
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  TrainerConfig config = MlpConfig(8);
+  config.population = 256;
+  config.cohort_size = 8;
+  config.cohort_steps = 5;
+  config.cohort_schedule = CohortScheduleKind::kAvailability;
+  config.faults = FaultConfig::Churn(10.0, 2.5);
+  config.sync_compression = CompressionConfig::TopKQuantize(0.05, 8);
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.15),
+                               trainer.model_dim());
+  ASSERT_TRUE(policy.ok());
+  auto result = trainer.Run(policy->get());
+  ASSERT_TRUE(result.ok()) << result.status();
+  ExpectHistoryMatches("MlpCodecFleet", result->history, kMlpCodecFleet);
+  if (GoldenPrintMode()) {
+    std::printf("bytes_total=%lluull rejoins=%lluull check_in_syncs=%lluull\n",
+                static_cast<unsigned long long>(result->comm.bytes_total),
+                static_cast<unsigned long long>(result->rejoin_count),
+                static_cast<unsigned long long>(result->comm.check_in_syncs));
+    return;
+  }
+  EXPECT_EQ(result->comm.bytes_total, 2788744ull);
+  EXPECT_EQ(result->rejoin_count, 16ull);
+  EXPECT_EQ(result->comm.check_in_syncs, 87ull);
+}
+
 }  // namespace
 }  // namespace fedra
