@@ -995,9 +995,24 @@ int RunKernelsSweep(const std::string& path) {
   return 0;
 }
 
-/// Writes BENCH_compression.json: the WireCodec zoo over a 64K-float sync
-/// payload. A `host` object records what the timings depend on (cores,
-/// active SIMD level, FEDRA_NUM_THREADS). Per codec: wire bytes and the
+/// The `host` member of the recorded sweeps: what the timings depend on —
+/// online cores, the active SIMD level, and FEDRA_NUM_THREADS verbatim (null
+/// when unset). Opens the JSON object: "{\n  \"host\": {...},\n".
+std::string HostJsonHead() {
+  const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
+  const char* quote = num_threads_env != nullptr ? "\"" : "";
+  char host[256];
+  std::snprintf(host, sizeof(host),
+                "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
+                "\"fedra_num_threads\": %s%s%s},\n",
+                std::thread::hardware_concurrency(),
+                simd::LevelName(simd::ActiveLevel()), quote,
+                num_threads_env != nullptr ? num_threads_env : "null", quote);
+  return host;
+}
+
+/// Writes BENCH_compression.json: the `host` object (HostJsonHead), then the
+/// WireCodec zoo over a 64K-float sync payload. Per codec: wire bytes and the
 /// uplink reduction factor vs the raw float32 payload, the in-place encode
 /// cost, the mask selection alone (MaskPreview), the dense vs
 /// mask-restricted (sparse) SketchFDA state cost — the monitoring side of
@@ -1031,17 +1046,7 @@ int RunCompressionSweep(const std::string& path) {
   const auto drift = RandomVec(dim, 95);
   SketchVarianceMonitor sketch_monitor(dim, 5, 250, 0xa5a5a5a5ULL);
   std::vector<float> state(sketch_monitor.StateSize());
-  // FEDRA_NUM_THREADS is recorded verbatim, or null when unset.
-  const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
-  const char* quote = num_threads_env != nullptr ? "\"" : "";
-  char host[256];
-  std::snprintf(host, sizeof(host),
-                "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
-                "\"fedra_num_threads\": %s%s%s},\n  \"codecs\": [\n",
-                std::thread::hardware_concurrency(),
-                simd::LevelName(simd::ActiveLevel()), quote,
-                num_threads_env != nullptr ? num_threads_env : "null", quote);
-  std::string json = host;
+  std::string json = HostJsonHead() + "  \"codecs\": [\n";
   bool first = true;
   for (const Codec& codec : codecs) {
     SyncCompressor compressor(codec.config, dim, 1);
@@ -1119,11 +1124,13 @@ int RunCompressionSweep(const std::string& path) {
   return 0;
 }
 
-/// Writes BENCH_scheduler.json: Chase-Lev pool throughput at 1, 4, and 16
-/// threads. Two workloads per size: a chunked ParallelForRange sweep over a
-/// 4M-float buffer (elements/s — fan-out, steal, and completion-token cost
-/// amortized over real reads) and a burst of 4096 trivial Schedule()d tasks
-/// plus Wait() (tasks/s — per-task push/pop/wake cost, nothing amortized).
+/// Writes BENCH_scheduler.json: the `host` object (HostJsonHead), then
+/// Chase-Lev pool throughput at 1, 4, and 16 threads (sizes above `nproc`
+/// measure oversubscription, not scaling). Two workloads per size: a chunked
+/// ParallelForRange sweep over a 4M-float buffer (elements/s — fan-out,
+/// steal, and completion-token cost amortized over real reads) and a burst
+/// of 4096 trivial Schedule()d tasks plus Wait() (tasks/s — per-task
+/// push/pop/wake cost, nothing amortized).
 int RunSchedulerSweep(const std::string& path) {
   const size_t thread_counts[] = {1, 4, 16};
   const size_t n = 1 << 22;
@@ -1131,11 +1138,7 @@ int RunSchedulerSweep(const std::string& path) {
   const int burst = 4096;
   std::vector<float> data(n, 1.0f);
 
-  std::string json = "{\n  \"hardware_threads\": ";
-  char head[64];
-  std::snprintf(head, sizeof(head), "%u,\n  \"pools\": [\n",
-                std::thread::hardware_concurrency());
-  json += head;
+  std::string json = HostJsonHead() + "  \"pools\": [\n";
 
   bool first = true;
   for (size_t threads : thread_counts) {

@@ -213,7 +213,7 @@ void ClientStateStore::CheckOut(uint32_t client, const float* params,
                                 const Rng& sampler_rng, const Rng& worker_rng,
                                 uint64_t optimizer_steps,
                                 uint64_t steps_this_residency,
-                                VarianceMonitor* monitor,
+                                const VarianceMonitor* monitor,
                                 const float* residual) {
   auto it = warm_.find(client);
   FEDRA_CHECK(it != warm_.end())

@@ -137,7 +137,8 @@ class ClientStateStore {
   void CheckOut(uint32_t client, const float* params, const float* anchor,
                 const float* opt_state, const Rng& sampler_rng,
                 const Rng& worker_rng, uint64_t optimizer_steps,
-                uint64_t steps_this_residency, VarianceMonitor* monitor,
+                uint64_t steps_this_residency,
+                const VarianceMonitor* monitor,
                 const float* residual = nullptr);
 
   /// Population-corrected FDA variance estimate. `cohort_mean_state` is

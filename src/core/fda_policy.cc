@@ -5,6 +5,7 @@
 #include "tensor/vec_ops.h"
 #include "util/check.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace fedra {
 namespace {
@@ -21,25 +22,47 @@ int ActiveInSpan(const std::vector<char>* mask, int begin, int end) {
   return count;
 }
 
-// (Alg. 1 line 6) one worker's drift + local state. With a masking sync
-// compressor the monitor sees the drift that would actually ship: the mask
-// preview selects the kept coordinates (no mutation, no error-feedback side
-// effects) and the state folds only those in — the AMS sketch accumulates
-// the *compressed* drift, O(kept * rows) instead of O(dim * rows). Without
-// a mask the fused dense kernel runs unchanged.
-void ComputeWorkerState(ClusterContext& ctx, VarianceMonitor* monitor,
-                        WorkerState& worker) {
-  if (ctx.compressor != nullptr && ctx.compressor->has_mask()) {
-    vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
-             ctx.dim);
-    const size_t kept = ctx.compressor->MaskPreview(worker.drift, ctx.dim);
-    monitor->ComputeLocalStateSparse(worker.drift,
-                                     ctx.compressor->kept_indices().data(),
-                                     kept, worker.state);
-    return;
-  }
-  monitor->ComputeDriftAndState(worker.view.params, ctx.sync_params->data(),
-                                worker.drift, worker.state);
+// (Alg. 1 line 6) every participating worker's drift + local state: all K
+// when ctx.participation is null, else the workers it marks. Each worker
+// runs the serial kernels into its own drift and state rows only, so the
+// pass fans out over the global pool and stays bit-identical at any thread
+// count (docs/determinism.md, mechanism 1); a 1-thread pool runs it inline.
+//
+// With a masking sync compressor the monitor sees the drift that would
+// actually ship: the mask preview selects the kept coordinates (no
+// mutation, no error-feedback side effects) and the state folds only those
+// in — the AMS sketch accumulates the *compressed* drift, O(kept * rows)
+// instead of O(dim * rows). MaskPreview fills the compressor's one shared
+// selection scratch, so a masked pass runs the whole range as a single
+// grain on the calling thread.
+void ComputeWorkerStates(ClusterContext& ctx, const VarianceMonitor& monitor) {
+  std::vector<WorkerState>& workers = *ctx.workers;
+  const std::vector<char>* mask = ctx.participation;
+  SyncCompressor* masking =
+      ctx.compressor != nullptr && ctx.compressor->has_mask() ? ctx.compressor
+                                                              : nullptr;
+  const float* anchor = ctx.sync_params->data();
+  const size_t dim = ctx.dim;
+  const size_t n = workers.size();
+  GlobalThreadPool().ParallelForRange(
+      n, masking != nullptr ? n : 1, [&](size_t begin, size_t end) {
+        for (size_t k = begin; k < end; ++k) {
+          if (mask != nullptr && (*mask)[k] == 0) {
+            continue;
+          }
+          WorkerState& worker = workers[k];
+          if (masking == nullptr) {
+            monitor.ComputeDriftAndState(worker.view.params, anchor,
+                                         worker.drift, worker.state);
+            continue;
+          }
+          vec::Sub(worker.view.params, anchor, worker.drift, dim);
+          const size_t kept = masking->MaskPreview(worker.drift, dim);
+          monitor.ComputeLocalStateSparse(worker.drift,
+                                          masking->kept_indices().data(),
+                                          kept, worker.state);
+        }
+      });
 }
 
 }  // namespace
@@ -69,18 +92,16 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
   std::vector<float*> states = ctx.StatePointers();
   const float* mean_state = nullptr;
   int active_count = ctx.num_workers();
+  // (Alg. 1 line 6) every participant updates its local state from its
+  // drift; with a masking codec the state covers the compressed drift only.
+  ComputeWorkerStates(ctx, *monitor_);
   if (ctx.participation == nullptr) {
-    // (Alg. 1 line 6) every worker updates its local state from its drift;
-    // with a masking codec the state covers the compressed drift only.
-    for (auto& worker : *ctx.workers) {
-      ComputeWorkerState(ctx, monitor_.get(), worker);
-    }
     // (line 7) AllReduce the small states.
     ctx.network->AllReduceAverage(states, monitor_->StateSize(),
                                   TrafficClass::kLocalState);
     mean_state = states[0];
   } else {
-    // Fault-aware round: only the participants compute and share states.
+    // Fault-aware round: only the participants computed and share states.
     // Absent workers are excluded from the mean entirely — averaging their
     // stale sketches in would corrupt the AMS aggregation (the estimate
     // must reflect the fleet that can actually synchronize).
@@ -91,8 +112,6 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
     std::vector<float*> active_states;
     active_states.reserve(active.size());
     for (int k : active) {
-      WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
-      ComputeWorkerState(ctx, monitor_.get(), worker);
       active_states.push_back(states[static_cast<size_t>(k)]);
     }
     ctx.network->AllReduceAverageSubset(active_states, active,
@@ -234,13 +253,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
 
   // (1) local states from drifts — identical to flat FDA; the anchor is
   // the last *global* synchronization. A masking codec monitors the
-  // compressed drift (see ComputeWorkerState).
-  for (size_t k = 0; k < ctx.workers->size(); ++k) {
-    if (mask != nullptr && (*mask)[k] == 0) {
-      continue;
-    }
-    ComputeWorkerState(ctx, monitor_.get(), (*ctx.workers)[k]);
-  }
+  // compressed drift (see ComputeWorkerStates).
+  ComputeWorkerStates(ctx, *monitor_);
 
   // (2) leaf tier: states AllReduce within each worker group, on that
   // group's own link. Every participating group evaluates its subtree

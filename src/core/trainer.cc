@@ -210,7 +210,7 @@ int RotateFleetCohort(const TrainerConfig& config,
                       const std::vector<uint32_t>& sampled,
                       FleetState* fleet, std::vector<WorkerState>* workers,
                       WorkerArena* arena, SimNetwork* network,
-                      const float* anchor, VarianceMonitor* monitor,
+                      const float* anchor, const VarianceMonitor* monitor,
                       bool initial) {
   FEDRA_CHECK_EQ(sampled.size(), workers->size());
   const size_t dim = arena->dim();

@@ -81,7 +81,7 @@ struct ClusterContext {
   /// Initialize(); the trainer's check-out path uses it to fold departing
   /// clients' states into the store's off-cohort sum. Null for non-FDA
   /// policies (check-outs then store a zero state).
-  VarianceMonitor* monitor = nullptr;
+  const VarianceMonitor* monitor = nullptr;
 
   int num_workers() const { return static_cast<int>(workers->size()); }
 
@@ -169,7 +169,10 @@ struct TrainerConfig {
   /// the last synchronized model. 0 disables.
   float fedprox_mu = 0.0f;
 
-  /// Parallelize worker steps across threads (deterministic either way).
+  /// Parallelize the local worker steps across the global thread pool
+  /// (deterministic either way). Governs the local steps only: the FDA
+  /// policies' per-worker monitor-state pass and the collectives' reduce
+  /// always use the global pool (a 1-thread pool runs them inline).
   bool parallel_workers = false;
 
   // ------------------------------------------------------ cross-device --
@@ -275,7 +278,7 @@ int RotateFleetCohort(const TrainerConfig& config,
                       const std::vector<uint32_t>& sampled,
                       FleetState* fleet, std::vector<WorkerState>* workers,
                       WorkerArena* arena, SimNetwork* network,
-                      const float* anchor, VarianceMonitor* monitor,
+                      const float* anchor, const VarianceMonitor* monitor,
                       bool initial);
 
 /// One point of the training history (recorded at every evaluation).

@@ -1,5 +1,6 @@
 #include "core/variance_monitor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -10,14 +11,16 @@ namespace fedra {
 
 // ---------------------------------------------------------------- base --
 
-void VarianceMonitor::ComputeLocalState(const float* drift, float* state) {
+void VarianceMonitor::ComputeLocalState(const float* drift,
+                                        float* state) const {
   state[0] = static_cast<float>(vec::SquaredNorm(drift, dim_));
   FillStateTail(drift, state);
 }
 
 void VarianceMonitor::ComputeDriftAndState(const float* params,
                                            const float* sync_params,
-                                           float* drift, float* state) {
+                                           float* drift,
+                                           float* state) const {
   state[0] =
       static_cast<float>(vec::SubSquaredNorm(params, sync_params, drift, dim_));
   FillStateTail(drift, state);
@@ -26,7 +29,7 @@ void VarianceMonitor::ComputeDriftAndState(const float* params,
 void VarianceMonitor::ComputeLocalStateSparse(const float* drift,
                                               const uint32_t* kept,
                                               size_t kept_count,
-                                              float* state) {
+                                              float* state) const {
   double sq = 0.0;
   for (size_t i = 0; i < kept_count; ++i) {
     const double v = static_cast<double>(drift[kept[i]]);
@@ -43,14 +46,15 @@ ExactVarianceMonitor::ExactVarianceMonitor(size_t dim)
   FEDRA_CHECK_GT(dim, 0u);
 }
 
-void ExactVarianceMonitor::FillStateTail(const float* drift, float* state) {
+void ExactVarianceMonitor::FillStateTail(const float* drift,
+                                         float* state) const {
   vec::Copy(drift, state + 1, dim());
 }
 
 void ExactVarianceMonitor::FillStateTailSparse(const float* drift,
                                                const uint32_t* kept,
                                                size_t kept_count,
-                                               float* state) {
+                                               float* state) const {
   std::memset(state + 1, 0, dim() * sizeof(float));
   for (size_t i = 0; i < kept_count; ++i) {
     state[1 + kept[i]] = drift[kept[i]];
@@ -68,26 +72,27 @@ double ExactVarianceMonitor::EstimateVariance(const float* avg_state) const {
 SketchVarianceMonitor::SketchVarianceMonitor(size_t dim, int rows, int cols,
                                              uint64_t seed)
     : VarianceMonitor(dim),
-      family_(AmsHashFamily::Create(rows, cols, dim, seed)),
-      scratch_(family_) {}
+      family_(AmsHashFamily::Create(rows, cols, dim, seed)) {}
 
 size_t SketchVarianceMonitor::StateSize() const {
-  return 1 + scratch_.numel();
+  return 1 + static_cast<size_t>(family_->rows()) * family_->cols();
 }
 
-void SketchVarianceMonitor::FillStateTail(const float* drift, float* state) {
-  scratch_.Clear();
-  scratch_.AccumulateVector(drift);
-  vec::Copy(scratch_.data(), state + 1, scratch_.numel());
+// sk(u) accumulates straight into the caller's state row: the tail is
+// zeroed, then folded into cell by cell — the same float additions, in the
+// same order, as a fresh AmsSketch would make.
+void SketchVarianceMonitor::FillStateTail(const float* drift,
+                                          float* state) const {
+  std::fill(state + 1, state + StateSize(), 0.0f);
+  AmsSketch::AccumulateVector(*family_, drift, state + 1);
 }
 
 void SketchVarianceMonitor::FillStateTailSparse(const float* drift,
                                                 const uint32_t* kept,
                                                 size_t kept_count,
-                                                float* state) {
-  scratch_.Clear();
-  scratch_.AccumulateSparse(drift, kept, kept_count);
-  vec::Copy(scratch_.data(), state + 1, scratch_.numel());
+                                                float* state) const {
+  std::fill(state + 1, state + StateSize(), 0.0f);
+  AmsSketch::AccumulateSparse(*family_, drift, kept, kept_count, state + 1);
 }
 
 double SketchVarianceMonitor::EstimateVariance(const float* avg_state) const {
@@ -109,7 +114,8 @@ LinearVarianceMonitor::LinearVarianceMonitor(size_t dim)
   FEDRA_CHECK_GT(dim, 0u);
 }
 
-void LinearVarianceMonitor::FillStateTail(const float* drift, float* state) {
+void LinearVarianceMonitor::FillStateTail(const float* drift,
+                                          float* state) const {
   state[1] = xi_valid_
                  ? static_cast<float>(vec::Dot(xi_.data(), drift, dim()))
                  : 0.0f;
@@ -118,7 +124,7 @@ void LinearVarianceMonitor::FillStateTail(const float* drift, float* state) {
 void LinearVarianceMonitor::FillStateTailSparse(const float* drift,
                                                 const uint32_t* kept,
                                                 size_t kept_count,
-                                                float* state) {
+                                                float* state) const {
   if (!xi_valid_) {
     state[1] = 0.0f;
     return;

@@ -13,6 +13,13 @@
 //
 // States are flat float vectors so the simulator's collectives can average
 // them; element 0 is always ||u_k||^2.
+//
+// Thread safety: the state methods (ComputeLocalState, ComputeDriftAndState,
+// ComputeLocalStateSparse) are const and write only the drift/state rows
+// they are given, so one monitor may serve every worker concurrently as long
+// as the rows are distinct — the FDA policies compute all K states on the
+// global thread pool. OnSynchronized is the only mutator; it runs between
+// passes, never during one.
 
 #ifndef FEDRA_CORE_VARIANCE_MONITOR_H_
 #define FEDRA_CORE_VARIANCE_MONITOR_H_
@@ -35,14 +42,14 @@ class VarianceMonitor {
 
   /// Computes this worker's local state from its drift (length dim()).
   /// state[0] = ||drift||^2; the monitor-specific tail follows.
-  void ComputeLocalState(const float* drift, float* state);
+  void ComputeLocalState(const float* drift, float* state) const;
 
   /// Fused per-step path: writes drift = params - sync_params and computes
   /// the local state, obtaining ||drift||^2 in the same pass over the
   /// model-sized spans (vec::SubSquaredNorm). Equivalent to vec::Sub followed
   /// by ComputeLocalState, at roughly half the memory traffic.
   void ComputeDriftAndState(const float* params, const float* sync_params,
-                            float* drift, float* state);
+                            float* drift, float* state) const;
 
   /// Local state of the *masked* drift: the state ComputeLocalState would
   /// produce for the vector equal to `drift` on the `kept_count` listed
@@ -52,7 +59,7 @@ class VarianceMonitor {
   /// sketch/linear tails. `kept` must be ascending in-range indices (the
   /// SyncCompressor::MaskPreview contract).
   void ComputeLocalStateSparse(const float* drift, const uint32_t* kept,
-                               size_t kept_count, float* state);
+                               size_t kept_count, float* state) const;
 
   /// H(S_bar): the variance over-estimate from the averaged state.
   virtual double EstimateVariance(const float* avg_state) const = 0;
@@ -86,12 +93,13 @@ class VarianceMonitor {
 
   /// Fills state[1..] from the drift; state[0] (= ||drift||^2) is already
   /// set by the public entry points.
-  virtual void FillStateTail(const float* drift, float* state) = 0;
+  virtual void FillStateTail(const float* drift, float* state) const = 0;
 
   /// Sparse counterpart: fills state[1..] from the drift restricted to the
   /// `kept_count` listed coordinates (zero elsewhere).
   virtual void FillStateTailSparse(const float* drift, const uint32_t* kept,
-                                   size_t kept_count, float* state) = 0;
+                                   size_t kept_count,
+                                   float* state) const = 0;
 
  private:
   size_t dim_;
@@ -110,9 +118,9 @@ class ExactVarianceMonitor : public VarianceMonitor {
   std::string name() const override { return "ExactFDA"; }
 
  protected:
-  void FillStateTail(const float* drift, float* state) override;
+  void FillStateTail(const float* drift, float* state) const override;
   void FillStateTailSparse(const float* drift, const uint32_t* kept,
-                           size_t kept_count, float* state) override;
+                           size_t kept_count, float* state) const override;
 };
 
 /// SketchFDA (Thm 3.1): state = (||u||^2, sk(u)). The averaged sketch equals
@@ -128,16 +136,14 @@ class SketchVarianceMonitor : public VarianceMonitor {
   std::string name() const override { return "SketchFDA"; }
 
   const AmsHashFamily& family() const { return *family_; }
-  double epsilon() const { return scratch_.ErrorBound(); }
 
  protected:
-  void FillStateTail(const float* drift, float* state) override;
+  void FillStateTail(const float* drift, float* state) const override;
   void FillStateTailSparse(const float* drift, const uint32_t* kept,
-                           size_t kept_count, float* state) override;
+                           size_t kept_count, float* state) const override;
 
  private:
   std::shared_ptr<const AmsHashFamily> family_;
-  AmsSketch scratch_;  // reused per ComputeLocalState / EstimateVariance
 };
 
 /// LinearFDA (Thm 3.2): state = (||u||^2, <xi, u>) for a unit vector xi
@@ -160,9 +166,9 @@ class LinearVarianceMonitor : public VarianceMonitor {
   const std::vector<float>& xi() const { return xi_; }
 
  protected:
-  void FillStateTail(const float* drift, float* state) override;
+  void FillStateTail(const float* drift, float* state) const override;
   void FillStateTailSparse(const float* drift, const uint32_t* kept,
-                           size_t kept_count, float* state) override;
+                           size_t kept_count, float* state) const override;
 
  private:
   std::vector<float> xi_;

@@ -35,9 +35,13 @@ void AmsSketch::Update(size_t j, float delta) {
 }
 
 void AmsSketch::AccumulateVector(const float* v) {
-  const size_t dim = family_->dim();
-  const int num_rows = family_->rows();
-  float* cells = cells_.data();
+  AccumulateVector(*family_, v, cells_.data());
+}
+
+void AmsSketch::AccumulateVector(const AmsHashFamily& family, const float* v,
+                                 float* cells) {
+  const size_t dim = family.dim();
+  const int num_rows = family.rows();
   // Blocked per-depth accumulation: walk v once per block (it stays in L1
   // across the row loop) using the family's precomputed absolute-cell-offset
   // and float-sign tables — one gather-multiply-add per (row, coordinate),
@@ -46,8 +50,8 @@ void AmsSketch::AccumulateVector(const float* v) {
   for (size_t j0 = 0; j0 < dim; j0 += kBlock) {
     const size_t j1 = std::min(dim, j0 + kBlock);
     for (int r = 0; r < num_rows; ++r) {
-      const uint32_t* offsets = family_->cell_offsets(r);
-      const float* signs = family_->sign_values(r);
+      const uint32_t* offsets = family.cell_offsets(r);
+      const float* signs = family.sign_values(r);
       for (size_t j = j0; j < j1; ++j) {
         cells[offsets[j]] += signs[j] * v[j];
       }
@@ -57,17 +61,22 @@ void AmsSketch::AccumulateVector(const float* v) {
 
 void AmsSketch::AccumulateSparse(const float* v, const uint32_t* indices,
                                  size_t count) {
-  const int num_rows = family_->rows();
-  float* cells = cells_.data();
+  AccumulateSparse(*family_, v, indices, count, cells_.data());
+}
+
+void AmsSketch::AccumulateSparse(const AmsHashFamily& family, const float* v,
+                                 const uint32_t* indices, size_t count,
+                                 float* cells) {
+  const int num_rows = family.rows();
   for (size_t i = 0; i < count; ++i) {
-    FEDRA_CHECK_LT(indices[i], family_->dim());
+    FEDRA_CHECK_LT(indices[i], family.dim());
   }
   // Same precomputed offset/sign tables as AccumulateVector, gathered only
   // at the listed coordinates. Rows innermost: the index list is short, so
   // revisiting it per row stays in cache while each row's tables stream.
   for (int r = 0; r < num_rows; ++r) {
-    const uint32_t* offsets = family_->cell_offsets(r);
-    const float* signs = family_->sign_values(r);
+    const uint32_t* offsets = family.cell_offsets(r);
+    const float* signs = family.sign_values(r);
     for (size_t i = 0; i < count; ++i) {
       const uint32_t j = indices[i];
       cells[offsets[j]] += signs[j] * v[j];

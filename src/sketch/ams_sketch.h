@@ -55,6 +55,16 @@ class AmsSketch {
   void AccumulateSparse(const float* v, const uint32_t* indices,
                         size_t count);
 
+  /// The two accumulators over caller-owned rows x cols cells (row-major):
+  /// SketchFDA folds sk(u) straight into a worker's state row. They touch
+  /// nothing but `cells`, so concurrent calls on distinct cells are safe;
+  /// the members above wrap them.
+  static void AccumulateVector(const AmsHashFamily& family, const float* v,
+                               float* cells);
+  static void AccumulateSparse(const AmsHashFamily& family, const float* v,
+                               const uint32_t* indices, size_t count,
+                               float* cells);
+
   /// sk += alpha * other (linearity; families must match).
   void AddScaled(const AmsSketch& other, float alpha);
 

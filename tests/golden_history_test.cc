@@ -264,6 +264,71 @@ TEST(GoldenHistoryTest, ThreeTierHierarchicalFdaSequentialAndParallel) {
   ExpectHistoriesBitIdentical(sequential, parallel);
 }
 
+// ---------------------------------------------------------------------------
+// SketchFDA and ExactFDA: the AMS-sketch and full-drift state kernels and
+// the decisions they feed. Theta = 0.2 makes each run sync several times and
+// skip most rounds. Captured with FEDRA_GOLDEN_PRINT=1 before the
+// per-worker state pass moved onto the thread pool; the sequential and
+// parallel-worker runs must both reproduce them.
+const GoldenPoint kMlpSketchFda[] = {
+    {20, 0.484375, 0.6796875, 605696ull, 2ull, 0.20019652800000004},
+    {40, 0.78125, 0.8046875, 1108704ull, 3ull, 0.40037338628571445},
+    {60, 0.9296875, 0.8984375, 1611712ull, 4ull, 0.60055024457142892},
+};
+
+const GoldenPoint kMlpExactFda[] = {
+    {20, 0.4921875, 0.6796875, 2156768ull, 1ull, 0.20041310971428575},
+    {40, 0.7734375, 0.8125, 4313536ull, 2ull, 0.40082621942857161},
+    {60, 0.9375, 0.90625, 6572992ull, 4ull, 0.60125899885714318},
+};
+
+template <size_t N>
+void ExpectFdaGolden(const char* name, const AlgorithmConfig& algorithm,
+                     const GoldenPoint (&golden)[N], uint64_t bytes_total,
+                     uint64_t model_syncs) {
+  SynthImageData data = SmallMnistLike();
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  auto run_with = [&](bool parallel) {
+    TrainerConfig config = MlpConfig(4);
+    config.parallel_workers = parallel;
+    DistributedTrainer trainer(factory, data.train, data.test, config);
+    auto policy = MakeSyncPolicy(algorithm, trainer.model_dim());
+    FEDRA_CHECK(policy.ok());
+    auto result = trainer.Run(policy->get());
+    FEDRA_CHECK(result.ok());
+    return std::move(result).value();
+  };
+  const TrainResult sequential = run_with(false);
+  const TrainResult parallel = run_with(true);
+  ExpectHistoryMatches(name, sequential.history, golden);
+  ExpectHistoriesBitIdentical(sequential.history, parallel.history);
+  if (GoldenPrintMode()) {
+    std::printf("bytes_total=%lluull model_syncs=%lluull\n",
+                static_cast<unsigned long long>(sequential.comm.bytes_total),
+                static_cast<unsigned long long>(
+                    sequential.comm.model_sync_count));
+    return;
+  }
+  for (const TrainResult* result : {&sequential, &parallel}) {
+    EXPECT_EQ(result->comm.bytes_total, bytes_total) << name;
+    EXPECT_EQ(result->comm.model_sync_count, model_syncs) << name;
+  }
+  // Some rounds synced and some did not.
+  EXPECT_GE(model_syncs, 2u) << name;
+  EXPECT_LT(model_syncs, static_cast<uint64_t>(MlpConfig(4).max_steps))
+      << name;
+}
+
+TEST(GoldenHistoryTest, MlpSketchFdaSequentialAndParallel) {
+  ExpectFdaGolden("MlpSketchFda", AlgorithmConfig::SketchFda(0.2),
+                  kMlpSketchFda, 1611712ull, 4ull);
+}
+
+TEST(GoldenHistoryTest, MlpExactFdaSequentialAndParallel) {
+  ExpectFdaGolden("MlpExactFda", AlgorithmConfig::ExactFda(0.2), kMlpExactFda,
+                  6572992ull, 4ull);
+}
+
 /// Composite coverage (BatchNorm, Dropout, DenseBlock, transitions) under
 /// the shared graph: parallel and sequential worker execution must be
 /// bit-identical. Runtime-compared (no hard-coded floats) so it holds on

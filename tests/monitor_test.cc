@@ -5,9 +5,16 @@
 //  - Theorem 3.2: LinearFDA's H over-estimates the variance ALWAYS.
 //  - Theorem 3.1: SketchFDA's H over-estimates with confidence ~(1-delta).
 //  - LinearFDA's heuristic xi update from the last two synchronized models.
+//  - One monitor shared by concurrent callers on distinct rows reproduces a
+//    serial pass bit for bit (the FDA policies' pooled state pass).
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <latch>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -304,6 +311,95 @@ TEST(SketchMonitorTest, TighterThanLinearOnAverage) {
     linear_slack += MonitorEstimate(&linear, cohort) - truth;
   }
   EXPECT_LT(sketch_slack, linear_slack);
+}
+
+// ------------------------------------------------------------ concurrency
+
+TEST(MonitorConcurrencyTest, SharedMonitorMatchesSerialPassBitForBit) {
+  // The FDA policies compute every worker's state on the thread pool
+  // against one monitor. Four threads share one monitor of each kind, each
+  // running the fused dense path and the masked sparse path on its own
+  // rows, pass after pass, all threads released together. Every pass must
+  // reproduce the serial pass bit for bit — a monitor that kept per-call
+  // scratch of its own would corrupt the rows of overlapping calls.
+  constexpr int kThreads = 4;
+  constexpr int kRowsPerThread = 3;
+  constexpr int kRows = kThreads * kRowsPerThread;
+  constexpr int kPasses = 8;
+  constexpr size_t kDim = 1 << 16;
+  const Cohort cohort = MakeCohort(kRows, kDim, 0.5, 4711);
+  // Row r keeps every (r % 5 + 2)-th coordinate: ascending, row-specific.
+  std::vector<std::vector<uint32_t>> kept(kRows);
+  for (int r = 0; r < kRows; ++r) {
+    const auto step = static_cast<size_t>(r % 5 + 2);
+    for (size_t j = static_cast<size_t>(r % 3); j < kDim; j += step) {
+      kept[static_cast<size_t>(r)].push_back(static_cast<uint32_t>(j));
+    }
+  }
+  std::vector<std::unique_ptr<VarianceMonitor>> monitors;
+  monitors.push_back(std::make_unique<ExactVarianceMonitor>(kDim));
+  monitors.push_back(std::make_unique<SketchVarianceMonitor>(kDim, 5, 250, 9));
+  auto linear = std::make_unique<LinearVarianceMonitor>(kDim);
+  linear->OnSynchronized(cohort.models[0].data(), cohort.sync_point.data());
+  ASSERT_GT(vec::SquaredNorm(linear->xi().data(), kDim), 0.5);
+  monitors.push_back(std::move(linear));
+
+  for (const auto& owned : monitors) {
+    const VarianceMonitor& monitor = *owned;
+    SCOPED_TRACE(monitor.name());
+    const size_t state_size = monitor.StateSize();
+    // One row's outputs: drift, dense state, masked state.
+    struct Rows {
+      std::vector<float> drift, dense, sparse;
+      explicit Rows(size_t dim, size_t states)
+          : drift(dim), dense(states), sparse(states) {}
+      bool operator==(const Rows& other) const {
+        auto same = [](const std::vector<float>& a,
+                       const std::vector<float>& b) {
+          return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) ==
+                 0;
+        };
+        return same(drift, other.drift) && same(dense, other.dense) &&
+               same(sparse, other.sparse);
+      }
+    };
+    auto run_row = [&](int r, Rows* out) {
+      const auto& keep = kept[static_cast<size_t>(r)];
+      monitor.ComputeDriftAndState(cohort.models[static_cast<size_t>(r)].data(),
+                                   cohort.sync_point.data(), out->drift.data(),
+                                   out->dense.data());
+      monitor.ComputeLocalStateSparse(out->drift.data(), keep.data(),
+                                      keep.size(), out->sparse.data());
+    };
+    std::vector<Rows> serial(kRows, Rows(kDim, state_size));
+    for (int r = 0; r < kRows; ++r) {
+      run_row(r, &serial[static_cast<size_t>(r)]);
+    }
+    std::vector<Rows> concurrent(kRows, Rows(kDim, state_size));
+    std::atomic<int> mismatched_passes{0};
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (int r = t; r < kRows; r += kThreads) {
+            Rows& out = concurrent[static_cast<size_t>(r)];
+            run_row(r, &out);
+            if (out != serial[static_cast<size_t>(r)]) {
+              mismatched_passes.fetch_add(1);
+            }
+          }
+        }
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    EXPECT_EQ(mismatched_passes.load(), 0)
+        << "of " << kRows * kPasses << " row passes";
+  }
 }
 
 // ---------------------------------------------------------------- factory

@@ -12,16 +12,20 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
+#include "core/fda_policy.h"
 #include "core/trainer.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
 #include "sim/fault_model.h"
+#include "sim/topology_tree.h"
 #include "util/chase_lev_deque.h"
 #include "util/thread_pool.h"
 
@@ -285,13 +289,45 @@ TEST(TsanStressTest, MultiProducerScheduleAndWaitChurn) {
   EXPECT_EQ(executed.load(), kProducers * kBursts * kTasksPerBurst);
 }
 
+/// Runs `config` twice with a fresh policy each time; the two runs must
+/// agree on every history row, the byte total and the rejoin count.
+void ExpectTwoRunsIdentical(
+    const SynthImageData& data, const TrainerConfig& config,
+    const std::function<std::unique_ptr<SyncPolicy>(size_t dim)>&
+        make_policy) {
+  auto run_once = [&] {
+    DistributedTrainer trainer([] { return zoo::Mlp(16 * 16, {24}, 10); },
+                               data.train, data.test, config);
+    std::unique_ptr<SyncPolicy> policy = make_policy(trainer.model_dim());
+    auto result = trainer.Run(policy.get());
+    FEDRA_CHECK(result.ok()) << result.status();
+    return std::move(result).value();
+  };
+  TrainResult first = run_once();
+  TrainResult second = run_once();
+  EXPECT_EQ(first.total_steps, config.max_steps);
+  EXPECT_EQ(first.final_test_accuracy, second.final_test_accuracy);
+  EXPECT_EQ(first.comm.bytes_total, second.comm.bytes_total);
+  EXPECT_EQ(first.rejoin_count, second.rejoin_count);
+  ASSERT_EQ(first.history.size(), second.history.size());
+  for (size_t i = 0; i < first.history.size(); ++i) {
+    EXPECT_EQ(first.history[i].test_accuracy, second.history[i].test_accuracy)
+        << "history row " << i;
+    EXPECT_EQ(first.history[i].bytes, second.history[i].bytes)
+        << "history row " << i;
+  }
+}
+
 TEST(TsanStressTest, TrainerCohortUnderFaultsIsRacelessAndDeterministic) {
   // End-to-end surface: parallel workers execute one shared ModelGraph
   // against one WorkerArena (slab rows + exec slots), the FDA policy
-  // AllReduces monitor state, and the fault injector cuts workers and drops
-  // contributions mid-run. Two identical runs must also produce the same
-  // history — under TSan this doubles as the determinism contract's
-  // dynamic check.
+  // computes every worker's monitor state on the pool against one shared
+  // monitor and AllReduces the states, and the fault injector cuts workers
+  // and drops contributions mid-run. Two identical runs must also produce
+  // the same history — under TSan this doubles as the determinism
+  // contract's dynamic check. LinearFDA, SketchFDA (AMS scatter into each
+  // worker's state row) and hierarchical SketchFDA over a device-site-cloud
+  // tree each get a pair of runs.
   SynthImageConfig synth = MnistLikeConfig();
   synth.num_train = 256;
   synth.num_test = 64;
@@ -311,29 +347,27 @@ TEST(TsanStressTest, TrainerCohortUnderFaultsIsRacelessAndDeterministic) {
   config.faults = FaultConfig::Churn(5.0, 2.0);
   config.faults.message_loss_prob = 0.05;
 
-  auto run_once = [&] {
-    DistributedTrainer trainer([] { return zoo::Mlp(16 * 16, {24}, 10); },
-                               data->train, data->test, config);
-    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
-                                 trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok()) << result.status();
-    return std::move(result).value();
-  };
-  TrainResult first = run_once();
-  TrainResult second = run_once();
-  EXPECT_EQ(first.total_steps, 12u);
-  EXPECT_EQ(first.final_test_accuracy, second.final_test_accuracy);
-  EXPECT_EQ(first.comm.bytes_total, second.comm.bytes_total);
-  EXPECT_EQ(first.rejoin_count, second.rejoin_count);
-  ASSERT_EQ(first.history.size(), second.history.size());
-  for (size_t i = 0; i < first.history.size(); ++i) {
-    EXPECT_EQ(first.history[i].test_accuracy, second.history[i].test_accuracy)
-        << "history row " << i;
-    EXPECT_EQ(first.history[i].bytes, second.history[i].bytes)
-        << "history row " << i;
+  for (const AlgorithmConfig& algorithm :
+       {AlgorithmConfig::LinearFda(0.5), AlgorithmConfig::SketchFda(0.5)}) {
+    SCOPED_TRACE(static_cast<int>(algorithm.algorithm));
+    ExpectTwoRunsIdentical(*data, config, [&](size_t dim) {
+      auto policy = MakeSyncPolicy(algorithm, dim);
+      FEDRA_CHECK(policy.ok());
+      return std::move(policy).value();
+    });
   }
+
+  SCOPED_TRACE("hierarchical");
+  TrainerConfig tree_config = config;
+  tree_config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+  ExpectTwoRunsIdentical(*data, tree_config, [](size_t dim) {
+    HierarchicalFdaConfig policy_config;
+    policy_config.monitor.kind = MonitorKind::kSketch;
+    policy_config.theta_by_depth = {1.2, 0.5, 0.2};
+    auto policy = MakeHierarchicalFdaPolicy(policy_config, dim);
+    FEDRA_CHECK(policy.ok());
+    return std::unique_ptr<SyncPolicy>(std::move(policy).value());
+  });
 }
 
 TEST(TsanStressTest, ParallelForAgainstScheduledBackgroundWork) {
