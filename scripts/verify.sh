@@ -34,12 +34,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # memory with FDA out-communicating every-round FedAvg; compressed_fleet_fda
 # CHECKs the WireCodec pipeline on that same fleet — top-k + 8-bit sync
 # payloads with error feedback paged through the client store must cut
-# uplink sync bytes >= 4x at the same accuracy target.
+# uplink sync bytes >= 4x at the same accuracy target. async_edge is the
+# one example on AsyncFdaTrainer (event-driven FDA over edge stragglers).
 "$BUILD_DIR/quickstart" > /dev/null
 "$BUILD_DIR/hierarchical_fda" > /dev/null
 "$BUILD_DIR/deep_tree_fda" > /dev/null
 "$BUILD_DIR/churn_fda" > /dev/null
+"$BUILD_DIR/async_edge" > /dev/null
 FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/fleet_fda" > /dev/null
 FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/compressed_fleet_fda" > /dev/null
 echo "smoke: quickstart + hierarchical_fda + deep_tree_fda + churn_fda" \
-     "+ fleet_fda + compressed_fleet_fda OK"
+     "+ async_edge + fleet_fda + compressed_fleet_fda OK"

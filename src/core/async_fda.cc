@@ -74,13 +74,11 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
   // completion with probability 1/mttf and repairs after a geometric
   // number of its own step times; every upload runs the loss/retry
   // gauntlet. Round-scoped faults (link outages, deadlines) have no
-  // event-driven analogue and are ignored here.
-  std::unique_ptr<FaultInjector> injector;
-  if (config_.faults.enabled()) {
-    injector = std::make_unique<FaultInjector>(
-        config_.faults, config_.num_workers, config_.seed,
-        network.tree().enabled() ? &network.tree() : nullptr);
-  }
+  // event-driven analogue and are ignored here. A disabled config is the
+  // identity schedule: no crash, every upload delivered, nothing drawn.
+  FaultInjector injector(config_.faults, config_.num_workers, config_.seed,
+                         network.tree().enabled() ? &network.tree()
+                                                  : nullptr);
   std::vector<char> worker_up(static_cast<size_t>(config_.num_workers), 1);
 
   // Fleet mode: the paged client store behind the K resident slots. The
@@ -224,12 +222,12 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
     worker.optimizer->Step(worker.view.params, worker.view.grads, dim_);
     ++total_steps;
 
-    if (injector != nullptr && injector->SampleCrash()) {
+    if (injector.SampleCrash()) {
       // The worker dies at step completion: nothing is uploaded, its
       // params go stale, and the repair timer starts now — a geometric
       // number (mean worker_mttr_rounds) of its own typical step times.
       worker_up[static_cast<size_t>(event.worker)] = 0;
-      const double repair = injector->SampleRepairRounds() *
+      const double repair = injector.SampleRepairRounds() *
                             config_.straggler.base_step_seconds *
                             worker.speed_factor;
       events.push({clock + repair, event.worker, /*rejoin=*/true});
@@ -242,20 +240,9 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
     // leaves the coordinator's view of this worker stale (no decision).
     monitor->ComputeDriftAndState(worker.view.params, sync_params.data(),
                                   worker.drift, worker.state);
-    bool uploaded = true;
-    if (injector != nullptr) {
-      const FaultInjector::Delivery outcome = injector->SampleDelivery();
-      if (outcome.retries > 0) {
-        network.AccountSyncRetries(event.worker, monitor->StateSize(),
-                                   outcome.retries,
-                                   config_.faults.retry_backoff_seconds,
-                                   TrafficClass::kLocalState);
-      }
-      if (!outcome.delivered) {
-        network.AccountDroppedMessage();
-        uploaded = false;
-      }
-    }
+    const bool uploaded = DeliverContribution(
+        &injector, &network, event.worker,
+        monitor->StateSize() * sizeof(float), TrafficClass::kLocalState);
     bool trip = false;
     if (uploaded) {
       latest_states[static_cast<size_t>(event.worker)]
@@ -291,58 +278,37 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
       // Coordinator-mediated synchronization (accounted as a full-model
       // collective) over the live workers. All in-flight compute is
       // abandoned and re-queued; pending repairs survive the rebuild.
+      // Each live worker's model contribution runs the same loss/retry
+      // gauntlet as the state uploads; the coordinator averages what
+      // arrives and pushes the result back to every live worker.
       std::vector<float*> params = arena.ParamPointers();
-      bool synced = true;
-      if (injector == nullptr) {
-        network.AllReduceAverage(params, dim_, TrafficClass::kModelSync);
-        prev_sync_params = sync_params;
-        vec::Copy(params[0], sync_params.data(), dim_);
-      } else {
-        // Each live worker's model contribution runs the same loss/retry
-        // gauntlet as the state uploads; the coordinator averages what
-        // arrives and pushes the result back to every live worker.
-        std::vector<int> delivered;
-        std::vector<float*> delivered_params;
-        for (int k = 0; k < config_.num_workers; ++k) {
-          if (worker_up[static_cast<size_t>(k)] == 0) {
-            continue;
-          }
-          const FaultInjector::Delivery outcome =
-              injector->SampleDelivery();
-          if (outcome.retries > 0) {
-            network.AccountSyncRetries(k, dim_, outcome.retries,
-                                       config_.faults.retry_backoff_seconds,
-                                       TrafficClass::kModelSync);
-          }
-          if (!outcome.delivered) {
-            network.AccountDroppedMessage();
-            continue;
-          }
+      std::vector<int> delivered;
+      std::vector<float*> delivered_params;
+      for (int k = 0; k < config_.num_workers; ++k) {
+        if (worker_up[static_cast<size_t>(k)] != 0 &&
+            DeliverContribution(&injector, &network, k, dim_ * sizeof(float),
+                                TrafficClass::kModelSync)) {
           delivered.push_back(k);
           delivered_params.push_back(params[static_cast<size_t>(k)]);
         }
-        if (delivered.empty()) {
-          // Every contribution lost: the attempt still stalled the fleet,
-          // but the anchor stays put and the monitor keeps estimating.
-          ++result.base.skipped_syncs;
-          synced = false;
-        } else {
-          network.AllReduceAverageSubset(delivered_params, delivered, dim_,
-                                         TrafficClass::kModelSync);
-          prev_sync_params = sync_params;
-          vec::Copy(delivered_params[0], sync_params.data(), dim_);
-          // Live workers whose upload was dropped still receive the new
-          // global model from the coordinator's broadcast.
-          for (int k = 0; k < config_.num_workers; ++k) {
-            if (worker_up[static_cast<size_t>(k)] == 0) {
-              continue;
-            }
-            vec::Copy(sync_params.data(),
-                      params[static_cast<size_t>(k)], dim_);
+      }
+      if (delivered.empty()) {
+        // Every contribution lost: the attempt still stalled the fleet,
+        // but the anchor stays put and the monitor keeps estimating.
+        ++result.base.skipped_syncs;
+      } else {
+        network.AllReduceAverageSubset(delivered_params, delivered, dim_,
+                                       TrafficClass::kModelSync);
+        prev_sync_params = sync_params;
+        vec::Copy(delivered_params[0], sync_params.data(), dim_);
+        // Live workers whose upload was dropped still receive the new
+        // global model from the coordinator's broadcast.
+        for (int k = 0; k < config_.num_workers; ++k) {
+          if (worker_up[static_cast<size_t>(k)] != 0) {
+            vec::Copy(sync_params.data(), params[static_cast<size_t>(k)],
+                      dim_);
           }
         }
-      }
-      if (synced) {
         monitor->OnSynchronized(sync_params.data(),
                                 prev_sync_params.data());
         for (auto& state : latest_states) {

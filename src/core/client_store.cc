@@ -383,8 +383,10 @@ void CohortSampler::SampleGroup(int group, Rng* rng,
   }
   std::vector<uint32_t> picked;
   picked.reserve(need);
-  const bool availability =
-      kind_ == CohortScheduleKind::kAvailability && faults != nullptr;
+  // A disabled fault config is the identity schedule (everyone up): it
+  // samples exactly like no injector, uniformly.
+  const bool availability = kind_ == CohortScheduleKind::kAvailability &&
+                            faults != nullptr && faults->config().enabled();
   if (availability) {
     // Rejection-sample reachable clients: the coordinator only invites
     // devices that are up right now. Bounded attempts, then a

@@ -52,7 +52,8 @@ enum class CohortScheduleKind {
   kUniform,
   /// Availability-weighted: rejection-samples against FaultInjector::IsUp,
   /// modelling a coordinator that only invites reachable devices. Falls
-  /// back to uniform when no injector is present.
+  /// back to uniform when no injector is present or its config is
+  /// disabled (fault-free runs).
   kAvailability,
 };
 
@@ -261,8 +262,8 @@ class CohortSampler {
   /// exactly as large as its slot span is taken whole with zero rng draws
   /// (the population == K identity). kAvailability rejection-samples
   /// against faults->IsUp(client) with a bounded attempt budget, then
-  /// falls back to a deterministic ascending scan; a null injector makes
-  /// it uniform.
+  /// falls back to a deterministic ascending scan; a null injector or one
+  /// with a disabled config (the identity schedule) makes it uniform.
   std::vector<uint32_t> Sample(uint64_t round,
                                const FaultInjector* faults) const;
 

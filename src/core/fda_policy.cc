@@ -10,23 +10,20 @@
 namespace fedra {
 namespace {
 
-// Active workers within [begin, end); the span size when no mask is given.
-int ActiveInSpan(const std::vector<char>* mask, int begin, int end) {
-  if (mask == nullptr) {
-    return end - begin;
-  }
+// Active workers within [begin, end).
+int ActiveInSpan(const std::vector<char>& mask, int begin, int end) {
   int count = 0;
   for (int w = begin; w < end; ++w) {
-    count += (*mask)[static_cast<size_t>(w)] != 0;
+    count += mask[static_cast<size_t>(w)] != 0;
   }
   return count;
 }
 
-// (Alg. 1 line 6) every participating worker's drift + local state: all K
-// when ctx.participation is null, else the workers it marks. Each worker
-// runs the serial kernels into its own drift and state rows only, so the
-// pass fans out over the global pool and stays bit-identical at any thread
-// count (docs/determinism.md, mechanism 1); a 1-thread pool runs it inline.
+// (Alg. 1 line 6) every participating worker's drift + local state. Each
+// worker runs the serial kernels into its own drift and state rows only, so
+// the pass fans out over the global pool and stays bit-identical at any
+// thread count (docs/determinism.md, mechanism 1); a 1-thread pool runs it
+// inline.
 //
 // With a masking sync compressor the monitor sees the drift that would
 // actually ship: the mask preview selects the kept coordinates (no
@@ -37,7 +34,7 @@ int ActiveInSpan(const std::vector<char>* mask, int begin, int end) {
 // grain on the calling thread.
 void ComputeWorkerStates(ClusterContext& ctx, const VarianceMonitor& monitor) {
   std::vector<WorkerState>& workers = *ctx.workers;
-  const std::vector<char>* mask = ctx.participation;
+  const std::vector<char>& mask = ctx.participation;
   SyncCompressor* masking =
       ctx.compressor != nullptr && ctx.compressor->has_mask() ? ctx.compressor
                                                               : nullptr;
@@ -47,7 +44,7 @@ void ComputeWorkerStates(ClusterContext& ctx, const VarianceMonitor& monitor) {
   GlobalThreadPool().ParallelForRange(
       n, masking != nullptr ? n : 1, [&](size_t begin, size_t end) {
         for (size_t k = begin; k < end; ++k) {
-          if (mask != nullptr && (*mask)[k] == 0) {
+          if (mask[k] == 0) {
             continue;
           }
           WorkerState& worker = workers[k];
@@ -63,6 +60,30 @@ void ComputeWorkerStates(ClusterContext& ctx, const VarianceMonitor& monitor) {
                                           kept, worker.state);
         }
       });
+}
+
+// (Alg. 1 line 7) AllReduces the participants' local states among
+// themselves. Absent workers are excluded from the mean entirely —
+// averaging their stale sketches in would corrupt the AMS aggregation (the
+// estimate must reflect the fleet that can actually synchronize). Returns
+// the participant count; the mean lands in every participant's row of
+// `states` and *mean_state points at one of them.
+int AverageParticipantStates(ClusterContext& ctx,
+                             const std::vector<float*>& states,
+                             size_t state_size, const float** mean_state) {
+  const std::vector<int> active = ctx.ActiveWorkers();
+  if (active.empty()) {
+    return 0;
+  }
+  std::vector<float*> active_states;
+  active_states.reserve(active.size());
+  for (int k : active) {
+    active_states.push_back(states[static_cast<size_t>(k)]);
+  }
+  ctx.network->AllReduceAverageSubset(active_states, active, state_size,
+                                      TrafficClass::kLocalState);
+  *mean_state = active_states[0];
+  return static_cast<int>(active.size());
 }
 
 }  // namespace
@@ -90,35 +111,15 @@ void FdaSyncPolicy::Initialize(ClusterContext& ctx) {
 bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
   FEDRA_CHECK_EQ(monitor_->dim(), ctx.dim);
   std::vector<float*> states = ctx.StatePointers();
-  const float* mean_state = nullptr;
-  int active_count = ctx.num_workers();
   // (Alg. 1 line 6) every participant updates its local state from its
   // drift; with a masking codec the state covers the compressed drift only.
   ComputeWorkerStates(ctx, *monitor_);
-  if (ctx.participation == nullptr) {
-    // (line 7) AllReduce the small states.
-    ctx.network->AllReduceAverage(states, monitor_->StateSize(),
-                                  TrafficClass::kLocalState);
-    mean_state = states[0];
-  } else {
-    // Fault-aware round: only the participants computed and share states.
-    // Absent workers are excluded from the mean entirely — averaging their
-    // stale sketches in would corrupt the AMS aggregation (the estimate
-    // must reflect the fleet that can actually synchronize).
-    const std::vector<int> active = ctx.ActiveWorkers();
-    if (active.empty()) {
-      return false;  // trainer normally skips such rounds already
-    }
-    std::vector<float*> active_states;
-    active_states.reserve(active.size());
-    for (int k : active) {
-      active_states.push_back(states[static_cast<size_t>(k)]);
-    }
-    ctx.network->AllReduceAverageSubset(active_states, active,
-                                        monitor_->StateSize(),
-                                        TrafficClass::kLocalState);
-    mean_state = active_states[0];
-    active_count = static_cast<int>(active.size());
+  // (line 7) AllReduce the small states among the participants.
+  const float* mean_state = nullptr;
+  const int active_count = AverageParticipantStates(
+      ctx, states, monitor_->StateSize(), &mean_state);
+  if (active_count == 0) {
+    return false;  // the trainer skips such rounds already
   }
   // (line 8) everyone evaluates H on the averaged state. A fleet run folds
   // the off-cohort population's stored states in (a bitwise no-op when
@@ -186,7 +187,7 @@ void HierarchicalFdaPolicy::MaterializeNodeState(ClusterContext& ctx,
   // workers, or none participating this round) never reaches here because
   // parents only weigh active children.
   FEDRA_CHECK(!node.children.empty());
-  const std::vector<char>* mask = ctx.participation;
+  const std::vector<char>& mask = ctx.participation;
   // Locals, not members: materialization recurses through silent subtrees.
   std::vector<const float*> child_states;
   std::vector<double> child_weights;
@@ -211,7 +212,7 @@ void HierarchicalFdaPolicy::MaterializeNodeState(ClusterContext& ctx,
     // for free (the child representative is the node's own) and does not
     // count as an escalation.
     ctx.network->AccountChildExchange(id, state_size,
-                                      TrafficClass::kLocalState, mask);
+                                      TrafficClass::kLocalState, &mask);
     ++escalations_;
   }
   node_state_[static_cast<size_t>(id)].resize(state_size);
@@ -245,11 +246,11 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
   node_has_.assign(static_cast<size_t>(num_nodes), 0);
   node_trip_.assign(static_cast<size_t>(num_nodes), 0);
 
-  // Fault-aware rounds mask absent workers out of every tier: their stale
-  // drifts contribute to no estimate, silent groups stay node_has_ == 0,
-  // and weights count participants only. A null mask is the exact
-  // pre-fault arithmetic.
-  const std::vector<char>* mask = ctx.participation;
+  // Absent workers are masked out of every tier: their stale drifts
+  // contribute to no estimate, silent groups stay node_has_ == 0, and
+  // weights count participants only. A fault-free round is the all-ones
+  // mask.
+  const std::vector<char>& mask = ctx.participation;
 
   // (1) local states from drifts — identical to flat FDA; the anchor is
   // the last *global* synchronization. A masking codec monitors the
@@ -270,7 +271,7 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     span_ptrs_.clear();
     int first_active = -1;
     for (int w = begin; w < begin + size; ++w) {
-      if (mask != nullptr && (*mask)[static_cast<size_t>(w)] == 0) {
+      if (mask[static_cast<size_t>(w)] == 0) {
         continue;
       }
       if (first_active < 0) {
@@ -281,14 +282,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     if (span_ptrs_.empty()) {
       continue;
     }
-    if (mask == nullptr) {
-      ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, state_size,
-                                           TrafficClass::kLocalState);
-    } else {
-      ctx.network->SubtreeAllReduceAverageSubset(id, span_ptrs_, *mask,
-                                                 state_size,
-                                                 TrafficClass::kLocalState);
-    }
+    ctx.network->SubtreeAllReduceAverageSubset(id, span_ptrs_, mask,
+                                               state_size,
+                                               TrafficClass::kLocalState);
     auto& node_state = node_state_[static_cast<size_t>(id)];
     node_state.assign(states[static_cast<size_t>(first_active)],
                       states[static_cast<size_t>(first_active)] + state_size);
@@ -337,12 +333,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
       // the comparison against the root threshold. Leaf and intermediate
       // tiers stay cohort-local — their subtrees only ever see resident
       // clients. Bitwise no-op when population == cohort.
-      int active_count = num_workers;
-      if (mask != nullptr) {
-        active_count = ActiveInSpan(mask, 0, num_workers);
-      }
       node_estimate_[0] = ctx.store->PopulationEstimate(
-          *monitor_, node_state_[0].data(), active_count);
+          *monitor_, node_state_[0].data(),
+          ActiveInSpan(mask, 0, num_workers));
       node_trip_[0] = node_estimate_[0] > theta_[0] ? 1 : 0;
     }
     last_root_estimate_ = node_estimate_[0];
@@ -376,7 +369,7 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
       tree.SubtreeSpan(id, num_workers, &begin, &end);
       scope_members_.clear();
       for (int w = begin; w < end; ++w) {
-        if (mask != nullptr && (*mask)[static_cast<size_t>(w)] == 0) {
+        if (mask[static_cast<size_t>(w)] == 0) {
           continue;
         }
         scope_members_.push_back(w);
@@ -403,15 +396,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
               ctx.compressor->CompressInPlace(w, worker.drift, ctx.dim));
           span_ptrs_.push_back(worker.drift);
         }
-        if (mask == nullptr) {
-          ctx.network->SubtreeAllReduceAverageWithPayloads(
-              id, span_ptrs_, ctx.dim, payload_bytes_,
-              TrafficClass::kModelSync);
-        } else {
-          ctx.network->SubtreeAllReduceAverageSubsetWithPayloads(
-              id, span_ptrs_, *mask, ctx.dim, payload_bytes_,
-              TrafficClass::kModelSync);
-        }
+        ctx.network->SubtreeAllReduceAverageSubsetWithPayloads(
+            id, span_ptrs_, mask, ctx.dim, payload_bytes_,
+            TrafficClass::kModelSync);
         for (int w : scope_members_) {
           float* member_params = params[static_cast<size_t>(w)];
           vec::Copy(ctx.sync_params->data(), member_params, ctx.dim);
@@ -422,13 +409,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
         for (int w : scope_members_) {
           span_ptrs_.push_back(params[static_cast<size_t>(w)]);
         }
-        if (mask == nullptr) {
-          ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, ctx.dim,
-                                               TrafficClass::kModelSync);
-        } else {
-          ctx.network->SubtreeAllReduceAverageSubset(
-              id, span_ptrs_, *mask, ctx.dim, TrafficClass::kModelSync);
-        }
+        ctx.network->SubtreeAllReduceAverageSubset(
+            id, span_ptrs_, mask, ctx.dim, TrafficClass::kModelSync);
       }
       ++local_syncs_;
     }

@@ -73,10 +73,10 @@ class FdaSyncPolicy : public SyncPolicy {
 ///   4. resolution: if the root's aggregated estimate crosses the global
 ///      threshold, a full synchronization runs (anchor rotates, the
 ///      monitor's OnSynchronized fires, MaybeSync returns true). Otherwise
-///      every maximal tripped subtree averages its members' models over
-///      its own tiers only (SubtreeAllReduceAverage, model-sized but
-///      cheap), which zeroes the within-subtree variance while the global
-///      anchor stands.
+///      every maximal tripped subtree averages its participating members'
+///      models over its own tiers only (SubtreeAllReduceAverageSubset,
+///      model-sized but cheap), which zeroes the within-subtree variance
+///      while the global anchor stands.
 ///
 /// theta_by_depth[d] is the variance threshold of tier depth d (0 = root /
 /// global, depth()-1 = leaf groups); one entry per tier. Deeper thresholds

@@ -1,6 +1,7 @@
 #include "core/fedopt_policy.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "tensor/vec_ops.h"
 #include "util/check.h"
@@ -55,96 +56,42 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
   if (ctx.steps_since_sync < steps_per_round_) {
     return false;
   }
-  if (ctx.participation == nullptr || config_.fault_oblivious) {
-    // Fault-free round (or the deliberately oblivious strawman: stale
-    // params from absent workers are averaged in as if nothing happened).
-    // Client deltas relative to the round-start global model w_global
-    // (held in ctx.sync_params).
-    for (auto& worker : *ctx.workers) {
-      vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
-               ctx.dim);
-    }
-    std::vector<float*> deltas;
-    deltas.reserve(ctx.workers->size());
-    for (auto& worker : *ctx.workers) {
-      deltas.push_back(worker.drift);
-    }
-    if (ctx.compressor != nullptr && ctx.compressor->config().enabled()) {
-      // FedOpt already moves deltas, so the codec pipeline drops straight
-      // in: each client's delta is coded (error feedback accumulates per
-      // worker) and the round bills the compressed wire size.
-      std::vector<int> everyone(ctx.workers->size());
-      std::vector<size_t> payload_bytes(ctx.workers->size());
-      for (size_t k = 0; k < ctx.workers->size(); ++k) {
-        everyone[k] = static_cast<int>(k);
-        payload_bytes[k] = ctx.compressor->CompressInPlace(
-            static_cast<int>(k), deltas[k], ctx.dim);
-      }
-      ctx.network->AllReduceAverageSubsetWithPayloads(
-          deltas, everyone, ctx.dim, payload_bytes,
-          TrafficClass::kModelSync);
-    } else {
-      ctx.network->AllReduceAverage(deltas, ctx.dim,
-                                    TrafficClass::kModelSync);
-    }
-    // Pseudo-gradient is the negated average delta (Reddi et al.).
-    const float* avg_delta = deltas[0];
-    for (size_t i = 0; i < ctx.dim; ++i) {
-      pseudo_grad_[i] = -avg_delta[i];
-    }
-    // Every worker replicates the deterministic server update.
-    *ctx.prev_sync_params = *ctx.sync_params;
-    server_optimizer_->Step(ctx.sync_params->data(), pseudo_grad_.data(),
-                            ctx.dim);
-    for (auto& worker : *ctx.workers) {
-      vec::Copy(ctx.sync_params->data(), worker.view.params, ctx.dim);
-      if (config_.reset_local_optimizer) {
-        worker.optimizer->Reset();
-      }
-    }
-    ctx.steps_since_sync = 0;
-    ++ctx.sync_count;
-    ++rounds_;
-    return true;
-  }
-  // Fault-aware round: survivors compute deltas, each contribution runs
-  // the loss/retry gauntlet, and the server averages whatever arrived.
-  // Workers whose upload was dropped keep training on their local model
-  // — they re-join the global trajectory at the next delivered round.
+  // Participants compute client deltas relative to the round-start global
+  // model w_global (held in ctx.sync_params), each contribution runs the
+  // loss/retry gauntlet, and the server averages whatever arrived. Workers
+  // whose upload was dropped keep training on their local model — they
+  // re-join the global trajectory at the next delivered round. The
+  // fault-oblivious strawman instead averages every worker, stale params
+  // from absent workers included, and draws no deliveries.
   const bool compressed =
       ctx.compressor != nullptr && ctx.compressor->config().enabled();
+  // Retries re-send what the wire would carry: the compressed payload when
+  // a codec is on, the raw model otherwise.
+  const size_t wire =
+      compressed ? ctx.compressor->WireBytes(ctx.dim) : ctx.dim * sizeof(float);
+  std::vector<int> members = ctx.ActiveWorkers();
+  if (config_.fault_oblivious) {
+    members.resize(ctx.workers->size());
+    std::iota(members.begin(), members.end(), 0);
+  }
   std::vector<int> delivered;
   std::vector<float*> deltas;
   std::vector<size_t> payload_bytes;
-  for (int k : ctx.ActiveWorkers()) {
+  for (int k : members) {
     WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
     vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
              ctx.dim);
-    if (ctx.faults != nullptr) {
-      const FaultInjector::Delivery outcome = ctx.faults->SampleDelivery();
-      if (outcome.retries > 0) {
-        // Retries re-send what the wire would carry: the compressed
-        // payload when a codec is on, the raw model otherwise.
-        if (compressed) {
-          ctx.network->AccountSyncRetriesBytes(
-              k, ctx.compressor->WireBytes(ctx.dim), outcome.retries,
-              ctx.faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        } else {
-          ctx.network->AccountSyncRetries(
-              k, ctx.dim, outcome.retries,
-              ctx.faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        }
-      }
-      if (!outcome.delivered) {
-        // Dropped uploads never run the codec: the client's error-feedback
-        // residual is untouched, as if it never attempted the round.
-        ctx.network->AccountDroppedMessage();
-        continue;
-      }
+    if (!config_.fault_oblivious &&
+        !DeliverContribution(ctx.faults, ctx.network, k, wire,
+                             TrafficClass::kModelSync)) {
+      // Dropped uploads never run the codec: the client's error-feedback
+      // residual is untouched, as if it never attempted the round.
+      continue;
     }
     if (compressed) {
+      // FedOpt already moves deltas, so the codec pipeline drops straight
+      // in: each client's delta is coded (error feedback accumulates per
+      // worker) and the round bills the compressed wire size.
       payload_bytes.push_back(
           ctx.compressor->CompressInPlace(k, worker.drift, ctx.dim));
     }
@@ -165,10 +112,12 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
     ctx.network->AllReduceAverageSubset(deltas, delivered, ctx.dim,
                                         TrafficClass::kModelSync);
   }
+  // Pseudo-gradient is the negated average delta (Reddi et al.).
   const float* avg_delta = deltas[0];
   for (size_t i = 0; i < ctx.dim; ++i) {
     pseudo_grad_[i] = -avg_delta[i];
   }
+  // Every worker replicates the deterministic server update.
   *ctx.prev_sync_params = *ctx.sync_params;
   server_optimizer_->Step(ctx.sync_params->data(), pseudo_grad_.data(),
                           ctx.dim);

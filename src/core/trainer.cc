@@ -13,10 +13,11 @@
 namespace fedra {
 
 std::vector<int> ClusterContext::ActiveWorkers() const {
+  FEDRA_CHECK_EQ(participation.size(), workers->size());
   std::vector<int> active;
   active.reserve(workers->size());
   for (size_t k = 0; k < workers->size(); ++k) {
-    if (participation == nullptr || (*participation)[k] != 0) {
+    if (participation[k] != 0) {
       active.push_back(static_cast<int>(k));
     }
   }
@@ -46,130 +47,23 @@ bool ClusterContext::SynchronizeModels() {
     // (guards_enabled() is constexpr false and the sweep folds away).
     arena->CheckCanaries();
   }
-  if (compressor != nullptr && compressor->config().enabled()) {
-    if (participation == nullptr && faults == nullptr) {
-      // Compressed path: workers exchange lossy deltas from w_t0 instead
-      // of full models; the collective is billed at each worker's actual
-      // wire size (variable-rate codecs produce different sizes per
-      // worker).
-      std::vector<size_t> payload_bytes(workers->size());
-      std::vector<float*> deltas;
-      deltas.reserve(workers->size());
-      for (size_t k = 0; k < workers->size(); ++k) {
-        WorkerState& worker = (*workers)[k];
-        vec::Sub(worker.view.params, sync_params->data(), worker.drift,
-                 dim);
-        payload_bytes[k] = compressor->CompressInPlace(
-            static_cast<int>(k), worker.drift, dim);
-        deltas.push_back(worker.drift);
-      }
-      network->AllReduceAverageWithPayloads(deltas, dim, payload_bytes,
-                                            TrafficClass::kModelSync);
-      // New global = w_t0 + mean decompressed delta; install everywhere.
-      *prev_sync_params = *sync_params;
-      vec::Axpy(1.0f, deltas[0], sync_params->data(), dim);
-      for (auto& worker : *workers) {
-        vec::Copy(sync_params->data(), worker.view.params, dim);
-      }
-      steps_since_sync = 0;
-      ++sync_count;
-      return true;
-    }
-    // Fault-aware compressed path: only the round's participants whose
-    // contribution survives message loss compress and exchange deltas —
-    // retries and the collective are billed at the compressed wire size.
-    // Dropped workers never compress, so their error-feedback residual is
-    // untouched and their local model carries forward, exactly like the
-    // uncompressed subset path.
-    const size_t wire = compressor->WireBytes(dim);
-    std::vector<int> delivered;
-    delivered.reserve(workers->size());
-    for (size_t k = 0; k < workers->size(); ++k) {
-      if (participation != nullptr && (*participation)[k] == 0) {
-        continue;
-      }
-      if (faults != nullptr) {
-        const FaultInjector::Delivery delivery = faults->SampleDelivery();
-        if (delivery.retries > 0) {
-          network->AccountSyncRetriesBytes(
-              static_cast<int>(k), wire, delivery.retries,
-              faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        }
-        if (!delivery.delivered) {
-          network->AccountDroppedMessage();
-          continue;
-        }
-      }
+  // Only the round's participants contribute, and every contribution must
+  // survive message loss; retries are billed at what the wire carries.
+  // Absent and dropped workers keep their local models and re-converge via
+  // later rounds (or a rejoin catch-up).
+  const bool compressed =
+      compressor != nullptr && compressor->config().enabled();
+  const size_t wire =
+      compressed ? compressor->WireBytes(dim) : dim * sizeof(float);
+  FEDRA_CHECK_EQ(participation.size(), workers->size());
+  std::vector<int> delivered;
+  delivered.reserve(workers->size());
+  for (size_t k = 0; k < workers->size(); ++k) {
+    if (participation[k] != 0 &&
+        DeliverContribution(faults, network, static_cast<int>(k), wire,
+                            TrafficClass::kModelSync)) {
       delivered.push_back(static_cast<int>(k));
     }
-    if (delivered.empty()) {
-      ++skipped_syncs;
-      FEDRA_LOG(WARNING) << "model sync skipped at step " << step
-                         << ": no contribution survived";
-      return false;
-    }
-    std::vector<size_t> payload_bytes(delivered.size());
-    std::vector<float*> deltas;
-    deltas.reserve(delivered.size());
-    for (size_t i = 0; i < delivered.size(); ++i) {
-      WorkerState& worker = (*workers)[static_cast<size_t>(delivered[i])];
-      vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
-      payload_bytes[i] =
-          compressor->CompressInPlace(delivered[i], worker.drift, dim);
-      deltas.push_back(worker.drift);
-    }
-    network->AllReduceAverageSubsetWithPayloads(
-        deltas, delivered, dim, payload_bytes, TrafficClass::kModelSync);
-    // New global = w_t0 + mean decompressed survivor delta, installed into
-    // the survivors; absent and dropped workers keep their local models.
-    *prev_sync_params = *sync_params;
-    vec::Axpy(1.0f, deltas[0], sync_params->data(), dim);
-    for (int k : delivered) {
-      vec::Copy(sync_params->data(),
-                (*workers)[static_cast<size_t>(k)].view.params, dim);
-    }
-    steps_since_sync = 0;
-    ++sync_count;
-    return true;
-  }
-  if (participation == nullptr) {
-    std::vector<float*> params = ParamPointers();
-    network->AllReduceAverage(params, dim, TrafficClass::kModelSync);
-    // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- new average.
-    *prev_sync_params = *sync_params;
-    vec::Copy(params[0], sync_params->data(), dim);
-    steps_since_sync = 0;
-    ++sync_count;
-    return true;
-  }
-  // Fault-aware path: only the round's participants contribute, and every
-  // contribution must additionally survive message loss. Absent and
-  // dropped workers keep their local models and re-converge via later
-  // rounds (or a rejoin catch-up).
-  std::vector<int> delivered;
-  std::vector<float*> buffers;
-  delivered.reserve(workers->size());
-  buffers.reserve(workers->size());
-  for (size_t k = 0; k < workers->size(); ++k) {
-    if ((*participation)[k] == 0) {
-      continue;
-    }
-    if (faults != nullptr) {
-      const FaultInjector::Delivery delivery = faults->SampleDelivery();
-      if (delivery.retries > 0) {
-        network->AccountSyncRetries(static_cast<int>(k), dim,
-                                    delivery.retries,
-                                    faults->config().retry_backoff_seconds,
-                                    TrafficClass::kModelSync);
-      }
-      if (!delivery.delivered) {
-        network->AccountDroppedMessage();
-        continue;
-      }
-    }
-    delivered.push_back(static_cast<int>(k));
-    buffers.push_back((*workers)[k].view.params);
   }
   if (delivered.empty()) {
     // Zero-survivor guard: skip the sync entirely; the snapshots stay put
@@ -179,13 +73,59 @@ bool ClusterContext::SynchronizeModels() {
                        << ": no contribution survived";
     return false;
   }
-  network->AllReduceAverageSubset(buffers, delivered, dim,
-                                  TrafficClass::kModelSync);
+  std::vector<size_t> payload_bytes;
+  std::vector<float*> buffers;
+  if (compressed) {
+    // Compressed path: survivors exchange lossy deltas from w_t0 instead of
+    // full models, billed at each one's actual wire size (variable-rate
+    // codecs produce different sizes per worker). Dropped workers never
+    // compress, so their error-feedback residual is untouched.
+    payload_bytes.reserve(delivered.size());
+    buffers.reserve(delivered.size());
+    for (int k : delivered) {
+      WorkerState& worker = (*workers)[static_cast<size_t>(k)];
+      vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
+      payload_bytes.push_back(
+          compressor->CompressInPlace(k, worker.drift, dim));
+      buffers.push_back(worker.drift);
+    }
+    network->AllReduceAverageSubsetWithPayloads(
+        buffers, delivered, dim, payload_bytes, TrafficClass::kModelSync);
+  } else {
+    buffers.reserve(delivered.size());
+    for (int k : delivered) {
+      buffers.push_back((*workers)[static_cast<size_t>(k)].view.params);
+    }
+    network->AllReduceAverageSubset(buffers, delivered, dim,
+                                    TrafficClass::kModelSync);
+  }
+  // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- new average.
   *prev_sync_params = *sync_params;
-  vec::Copy(buffers[0], sync_params->data(), dim);
+  if (compressed) {
+    // New global = w_t0 + mean decoded delta, installed into the survivors.
+    vec::Axpy(1.0f, buffers[0], sync_params->data(), dim);
+    for (int k : delivered) {
+      vec::Copy(sync_params->data(),
+                (*workers)[static_cast<size_t>(k)].view.params, dim);
+    }
+  } else {
+    vec::Copy(buffers[0], sync_params->data(), dim);
+  }
   steps_since_sync = 0;
   ++sync_count;
   return true;
+}
+
+bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
+                         int worker, size_t wire_bytes, TrafficClass traffic) {
+  const FaultInjector::Delivery delivery = faults->SampleDelivery();
+  network->AccountSyncRetries(worker, wire_bytes, delivery.retries,
+                              faults->config().retry_backoff_seconds,
+                              traffic);
+  if (!delivery.delivered) {
+    network->AccountDroppedMessage();
+  }
+  return delivery.delivered;
 }
 
 void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
@@ -554,45 +494,40 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     fleet.just_swapped.assign(workers.size(), 0);
     ctx.store = store.get();
   }
-  // Fault layer: a disabled config leaves injector null and every code
-  // path below on its exact fault-free route (bit-identical goldens).
+  // Fault layer: every run carries an injector. A disabled config is the
+  // identity schedule — no chain advances, everyone is up behind a live
+  // link, every contribution arrives, and the barrier is the plain max.
   std::unique_ptr<FaultInjector> injector;
-  std::vector<char> participation;
-  std::vector<double> step_times;
-  if (config_.faults.enabled()) {
-    if (config_.fleet_enabled()) {
-      // The chains run over the whole population: a client can crash and
-      // repair while off-cohort. Link outages group clients by their home
-      // leaf (flat topologies give every client its own link). With
-      // population == K this mapping equals the resident constructors'
-      // and the chains are bit-identical.
-      std::vector<int> client_links(config_.population);
-      int num_links;
-      if (network.tree().enabled()) {
-        num_links = network.tree().num_leaf_groups();
-        for (size_t c = 0; c < config_.population; ++c) {
-          client_links[c] =
-              store->LeafGroupOfClient(static_cast<uint32_t>(c));
-        }
-      } else {
-        num_links = static_cast<int>(config_.population);
-        for (size_t c = 0; c < config_.population; ++c) {
-          client_links[c] = static_cast<int>(c);
-        }
+  if (config_.fleet_enabled()) {
+    // The chains run over the whole population: a client can crash and
+    // repair while off-cohort. Link outages group clients by their home
+    // leaf (flat topologies give every client its own link). With
+    // population == K this mapping equals the resident constructors' and
+    // the chains are bit-identical.
+    std::vector<int> client_links(config_.population);
+    int num_links;
+    if (network.tree().enabled()) {
+      num_links = network.tree().num_leaf_groups();
+      for (size_t c = 0; c < config_.population; ++c) {
+        client_links[c] = store->LeafGroupOfClient(static_cast<uint32_t>(c));
       }
-      injector = std::make_unique<FaultInjector>(
-          config_.faults, static_cast<int>(config_.population),
-          config_.seed, std::move(client_links), num_links);
     } else {
-      injector = std::make_unique<FaultInjector>(
-          config_.faults, config_.num_workers, config_.seed,
-          network.tree().enabled() ? &network.tree() : nullptr);
+      num_links = static_cast<int>(config_.population);
+      for (size_t c = 0; c < config_.population; ++c) {
+        client_links[c] = static_cast<int>(c);
+      }
     }
-    ctx.faults = injector.get();
-    participation.assign(workers.size(), 1);
-    ctx.participation = &participation;
-    step_times.resize(workers.size());
+    injector = std::make_unique<FaultInjector>(
+        config_.faults, static_cast<int>(config_.population), config_.seed,
+        std::move(client_links), num_links);
+  } else {
+    injector = std::make_unique<FaultInjector>(
+        config_.faults, config_.num_workers, config_.seed,
+        network.tree().enabled() ? &network.tree() : nullptr);
   }
+  ctx.faults = injector.get();
+  ctx.participation.assign(workers.size(), 1);
+  std::vector<double> step_times(workers.size());
   fedprox_anchor_ = sync_params.data();
   policy->Initialize(ctx);
   if (store != nullptr) {
@@ -604,6 +539,13 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     store->SetResidualSize(
         compressor != nullptr && compressor->has_residuals() ? dim_ : 0);
   }
+
+  // The fault entity of slot k: the resident client in fleet mode, the
+  // worker itself otherwise.
+  auto entity_of = [&](size_t k) {
+    return fleet.enabled() ? static_cast<int>(fleet.cohort[k])
+                           : static_cast<int>(k);
+  };
 
   // The evaluation model holds the average of the worker models — the
   // global model w_bar the paper's methodology evaluates. Averaging for
@@ -619,9 +561,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     // synchronized model is the only meaningful global state.
     size_t live = 0;
     for (size_t k = 0; k < workers.size(); ++k) {
-      const int entity = fleet.enabled() ? static_cast<int>(fleet.cohort[k])
-                                         : static_cast<int>(k);
-      if (injector == nullptr || injector->IsUp(entity)) {
+      if (injector->IsUp(entity_of(k))) {
         eval_srcs[live++] = workers[k].view.params;
       }
     }
@@ -646,11 +586,9 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     ctx.step = step;
     ++ctx.steps_since_sync;
 
-    if (injector != nullptr) {
-      // Advance the fault chains first: the availability-weighted sampler
-      // reads this round's up-state.
-      injector->BeginRound();
-    }
+    // Advance the fault chains first: the availability-weighted sampler
+    // reads this round's up-state.
+    injector->BeginRound();
     if (fleet.enabled()) {
       if ((step - 1) % static_cast<size_t>(config_.cohort_steps) == 0) {
         const uint64_t round =
@@ -664,43 +602,34 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
         std::fill(fleet.just_swapped.begin(), fleet.just_swapped.end(), 0);
       }
     }
-    if (injector != nullptr) {
-      // Re-anchor this round's rejoiners: each downloads the last
-      // synchronized model (billed catch-up sync) and restarts from
-      // zeroed drift/optimizer/monitor state. In fleet mode a rejoiner
-      // only pays while resident; a freshly checked-in slot already
-      // re-anchored (and billed) through the store, and an off-cohort
-      // rejoiner's stored state simply waits to be sampled.
-      for (int c : injector->rejoined()) {
-        int k = c;
-        if (fleet.enabled()) {
-          k = fleet.SlotOfClient(static_cast<uint32_t>(c));
-          if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
-            continue;
-          }
+    // Re-anchor this round's rejoiners: each downloads the last
+    // synchronized model (billed catch-up sync) and restarts from zeroed
+    // drift/optimizer/monitor state. In fleet mode a rejoiner only pays
+    // while resident; a freshly checked-in slot already re-anchored (and
+    // billed) through the store, and an off-cohort rejoiner's stored state
+    // simply waits to be sampled.
+    for (int c : injector->rejoined()) {
+      int k = c;
+      if (fleet.enabled()) {
+        k = fleet.SlotOfClient(static_cast<uint32_t>(c));
+        if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
+          continue;
         }
-        network.AccountCatchUpSync(dim_, k);
-        ReanchorRejoinedWorker(&arena, &workers[static_cast<size_t>(k)],
-                               sync_params.data(), dim_);
-        if (compressor != nullptr) {
-          // A rejoiner restarts exactly on the global model; stale
-          // compression memory would re-inject its crashed trajectory.
-          compressor->ResetWorker(k);
-        }
-        ++result.rejoin_count;
       }
+      network.AccountCatchUpSync(dim_, k);
+      ReanchorRejoinedWorker(&arena, &workers[static_cast<size_t>(k)],
+                             sync_params.data(), dim_);
+      if (compressor != nullptr) {
+        // A rejoiner restarts exactly on the global model; stale
+        // compression memory would re-inject its crashed trajectory.
+        compressor->ResetWorker(k);
+      }
+      ++result.rejoin_count;
     }
-
-    // The fault entity of slot k: the resident client in fleet mode, the
-    // worker itself otherwise.
-    auto entity_of = [&](size_t k) {
-      return fleet.enabled() ? static_cast<int>(fleet.cohort[k])
-                             : static_cast<int>(k);
-    };
 
     // Crashed workers compute nothing this round; everyone else steps.
     auto run_worker = [&](size_t k) {
-      if (injector == nullptr || injector->IsUp(entity_of(k))) {
+      if (injector->IsUp(entity_of(k))) {
         WorkerStep(&workers[k], train_);
       }
     };
@@ -712,37 +641,20 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
       }
     }
 
-    // BSP barrier: the step costs the slowest worker's sampled time.
-    double step_seconds = 0.0;
-    if (injector == nullptr) {
-      for (auto& worker : workers) {
-        step_seconds = std::max(
-            step_seconds, config_.straggler.SampleStepSeconds(
-                              worker.speed_factor, &straggler_rng));
-      }
-    } else {
-      // Sample every worker's time (the straggler stream stays aligned
-      // with the fault-free run), then mask to the sync-eligible fleet —
-      // up workers behind a live link — and let the deadline cut the rest.
-      for (size_t k = 0; k < workers.size(); ++k) {
-        step_times[k] = config_.straggler.SampleStepSeconds(
-            workers[k].speed_factor, &straggler_rng);
-        const int entity = entity_of(k);
-        participation[k] =
-            injector->IsUp(entity) && injector->LinkUp(entity) ? 1 : 0;
-      }
-      step_seconds = injector->ApplyDeadline(step_times, &participation);
+    // BSP barrier: sample every worker's step time, mask to the
+    // sync-eligible fleet — up workers behind a live link — and let the
+    // deadline cut the rest. The step costs the slowest survivor's time.
+    for (size_t k = 0; k < workers.size(); ++k) {
+      step_times[k] = config_.straggler.SampleStepSeconds(
+          workers[k].speed_factor, &straggler_rng);
+      const int entity = entity_of(k);
+      ctx.participation[k] =
+          injector->IsUp(entity) && injector->LinkUp(entity) ? 1 : 0;
     }
-    result.compute_seconds += step_seconds;
-
-    bool round_has_participants = true;
-    if (injector != nullptr) {
-      round_has_participants = false;
-      for (char participant : participation) {
-        round_has_participants |= participant != 0;
-      }
-    }
-    if (round_has_participants) {
+    result.compute_seconds +=
+        injector->ApplyDeadline(step_times, &ctx.participation);
+    if (std::any_of(ctx.participation.begin(), ctx.participation.end(),
+                    [](char participant) { return participant != 0; })) {
       policy->MaybeSync(ctx);
     } else {
       // Zero-survivor round: nobody can reach the network, so the policy

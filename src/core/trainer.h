@@ -63,13 +63,15 @@ struct ClusterContext {
   size_t sync_count = 0;
   /// Optional sync compression (paper §2 compatibility); owned by trainer.
   SyncCompressor* compressor = nullptr;
-  /// Fault layer (null for fault-free runs; owned by the trainer). Policies
-  /// use it to bill message-loss retries on their own collectives.
+  /// Fault layer, owned by the trainer and built for every run: a disabled
+  /// FaultConfig is the identity schedule (nobody crashes, every
+  /// contribution arrives, nothing is drawn). Policies run each sync
+  /// contribution through DeliverContribution with it.
   FaultInjector* faults = nullptr;
   /// The current round's participation mask (sync-eligible survivors), one
-  /// char per worker; null means everyone participates. Policies must
-  /// average and bill only over participants.
-  const std::vector<char>* participation = nullptr;
+  /// char per worker, filled by the trainer every round — all ones on a
+  /// fault-free run. Policies average and bill only over participants.
+  std::vector<char> participation;
   /// Syncs abandoned because no contribution survived message loss.
   uint64_t skipped_syncs = 0;
   /// Fleet mode (population > cohort): the paged client-state store the
@@ -85,7 +87,8 @@ struct ClusterContext {
 
   int num_workers() const { return static_cast<int>(workers->size()); }
 
-  /// Ids of the round's participants ({0..K-1} when participation is null).
+  /// Ids of the round's participants, ascending ({0..K-1} on a fault-free
+  /// run). `participation` must hold one entry per worker.
   std::vector<int> ActiveWorkers() const;
 
   /// Parameter pointers of all workers: dim-strided rows of the arena's
@@ -99,14 +102,15 @@ struct ClusterContext {
   /// this from Initialize() once they know their monitor's StateSize().
   void AllocateWorkerStates(size_t state_size);
 
-  /// Plain synchronization: AllReduce-average the participating worker
-  /// models (all of them when `participation` is null), update the sync
-  /// snapshots. Under fault injection each participant's contribution must
-  /// additionally survive message loss — lost contributions are retried
-  /// and billed, then dropped. Returns true when the synchronization
-  /// happened (increments sync_count, resets steps_since_sync); false when
-  /// every contribution was lost (the sync is skipped, counted in
-  /// skipped_syncs, and all state carries forward).
+  /// Plain synchronization: AllReduce-average the models of the round's
+  /// participants whose contribution survives message loss (lost
+  /// contributions are retried and billed, then dropped), install the mean
+  /// into them, and update the sync snapshots. With a compressor the
+  /// survivors exchange coded deltas from w_t0, billed at their wire size.
+  /// Returns true when the synchronization happened (increments
+  /// sync_count, resets steps_since_sync); false when every contribution
+  /// was lost (the sync is skipped, counted in skipped_syncs, and all state
+  /// carries forward).
   bool SynchronizeModels();
 };
 
@@ -154,9 +158,10 @@ struct TrainerConfig {
   TopologyTree topology;
   StragglerModel straggler = StragglerModel::None();
   /// Fault injection: worker churn, link outages, sync-message loss, and
-  /// the round deadline (see sim/fault_model.h). Disabled by default; the
-  /// disabled config keeps every trainer code path bit-identical to the
-  /// fault-free build.
+  /// the round deadline (see sim/fault_model.h). Disabled by default; a
+  /// disabled config is the identity schedule the same code paths run
+  /// under — all-ones participation, every contribution delivered, zero
+  /// fault draws.
   FaultConfig faults;
 
   /// Lossy compression of the synchronization payload (paper §2: FDA only
@@ -239,6 +244,15 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
 /// async trainers.
 void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
                             const float* sync_params, size_t dim);
+
+/// Runs one sync contribution of `wire_bytes` from `worker` through the
+/// message-loss gauntlet: samples its delivery, bills the retransmissions
+/// it needed at `wire_bytes` each, and records a drop when the retry budget
+/// ran out. Returns true when the contribution arrived. Under a disabled
+/// FaultConfig it draws nothing, bills nothing, and returns true. Shared by
+/// every sync path of both trainers.
+bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
+                         int worker, size_t wire_bytes, TrafficClass traffic);
 
 /// Mutable fleet bookkeeping both trainers carry while population > 0:
 /// the store, the sampler, the current slot -> client assignment, and the

@@ -23,41 +23,32 @@ constexpr size_t kReduceChunk = 1 << 15;
 // old serial path made 4x the memory passes via its n-double scratch).
 constexpr size_t kInstallBlock = 4096;
 
-// Reduces [begin, end) of all k buffers with `combine` into a stack tile
-// and installs the tile into every buffer's span.
-template <typename Combine>
-void ReduceInstallChunk(const std::vector<float*>& buffers, size_t begin,
-                        size_t end, const Combine& combine) {
-  const size_t k = buffers.size();
-  std::vector<const float*> srcs(k);
-  float tile[kInstallBlock];
-  for (size_t base = begin; base < end; base += kInstallBlock) {
-    const size_t len = std::min(kInstallBlock, end - base);
-    for (size_t kk = 0; kk < k; ++kk) {
-      srcs[kk] = buffers[kk] + base;
-    }
-    combine(srcs.data(), k, len, tile);
-    for (size_t kk = 0; kk < k; ++kk) {
-      vec::Copy(tile, buffers[kk] + base, len);
-    }
-  }
-}
-
-// Mean over the given buffers installed into every one of them (the shared
-// arithmetic of the global and subtree collectives).
+// Mean over the given buffers installed into every one of them: the one
+// reduce path of the global and subtree collectives. Each chunk reduces
+// [begin, end) of all k buffers into a stack tile and installs the tile
+// into every buffer's span.
 void ReduceMeanBuffers(const std::vector<float*>& buffers, size_t n) {
   const size_t k = buffers.size();
   if (k <= 1) {
     return;  // the mean of one buffer is itself
   }
   const double inv_k = 1.0 / static_cast<double>(k);
+  // Two captures keep the closure inside std::function's inline buffer: a
+  // collective allocates nothing beyond its per-chunk source list.
   GlobalThreadPool().ParallelForRange(
-      n, kReduceChunk, [&](size_t begin, size_t end) {
-        ReduceInstallChunk(buffers, begin, end,
-                           [inv_k](const float* const* srcs, size_t kk,
-                                   size_t len, float* tile) {
-                             vec::ReduceScale(srcs, kk, len, inv_k, tile);
-                           });
+      n, kReduceChunk, [&buffers, inv_k](size_t begin, size_t end) {
+        std::vector<const float*> srcs(buffers.size());
+        float tile[kInstallBlock];
+        for (size_t base = begin; base < end; base += kInstallBlock) {
+          const size_t len = std::min(kInstallBlock, end - base);
+          for (size_t kk = 0; kk < srcs.size(); ++kk) {
+            srcs[kk] = buffers[kk] + base;
+          }
+          vec::ReduceScale(srcs.data(), srcs.size(), len, inv_k, tile);
+          for (float* buffer : buffers) {
+            vec::Copy(tile, buffer + base, len);
+          }
+        }
       });
 }
 
@@ -177,100 +168,14 @@ void SimNetwork::ChargeTree(const TreeCost& cost, TrafficClass traffic) {
   }
 }
 
-void SimNetwork::AccountAllReduce(size_t payload_bytes_sum,
-                                  TrafficClass traffic) {
-  ++stats_.allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.model_sync_count;
-  }
-  if (num_workers_ == 1) {
-    return;  // nothing transits any link
-  }
-  // Mean wire size in double: variable-size compressed payloads are billed
-  // from their exact sum, never a truncated per-worker quotient.
-  const double per_worker = static_cast<double>(payload_bytes_sum) /
-                            static_cast<double>(num_workers_);
-  if (tree_.enabled()) {
-    ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_,
-                                          algorithm_, LinkFactorsOrNull()),
-               traffic);
-    return;
-  }
-  const size_t total_bytes = static_cast<size_t>(
-      std::llround(NetworkModel::AllReduceTotalBytesFromSum(
-          static_cast<double>(payload_bytes_sum), num_workers_,
-          algorithm_)));
-  // Slowest-link formula: every worker participates, so the collective is
-  // paced by the slowest participant's channel.
-  const double seconds =
-      EffectiveModel().AllReduceSeconds(per_worker, num_workers_, algorithm_);
-  ChargeFlat(total_bytes, seconds, traffic);
-}
-
-void SimNetwork::ReduceMeanIntoAll(const std::vector<float*>& buffers,
-                                   size_t n) {
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
-  ReduceMeanBuffers(buffers, n);
-}
-
 void SimNetwork::AllReduceAverage(const std::vector<float*>& buffers,
                                   size_t n, TrafficClass traffic) {
-  AllReduceAverageWithPayload(buffers, n, n * sizeof(float), traffic);
-}
-
-void SimNetwork::AllReduceAverageWithPayload(
-    const std::vector<float*>& buffers, size_t n, size_t payload_bytes,
-    TrafficClass traffic) {
-  ReduceMeanIntoAll(buffers, n);
-  AccountAllReduce(payload_bytes * static_cast<size_t>(num_workers_),
-                   traffic);
-}
-
-void SimNetwork::AllReduceAverageWithPayloads(
-    const std::vector<float*>& buffers, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
-  }
-  ReduceMeanIntoAll(buffers, n);
-  AccountAllReduce(sum, traffic);
-}
-
-void SimNetwork::WeightedReduceInstall(const std::vector<float*>& buffers,
-                                       const std::vector<double>& weights,
-                                       size_t n) {
-  double weight_sum = 0.0;
-  for (double w : weights) {
-    FEDRA_CHECK_GE(w, 0.0);
-    weight_sum += w;
-  }
-  FEDRA_CHECK_GT(weight_sum, 0.0);
-  const size_t k = buffers.size();
-  weight_scratch_.resize(k);
-  for (size_t kk = 0; kk < k; ++kk) {
-    weight_scratch_[kk] = weights[kk] / weight_sum;
-  }
-  const double* normalized = weight_scratch_.data();
-  GlobalThreadPool().ParallelForRange(
-      n, kReduceChunk, [&](size_t begin, size_t end) {
-        ReduceInstallChunk(buffers, begin, end,
-                           [normalized](const float* const* srcs, size_t kk,
-                                        size_t len, float* tile) {
-                             vec::WeightedReduce(srcs, normalized, kk, len,
-                                                 tile);
-                           });
-      });
-}
-
-void SimNetwork::AllReduceWeightedAverage(const std::vector<float*>& buffers,
-                                          const std::vector<double>& weights,
-                                          size_t n, TrafficClass traffic) {
   FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
-  FEDRA_CHECK_EQ(weights.size(), buffers.size());
-  WeightedReduceInstall(buffers, weights, n);
-  AccountAllReduce(n * sizeof(float) * buffers.size(), traffic);
+  std::vector<int> everyone(buffers.size());
+  for (size_t k = 0; k < everyone.size(); ++k) {
+    everyone[k] = static_cast<int>(k);
+  }
+  AllReduceAverageSubset(buffers, everyone, n, traffic);
 }
 
 void SimNetwork::CheckParticipants(const std::vector<int>& participants,
@@ -296,6 +201,8 @@ void SimNetwork::AccountAllReduceSubset(size_t payload_bytes_sum,
   if (m <= 1) {
     return;  // nothing transits any link
   }
+  // Mean wire size in double: variable-size compressed payloads are billed
+  // from their exact sum, never a truncated per-worker quotient.
   const double per_worker =
       static_cast<double>(payload_bytes_sum) / static_cast<double>(m);
   if (tree_.enabled()) {
@@ -349,21 +256,6 @@ void SimNetwork::AllReduceAverageSubsetWithPayloads(
   }
   ReduceMeanBuffers(buffers, n);
   AccountAllReduceSubset(sum, participants, traffic);
-}
-
-void SimNetwork::AllReduceWeightedAverageSubset(
-    const std::vector<float*>& buffers, const std::vector<int>& participants,
-    const std::vector<double>& weights, size_t n, TrafficClass traffic) {
-  CheckParticipants(participants, buffers.size());
-  FEDRA_CHECK_EQ(weights.size(), buffers.size());
-  if (buffers.size() == 1) {
-    // Degenerate mean: the lone participant keeps its span.
-    AccountAllReduceSubset(n * sizeof(float), participants, traffic);
-    return;
-  }
-  WeightedReduceInstall(buffers, weights, n);
-  AccountAllReduceSubset(n * sizeof(float) * participants.size(),
-                         participants, traffic);
 }
 
 void SimNetwork::Broadcast(const std::vector<float*>& buffers, size_t n,
@@ -431,102 +323,47 @@ void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
 void SimNetwork::SubtreeAllReduceAverage(int node_id,
                                          const std::vector<float*>& buffers,
                                          size_t n, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(end - begin))
-      << "buffers must cover the subtree's workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (buffers.size() <= 1) {
-    return;  // single member: nothing transits any link
-  }
-  ChargeTree(tree_.SubtreeSyncCost(node_id, n * sizeof(float), num_workers_,
-                                   LinkFactorsOrNull()),
-             traffic);
+  SubtreeAverage(node_id, buffers, /*active=*/nullptr, n,
+                 /*payload_bytes=*/nullptr, traffic);
 }
 
 void SimNetwork::SubtreeAllReduceAverageSubset(
     int node_id, const std::vector<float*>& buffers,
     const std::vector<char>& active, size_t n, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
-  FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  size_t members = 0;
-  for (int w = begin; w < end; ++w) {
-    members += active[static_cast<size_t>(w)] != 0;
-  }
-  FEDRA_CHECK_EQ(buffers.size(), members)
-      << "buffers must cover the subtree's active workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (members <= 1) {
-    return;  // single active member: nothing transits any link
-  }
-  ChargeTree(tree_.SubtreeSyncCost(node_id, n * sizeof(float), num_workers_,
-                                   LinkFactorsOrNull(), &active),
-             traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageWithPayloads(
-    int node_id, const std::vector<float*>& buffers, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(end - begin))
-      << "buffers must cover the subtree's workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (buffers.size() <= 1) {
-    return;  // single member: nothing transits any link
-  }
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
-  }
-  // Mean wire size in double, as the flat payload collectives bill it.
-  const double per_member =
-      static_cast<double>(sum) / static_cast<double>(buffers.size());
-  ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
-                                   LinkFactorsOrNull()),
-             traffic);
+  SubtreeAverage(node_id, buffers, &active, n, /*payload_bytes=*/nullptr,
+                 traffic);
 }
 
 void SimNetwork::SubtreeAllReduceAverageSubsetWithPayloads(
     int node_id, const std::vector<float*>& buffers,
     const std::vector<char>& active, size_t n,
     const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
+  SubtreeAverage(node_id, buffers, &active, n, &payload_bytes, traffic);
+}
+
+void SimNetwork::SubtreeAverage(int node_id,
+                                const std::vector<float*>& buffers,
+                                const std::vector<char>* active, size_t n,
+                                const std::vector<size_t>* payload_bytes,
+                                TrafficClass traffic) {
   FEDRA_CHECK(tree_.enabled())
       << "subtree collectives need a tree topology";
-  FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
   int begin = 0;
   int end = 0;
   tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  size_t members = 0;
-  for (int w = begin; w < end; ++w) {
-    members += active[static_cast<size_t>(w)] != 0;
+  size_t members = static_cast<size_t>(end - begin);
+  if (active != nullptr) {
+    FEDRA_CHECK_EQ(active->size(), static_cast<size_t>(num_workers_));
+    members = 0;
+    for (int w = begin; w < end; ++w) {
+      members += (*active)[static_cast<size_t>(w)] != 0;
+    }
   }
   FEDRA_CHECK_EQ(buffers.size(), members)
       << "buffers must cover the subtree's active workers";
+  if (payload_bytes != nullptr) {
+    FEDRA_CHECK_EQ(payload_bytes->size(), buffers.size());
+  }
   ReduceMeanBuffers(buffers, n);
   ++stats_.subtree_allreduce_calls;
   if (traffic == TrafficClass::kModelSync) {
@@ -535,28 +372,23 @@ void SimNetwork::SubtreeAllReduceAverageSubsetWithPayloads(
   if (members <= 1) {
     return;  // single active member: nothing transits any link
   }
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
+  // Mean wire size in double, as the global payload collectives bill it.
+  double per_member = static_cast<double>(n * sizeof(float));
+  if (payload_bytes != nullptr) {
+    size_t sum = 0;
+    for (size_t bytes : *payload_bytes) {
+      sum += bytes;
+    }
+    per_member = static_cast<double>(sum) / static_cast<double>(members);
   }
-  const double per_member =
-      static_cast<double>(sum) / static_cast<double>(members);
   ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
-                                   LinkFactorsOrNull(), &active),
+                                   LinkFactorsOrNull(), active),
              traffic);
 }
 
-void SimNetwork::AccountSyncRetries(int worker, size_t n, int retries,
-                                    double backoff_base_seconds,
+void SimNetwork::AccountSyncRetries(int worker, size_t payload_bytes,
+                                    int retries, double backoff_base_seconds,
                                     TrafficClass traffic) {
-  AccountSyncRetriesBytes(worker, n * sizeof(float), retries,
-                          backoff_base_seconds, traffic);
-}
-
-void SimNetwork::AccountSyncRetriesBytes(int worker, size_t payload_bytes,
-                                         int retries,
-                                         double backoff_base_seconds,
-                                         TrafficClass traffic) {
   if (retries <= 0) {
     return;
   }

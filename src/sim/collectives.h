@@ -17,6 +17,13 @@
 // networks additionally expose cluster-scoped collectives — AllReduces
 // confined to one subtree, billed only on that subtree's tiers — which the
 // hierarchical FDA scheduler uses to keep drift control on the cheap tiers.
+//
+// Averaging has six entry points: global and subtree scope, each as a full
+// cohort, a participant subset, and a subset billed at per-member wire
+// sizes. Every one runs the same reduce, and each scope bills through one
+// accounting body; a full cohort is the all-participants subset. The
+// trainers always pass a participation mask (all ones when fault-free), so
+// the subset forms carry every training run.
 
 #ifndef FEDRA_SIM_COLLECTIVES_H_
 #define FEDRA_SIM_COLLECTIVES_H_
@@ -80,41 +87,20 @@ class SimNetwork {
     return worker_link_factors_;
   }
 
-  /// In-place AllReduce-average: each buffers[k] (length n) is replaced by
-  /// the elementwise mean over workers. Accounts bytes to `traffic`.
-  void AllReduceAverage(const std::vector<float*>& buffers, size_t n,
-                        TrafficClass traffic);
-
-  /// As AllReduceAverage, but billed at `payload_bytes` per worker instead
-  /// of n * sizeof(float) — the path compressed synchronization takes (the
-  /// arithmetic still averages the n decompressed floats).
-  void AllReduceAverageWithPayload(const std::vector<float*>& buffers,
-                                   size_t n, size_t payload_bytes,
-                                   TrafficClass traffic);
-
-  /// Per-worker wire sizes (variable-rate codecs): worker k's payload is
-  /// billed at payload_bytes[k], so the collective costs the actual sum of
-  /// wire bytes rather than any single worker's size.
-  void AllReduceAverageWithPayloads(const std::vector<float*>& buffers,
-                                    size_t n,
-                                    const std::vector<size_t>& payload_bytes,
-                                    TrafficClass traffic);
-
-  /// Weighted variant: mean with per-worker weights (used by FedAvg when
-  /// shards are unequal). Weights must sum to a positive value.
-  void AllReduceWeightedAverage(const std::vector<float*>& buffers,
-                                const std::vector<double>& weights, size_t n,
-                                TrafficClass traffic);
-
-  // ------------------------------------------- partial participation --
-  // Fault-layer collectives: only the round's survivors exchange data.
+  // Six averaging entry points over one reduce path (the chunk-parallel
+  // mean installed into every member) and one accounting path per scope.
   // `participants` are ascending, unique worker ids; buffers[i] is
   // participants[i]'s span. The mean over the participants installs into
   // their buffers only — absent workers transmit and receive nothing and
   // keep their state. Cost is billed for the participant count: flat
   // topologies pace on the slowest *participating* link, trees drop empty
-  // groups from every phase. A full participant list is bit-identical to
-  // the unmasked collective.
+  // groups from every phase. The full-cohort forms are the all-participants
+  // case of the subset forms, bit for bit.
+
+  /// In-place AllReduce-average over every worker: each buffers[k] (length
+  /// n) is replaced by the elementwise mean. Accounts bytes to `traffic`.
+  void AllReduceAverage(const std::vector<float*>& buffers, size_t n,
+                        TrafficClass traffic);
 
   /// Partial-participation AllReduceAverage.
   void AllReduceAverageSubset(const std::vector<float*>& buffers,
@@ -123,19 +109,25 @@ class SimNetwork {
 
   /// Partial-participation AllReduce billed at per-worker wire sizes:
   /// payload_bytes[i] is participants[i]'s compressed payload (the path
-  /// compressed synchronization takes under faults or fleet rotation). The
-  /// arithmetic is identical to AllReduceAverageSubset.
+  /// compressed synchronization takes; variable-rate codecs bill the exact
+  /// sum of wire bytes). The arithmetic is identical to
+  /// AllReduceAverageSubset, which bills n floats per participant.
   void AllReduceAverageSubsetWithPayloads(
       const std::vector<float*>& buffers,
       const std::vector<int>& participants, size_t n,
       const std::vector<size_t>& payload_bytes, TrafficClass traffic);
 
-  /// Partial-participation weighted mean; weights[i] belongs to
-  /// participants[i] and must sum to a positive value.
-  void AllReduceWeightedAverageSubset(const std::vector<float*>& buffers,
-                                      const std::vector<int>& participants,
-                                      const std::vector<double>& weights,
-                                      size_t n, TrafficClass traffic);
+  /// Cluster-scoped AllReduce-average confined to node `node_id`'s subtree
+  /// of the topology tree: `buffers` are the subtree members' spans in
+  /// worker order (size must equal the subtree's worker count). The mean
+  /// installs into every member; cost is billed as gather + broadcast
+  /// along the subtree's own tiers only — tiers above `node_id` carry
+  /// nothing (the hierarchical scheduler's cheap local averaging). Counts
+  /// as a subtree_allreduce_calls entry, and as subtree_sync_count (never
+  /// model_sync_count) when `traffic` is kModelSync. Tree topologies only.
+  void SubtreeAllReduceAverage(int node_id,
+                               const std::vector<float*>& buffers, size_t n,
+                               TrafficClass traffic);
 
   /// Partial-participation SubtreeAllReduceAverage: `active` is the
   /// full-length per-worker mask and `buffers` are the spans of the
@@ -146,22 +138,24 @@ class SimNetwork {
                                      const std::vector<char>& active,
                                      size_t n, TrafficClass traffic);
 
-  /// Bills `retries` retransmissions of one lost n-float sync contribution
-  /// from `worker`: retry i waits backoff_base_seconds * 2^i and resends
-  /// the payload over the worker's own path (its link factor; one hop per
-  /// tier under a tree). Every second and byte lands in the normal
-  /// class/tier/depth breakdowns and is additionally accumulated in
-  /// CommStats::seconds_retry / retries.
-  void AccountSyncRetries(int worker, size_t n, int retries,
-                          double backoff_base_seconds, TrafficClass traffic);
+  /// SubtreeAllReduceAverageSubset billed at per-member wire sizes:
+  /// payload_bytes[i] belongs to the i-th *active* member (the order of
+  /// `buffers`) — the hierarchical scheduler's compressed cluster-local
+  /// model averaging. Tree topologies only.
+  void SubtreeAllReduceAverageSubsetWithPayloads(
+      int node_id, const std::vector<float*>& buffers,
+      const std::vector<char>& active, size_t n,
+      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
 
-  /// As AccountSyncRetries, but the retransmitted contribution is
-  /// `payload_bytes` on the wire — a compressed sync payload is also
-  /// retried at its compressed size. AccountSyncRetries(n) is exactly
-  /// AccountSyncRetriesBytes(n * sizeof(float)).
-  void AccountSyncRetriesBytes(int worker, size_t payload_bytes, int retries,
-                               double backoff_base_seconds,
-                               TrafficClass traffic);
+  /// Bills `retries` retransmissions of one lost sync contribution of
+  /// `payload_bytes` on the wire (a compressed payload is retried at its
+  /// compressed size) from `worker`: retry i waits
+  /// backoff_base_seconds * 2^i and resends the payload over the worker's
+  /// own path (its link factor; one hop per tier under a tree). Every
+  /// second and byte lands in the normal class/tier/depth breakdowns and is
+  /// additionally accumulated in CommStats::seconds_retry / retries.
+  void AccountSyncRetries(int worker, size_t payload_bytes, int retries,
+                          double backoff_base_seconds, TrafficClass traffic);
 
   /// Records a sync contribution abandoned after the retry budget.
   void AccountDroppedMessage() { ++stats_.dropped_messages; }
@@ -193,34 +187,6 @@ class SimNetwork {
   /// default links).
   void PointToPoint(size_t n, TrafficClass traffic, int worker = -1);
 
-  /// Cluster-scoped AllReduce-average confined to node `node_id`'s subtree
-  /// of the topology tree: `buffers` are the subtree members' spans in
-  /// worker order (size must equal the subtree's worker count). The mean
-  /// installs into every member; cost is billed as gather + broadcast
-  /// along the subtree's own tiers only — tiers above `node_id` carry
-  /// nothing (the hierarchical scheduler's cheap local averaging). Counts
-  /// as a subtree_allreduce_calls entry, and as subtree_sync_count (never
-  /// model_sync_count) when `traffic` is kModelSync. Tree topologies only.
-  void SubtreeAllReduceAverage(int node_id,
-                               const std::vector<float*>& buffers, size_t n,
-                               TrafficClass traffic);
-
-  /// SubtreeAllReduceAverage billed at per-member wire sizes:
-  /// payload_bytes[i] is buffers[i]'s compressed payload (the subtree's
-  /// members in worker order) — the hierarchical scheduler's compressed
-  /// cluster-local model averaging. Tree topologies only.
-  void SubtreeAllReduceAverageWithPayloads(
-      int node_id, const std::vector<float*>& buffers, size_t n,
-      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
-
-  /// Partial-participation SubtreeAllReduceAverageWithPayloads:
-  /// payload_bytes[i] belongs to the i-th *active* member (the order of
-  /// `buffers`). Tree topologies only.
-  void SubtreeAllReduceAverageSubsetWithPayloads(
-      int node_id, const std::vector<float*>& buffers,
-      const std::vector<char>& active, size_t n,
-      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
-
   /// Bills an escalation state exchange at internal node `node_id`: its
   /// child representatives gather `n` floats to the node's representative
   /// and receive the aggregate back, over that node's link only. No
@@ -240,20 +206,18 @@ class SimNetwork {
   void ResetStats() { stats_.Clear(); }
 
  private:
-  // The arithmetic: mean over workers into every buffer, chunk-parallel.
-  void ReduceMeanIntoAll(const std::vector<float*>& buffers, size_t n);
-  // Cost accounting for one AllReduce whose workers transmit
-  // `payload_bytes_sum` bytes in total (== K * per-worker payload when
-  // uniform).
-  void AccountAllReduce(size_t payload_bytes_sum, TrafficClass traffic);
-  // Subset counterpart: bills an AllReduce among `participants` only.
+  // The one accounting path of the global collectives: bills an AllReduce
+  // among `participants` whose payloads sum to `payload_bytes_sum` bytes.
   void AccountAllReduceSubset(size_t payload_bytes_sum,
                               const std::vector<int>& participants,
                               TrafficClass traffic);
-  // The weighted-mean arithmetic shared by the full and subset weighted
-  // collectives (normalizes into weight_scratch_, installs into buffers).
-  void WeightedReduceInstall(const std::vector<float*>& buffers,
-                             const std::vector<double>& weights, size_t n);
+  // The one body of the subtree collectives: `active` null means every
+  // member of the subtree participates; `payload_bytes` null bills n floats
+  // per member.
+  void SubtreeAverage(int node_id, const std::vector<float*>& buffers,
+                      const std::vector<char>* active, size_t n,
+                      const std::vector<size_t>* payload_bytes,
+                      TrafficClass traffic);
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;
@@ -265,9 +229,9 @@ class SimNetwork {
   void ChargeTree(const TreeCost& cost, TrafficClass traffic);
   // Slowest participating link factor (1.0 when factors are unset).
   double SlowestLinkFactor() const;
-  // The single-tier model with its bandwidth divided by the slowest
-  // participating link factor — the one place the slowest-link scaling is
-  // applied, so AllReduce, Broadcast, and ModelSyncSeconds stay in step.
+  // The single-tier model with its bandwidth divided by the slowest link
+  // factor of the whole cohort, so Broadcast and ModelSyncSeconds pace
+  // exactly as a full-cohort AllReduce does.
   NetworkModel EffectiveModel() const;
   // The worker-factor vector to hand the tree cost model, or null when
   // unset (homogeneous links).
@@ -280,7 +244,6 @@ class SimNetwork {
   TopologyTree tree_;  // disabled for single-tier networks
   AllReduceAlgorithm algorithm_;
   CommStats stats_;
-  std::vector<double> weight_scratch_;  // normalized weights per call
   std::vector<double> worker_link_factors_;  // empty => homogeneous links
   std::vector<char> active_scratch_;  // participant mask per subset call
 };

@@ -44,7 +44,10 @@
 namespace fedra {
 
 /// Fault-injection knobs. All-zero (the default) means fault-free: the
-/// trainers take their exact pre-fault code paths and stay bit-identical.
+/// injector built from it is the identity schedule — BeginRound advances no
+/// chain, IsUp and LinkUp are always true, SampleDelivery and SampleCrash
+/// draw nothing, and ApplyDeadline returns the plain max of the step times.
+/// The trainers run their one code path under it.
 struct FaultConfig {
   /// Mean rounds between crashes of an up worker; 0 disables churn. Must be
   /// >= 1 when set (the per-round crash probability is 1 / mttf).

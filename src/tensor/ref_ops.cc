@@ -519,16 +519,5 @@ void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
   }
 }
 
-void WeightedReduce(const float* const* bufs, const double* weights,
-                    size_t num_bufs, size_t n, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    double acc = 0.0;
-    for (size_t k = 0; k < num_bufs; ++k) {
-      acc += weights[k] * static_cast<double>(bufs[k][i]);
-    }
-    out[i] = static_cast<float>(acc);
-  }
-}
-
 }  // namespace ref
 }  // namespace fedra

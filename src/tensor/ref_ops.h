@@ -78,13 +78,10 @@ double AxpyNorm(float alpha, const float* x, float* y, size_t n);
 void AddScaledDiff(float alpha, const float* a, const float* b, float* y,
                    size_t n);
 
-/// Serial element-major reduction oracles for the collectives engine:
-/// out[i] = scale * sum_k bufs[k][i] (resp. sum_k weights[k] * bufs[k][i]),
-/// one double accumulator per element.
+/// Serial element-major reduction oracle for the collectives engine:
+/// out[i] = scale * sum_k bufs[k][i], one double accumulator per element.
 void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
                  double scale, float* out);
-void WeightedReduce(const float* const* bufs, const double* weights,
-                    size_t num_bufs, size_t n, float* out);
 
 }  // namespace ref
 }  // namespace fedra

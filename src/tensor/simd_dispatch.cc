@@ -21,7 +21,7 @@
 // 16/32 independent double lanes instead of the canonical 4 — reductions
 // across levels therefore agree only to parity tolerance (the latency-bound
 // 4-lane chain is the very thing being fixed; see bench/BENCH_kernels.json).
-// The reduce_scale/weighted_reduce variants keep the canonical per-element
+// The reduce_scale variants keep the canonical per-element
 // pairing order (element-wise operations leave no reassociation freedom).
 
 #include "tensor/simd_dispatch.h"
@@ -189,36 +189,6 @@ void ReduceScalePortable(const float* const* bufs, size_t num_bufs, size_t n,
     float* o = out + base;
     for (size_t j = 0; j < len; ++j) {
       o[j] = static_cast<float>(acc[j] * scale);
-    }
-  }
-}
-
-void WeightedReducePortable(const float* const* bufs, const double* weights,
-                            size_t num_bufs, size_t n, float* out) {
-  if (num_bufs == 0) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = 0.0f;
-    }
-    return;
-  }
-  double acc[kReduceBlock];
-  for (size_t base = 0; base < n; base += kReduceBlock) {
-    const size_t len = (kReduceBlock < n - base) ? kReduceBlock : n - base;
-    const float* b0 = bufs[0] + base;
-    const double w0 = weights[0];
-    for (size_t j = 0; j < len; ++j) {
-      acc[j] = w0 * static_cast<double>(b0[j]);
-    }
-    for (size_t k = 1; k < num_bufs; ++k) {
-      const float* bk = bufs[k] + base;
-      const double wk = weights[k];
-      for (size_t j = 0; j < len; ++j) {
-        acc[j] += wk * static_cast<double>(bk[j]);
-      }
-    }
-    float* o = out + base;
-    for (size_t j = 0; j < len; ++j) {
-      o[j] = static_cast<float>(acc[j]);
     }
   }
 }
@@ -641,7 +611,7 @@ __attribute__((target("avx512f"))) double AxpyNormAvx512(float alpha,
   return total;
 }
 
-// reduce_scale/weighted_reduce: same L1 tile, same fixed buffer-pairing
+// reduce_scale: same L1 tile, same fixed buffer-pairing
 // order as the portable kernel — every per-element add chain is identical,
 // so these are bit-identical to the canonical result; the win is the
 // vectorized float<->double conversion traffic over the tile.
@@ -719,57 +689,6 @@ __attribute__((target("avx512f"))) void ReduceScaleAvx512(
     }
     for (; j < len; ++j) {
       o[j] = static_cast<float>(acc[j] * scale);
-    }
-  }
-}
-
-__attribute__((target("avx512f"))) void WeightedReduceAvx512(
-    const float* const* bufs, const double* weights, size_t num_bufs,
-    size_t n, float* out) {
-  if (num_bufs == 0) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = 0.0f;
-    }
-    return;
-  }
-  alignas(64) double acc[kReduceBlock];
-  for (size_t base = 0; base < n; base += kReduceBlock) {
-    const size_t len = (kReduceBlock < n - base) ? kReduceBlock : n - base;
-    const size_t vec_len = len - len % 8;
-    const float* b0 = bufs[0] + base;
-    const double w0 = weights[0];
-    const __m512d w0v = _mm512_set1_pd(w0);
-    size_t j = 0;
-    for (; j < vec_len; j += 8) {
-      _mm512_store_pd(
-          acc + j,
-          _mm512_mul_pd(w0v, _mm512_cvtps_pd(_mm256_loadu_ps(b0 + j))));
-    }
-    for (; j < len; ++j) {
-      acc[j] = w0 * static_cast<double>(b0[j]);
-    }
-    for (size_t k = 1; k < num_bufs; ++k) {
-      const float* bk = bufs[k] + base;
-      const double wk = weights[k];
-      const __m512d wkv = _mm512_set1_pd(wk);
-      j = 0;
-      for (; j < vec_len; j += 8) {
-        _mm512_store_pd(
-            acc + j,
-            _mm512_fmadd_pd(wkv, _mm512_cvtps_pd(_mm256_loadu_ps(bk + j)),
-                            _mm512_load_pd(acc + j)));
-      }
-      for (; j < len; ++j) {
-        acc[j] += wk * static_cast<double>(bk[j]);
-      }
-    }
-    float* o = out + base;
-    j = 0;
-    for (; j < vec_len; j += 8) {
-      _mm256_storeu_ps(o + j, _mm512_cvtpd_ps(_mm512_load_pd(acc + j)));
-    }
-    for (; j < len; ++j) {
-      o[j] = static_cast<float>(acc[j]);
     }
   }
 }
@@ -983,7 +902,6 @@ struct Tables {
     scalar.sub_squared_norm = SubSquaredNormPortable;
     scalar.axpy_norm = AxpyNormPortable;
     scalar.reduce_scale = ReduceScalePortable;
-    scalar.weighted_reduce = WeightedReducePortable;
     scalar.gemm_micro_8x32 = GemmMicroScalar;
 
     KernelTable generic = scalar;
@@ -1008,7 +926,6 @@ struct Tables {
     avx512.sub_squared_norm = SubSquaredNormAvx512;
     avx512.axpy_norm = AxpyNormAvx512;
     avx512.reduce_scale = ReduceScaleAvx512;
-    avx512.weighted_reduce = WeightedReduceAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
 #endif
 

@@ -147,10 +147,5 @@ void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
   simd::Kernels().reduce_scale(bufs, num_bufs, n, scale, out);
 }
 
-void WeightedReduce(const float* const* bufs, const double* weights,
-                    size_t num_bufs, size_t n, float* out) {
-  simd::Kernels().weighted_reduce(bufs, weights, num_bufs, n, out);
-}
-
 }  // namespace vec
 }  // namespace fedra

@@ -99,12 +99,6 @@ void AddScaledDiff(float alpha, const float* a, const float* b, float* y,
 void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
                  double scale, float* out);
 
-/// Weighted flavor: out[i] = sum_k weights[k] * bufs[k][i]. Callers pass
-/// already-normalized weights. Same aliasing and determinism contract as
-/// ReduceScale.
-void WeightedReduce(const float* const* bufs, const double* weights,
-                    size_t num_bufs, size_t n, float* out);
-
 }  // namespace vec
 }  // namespace fedra
 

@@ -289,33 +289,6 @@ TEST(VecParityTest, ReduceScaleMatchesRef) {
   }
 }
 
-TEST(VecParityTest, WeightedReduceMatchesRef) {
-  for (size_t k : {size_t{1}, size_t{4}, size_t{7}}) {
-    for (size_t n : {size_t{1}, size_t{250}, size_t{300}, size_t{2049}}) {
-      std::vector<std::vector<float>> bufs(k);
-      std::vector<const float*> ptrs(k);
-      std::vector<double> weights(k);
-      double sum = 0.0;
-      Rng rng(90 + 10 * k + n);
-      for (size_t kk = 0; kk < k; ++kk) {
-        bufs[kk] = RandomVec(n, 91 + 10 * k + kk);
-        ptrs[kk] = bufs[kk].data();
-        weights[kk] = rng.NextUniform(0.1f, 2.0f);
-        sum += weights[kk];
-      }
-      for (auto& w : weights) {
-        w /= sum;
-      }
-      std::vector<float> out_fast(n), out_ref(n);
-      vec::WeightedReduce(ptrs.data(), weights.data(), k, n,
-                          out_fast.data());
-      ref::WeightedReduce(ptrs.data(), weights.data(), k, n,
-                          out_ref.data());
-      EXPECT_LE(MaxRelError(out_fast, out_ref), kRelTol);
-    }
-  }
-}
-
 // -------------------------------------------------- pooling / depthwise --
 
 ops::Conv2dGeometry PoolGeometry(int batch, int channels, int in_h, int in_w,

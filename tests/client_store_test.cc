@@ -414,6 +414,32 @@ TEST(CohortSamplerTest, AvailabilitySamplingAvoidsDownClients) {
   EXPECT_GT(down_seen, 0u);  // the churn actually took clients down
 }
 
+// The trainer builds an injector for every run, fault-free ones included:
+// a disabled config is the identity schedule and must leave fault-free
+// availability fleets on uniform sampling, exactly as no injector does.
+TEST(CohortSamplerTest, DisabledFaultConfigSamplesLikeNoInjector) {
+  ClientStoreConfig config;
+  config.population = 64;
+  config.cohort_slots = 4;
+  config.dim = 4;
+  config.seed = 5;
+  ClientStateStore store(config);
+  CohortSampler sampler(&store, CohortScheduleKind::kAvailability,
+                        config.seed);
+  std::vector<int> links(config.population);
+  for (size_t c = 0; c < config.population; ++c) {
+    links[c] = static_cast<int>(c);
+  }
+  FaultInjector identity(FaultConfig::None(),
+                         static_cast<int>(config.population), config.seed,
+                         links, static_cast<int>(config.population));
+  for (uint64_t round = 0; round < 10; ++round) {
+    identity.BeginRound();
+    EXPECT_EQ(sampler.Sample(round, &identity), sampler.Sample(round, nullptr))
+        << "round " << round;
+  }
+}
+
 // ----------------------------------------- thread-count determinism sweep --
 
 uint64_t HashU64(uint64_t h, uint64_t v) {

@@ -302,45 +302,6 @@ TEST(FaultCollectivesTest, SubsetAverageMatchesSmallerFleet) {
             small_net.stats().model_sync_count);
 }
 
-TEST(FaultCollectivesTest, WeightedSubsetMatchesSerialOracle) {
-  const size_t n = 33;
-  const std::vector<int> participants = {1, 2, 4};
-  const std::vector<double> weights = {1.0, 2.0, 4.0};
-  std::vector<std::vector<float>> buffers(5, std::vector<float>(n));
-  Rng rng(8);
-  for (auto& buffer : buffers) {
-    for (auto& x : buffer) {
-      x = rng.NextUniform(-2.0f, 2.0f);
-    }
-  }
-  std::vector<double> oracle(n, 0.0);
-  for (size_t i = 0; i < participants.size(); ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      oracle[j] +=
-          weights[i] *
-          buffers[static_cast<size_t>(participants[i])][j];
-    }
-  }
-  for (auto& x : oracle) {
-    x /= 7.0;  // total weight
-  }
-
-  SimNetwork network(5, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
-  std::vector<float*> ptrs;
-  for (int k : participants) {
-    ptrs.push_back(buffers[static_cast<size_t>(k)].data());
-  }
-  network.AllReduceWeightedAverageSubset(ptrs, participants, weights, n,
-                                         TrafficClass::kModelSync);
-  for (size_t j = 0; j < n; ++j) {
-    for (int k : participants) {
-      EXPECT_NEAR(buffers[static_cast<size_t>(k)][j], oracle[j], 1e-6);
-    }
-  }
-  // Worker 0 and 3 never participated.
-  EXPECT_EQ(buffers[0][0], buffers[0][0]);
-}
-
 TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
   TopologyTree tree =
       TopologyTree::FromHierarchy(HierarchicalNetworkModel::EdgeCloud(2));
@@ -533,7 +494,8 @@ TEST(FaultTrainerTest, FaultScheduleIndependentOfWorkerParallelism) {
 // ------------------------------------------- hierarchical subtree down --
 
 // Hand-built cluster harness: 4 workers on a 2-cluster tree, no trainer
-// loop — MaybeSync is driven directly with a participation mask.
+// loop — MaybeSync is driven directly with a participation mask (all ones
+// until a test clears entries) under the identity fault schedule.
 struct HierarchicalHarness {
   static constexpr size_t kDim = 8;
 
@@ -543,6 +505,7 @@ struct HierarchicalHarness {
                 TopologyTree::FromHierarchy(
                     HierarchicalNetworkModel::EdgeCloud(2)),
                 AllReduceAlgorithm::kFlat),
+        faults(FaultConfig::None(), 4, /*seed=*/1),
         sync_params(kDim, 0.0f),
         prev_sync_params(kDim, 0.0f) {
     workers.resize(4);
@@ -563,6 +526,8 @@ struct HierarchicalHarness {
     ctx.dim = kDim;
     ctx.sync_params = &sync_params;
     ctx.prev_sync_params = &prev_sync_params;
+    ctx.faults = &faults;
+    ctx.participation.assign(4, 1);
   }
 
   std::unique_ptr<HierarchicalFdaPolicy> MakePolicy(
@@ -578,6 +543,7 @@ struct HierarchicalHarness {
 
   WorkerArena arena;
   SimNetwork network;
+  FaultInjector faults;
   std::vector<float> sync_params;
   std::vector<float> prev_sync_params;
   std::vector<WorkerState> workers;
@@ -589,8 +555,7 @@ TEST(FaultHierarchicalTest, WholeSubtreeDownLocalSyncOnSurvivors) {
   // Leaf threshold 0 (always trips), root threshold astronomical.
   auto policy = harness.MakePolicy({1e18, 0.0});
   // Cluster 0 (workers 0, 1) is entirely absent this round.
-  std::vector<char> mask = {0, 0, 1, 1};
-  harness.ctx.participation = &mask;
+  harness.ctx.participation = {0, 0, 1, 1};
 
   std::vector<float> before0(harness.workers[0].view.params,
                              harness.workers[0].view.params + 8);
@@ -624,8 +589,7 @@ TEST(FaultHierarchicalTest, WholeSubtreeDownGlobalSyncAveragesSurvivors) {
   HierarchicalHarness harness;
   // Root threshold 0: everything escalates; leaf threshold astronomical.
   auto policy = harness.MakePolicy({0.0, 1e18});
-  std::vector<char> mask = {0, 0, 1, 1};
-  harness.ctx.participation = &mask;
+  harness.ctx.participation = {0, 0, 1, 1};
 
   std::vector<float> before0(harness.workers[0].view.params,
                              harness.workers[0].view.params + 8);
@@ -654,28 +618,54 @@ TEST(FaultHierarchicalTest, WholeSubtreeDownGlobalSyncAveragesSurvivors) {
   EXPECT_EQ(harness.ctx.sync_count, 1u);
 }
 
-// Null mask must keep the hierarchical scheduler's arithmetic identical
-// to the masked all-ones case (the bit-identity contract).
-TEST(FaultHierarchicalTest, AllOnesMaskMatchesNullMask) {
+// A fault-free round is the all-ones mask: every cluster averages all of
+// its members, bit for bit as the full-cohort subtree collectives do.
+TEST(FaultHierarchicalTest, AllOnesMaskMatchesFullSubtreeCollectives) {
   HierarchicalHarness masked;
   HierarchicalHarness plain;
-  auto masked_policy = masked.MakePolicy({1e18, 0.0});
-  auto plain_policy = plain.MakePolicy({1e18, 0.0});
-  std::vector<char> mask = {1, 1, 1, 1};
-  masked.ctx.participation = &mask;
+  // Both leaves trip, the root never does: one state AllReduce per leaf
+  // group, then one model average per leaf group.
+  auto policy = masked.MakePolicy({1e18, 0.0});
+  EXPECT_FALSE(policy->MaybeSync(masked.ctx));
+  EXPECT_EQ(policy->local_sync_count(), 2u);
 
-  EXPECT_EQ(masked_policy->MaybeSync(masked.ctx),
-            plain_policy->MaybeSync(plain.ctx));
+  const size_t state_size = policy->monitor().StateSize();
+  const TopologyTree& tree = plain.network.tree();
+  std::vector<std::vector<float>> states(4,
+                                         std::vector<float>(state_size));
+  auto group_spans = [&](int g, bool params) {
+    std::vector<float*> spans;
+    const int begin = tree.GroupBegin(g, 4);
+    for (int w = begin; w < begin + tree.GroupSize(g, 4); ++w) {
+      const size_t k = static_cast<size_t>(w);
+      spans.push_back(params ? plain.workers[k].view.params
+                             : states[k].data());
+    }
+    return spans;
+  };
+  for (int g = 0; g < 2; ++g) {
+    plain.network.SubtreeAllReduceAverage(tree.NodeOfLeafGroup(g),
+                                          group_spans(g, false), state_size,
+                                          TrafficClass::kLocalState);
+  }
+  for (int g = 0; g < 2; ++g) {
+    plain.network.SubtreeAllReduceAverage(tree.NodeOfLeafGroup(g),
+                                          group_spans(g, true),
+                                          HierarchicalHarness::kDim,
+                                          TrafficClass::kModelSync);
+  }
   for (int k = 0; k < 4; ++k) {
-    for (size_t i = 0; i < 8; ++i) {
+    for (size_t i = 0; i < HierarchicalHarness::kDim; ++i) {
       EXPECT_EQ(masked.workers[static_cast<size_t>(k)].view.params[i],
                 plain.workers[static_cast<size_t>(k)].view.params[i]);
     }
   }
   EXPECT_EQ(masked.network.stats().bytes_total,
             plain.network.stats().bytes_total);
-  EXPECT_DOUBLE_EQ(masked.network.stats().comm_seconds,
-                   plain.network.stats().comm_seconds);
+  EXPECT_EQ(masked.network.stats().comm_seconds,
+            plain.network.stats().comm_seconds);
+  EXPECT_EQ(masked.network.stats().subtree_allreduce_calls,
+            plain.network.stats().subtree_allreduce_calls);
 }
 
 }  // namespace

@@ -508,5 +508,195 @@ TEST(GoldenHistoryTest, CompressedChurnedFleetMatchesGolden) {
   EXPECT_EQ(result->comm.check_in_syncs, 87ull);
 }
 
+// ---------------------------------------------------------------------------
+// Sync paths that fault-free and faulted runs share: compressed flat FDA,
+// compressed hierarchical FDA, compressed FedAvg (fault-free and under
+// churn + message loss), and async FDA under churn + message loss. A
+// fault-free run is the identity fault schedule of the same code path, so
+// these pin the merged paths' arithmetic and their loss/retry/drop billing.
+// Captured with FEDRA_GOLDEN_PRINT=1 before the fault-free copies of the
+// sync paths were deleted; each run must reproduce them with
+// parallel_workers off and on.
+
+struct GoldenTotals {
+  uint64_t bytes_total;
+  uint64_t retries;
+  uint64_t dropped_messages;
+  uint64_t rejoin_count;
+};
+
+template <typename RunFn, size_t N>
+void ExpectRunGolden(const char* name, const RunFn& run,
+                     const GoldenPoint (&golden)[N],
+                     const GoldenTotals& totals) {
+  const TrainResult sequential = run(/*parallel=*/false);
+  const TrainResult parallel = run(/*parallel=*/true);
+  ExpectHistoryMatches(name, sequential.history, golden);
+  ExpectHistoriesBitIdentical(sequential.history, parallel.history);
+  if (GoldenPrintMode()) {
+    std::printf(
+        "{%lluull, %lluull, %lluull, %lluull}  // model_syncs=%llu "
+        "subtree_syncs=%llu\n",
+        static_cast<unsigned long long>(sequential.comm.bytes_total),
+        static_cast<unsigned long long>(sequential.comm.retries),
+        static_cast<unsigned long long>(sequential.comm.dropped_messages),
+        static_cast<unsigned long long>(sequential.rejoin_count),
+        static_cast<unsigned long long>(sequential.comm.model_sync_count),
+        static_cast<unsigned long long>(sequential.comm.subtree_sync_count));
+    return;
+  }
+  for (const TrainResult* result : {&sequential, &parallel}) {
+    EXPECT_EQ(result->comm.bytes_total, totals.bytes_total) << name;
+    EXPECT_EQ(result->comm.retries, totals.retries) << name;
+    EXPECT_EQ(result->comm.dropped_messages, totals.dropped_messages) << name;
+    EXPECT_EQ(result->rejoin_count, totals.rejoin_count) << name;
+  }
+}
+
+const SynthImageData& SharedMnistLike() {
+  static const SynthImageData data = SmallMnistLike();
+  return data;
+}
+
+TrainResult RunMlp(const TrainerConfig& config, const AlgorithmConfig& algo) {
+  const SynthImageData& data = SharedMnistLike();
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto policy = MakeSyncPolicy(algo, trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+// K=4 plain SGD for the FedAvg goldens.
+TrainerConfig FedAvgConfig(bool parallel) {
+  TrainerConfig config = MlpConfig(4);
+  config.local_optimizer = OptimizerConfig::Sgd(0.05f);
+  config.sync_compression = CompressionConfig::TopKQuantize(0.1, 8);
+  config.parallel_workers = parallel;
+  return config;
+}
+
+const GoldenPoint kMlpCodecLinearFda[] = {
+    {20, 0.4140625, 0.59375, 7056ull, 1ull, 0.20010600800000003},
+    {40, 0.4921875, 0.6640625, 14112ull, 2ull, 0.40021201600000017},
+    {60, 0.71875, 0.703125, 27584ull, 4ull, 0.6003239405714289},
+};
+const GoldenTotals kMlpCodecLinearFdaTotals = {27584ull, 0ull, 0ull, 0ull};
+
+TEST(GoldenHistoryTest, CompressedLinearFdaSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpCodecLinearFda",
+      [](bool parallel) {
+        TrainerConfig config = MlpConfig(4);
+        config.sync_compression = CompressionConfig::TopKQuantize(0.05, 8);
+        config.parallel_workers = parallel;
+        return RunMlp(config, AlgorithmConfig::LinearFda(0.15));
+      },
+      kMlpCodecLinearFda, kMlpCodecLinearFdaTotals);
+}
+
+const GoldenPoint kMlpCodecHier3Tier[] = {
+    {20, 0.1796875, 0.3203125, 39776ull, 0ull, 0.29203182080000012},
+    {40, 0.3359375, 0.5, 362192ull, 0ull, 0.71429002240000039},
+    {60, 0.65625, 0.640625, 598088ull, 1ull, 1.2515208383999989},
+};
+const GoldenTotals kMlpCodecHier3TierTotals = {598088ull, 0ull, 0ull, 0ull};
+
+TEST(GoldenHistoryTest, CompressedHierarchicalFdaSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpCodecHier3Tier",
+      [](bool parallel) {
+        const SynthImageData& data = SharedMnistLike();
+        auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+        TrainerConfig config = MlpConfig(8);
+        config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+        config.sync_compression = CompressionConfig::TopKQuantize(0.05, 8);
+        config.parallel_workers = parallel;
+        DistributedTrainer trainer(factory, data.train, data.test, config);
+        HierarchicalFdaConfig policy_config;
+        policy_config.monitor.kind = MonitorKind::kLinear;
+        policy_config.theta_by_depth = {1.2, 0.5, 0.2};
+        auto policy =
+            MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
+        FEDRA_CHECK(policy.ok());
+        auto result = trainer.Run(policy->get());
+        FEDRA_CHECK(result.ok());
+        return std::move(result).value();
+      },
+      kMlpCodecHier3Tier, kMlpCodecHier3TierTotals);
+}
+
+const GoldenPoint kMlpCodecFedAvg[] = {
+    {20, 0.3359375, 0.46875, 25672ull, 2ull, 0.20001366742857146},
+    {40, 0.5, 0.625, 64180ull, 5ull, 0.40003416857142876},
+    {60, 0.78125, 0.75, 89852ull, 7ull, 0.60004783600000033},
+};
+const GoldenTotals kMlpCodecFedAvgTotals = {89852ull, 0ull, 0ull, 0ull};
+
+TEST(GoldenHistoryTest, CompressedFedAvgSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpCodecFedAvg",
+      [](bool parallel) {
+        return RunMlp(FedAvgConfig(parallel), AlgorithmConfig::FedAvg(1));
+      },
+      kMlpCodecFedAvg, kMlpCodecFedAvgTotals);
+}
+
+const GoldenPoint kMlpCodecFedAvgChurnLoss[] = {
+    {20, 0.2734375, 0.375, 266347ull, 2ull, 0.24011304957142862},
+    {40, 0.34375, 0.4453125, 500604ull, 5ull, 0.48021651485714306},
+    {60, 0.546875, 0.515625, 818295ull, 7ull, 0.68032689928571466},
+};
+const GoldenTotals kMlpCodecFedAvgChurnLossTotals = {818295ull, 8ull, 1ull,
+                                                     29ull};
+
+TEST(GoldenHistoryTest, CompressedFedAvgChurnAndLossSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpCodecFedAvgChurnLoss",
+      [](bool parallel) {
+        TrainerConfig config = FedAvgConfig(parallel);
+        config.faults = FaultConfig::Churn(6.0, 2.0);
+        config.faults.message_loss_prob = 0.2;
+        return RunMlp(config, AlgorithmConfig::FedAvg(1));
+      },
+      kMlpCodecFedAvgChurnLoss, kMlpCodecFedAvgChurnLossTotals);
+}
+
+const GoldenPoint kMlpAsyncChurnLoss[] = {
+    {10, 0.15625, 0.28125, 128664ull, 0ull, 0.12999999999999998},
+    {20, 0.453125, 0.53125, 308632ull, 1ull, 0.24001600228571435},
+    {30, 0.453125, 0.609375, 360240ull, 1ull, 0.35001600228571444},
+    {40, 0.5234375, 0.6796875, 488864ull, 1ull, 0.50001600228571452},
+    {50, 0.625, 0.625, 591792ull, 2ull, 0.62003200457142893},
+};
+const GoldenTotals kMlpAsyncChurnLossTotals = {591792ull, 37ull, 0ull, 18ull};
+
+TEST(GoldenHistoryTest, AsyncFdaUnderChurnAndLoss) {
+  ExpectRunGolden(
+      "MlpAsyncChurnLoss",
+      [](bool parallel) {
+        const SynthImageData& data = SharedMnistLike();
+        auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+        TrainerConfig config = MlpConfig(3);
+        config.eval_every_steps = 10;
+        config.straggler = StragglerModel::None(0.01);
+        config.faults = FaultConfig::Churn(8.0, 2.0);
+        config.faults.message_loss_prob = 0.2;
+        config.parallel_workers = parallel;
+        AsyncFdaConfig async_config;
+        async_config.theta = 0.5;
+        async_config.monitor.kind = MonitorKind::kLinear;
+        async_config.max_total_worker_steps = 150;
+        AsyncFdaTrainer trainer(factory, data.train, data.test, config,
+                                async_config);
+        auto result = trainer.Run();
+        FEDRA_CHECK(result.ok());
+        return std::move(result).value().base;
+      },
+      kMlpAsyncChurnLoss, kMlpAsyncChurnLossTotals);
+}
+
 }  // namespace
 }  // namespace fedra

@@ -117,25 +117,6 @@ TEST(AllReduceAccountingTest, TrafficClassesAccumulateSeparately) {
   EXPECT_EQ(network.stats().model_sync_count, 1u);
 }
 
-TEST(WeightedAverageTest, UsesWeights) {
-  SimNetwork network(2, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
-  std::vector<std::vector<float>> buffers = {{1.0f}, {5.0f}};
-  auto pointers = Pointers(buffers);
-  network.AllReduceWeightedAverage(pointers, {3.0, 1.0}, 1,
-                                   TrafficClass::kModelSync);
-  EXPECT_NEAR(buffers[0][0], (3.0f * 1.0f + 1.0f * 5.0f) / 4.0f, 1e-6);
-  EXPECT_EQ(buffers[0][0], buffers[1][0]);
-}
-
-TEST(WeightedAverageDeathTest, ZeroWeightSumDies) {
-  SimNetwork network(2, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
-  std::vector<std::vector<float>> buffers = {{1.0f}, {5.0f}};
-  auto pointers = Pointers(buffers);
-  EXPECT_DEATH(network.AllReduceWeightedAverage(
-                   pointers, {0.0, 0.0}, 1, TrafficClass::kModelSync),
-               "FEDRA_CHECK");
-}
-
 TEST(BroadcastTest, CopiesRootToAll) {
   SimNetwork network(3, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
   std::vector<std::vector<float>> buffers = {{1.0f, 2.0f},

@@ -205,30 +205,6 @@ TEST_F(SimdDispatchTest, ReduceScaleMatchesOracleAtEveryLevel) {
   }
 }
 
-TEST_F(SimdDispatchTest, WeightedReduceMatchesOracleAtEveryLevel) {
-  constexpr size_t kBufs = 4;
-  const double weights[kBufs] = {0.4, 0.1, 0.3, 0.2};
-  for (simd::Level level : simd::SupportedLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    simd::SetLevel(level);
-    for (size_t n : kSizes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n);
-      std::vector<std::vector<float>> storage;
-      std::vector<const float*> bufs;
-      for (size_t k = 0; k < kBufs; ++k) {
-        storage.push_back(RandomVec(n, 2222 + 17 * k + n));
-        bufs.push_back(storage.back().data());
-      }
-      std::vector<float> out(n, 0.0f);
-      std::vector<float> want(n, 0.0f);
-      ref::WeightedReduce(bufs.data(), weights, kBufs, n, want.data());
-      simd::Kernels().weighted_reduce(bufs.data(), weights, kBufs, n,
-                                      out.data());
-      ExpectSpanNear(out, want);
-    }
-  }
-}
-
 // ----------------------------------------------------- GEMM micro-kernel --
 
 // acc[i][j] = sum_k apanel[k*Mr + i] * bpanel[k*Nr + j], one double
@@ -312,8 +288,10 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
     EXPECT_EQ(dot_scalar, dot_generic);
     EXPECT_EQ(axpy_scalar, axpy_generic);
     ASSERT_EQ(y_scalar.size(), y_generic.size());
-    EXPECT_EQ(0, std::memcmp(y_scalar.data(), y_generic.data(),
-                             n * sizeof(float)));
+    if (n > 0) {  // memcmp on the null data() of an empty vector is UB
+      EXPECT_EQ(0, std::memcmp(y_scalar.data(), y_generic.data(),
+                               n * sizeof(float)));
+    }
   }
 }
 

@@ -227,6 +227,7 @@ TEST(WorkerCohortTest, SynchronizeModelsAveragesSlabRows) {
   }
   SimNetwork network(workers_n, NetworkModel::Hpc(),
                      AllReduceAlgorithm::kFlat);
+  FaultInjector faults(FaultConfig::None(), workers_n, /*seed=*/1);
   std::vector<float> sync_params(dim, -1.0f);
   std::vector<float> prev_sync_params(dim, -2.0f);
   ClusterContext ctx;
@@ -236,6 +237,8 @@ TEST(WorkerCohortTest, SynchronizeModelsAveragesSlabRows) {
   ctx.dim = dim;
   ctx.sync_params = &sync_params;
   ctx.prev_sync_params = &prev_sync_params;
+  ctx.faults = &faults;
+  ctx.participation.assign(workers_n, 1);
 
   ctx.SynchronizeModels();
   for (int k = 0; k < workers_n; ++k) {
