@@ -189,7 +189,7 @@ void BM_HierarchicalAllReduce(benchmark::State& state) {
         RandomVec(dim, 10 + static_cast<uint64_t>(k));
     pointers.push_back(buffers[static_cast<size_t>(k)].data());
   }
-  SimNetwork network(workers, HierarchicalNetworkModel::EdgeCloud(2),
+  SimNetwork network(workers, TopologyTree::EdgeCloud(2),
                      AllReduceAlgorithm::kFlat);
   for (auto _ : state) {
     network.AllReduceAverage(pointers, dim, TrafficClass::kModelSync);

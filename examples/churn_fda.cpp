@@ -39,7 +39,7 @@ TrainResult RunOne(const char* tag, ModelFactory factory,
       static_cast<unsigned long long>(result->total_syncs),
       static_cast<unsigned long long>(result->skipped_syncs),
       static_cast<unsigned long long>(result->rejoin_count), "",
-      result->comm.seconds_uplink,
+      result->comm.SecondsAtDepth(0),
       static_cast<unsigned long long>(result->comm.retries),
       static_cast<unsigned long long>(result->comm.dropped_messages),
       HumanBytes(static_cast<double>(result->comm.bytes_total)).c_str());
@@ -116,8 +116,8 @@ int main() {
       << "FDA under churn missed the accuracy target";
   // ...the survivors' extra uplink time (retries, catch-up syncs, extra
   // variance trips) stays bounded...
-  FEDRA_CHECK_LT(churn.comm.seconds_uplink,
-                 3.0 * clean.comm.seconds_uplink + 1.0)
+  FEDRA_CHECK_LT(churn.comm.SecondsAtDepth(0),
+                 3.0 * clean.comm.SecondsAtDepth(0) + 1.0)
       << "churn uplink overhead exploded";
   // ...rejoiners actually paid their catch-up downloads, and the fault
   // layer really fired (this is not a fault-free rerun):
@@ -144,9 +144,9 @@ int main() {
       "still clears %.0f%%. The oblivious FedAvg average is diluted by the\n"
       "crashed clients' zero deltas: %zu steps to target vs %zu for\n"
       "survivor-only averaging, at %.2fx FDA's communication volume.\n",
-      churn.comm.seconds_uplink /
-          (clean.comm.seconds_uplink > 0.0 ? clean.comm.seconds_uplink
-                                           : 1.0),
+      churn.comm.SecondsAtDepth(0) /
+          (clean.comm.SecondsAtDepth(0) > 0.0 ? clean.comm.SecondsAtDepth(0)
+                                              : 1.0),
       100.0 * config.accuracy_target, oblivious_steps, aware_steps,
       static_cast<double>(strawman.comm.bytes_total) /
           static_cast<double>(churn.comm.bytes_total));

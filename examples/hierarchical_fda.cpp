@@ -2,7 +2,7 @@
 // federated channel vs. a two-tier topology — 8 edge workers in 2 clusters,
 // fast LAN links inside each cluster, one slow uplink between them. The
 // grouped AllReduce (reduce within cluster -> exchange across -> broadcast
-// down) keeps most payload movement on the cheap tier, and the per-tier
+// down) keeps most payload movement on the cheap tier, and the per-depth
 // CommStats breakdown shows exactly where the simulated seconds went.
 //
 // Build & run:
@@ -15,6 +15,7 @@
 #include "core/trainer.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
+#include "sim/topology_tree.h"
 #include "util/string_util.h"
 
 using namespace fedra;
@@ -43,16 +44,16 @@ int main() {
 
   struct Scenario {
     const char* label;
-    HierarchicalNetworkModel hierarchy;
+    TopologyTree topology;
   };
   const Scenario scenarios[] = {
-      {"flat federated channel", HierarchicalNetworkModel::None()},
-      {"edge->cloud, 2 clusters", HierarchicalNetworkModel::EdgeCloud(2)},
+      {"flat federated channel", TopologyTree()},
+      {"edge->cloud, 2 clusters", TopologyTree::EdgeCloud(2)},
   };
 
   for (const Scenario& scenario : scenarios) {
     TrainerConfig run_config = config;
-    run_config.hierarchy = scenario.hierarchy;
+    run_config.topology = scenario.topology;
     DistributedTrainer trainer(factory, data->train, data->test, run_config);
     auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(/*theta=*/1.0),
                                  trainer.model_dim());
@@ -73,7 +74,7 @@ int main() {
         HumanBytes(static_cast<double>(comm.bytes_total)).c_str(),
         HumanBytes(static_cast<double>(comm.bytes_local_state)).c_str(),
         HumanBytes(static_cast<double>(comm.bytes_model_sync)).c_str(),
-        comm.comm_seconds, comm.seconds_intra, comm.seconds_uplink,
+        comm.comm_seconds, comm.SecondsAtDepth(1), comm.SecondsAtDepth(0),
         comm.seconds_local_state, comm.seconds_model_sync);
   }
   std::printf(

@@ -45,3 +45,15 @@ FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/fleet_fda" > /dev/null
 FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/compressed_fleet_fda" > /dev/null
 echo "smoke: quickstart + hierarchical_fda + deep_tree_fda + churn_fda" \
      "+ async_edge + fleet_fda + compressed_fleet_fda OK"
+
+# bench_compression_compat runs FDA end to end with the q8, q4 and top-k
+# codec presets against the paper's §2 claim that compression composes with
+# FDA. It exits 0 even when a check fails, so gate on its verdict line.
+compat_out="$("$BUILD_DIR/bench_compression_compat")"
+if ! grep -qx "compression_compat PASS" <<< "$compat_out"; then
+  echo "$compat_out"
+  echo "smoke: bench_compression_compat did not print" \
+       "'compression_compat PASS'" >&2
+  exit 1
+fi
+echo "smoke: bench_compression_compat PASS"

@@ -15,10 +15,9 @@
 // against the synchronous (BSP-barrier) FDA under identical stragglers.
 //
 // Topology-aware: the trainer builds its network via MakeSimNetwork, so
-// TrainerConfig::hierarchy and the arbitrary-depth TrainerConfig::topology
-// both apply — state uploads bill one hop per tier on the uploading
-// worker's path to the root, and the synchronization stall follows the
-// tree's grouped collective cost (ModelSyncSeconds).
+// TrainerConfig::topology applies — state uploads bill one hop per tier on
+// the uploading worker's path to the root, and the synchronization stall
+// follows the tree's grouped collective cost (ModelSyncSeconds).
 
 #ifndef FEDRA_CORE_ASYNC_FDA_H_
 #define FEDRA_CORE_ASYNC_FDA_H_

@@ -65,26 +65,16 @@ std::string CodecStageConfig::ToString() const {
 CompressionConfig CompressionConfig::None() { return CompressionConfig(); }
 
 CompressionConfig CompressionConfig::Quantize8(bool error_feedback) {
-  CompressionConfig config;
-  config.kind = CompressionKind::kQuantize8;
-  config.error_feedback = error_feedback;
-  return config;
+  return Stages({CodecStageConfig::Quantize(8)}, error_feedback);
 }
 
 CompressionConfig CompressionConfig::Quantize4(bool error_feedback) {
-  CompressionConfig config;
-  config.kind = CompressionKind::kQuantize4;
-  config.error_feedback = error_feedback;
-  return config;
+  return Stages({CodecStageConfig::Quantize(4)}, error_feedback);
 }
 
 CompressionConfig CompressionConfig::TopK(double fraction,
                                           bool error_feedback) {
-  CompressionConfig config;
-  config.kind = CompressionKind::kTopK;
-  config.top_k_fraction = fraction;
-  config.error_feedback = error_feedback;
-  return config;
+  return Stages({CodecStageConfig::TopK(fraction)}, error_feedback);
 }
 
 CompressionConfig CompressionConfig::Stages(
@@ -103,15 +93,6 @@ CompressionConfig CompressionConfig::TopKQuantize(double fraction, int bits,
 }
 
 Status CompressionConfig::Validate() const {
-  if (kind != CompressionKind::kNone && !stages.empty()) {
-    return Status::InvalidArgument(
-        "set either the legacy compression kind or a stage pipeline, "
-        "not both");
-  }
-  if (kind == CompressionKind::kTopK &&
-      (top_k_fraction <= 0.0 || top_k_fraction > 1.0)) {
-    return Status::InvalidArgument("top_k_fraction must be in (0, 1]");
-  }
   int first_mask = -1;
   int first_quantize = -1;
   for (size_t i = 0; i < stages.size(); ++i) {
@@ -141,27 +122,17 @@ Status CompressionConfig::Validate() const {
 }
 
 std::string CompressionConfig::ToString() const {
-  if (!stages.empty()) {
-    std::string out;
-    for (size_t i = 0; i < stages.size(); ++i) {
-      if (i > 0) {
-        out += "+";
-      }
-      out += stages[i].ToString();
+  if (stages.empty()) {
+    return "none";
+  }
+  std::string out;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    if (i > 0) {
+      out += "+";
     }
-    return out;
+    out += stages[i].ToString();
   }
-  switch (kind) {
-    case CompressionKind::kNone:
-      return "none";
-    case CompressionKind::kQuantize8:
-      return "q8";
-    case CompressionKind::kQuantize4:
-      return "q4";
-    case CompressionKind::kTopK:
-      return StrFormat("top%.3g%%", 100.0 * top_k_fraction);
-  }
-  return "?";
+  return out;
 }
 
 namespace {
@@ -232,30 +203,15 @@ SyncCompressor::SyncCompressor(const CompressionConfig& config, size_t dim,
     : config_(config), dim_(dim) {
   FEDRA_CHECK_OK(config.Validate());
   FEDRA_CHECK_GT(num_workers, 0);
-  // Normalize the legacy single-codec kinds into one-stage pipelines; the
-  // wire-size model below reproduces their historical byte counts exactly.
-  stages_ = config_.stages;
-  switch (config_.kind) {
-    case CompressionKind::kNone:
-      break;
-    case CompressionKind::kQuantize8:
-      stages_ = {CodecStageConfig::Quantize(8)};
-      break;
-    case CompressionKind::kQuantize4:
-      stages_ = {CodecStageConfig::Quantize(4)};
-      break;
-    case CompressionKind::kTopK:
-      stages_ = {CodecStageConfig::TopK(config_.top_k_fraction)};
-      break;
-  }
-  for (size_t i = 0; i < stages_.size(); ++i) {
-    if (stages_[i].kind == CodecStageKind::kQuantize) {
+  const std::vector<CodecStageConfig>& stages = config_.stages;
+  for (size_t i = 0; i < stages.size(); ++i) {
+    if (stages[i].kind == CodecStageKind::kQuantize) {
       quantize_stage_ = static_cast<int>(i);
     } else {
       mask_stage_ = static_cast<int>(i);
     }
   }
-  if (!stages_.empty() && config_.error_feedback) {
+  if (!stages.empty() && config_.error_feedback) {
     residuals_.assign(static_cast<size_t>(num_workers),
                       std::vector<float>(dim, 0.0f));
     original_.resize(dim);
@@ -286,7 +242,8 @@ size_t SyncCompressor::KeptCount(size_t n) const {
   if (mask_stage_ < 0) {
     return n;
   }
-  const CodecStageConfig& mask = stages_[static_cast<size_t>(mask_stage_)];
+  const CodecStageConfig& mask =
+      config_.stages[static_cast<size_t>(mask_stage_)];
   if (mask.kind == CodecStageKind::kLayerTopK &&
       layer_offsets_.size() >= 2 && n == dim_) {
     size_t kept = 0;
@@ -303,14 +260,14 @@ size_t SyncCompressor::KeptCount(size_t n) const {
 }
 
 size_t SyncCompressor::WireBytes(size_t n) const {
-  if (stages_.empty()) {
+  if (config_.stages.empty()) {
     return n * sizeof(float);
   }
   const size_t kept = KeptCount(n);
   const size_t bits =
       quantize_stage_ >= 0
           ? static_cast<size_t>(
-                stages_[static_cast<size_t>(quantize_stage_)].bits)
+                config_.stages[static_cast<size_t>(quantize_stage_)].bits)
           : 8 * sizeof(float);
   size_t bytes = (kept * bits + 7) / 8;
   if (mask_stage_ >= 0) {
@@ -426,12 +383,13 @@ size_t SyncCompressor::MaskPreview(const float* data, size_t n) {
     return n;
   }
   EnsureScratch(n);
-  return SelectMask(stages_[static_cast<size_t>(mask_stage_)], data, n);
+  return SelectMask(config_.stages[static_cast<size_t>(mask_stage_)], data,
+                    n);
 }
 
 size_t SyncCompressor::CompressInPlace(int worker, float* data, size_t n) {
   FEDRA_CHECK_EQ(n, dim_);
-  if (stages_.empty()) {
+  if (config_.stages.empty()) {
     return WireBytes(n);
   }
   EnsureScratch(n);
@@ -447,7 +405,7 @@ size_t SyncCompressor::CompressInPlace(int worker, float* data, size_t n) {
     std::copy(data, data + n, original_.begin());
   }
   kept_indices_.clear();
-  for (const CodecStageConfig& stage : stages_) {
+  for (const CodecStageConfig& stage : config_.stages) {
     switch (stage.kind) {
       case CodecStageKind::kTopK:
       case CodecStageKind::kLayerTopK: {

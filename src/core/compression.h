@@ -23,8 +23,8 @@
 //         + ceil(kept * bits / 8)             // bits = 32 without quantize
 //         + (quantize ? 4 scale bytes : 0)
 //
-// which reduces exactly to the historical single-codec formulas
-// (q8 = n + 4, q4 = ceil(n/2) + 4, top-k = kept * 8).
+// which for the one-stage presets is q8 = n + 4, q4 = ceil(n/2) + 4 and
+// top-k = kept * 8.
 //
 // Determinism: the mask stage ranks coordinates by the key
 // bits(x) & 0x7fffffff (the float's bits without the sign) and keeps the
@@ -47,15 +47,6 @@
 #include "util/status.h"
 
 namespace fedra {
-
-/// Legacy single-codec selector; kept for existing configs and tests. A
-/// non-kNone kind is normalized into a one-stage pipeline by SyncCompressor.
-enum class CompressionKind {
-  kNone,
-  kQuantize8,
-  kQuantize4,
-  kTopK,
-};
 
 /// One stage of a WireCodec pipeline.
 enum class CodecStageKind {
@@ -85,17 +76,14 @@ struct CodecStageConfig {
 };
 
 struct CompressionConfig {
-  /// Legacy single-codec selector. Mutually exclusive with `stages`.
-  CompressionKind kind = CompressionKind::kNone;
-  /// kTopK: fraction of coordinates kept, in (0, 1].
-  double top_k_fraction = 0.05;
   /// Accumulate what compression dropped and re-inject it next sync.
   bool error_feedback = true;
-  /// Stage pipeline, applied in order (mask before quantize). When
-  /// non-empty, `kind` must stay kNone.
+  /// Stage pipeline, applied in order (mask before quantize). Empty means
+  /// no compression.
   std::vector<CodecStageConfig> stages;
 
   static CompressionConfig None();
+  /// One-stage presets: 8-bit and 4-bit quantization, global top-k.
   static CompressionConfig Quantize8(bool error_feedback = true);
   static CompressionConfig Quantize4(bool error_feedback = true);
   static CompressionConfig TopK(double fraction, bool error_feedback = true);
@@ -106,10 +94,8 @@ struct CompressionConfig {
   static CompressionConfig TopKQuantize(double fraction, int bits,
                                         bool error_feedback = true);
 
-  /// True when any codec is configured (legacy kind or a stage pipeline).
-  bool enabled() const {
-    return kind != CompressionKind::kNone || !stages.empty();
-  }
+  /// True when any codec stage is configured.
+  bool enabled() const { return !stages.empty(); }
 
   Status Validate() const;
   std::string ToString() const;
@@ -189,9 +175,8 @@ class SyncCompressor {
   void EnsureScratch(size_t n);
 
   CompressionConfig config_;
-  std::vector<CodecStageConfig> stages_;  // normalized pipeline
-  int mask_stage_ = -1;                   // index into stages_, or -1
-  int quantize_stage_ = -1;               // index into stages_, or -1
+  int mask_stage_ = -1;      // index into config_.stages, or -1
+  int quantize_stage_ = -1;  // index into config_.stages, or -1
   size_t dim_;
   std::vector<size_t> layer_offsets_;  // block starts; back() == total
   std::vector<std::vector<float>> residuals_;  // per worker

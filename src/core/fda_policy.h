@@ -57,7 +57,7 @@ class FdaSyncPolicy : public SyncPolicy {
 };
 
 /// Topology-aware FDA scheduling over a TopologyTree (requires
-/// TrainerConfig::topology or ::hierarchy). Per step:
+/// TrainerConfig::topology). Per step:
 ///
 ///   1. every worker computes its local state from its drift u_k = w_k -
 ///      w_t0 (the *global* sync anchor — cluster-local averaging never

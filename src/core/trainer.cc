@@ -240,10 +240,6 @@ SimNetwork MakeSimNetwork(const TrainerConfig& config) {
     return SimNetwork(config.num_workers, config.topology,
                       config.allreduce);
   }
-  if (config.hierarchy.enabled()) {
-    return SimNetwork(config.num_workers, config.hierarchy,
-                      config.allreduce);
-  }
   return SimNetwork(config.num_workers, config.network, config.allreduce);
 }
 
@@ -260,22 +256,7 @@ Status TrainerConfig::Validate() const {
   if (fedprox_mu < 0.0f) {
     return Status::InvalidArgument("fedprox_mu must be >= 0");
   }
-  if (hierarchy.enabled() && hierarchy.num_clusters > num_workers) {
-    return Status::InvalidArgument(
-        "hierarchy.num_clusters must be <= num_workers");
-  }
-  if (hierarchy.enabled() && !hierarchy.cluster_intra.empty() &&
-      hierarchy.cluster_intra.size() !=
-          static_cast<size_t>(hierarchy.num_clusters)) {
-    return Status::InvalidArgument(
-        "hierarchy.cluster_intra must have one NetworkModel per cluster");
-  }
   if (topology.enabled()) {
-    if (hierarchy.enabled()) {
-      return Status::InvalidArgument(
-          "set only one of topology and hierarchy (the two-tier hierarchy "
-          "is a depth-2 topology)");
-    }
     FEDRA_RETURN_IF_ERROR(topology.Validate());
   }
   FEDRA_RETURN_IF_ERROR(local_optimizer.Validate());

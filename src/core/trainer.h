@@ -146,15 +146,11 @@ struct TrainerConfig {
 
   NetworkModel network = NetworkModel::Hpc();
   AllReduceAlgorithm allreduce = AllReduceAlgorithm::kFlat;
-  /// When enabled (num_clusters > 0), collectives run grouped over the
-  /// two-tier topology and `network` is ignored; `allreduce` becomes the
-  /// cross-cluster algorithm the leaders use over the uplink.
-  HierarchicalNetworkModel hierarchy = HierarchicalNetworkModel::None();
-  /// Arbitrary-depth topology (device -> site -> cloud and deeper). When
-  /// enabled, collectives run the tree's recursive grouped schedule,
-  /// `network` is ignored, and `allreduce` becomes the root-tier
-  /// algorithm. Mutually exclusive with `hierarchy` (which is the depth-2
-  /// special case).
+  /// Multi-tier topology: TopologyTree::EdgeCloud(n) for the two-tier
+  /// edge->cloud layout, DeviceSiteCloud or a hand-built tree for deeper
+  /// ones. When enabled, collectives run the tree's recursive grouped
+  /// schedule, `network` is ignored, and `allreduce` becomes the root-tier
+  /// algorithm. Leaf groups beyond num_workers stay empty.
   TopologyTree topology;
   StragglerModel straggler = StragglerModel::None();
   /// Fault injection: worker churn, link outages, sync-message loss, and
@@ -204,10 +200,9 @@ struct TrainerConfig {
   Status Validate() const;
 };
 
-/// Builds the SimNetwork a TrainerConfig describes: the arbitrary-depth
-/// tree when `topology` is enabled, grouped two-tier collectives when
-/// `hierarchy` is, single-tier otherwise. Shared by the synchronous and
-/// async trainers so topology selection cannot diverge between them.
+/// Builds the SimNetwork a TrainerConfig describes: the topology tree when
+/// `topology` is enabled, single-tier otherwise. Shared by the synchronous
+/// and async trainers so topology selection cannot diverge between them.
 SimNetwork MakeSimNetwork(const TrainerConfig& config);
 
 /// Feeds the workers' persistent straggler speed factors into the

@@ -77,16 +77,6 @@ SimNetwork::SimNetwork(int num_workers, NetworkModel model,
   FEDRA_CHECK_GT(num_workers, 0);
 }
 
-SimNetwork::SimNetwork(int num_workers, HierarchicalNetworkModel hierarchy,
-                       AllReduceAlgorithm cross_algorithm)
-    : num_workers_(num_workers),
-      hierarchy_(std::move(hierarchy)),
-      algorithm_(cross_algorithm) {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(hierarchy_.enabled());
-  tree_ = TopologyTree::FromHierarchy(hierarchy_);
-}
-
 SimNetwork::SimNetwork(int num_workers, TopologyTree tree,
                        AllReduceAlgorithm root_algorithm)
     : num_workers_(num_workers),
@@ -126,7 +116,6 @@ void SimNetwork::ChargeFlat(size_t bytes, double seconds,
                             TrafficClass traffic) {
   stats_.bytes_total += bytes;
   stats_.comm_seconds += seconds;
-  stats_.seconds_uplink += seconds;
   stats_.ChargeDepth(0, bytes, seconds);
   if (traffic == TrafficClass::kLocalState) {
     stats_.bytes_local_state += bytes;
@@ -138,23 +127,18 @@ void SimNetwork::ChargeFlat(size_t bytes, double seconds,
 }
 
 void SimNetwork::ChargeTree(const TreeCost& cost, TrafficClass traffic) {
-  // Accumulate intra (deeper tiers) before the uplink (root tier) in the
-  // exact summation order the legacy two-tier Charge used, so depth-2
-  // charges stay bit-identical.
-  double intra_seconds = 0.0;
-  uint64_t intra_bytes = 0;
+  // Total every deeper tier before the root tier: the goldens pin
+  // comm_seconds to this summation order.
+  double seconds = 0.0;
+  uint64_t bytes = 0;
   for (size_t d = 1; d < cost.seconds_by_depth.size(); ++d) {
-    intra_seconds += cost.seconds_by_depth[d];
-    intra_bytes += cost.bytes_by_depth[d];
+    seconds += cost.seconds_by_depth[d];
+    bytes += cost.bytes_by_depth[d];
   }
-  const double uplink_seconds = cost.SecondsAt(0);
-  const uint64_t uplink_bytes = cost.BytesAt(0);
-  const uint64_t bytes = intra_bytes + uplink_bytes;
-  const double seconds = intra_seconds + uplink_seconds;
+  seconds += cost.SecondsAt(0);
+  bytes += cost.BytesAt(0);
   stats_.bytes_total += bytes;
   stats_.comm_seconds += seconds;
-  stats_.seconds_intra += intra_seconds;
-  stats_.seconds_uplink += uplink_seconds;
   for (size_t d = 0; d < cost.seconds_by_depth.size(); ++d) {
     stats_.ChargeDepth(d, cost.bytes_by_depth[d],
                        cost.seconds_by_depth[d]);
@@ -401,8 +385,8 @@ void SimNetwork::AccountSyncRetries(int worker, size_t payload_bytes,
   for (int attempt = 0; attempt < retries; ++attempt) {
     // Exponential backoff before retry i, then one retransmission over the
     // worker's own path. Backoff stalls the worker's edge link, so it is
-    // attributed to the deepest tier of the path — every breakdown (class,
-    // tier, depth) keeps summing to comm_seconds.
+    // attributed to the deepest tier of the path — both breakdowns (class
+    // and depth) keep summing to comm_seconds.
     const double backoff = std::ldexp(backoff_base_seconds, attempt);
     ++stats_.retries;
     if (tree_.enabled()) {

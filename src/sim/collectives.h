@@ -11,9 +11,8 @@
 // Chunk boundaries depend only on the span length, so results are
 // bit-deterministic for any thread count.
 //
-// Topologies: single-tier (one shared NetworkModel), the legacy two-tier
-// HierarchicalNetworkModel (internally a depth-2 TopologyTree), or an
-// arbitrary-depth TopologyTree (device -> site -> cloud and deeper). Tree
+// Topologies: single-tier (one shared NetworkModel) or an arbitrary-depth
+// TopologyTree (edge -> cloud, device -> site -> cloud and deeper). Tree
 // networks additionally expose cluster-scoped collectives — AllReduces
 // confined to one subtree, billed only on that subtree's tiers — which the
 // hierarchical FDA scheduler uses to keep drift control on the cheap tiers.
@@ -51,12 +50,6 @@ class SimNetwork {
   SimNetwork(int num_workers, NetworkModel model,
              AllReduceAlgorithm algorithm);
 
-  /// Two-tier topology (legacy config surface): collectives run grouped
-  /// over the depth-2 tree the hierarchy describes; `cross_algorithm` is
-  /// the algorithm the cluster leaders use over the uplink.
-  SimNetwork(int num_workers, HierarchicalNetworkModel hierarchy,
-             AllReduceAlgorithm cross_algorithm);
-
   /// Arbitrary-depth topology: collectives run the tree's recursive
   /// grouped schedule (level-synchronized reduce-up, root-tier AllReduce
   /// under `root_algorithm`, broadcast-down) and CommStats carries a
@@ -67,11 +60,7 @@ class SimNetwork {
   int num_workers() const { return num_workers_; }
   const NetworkModel& network_model() const { return model_; }
   AllReduceAlgorithm algorithm() const { return algorithm_; }
-  /// True for any tree-shaped topology (two-tier hierarchy included).
-  bool hierarchical() const { return tree_.enabled(); }
-  const HierarchicalNetworkModel& hierarchy() const { return hierarchy_; }
-  /// The topology tree (disabled for single-tier networks). Two-tier
-  /// configs appear here as their depth-2 tree.
+  /// The topology tree (disabled for single-tier networks).
   const TopologyTree& tree() const { return tree_; }
 
   /// Straggler-aware collective cost: per-worker link-speed factors (>= 1,
@@ -152,7 +141,7 @@ class SimNetwork {
   /// compressed size) from `worker`: retry i waits
   /// backoff_base_seconds * 2^i and resends the payload over the worker's
   /// own path (its link factor; one hop per tier under a tree). Every
-  /// second and byte lands in the normal class/tier/depth breakdowns and is
+  /// second and byte lands in the normal class/depth breakdowns and is
   /// additionally accumulated in CommStats::seconds_retry / retries.
   void AccountSyncRetries(int worker, size_t payload_bytes, int retries,
                           double backoff_base_seconds, TrafficClass traffic);
@@ -221,11 +210,10 @@ class SimNetwork {
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;
-  // Splits a single-tier charge across the class/tier/depth breakdowns
-  // (the one shared channel is the uplink tier at depth 0).
+  // Splits a single-tier charge across the class/depth breakdowns (the one
+  // shared channel is depth 0).
   void ChargeFlat(size_t bytes, double seconds, TrafficClass traffic);
-  // Splits a per-depth tree charge across the class/tier/depth breakdowns
-  // (depth 0 -> uplink, deeper tiers -> intra).
+  // Splits a per-depth tree charge across the class/depth breakdowns.
   void ChargeTree(const TreeCost& cost, TrafficClass traffic);
   // Slowest participating link factor (1.0 when factors are unset).
   double SlowestLinkFactor() const;
@@ -239,8 +227,6 @@ class SimNetwork {
 
   int num_workers_;
   NetworkModel model_;
-  HierarchicalNetworkModel hierarchy_;  // legacy config echo (may be
-                                        // disabled for direct tree configs)
   TopologyTree tree_;  // disabled for single-tier networks
   AllReduceAlgorithm algorithm_;
   CommStats stats_;

@@ -7,8 +7,7 @@ namespace fedra {
 std::string CommStats::ToString() const {
   std::string s = StrFormat(
       "CommStats{allreduce=%llu, bcast=%llu, p2p=%llu, syncs=%llu, "
-      "total=%s (state=%s, model=%s), comm_time=%.3fs "
-      "(intra=%.3fs, uplink=%.3fs)",
+      "total=%s (state=%s, model=%s), comm_time=%.3fs",
       static_cast<unsigned long long>(allreduce_calls),
       static_cast<unsigned long long>(broadcast_calls),
       static_cast<unsigned long long>(p2p_calls),
@@ -16,7 +15,7 @@ std::string CommStats::ToString() const {
       HumanBytes(static_cast<double>(bytes_total)).c_str(),
       HumanBytes(static_cast<double>(bytes_local_state)).c_str(),
       HumanBytes(static_cast<double>(bytes_model_sync)).c_str(),
-      comm_seconds, seconds_intra, seconds_uplink);
+      comm_seconds);
   if (subtree_allreduce_calls > 0 || child_exchange_calls > 0) {
     s += StrFormat(", subtree=%llu (model=%llu), escalations=%llu",
                    static_cast<unsigned long long>(subtree_allreduce_calls),
@@ -33,7 +32,7 @@ std::string CommStats::ToString() const {
     s += StrFormat(", check_in=%llu",
                    static_cast<unsigned long long>(check_in_syncs));
   }
-  if (seconds_by_depth.size() > 2) {
+  if (seconds_by_depth.size() >= 2) {
     s += ", by_depth=[";
     for (size_t d = 0; d < seconds_by_depth.size(); ++d) {
       s += StrFormat("%s%.3fs", d == 0 ? "" : ", ", seconds_by_depth[d]);

@@ -4,13 +4,11 @@
 // workers" (§4.1 Evaluation Methodology). The simulator attributes every
 // transmitted byte to one of two traffic classes so benches can report the
 // split the paper discusses: small per-step local-state traffic vs. the
-// expensive model synchronization traffic. Simulated time is broken down
-// three ways: by traffic class, by legacy topology tier (intra-cluster
-// links vs. the cross-cluster uplink; single-tier topologies charge their
-// one shared channel as the uplink tier), and — for arbitrary-depth
-// TopologyTree networks — per tree depth (index 0 is the root tier, deeper
-// tiers follow; the legacy split maps depth 0 to uplink and depths >= 1 to
-// intra, so the two breakdowns always agree).
+// expensive model synchronization traffic. Simulated time and bytes are
+// broken down two ways: by traffic class and per topology depth (index 0
+// is the root tier — the one shared channel of a single-tier network —
+// and deeper tiers of a TopologyTree follow). Each breakdown sums to the
+// totals.
 
 #ifndef FEDRA_SIM_COMM_STATS_H_
 #define FEDRA_SIM_COMM_STATS_H_
@@ -58,16 +56,12 @@ struct CommStats {
   double seconds_local_state = 0.0;
   double seconds_model_sync = 0.0;
   // Time spent on retransmissions + backoff. Informational subset marker:
-  // retry charges are attributed to their traffic class / tier / depth like
-  // any other transfer, and additionally accumulated here.
+  // retry charges are attributed to their traffic class and depth like any
+  // other transfer, and additionally accumulated here.
   double seconds_retry = 0.0;
-  // Per-tier time split; sums to comm_seconds. Single-tier topologies
-  // charge everything to the uplink (the shared channel).
-  double seconds_intra = 0.0;
-  double seconds_uplink = 0.0;
-  // Per-depth split for tree topologies; [0] is the root tier. Sized on
-  // first charge (single-tier networks charge depth 0), sums to
-  // comm_seconds / bytes_total.
+  // Per-depth split; [0] is the root tier. Sized on first charge
+  // (single-tier networks charge depth 0), sums to comm_seconds /
+  // bytes_total.
   std::vector<double> seconds_by_depth;
   std::vector<uint64_t> bytes_by_depth;
 
@@ -114,8 +108,6 @@ struct CommStats {
     seconds_local_state += other.seconds_local_state;
     seconds_model_sync += other.seconds_model_sync;
     seconds_retry += other.seconds_retry;
-    seconds_intra += other.seconds_intra;
-    seconds_uplink += other.seconds_uplink;
     for (size_t d = 0; d < other.seconds_by_depth.size(); ++d) {
       ChargeDepth(d, other.bytes_by_depth[d], other.seconds_by_depth[d]);
     }

@@ -1,9 +1,5 @@
 #include "sim/network_model.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "sim/topology_tree.h"
 #include "util/check.h"
 
 namespace fedra {
@@ -135,125 +131,6 @@ NetworkModel NetworkModel::EdgeLan() {
   model.name = "EdgeLAN";
   model.bandwidth_bytes_per_sec = 10e9 / 8.0;  // 10 Gb/s local links
   model.latency_seconds = 0.5e-3;
-  return model;
-}
-
-int HierarchicalNetworkModel::MaxClusterSize(int num_workers) const {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(enabled());
-  const int clusters = std::min(num_clusters, num_workers);
-  return (num_workers + clusters - 1) / clusters;
-}
-
-int HierarchicalNetworkModel::ClusterSize(int cluster,
-                                          int num_workers) const {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(enabled());
-  const int clusters = std::min(num_clusters, num_workers);
-  FEDRA_CHECK(cluster >= 0 && cluster < clusters);
-  const int base = num_workers / clusters;
-  const int remainder = num_workers % clusters;
-  return base + (cluster < remainder ? 1 : 0);
-}
-
-const NetworkModel& HierarchicalNetworkModel::IntraModel(int cluster) const {
-  if (cluster_intra.empty()) {
-    return intra;
-  }
-  FEDRA_CHECK_EQ(cluster_intra.size(), static_cast<size_t>(num_clusters))
-      << "cluster_intra must have one NetworkModel per cluster";
-  FEDRA_CHECK(cluster >= 0 && cluster < num_clusters);
-  return cluster_intra[static_cast<size_t>(cluster)];
-}
-
-namespace {
-
-// Collapses a per-depth tree cost into the legacy two-tier split: the root
-// tier (depth 0) is the uplink, everything deeper is intra.
-HierarchicalNetworkModel::TierCost TierCostFromTree(const TreeCost& cost) {
-  HierarchicalNetworkModel::TierCost tier;
-  tier.uplink_seconds = cost.SecondsAt(0);
-  tier.uplink_bytes = cost.BytesAt(0);
-  for (size_t d = 1; d < cost.seconds_by_depth.size(); ++d) {
-    tier.intra_seconds += cost.seconds_by_depth[d];
-    tier.intra_bytes += cost.bytes_by_depth[d];
-  }
-  return tier;
-}
-
-}  // namespace
-
-HierarchicalNetworkModel::TierCost
-HierarchicalNetworkModel::GroupedAllReduceCost(
-    double payload_bytes, int num_workers, AllReduceAlgorithm cross_algorithm,
-    const std::vector<double>* worker_link_factors) const {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(enabled());
-  // The two-tier model is a depth-2 TopologyTree instance; the tree's
-  // recursive grouped collective reproduces the original closed-form costs
-  // bit-identically (locked by the accounting goldens in collectives_test
-  // and the parity suite in topology_tree_test).
-  return TierCostFromTree(TopologyTree::FromHierarchy(*this)
-                              .GroupedAllReduceCost(payload_bytes,
-                                                    num_workers,
-                                                    cross_algorithm,
-                                                    worker_link_factors));
-}
-
-HierarchicalNetworkModel::TierCost HierarchicalNetworkModel::BroadcastCost(
-    size_t payload_bytes, int num_workers,
-    const std::vector<double>* worker_link_factors) const {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(enabled());
-  return TierCostFromTree(TopologyTree::FromHierarchy(*this).BroadcastCost(
-      payload_bytes, num_workers, worker_link_factors));
-}
-
-int HierarchicalNetworkModel::ClusterOfWorker(int worker,
-                                              int num_workers) const {
-  FEDRA_CHECK(worker >= 0 && worker < num_workers);
-  int begin = 0;
-  const int clusters = std::min(num_clusters, num_workers);
-  for (int c = 0; c < clusters; ++c) {
-    begin += ClusterSize(c, num_workers);
-    if (worker < begin) {
-      return c;
-    }
-  }
-  FEDRA_CHECK(false) << "cluster blocks do not cover worker " << worker;
-  return 0;
-}
-
-HierarchicalNetworkModel::TierCost
-HierarchicalNetworkModel::PointToPointCost(size_t payload_bytes, int cluster,
-                                           double link_factor) const {
-  FEDRA_CHECK(enabled());
-  const NetworkModel& intra_link = cluster >= 0 ? IntraModel(cluster) : intra;
-  TierCost cost;
-  cost.intra_seconds =
-      intra_link.latency_seconds +
-      static_cast<double>(payload_bytes) /
-          (intra_link.bandwidth_bytes_per_sec / link_factor);
-  cost.intra_bytes = payload_bytes;
-  cost.uplink_seconds = uplink.latency_seconds +
-                        static_cast<double>(payload_bytes) /
-                            (uplink.bandwidth_bytes_per_sec / link_factor);
-  cost.uplink_bytes = payload_bytes;
-  return cost;
-}
-
-HierarchicalNetworkModel HierarchicalNetworkModel::None() {
-  return HierarchicalNetworkModel();
-}
-
-HierarchicalNetworkModel HierarchicalNetworkModel::EdgeCloud(
-    int num_clusters) {
-  FEDRA_CHECK_GT(num_clusters, 0);
-  HierarchicalNetworkModel model;
-  model.name = "EdgeCloud";
-  model.intra = NetworkModel::EdgeLan();
-  model.uplink = NetworkModel::Federated();
-  model.num_clusters = num_clusters;
   return model;
 }
 

@@ -6,24 +6,15 @@
 // ground. The model is intentionally simple — per-collective latency plus
 // payload/bandwidth — because the paper's metrics only need relative time.
 //
-// HierarchicalNetworkModel adds the two-tier topology the dynamic-averaging
-// literature (Kamp et al.) and the FL communication surveys emphasize: edge
-// workers grouped into clusters with a fast intra-cluster link, clusters
-// joined by a slow cross-cluster uplink. A grouped AllReduce then runs
-// reduce-within-cluster -> exchange-across-clusters -> broadcast-down, and
-// the cost of each tier is accounted separately.
-//
-// Arbitrary-depth topologies (device -> site -> cloud and deeper) live in
-// sim/topology_tree.h; the two-tier model is a depth-2 TopologyTree
-// instance and its grouped collective costs delegate there, bit-identically
-// to the original closed forms.
+// Multi-tier topologies (edge -> cloud, device -> site -> cloud and deeper)
+// live in sim/topology_tree.h: every tier node of a TopologyTree owns one
+// NetworkModel.
 
 #ifndef FEDRA_SIM_NETWORK_MODEL_H_
 #define FEDRA_SIM_NETWORK_MODEL_H_
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 namespace fedra {
 
@@ -73,94 +64,9 @@ struct NetworkModel {
   static NetworkModel Federated();
   /// Balanced communication/computation regime (paper Fig. 12 "Balanced").
   static NetworkModel Balanced();
-  /// Edge LAN: fast local links between co-located edge workers (the intra
-  /// tier of the edge->cloud hierarchy).
+  /// Edge LAN: fast local links between co-located edge workers (the
+  /// cluster tier of TopologyTree::EdgeCloud).
   static NetworkModel EdgeLan();
-};
-
-/// Two-tier topology: `num_clusters` groups of workers (contiguous blocks,
-/// sizes as equal as possible). Members talk to their cluster leader over
-/// the `intra` link; leaders talk to each other over the `uplink`.
-/// num_clusters == 0 disables the hierarchy (single-tier/flat topology).
-struct HierarchicalNetworkModel {
-  std::string name = "hierarchical";
-  NetworkModel intra;   // tier 0: within-cluster (edge LAN)
-  NetworkModel uplink;  // tier 1: cross-cluster (edge -> cloud WAN)
-  int num_clusters = 0;
-
-  /// Optional heterogeneous intra tier: one NetworkModel per cluster
-  /// (asymmetric edge clusters — a fast lab LAN next to a slow cellular
-  /// cluster). Empty (the default) means every cluster shares `intra`.
-  /// When non-empty the size must equal num_clusters.
-  std::vector<NetworkModel> cluster_intra;
-
-  bool enabled() const { return num_clusters > 0; }
-
-  /// The intra link of one cluster: cluster_intra[cluster] when the
-  /// heterogeneous tier is configured, the shared `intra` otherwise.
-  const NetworkModel& IntraModel(int cluster) const;
-
-  /// Size of cluster `c` for `num_workers` workers (contiguous blocks, as
-  /// equal as possible: the first num_workers % clusters blocks get one
-  /// extra worker).
-  int ClusterSize(int cluster, int num_workers) const;
-
-  /// Per-tier cost of one collective. Bytes follow the paper's "total data
-  /// transmitted by all workers" convention; seconds take the slowest
-  /// cluster (clusters proceed concurrently, phases are serialized).
-  struct TierCost {
-    double intra_seconds = 0.0;
-    double uplink_seconds = 0.0;
-    size_t intra_bytes = 0;
-    size_t uplink_bytes = 0;
-
-    double total_seconds() const { return intra_seconds + uplink_seconds; }
-    size_t total_bytes() const { return intra_bytes + uplink_bytes; }
-  };
-
-  /// Grouped AllReduce of `payload_bytes` per worker over `num_workers`:
-  /// (1) members push payloads to their leader (flat, intra link),
-  /// (2) leaders AllReduce across clusters with `cross_algorithm` (uplink),
-  /// (3) leaders broadcast the result back down (flat, intra link).
-  /// `payload_bytes` is a double (mean wire size for variable-size
-  /// compressed payloads); per-tier byte totals round to the nearest byte.
-  ///
-  /// `worker_link_factors` (optional, one entry per worker in cluster
-  /// order) enables the slowest-link formula: each intra phase is billed
-  /// at the slowest member link of its cluster (bandwidth / max factor),
-  /// the uplink phase at the slowest leader link. Null or all-ones keeps
-  /// the homogeneous cost. Bytes never change — stragglers slow links
-  /// down, they do not change what transits them.
-  TierCost GroupedAllReduceCost(
-      double payload_bytes, int num_workers,
-      AllReduceAlgorithm cross_algorithm,
-      const std::vector<double>* worker_link_factors = nullptr) const;
-
-  /// Broadcast from one worker to all others: down the uplink across
-  /// cluster leaders, then down the intra links within each cluster.
-  /// `worker_link_factors` applies the slowest-link formula as above.
-  TierCost BroadcastCost(
-      size_t payload_bytes, int num_workers,
-      const std::vector<double>* worker_link_factors = nullptr) const;
-
-  /// One worker uploads to the (cloud-side) coordinator: an intra hop to
-  /// the cluster leader plus an uplink hop. `cluster` selects the worker's
-  /// intra link when the heterogeneous tier is configured (< 0 falls back
-  /// to the shared `intra`); `link_factor` applies the worker's straggler
-  /// slowdown to both hops.
-  TierCost PointToPointCost(size_t payload_bytes, int cluster = -1,
-                            double link_factor = 1.0) const;
-
-  /// Which contiguous cluster block `worker` belongs to.
-  int ClusterOfWorker(int worker, int num_workers) const;
-
-  /// Largest cluster size for `num_workers` workers (contiguous blocks).
-  int MaxClusterSize(int num_workers) const;
-
-  /// Disabled topology (flat single tier).
-  static HierarchicalNetworkModel None();
-  /// Edge->cloud preset: EdgeLan() intra links, Federated() uplink.
-  static HierarchicalNetworkModel EdgeCloud(int num_clusters);
 };
 
 }  // namespace fedra

@@ -10,8 +10,8 @@ namespace fedra {
 
 namespace {
 
-// A worker's link slowdown (1.0 without factors). Mirrors the legacy
-// MaxLinkFactor floor: factors never speed a link up.
+// A worker's link slowdown (1.0 without factors). Factors never speed a
+// link up.
 double WorkerFactor(const std::vector<double>* factors, int worker) {
   if (factors == nullptr) {
     return 1.0;
@@ -23,8 +23,8 @@ double WorkerFactor(const std::vector<double>* factors, int worker) {
 }  // namespace
 
 double TreeCost::total_seconds() const {
-  // Deepest tier first: the legacy two-tier code summed intra before
-  // uplink, and matching that order keeps depth-2 totals bit-identical.
+  // Deepest tier first: the golden histories pin totals summed in this
+  // order (every deeper tier before the root tier).
   double total = 0.0;
   for (size_t d = seconds_by_depth.size(); d > 0; --d) {
     total += seconds_by_depth[d - 1];
@@ -213,8 +213,8 @@ TopologyTree::UpSweep TopologyTree::SweepUp(
     if (transfers > 0 && (include_root_phase || id != root_id)) {
       // One gather phase: `transfers` payloads reach this node's
       // representative over its link, paced by the slowest participant.
-      // The expression mirrors the legacy SlowestIntraPhase formula so a
-      // depth-2 tree is bit-identical to HierarchicalNetworkModel.
+      // The expression is the closed form topology_tree_test's two-tier
+      // oracle computes, operation for operation.
       const size_t d = static_cast<size_t>(n.depth);
       const double phase =
           n.link.latency_seconds +
@@ -451,19 +451,18 @@ std::string TopologyTree::ToString() const {
                    num_leaf_groups_);
 }
 
-TopologyTree TopologyTree::FromHierarchy(
-    const HierarchicalNetworkModel& h) {
-  FEDRA_CHECK(h.enabled());
+TopologyTree TopologyTree::EdgeCloud(int num_clusters) {
+  FEDRA_CHECK_GT(num_clusters, 0);
   TopologyNode root;
   root.name = "root";
-  root.link = h.uplink;
-  root.children.resize(static_cast<size_t>(h.num_clusters));
-  for (int c = 0; c < h.num_clusters; ++c) {
+  root.link = NetworkModel::Federated();
+  root.children.resize(static_cast<size_t>(num_clusters));
+  for (int c = 0; c < num_clusters; ++c) {
     TopologyNode& cluster = root.children[static_cast<size_t>(c)];
     cluster.name = "cluster" + std::to_string(c);
-    cluster.link = h.IntraModel(c);
+    cluster.link = NetworkModel::EdgeLan();
   }
-  return TopologyTree(std::move(root), h.name);
+  return TopologyTree(std::move(root), "EdgeCloud");
 }
 
 TopologyTree TopologyTree::SingleTier(NetworkModel link, std::string name) {

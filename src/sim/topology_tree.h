@@ -1,16 +1,14 @@
 // TopologyTree: arbitrary-depth network topologies for the simulated
-// cluster — the generalization of the two-tier HierarchicalNetworkModel to
-// real deployment shapes (device -> rack -> site -> cloud).
+// cluster — the two-tier edge->cloud layout of the dynamic-averaging
+// literature (Kamp et al.) and real deployment shapes beyond it
+// (device -> rack -> site -> cloud).
 //
 // A tree is a recursive arrangement of tier nodes. Each node owns one
 // NetworkModel: the link over which the node's children (for an internal
 // node: the representatives of its child subtrees; for a leaf node: its
 // member workers) reach the node's representative. Workers attach to the
 // leaf nodes ("worker groups") in DFS order, contiguously and as equal as
-// possible — exactly the HierarchicalNetworkModel cluster layout when the
-// tree has depth 2, so the two-tier model is a depth-2 instance with
-// bit-identical cost accounting (HierarchicalNetworkModel's grouped
-// collective costs delegate here).
+// possible.
 //
 // Collective cost model (the recursive grouped AllReduce):
 //   reduce-up:   level-synchronized gather phases, deepest tier first —
@@ -56,8 +54,7 @@ struct TopologyNode {
   std::vector<double> child_link_factors;
 };
 
-/// Per-depth cost of one tree collective; index 0 is the root tier. The
-/// legacy TierCost mapping is depth 0 -> uplink, depths >= 1 -> intra.
+/// Per-depth cost of one tree collective; index 0 is the root tier.
 struct TreeCost {
   std::vector<double> seconds_by_depth;
   std::vector<uint64_t> bytes_by_depth;
@@ -83,7 +80,7 @@ class TopologyTree {
   bool enabled() const { return !nodes_.empty(); }
   const std::string& name() const { return name_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
-  /// Number of tiers: 1 for a single leaf-group root, 2 for the classic
+  /// Number of tiers: 1 for a single leaf-group root, 2 for the edge->cloud
   /// cluster/uplink layout, etc.
   int depth() const { return num_tiers_; }
   int num_leaf_groups() const { return num_leaf_groups_; }
@@ -108,9 +105,8 @@ class TopologyTree {
 
   // ------------------------------------------------------- worker layout --
   // Workers are placed contiguously over the leaf groups in DFS order, as
-  // equal as possible (the first num_workers % groups get one extra) —
-  // HierarchicalNetworkModel::ClusterSize generalized. Groups beyond
-  // num_workers stay empty.
+  // equal as possible (the first num_workers % groups get one extra).
+  // Groups beyond num_workers stay empty.
   int GroupSize(int leaf_group, int num_workers) const;
   int GroupBegin(int leaf_group, int num_workers) const;
   int LeafGroupOfWorker(int worker, int num_workers) const;
@@ -175,10 +171,9 @@ class TopologyTree {
   std::string ToString() const;
 
   // ------------------------------------------------ conversions / presets --
-  /// The two-tier model as a depth-2 tree: a root carrying the uplink with
-  /// one leaf group per cluster carrying that cluster's intra link.
-  /// Grouped collective costs are bit-identical to the legacy formulas.
-  static TopologyTree FromHierarchy(const HierarchicalNetworkModel& h);
+  /// Two-tier edge->cloud preset: a root on a Federated() uplink over
+  /// `num_clusters` leaf groups `cluster<c>` on EdgeLan() links.
+  static TopologyTree EdgeCloud(int num_clusters);
   /// Degenerate single-node tree: all workers in one group on `link`.
   /// Reproduces the flat single-tier AllReduce cost.
   static TopologyTree SingleTier(NetworkModel link,

@@ -49,10 +49,6 @@ TEST(CodecStageTest, FactoriesValidateAndPrint) {
 }
 
 TEST(CodecStageTest, PipelineValidationRules) {
-  // kind and stages are mutually exclusive.
-  CompressionConfig mixed = CompressionConfig::Quantize8();
-  mixed.stages.push_back(CodecStageConfig::TopK(0.1));
-  EXPECT_FALSE(mixed.Validate().ok());
   // At most one mask stage.
   EXPECT_FALSE(CompressionConfig::Stages({CodecStageConfig::TopK(0.1),
                                           CodecStageConfig::LayerTopK(0.1)})
@@ -102,11 +98,6 @@ TEST(CodecWireTest, StageGoldensMatchWireModel) {
   SyncCompressor topk(
       CompressionConfig::Stages({CodecStageConfig::TopK(0.05)}), n, 1);
   EXPECT_EQ(topk.WireBytes(n), 500u * 8u);
-  // ...and equal their legacy-kind twins byte for byte.
-  SyncCompressor legacy_q4(CompressionConfig::Quantize4(), n, 1);
-  EXPECT_EQ(q4.WireBytes(n), legacy_q4.WireBytes(n));
-  SyncCompressor legacy_topk(CompressionConfig::TopK(0.05), n, 1);
-  EXPECT_EQ(topk.WireBytes(n), legacy_topk.WireBytes(n));
 }
 
 TEST(CodecWireTest, CompressInPlaceReturnsWireBytes) {
@@ -695,8 +686,7 @@ TEST(CompressedHierarchyTest, SubtreeSyncsBillCompressedBytes) {
     config.max_steps = 30;
     config.eval_every_steps = 15;
     config.eval_subset = 128;
-    config.topology = TopologyTree::FromHierarchy(
-        HierarchicalNetworkModel::EdgeCloud(2));
+    config.topology = TopologyTree::EdgeCloud(2);
     config.sync_compression = compression;
     DistributedTrainer trainer(factory, data->train, data->test, config);
     HierarchicalFdaConfig policy_config;

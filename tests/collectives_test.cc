@@ -16,7 +16,9 @@
 
 #include "sim/collectives.h"
 #include "sim/network_model.h"
+#include "sim/topology_tree.h"
 #include "tensor/ref_ops.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace fedra {
@@ -90,8 +92,7 @@ TEST(ReductionEngineTest, MeanMatchesOracleForEveryAlgorithmAndTopology) {
       const auto halving = run(SimNetwork(
           workers, TestModel(), AllReduceAlgorithm::kRecursiveHalving));
       const auto grouped = run(SimNetwork(
-          workers, HierarchicalNetworkModel::EdgeCloud(2),
-          AllReduceAlgorithm::kFlat));
+          workers, TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kFlat));
 
       for (int k = 0; k < workers; ++k) {
         for (size_t i = 0; i < n; ++i) {
@@ -272,24 +273,31 @@ TEST(AccountingTest, PerTrafficClassSecondsSumToTotal) {
   // The splits accumulate in separate doubles; sums agree up to rounding.
   EXPECT_NEAR(stats.seconds_local_state + stats.seconds_model_sync,
               stats.comm_seconds, 1e-12);
-  EXPECT_NEAR(stats.seconds_intra + stats.seconds_uplink,
-              stats.comm_seconds, 1e-12);
+  testing::ExpectCommStatsConserved(stats);
   EXPECT_EQ(stats.p2p_calls, 1u);
 }
 
 // --------------------------------------------------------- hierarchical ----
 
-HierarchicalNetworkModel TestHierarchy(int num_clusters) {
-  HierarchicalNetworkModel h;
-  h.name = "test2tier";
-  h.intra = TestModel();
-  h.intra.bandwidth_bytes_per_sec = 2e9;
-  h.intra.latency_seconds = 1e-4;
-  h.uplink = TestModel();
-  h.uplink.bandwidth_bytes_per_sec = 1e8;
-  h.uplink.latency_seconds = 1e-2;
-  h.num_clusters = num_clusters;
-  return h;
+// A depth-2 tree with round-number links so golden values are exact: a
+// 1e8 B/s, 10 ms uplink at the root (depth 0) over `num_clusters` leaf
+// groups on 2e9 B/s, 0.1 ms cluster links (depth 1).
+TopologyNode TwoTierNode(int num_clusters) {
+  TopologyNode root;
+  root.link = TestModel();
+  root.link.bandwidth_bytes_per_sec = 1e8;
+  root.link.latency_seconds = 1e-2;
+  root.children.resize(static_cast<size_t>(num_clusters));
+  for (TopologyNode& cluster : root.children) {
+    cluster.link = TestModel();
+    cluster.link.bandwidth_bytes_per_sec = 2e9;
+    cluster.link.latency_seconds = 1e-4;
+  }
+  return root;
+}
+
+TopologyTree TwoTierTree(int num_clusters) {
+  return TopologyTree(TwoTierNode(num_clusters));
 }
 
 TEST(HierarchicalTest, SingleClusterMatchesFlatNumerically) {
@@ -304,7 +312,7 @@ TEST(HierarchicalTest, SingleClusterMatchesFlatNumerically) {
 
   auto grouped_buffers = original;
   auto grouped_pointers = Pointers(grouped_buffers);
-  SimNetwork grouped(workers, TestHierarchy(1), AllReduceAlgorithm::kFlat);
+  SimNetwork grouped(workers, TwoTierTree(1), AllReduceAlgorithm::kFlat);
   grouped.AllReduceAverage(grouped_pointers, n, TrafficClass::kModelSync);
 
   for (int k = 0; k < workers; ++k) {
@@ -312,12 +320,13 @@ TEST(HierarchicalTest, SingleClusterMatchesFlatNumerically) {
                              grouped_buffers[static_cast<size_t>(k)].data(),
                              n * sizeof(float)));
   }
-  // One cluster: no uplink traffic at all; gather + broadcast stay intra.
+  // One cluster: no uplink traffic at all; gather + broadcast stay on the
+  // cluster link.
   EXPECT_EQ(grouped.stats().bytes_total,
             2u * 5u * n * sizeof(float));  // 2 phases x (K-1) payloads
-  EXPECT_GT(grouped.stats().seconds_intra, 0.0);
-  EXPECT_DOUBLE_EQ(grouped.stats().seconds_uplink, 0.0);
-  EXPECT_DOUBLE_EQ(grouped.stats().seconds_intra,
+  EXPECT_GT(grouped.stats().SecondsAtDepth(1), 0.0);
+  EXPECT_DOUBLE_EQ(grouped.stats().SecondsAtDepth(0), 0.0);
+  EXPECT_DOUBLE_EQ(grouped.stats().SecondsAtDepth(1),
                    grouped.stats().comm_seconds);
 }
 
@@ -329,15 +338,15 @@ TEST(HierarchicalTest, TwoClusterGroupedAllReduceGolden) {
   const size_t n = 1024;
   const size_t p = n * sizeof(float);
   const int workers = 4;
-  SimNetwork network(workers, TestHierarchy(2), AllReduceAlgorithm::kFlat);
+  SimNetwork network(workers, TwoTierTree(2), AllReduceAlgorithm::kFlat);
   auto buffers = RandomBuffers(workers, n, 7);
   auto pointers = Pointers(buffers);
   network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
   const CommStats& stats = network.stats();
   const double intra_phase = 1e-4 + static_cast<double>(p) / 2e9;
   const double uplink_phase = 1e-2 + 2.0 * static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(stats.seconds_intra, 2.0 * intra_phase);
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, uplink_phase);
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(1), 2.0 * intra_phase);
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(0), uplink_phase);
   EXPECT_DOUBLE_EQ(stats.comm_seconds, 2.0 * intra_phase + uplink_phase);
   EXPECT_EQ(stats.bytes_total, 6u * p);
   EXPECT_EQ(stats.bytes_model_sync, 6u * p);
@@ -347,7 +356,7 @@ TEST(HierarchicalTest, TwoClusterGroupedAllReduceGolden) {
 TEST(HierarchicalTest, ModelSyncSecondsMatchesAccountedCharge) {
   const size_t n = 4096;
   const int workers = 8;
-  SimNetwork network(workers, TestHierarchy(2),
+  SimNetwork network(workers, TwoTierTree(2),
                      AllReduceAlgorithm::kRecursiveHalving);
   auto buffers = RandomBuffers(workers, n, 8);
   auto pointers = Pointers(buffers);
@@ -357,78 +366,60 @@ TEST(HierarchicalTest, ModelSyncSecondsMatchesAccountedCharge) {
 }
 
 TEST(HierarchicalTest, PointToPointCrossesBothTiers) {
-  SimNetwork network(4, TestHierarchy(2), AllReduceAlgorithm::kFlat);
+  SimNetwork network(4, TwoTierTree(2), AllReduceAlgorithm::kFlat);
   network.PointToPoint(100, TrafficClass::kLocalState);
   const size_t p = 400;
-  EXPECT_EQ(network.stats().bytes_total, 2u * p);  // intra hop + uplink hop
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_EQ(network.stats().bytes_total, 2u * p);  // cluster hop + uplink hop
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / 2e9);
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0),
                    1e-2 + static_cast<double>(p) / 1e8);
 }
 
 TEST(HierarchicalTest, UnevenClustersUseLargestForTime) {
   // K = 5 in 2 clusters -> sizes {3, 2}; phases pace on the 3-cluster.
   const size_t p = 1000;
-  auto h = TestHierarchy(2);
-  EXPECT_EQ(h.MaxClusterSize(5), 3);
-  const auto cost =
-      h.GroupedAllReduceCost(p, 5, AllReduceAlgorithm::kFlat);
-  EXPECT_DOUBLE_EQ(cost.intra_seconds,
+  const TopologyTree tree = TwoTierTree(2);
+  EXPECT_EQ(tree.GroupSize(0, 5), 3);
+  const TreeCost cost =
+      tree.GroupedAllReduceCost(p, 5, AllReduceAlgorithm::kFlat);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1),
                    2.0 * (1e-4 + 2.0 * static_cast<double>(p) / 2e9));
-  // Members: 5 workers - 2 leaders = 3 payloads per intra phase.
-  EXPECT_EQ(cost.intra_bytes, 2u * 3u * p);
-}
-
-TEST(HierarchicalTest, PerClusterIntraLinksDefaultToSharedModel) {
-  // Populating cluster_intra with copies of the shared model must not
-  // change any cost — the heterogeneous path degenerates bit-exactly.
-  const size_t p = 1000;
-  auto shared = TestHierarchy(2);
-  auto hetero = TestHierarchy(2);
-  hetero.cluster_intra = {hetero.intra, hetero.intra};
-  for (int workers : {2, 4, 5, 9}) {
-    const auto a =
-        shared.GroupedAllReduceCost(p, workers, AllReduceAlgorithm::kFlat);
-    const auto b =
-        hetero.GroupedAllReduceCost(p, workers, AllReduceAlgorithm::kFlat);
-    EXPECT_DOUBLE_EQ(a.intra_seconds, b.intra_seconds) << workers;
-    EXPECT_DOUBLE_EQ(a.uplink_seconds, b.uplink_seconds) << workers;
-    EXPECT_EQ(a.intra_bytes, b.intra_bytes) << workers;
-    EXPECT_EQ(a.uplink_bytes, b.uplink_bytes) << workers;
-  }
+  // Members: 5 workers - 2 leaders = 3 payloads per cluster phase.
+  EXPECT_EQ(cost.BytesAt(1), 2u * 3u * p);
 }
 
 TEST(HierarchicalTest, HeterogeneousClusterLinksPaceOnTheirOwnModel) {
-  // K = 4 in 2 clusters of 2; cluster 1's intra link is 10x slower than
-  // cluster 0's, so both intra phases pace on cluster 1 even though the
+  // K = 4 in 2 clusters of 2; cluster 1's link is 10x slower than
+  // cluster 0's, so both cluster phases pace on cluster 1 even though the
   // cluster sizes match.
   const size_t p = 1 << 20;
-  auto h = TestHierarchy(2);
-  h.cluster_intra = {h.intra, h.intra};
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 2e8;  // 10x slower
-  EXPECT_EQ(h.ClusterSize(0, 4), 2);
-  EXPECT_EQ(h.ClusterSize(1, 4), 2);
-  const auto cost = h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
+  TopologyNode root = TwoTierNode(2);
+  root.children[1].link.bandwidth_bytes_per_sec = 2e8;  // 10x slower
+  const TopologyTree tree(root);
+  EXPECT_EQ(tree.GroupSize(0, 4), 2);
+  EXPECT_EQ(tree.GroupSize(1, 4), 2);
+  const TreeCost cost =
+      tree.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
   const double slow_phase = 1e-4 + static_cast<double>(p) / 2e8;
-  EXPECT_DOUBLE_EQ(cost.intra_seconds, 2.0 * slow_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1), 2.0 * slow_phase);
   // Bytes do not depend on link speed: 2 members x 2 phases.
-  EXPECT_EQ(cost.intra_bytes, 2u * 2u * p);
+  EXPECT_EQ(cost.BytesAt(1), 2u * 2u * p);
 
-  // A fast model for cluster 1 instead hands pacing back to cluster 0.
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 2e10;
-  const auto fast = h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
+  // A fast link for cluster 1 instead hands pacing back to cluster 0.
+  root.children[1].link.bandwidth_bytes_per_sec = 2e10;
+  const TreeCost fast = TopologyTree(root).GroupedAllReduceCost(
+      p, 4, AllReduceAlgorithm::kFlat);
   const double shared_phase = 1e-4 + static_cast<double>(p) / 2e9;
-  EXPECT_DOUBLE_EQ(fast.intra_seconds, 2.0 * shared_phase);
+  EXPECT_DOUBLE_EQ(fast.SecondsAt(1), 2.0 * shared_phase);
 }
 
 TEST(HierarchicalTest, ClusterSizesAreContiguousAndBalanced) {
-  auto h = TestHierarchy(3);
+  const TopologyTree tree = TwoTierTree(3);
   // 8 workers over 3 clusters: sizes {3, 3, 2}.
-  EXPECT_EQ(h.ClusterSize(0, 8), 3);
-  EXPECT_EQ(h.ClusterSize(1, 8), 3);
-  EXPECT_EQ(h.ClusterSize(2, 8), 2);
-  EXPECT_EQ(h.MaxClusterSize(8), 3);
+  EXPECT_EQ(tree.GroupSize(0, 8), 3);
+  EXPECT_EQ(tree.GroupSize(1, 8), 3);
+  EXPECT_EQ(tree.GroupSize(2, 8), 2);
 }
 
 TEST(AccountingTest, SlowestLinkPacesFlatCollectives) {
@@ -472,50 +463,49 @@ TEST(AccountingTest, AllOnesLinkFactorsMatchHomogeneousExactly) {
 
 TEST(AccountingTest, SlowestMemberPacesItsClusterOnly) {
   // K = 4 in 2 clusters of 2; worker 3 (cluster 1) is 8x slow. Cluster 1's
-  // intra phases slow 8x, cluster 0's do not — pacing takes the max. The
-  // uplink is paced by leaders (workers 0 and 2), both factor 1.
+  // phases slow 8x, cluster 0's do not — pacing takes the max. The uplink
+  // is paced by leaders (workers 0 and 2), both factor 1.
   const size_t p = 1 << 20;
-  auto h = TestHierarchy(2);
+  const TopologyTree tree = TwoTierTree(2);
   const std::vector<double> factors = {1.0, 1.0, 1.0, 8.0};
-  const auto cost =
-      h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat, &factors);
+  const TreeCost cost =
+      tree.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat, &factors);
   const double slow_phase = 1e-4 + static_cast<double>(p) / (2e9 / 8.0);
-  EXPECT_DOUBLE_EQ(cost.intra_seconds, 2.0 * slow_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1), 2.0 * slow_phase);
   const double uplink_phase = 1e-2 + 2.0 * static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(cost.uplink_seconds, uplink_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(0), uplink_phase);
 
   // A slow *leader* (worker 2) instead slows the uplink phase.
   const std::vector<double> slow_leader = {1.0, 1.0, 8.0, 1.0};
-  const auto leader_cost =
-      h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat, &slow_leader);
-  EXPECT_DOUBLE_EQ(leader_cost.uplink_seconds,
+  const TreeCost leader_cost = tree.GroupedAllReduceCost(
+      p, 4, AllReduceAlgorithm::kFlat, &slow_leader);
+  EXPECT_DOUBLE_EQ(leader_cost.SecondsAt(0),
                    1e-2 + 2.0 * static_cast<double>(p) / (1e8 / 8.0));
 }
 
 TEST(AccountingTest, PointToPointBillsTheUploadingWorkersLink) {
   // A slow worker's state uploads transit *its* link: the same straggler
   // factor that paces collectives also paces its point-to-point traffic,
-  // and under a heterogeneous hierarchy the upload uses its cluster's
-  // intra model. Workers without a factor stay at homogeneous cost.
+  // and under heterogeneous cluster links the upload uses its cluster's
+  // link. Workers without a factor stay at homogeneous cost.
   const size_t n = 100;
   const size_t p = n * sizeof(float);
-  auto h = TestHierarchy(2);
-  h.cluster_intra = {h.intra, h.intra};
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 4e8;  // workers 2, 3
-  SimNetwork network(4, h, AllReduceAlgorithm::kFlat);
+  TopologyNode root = TwoTierNode(2);
+  root.children[1].link.bandwidth_bytes_per_sec = 4e8;  // workers 2, 3
+  SimNetwork network(4, TopologyTree(root), AllReduceAlgorithm::kFlat);
   network.SetWorkerLinkFactors({1.0, 1.0, 1.0, 5.0});
 
   network.PointToPoint(n, TrafficClass::kLocalState, 0);  // fast cluster
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / 2e9);
   const double uplink_fast = 1e-2 + static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink, uplink_fast);
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0), uplink_fast);
 
   network.ResetStats();
   network.PointToPoint(n, TrafficClass::kLocalState, 3);  // slow worker
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / (4e8 / 5.0));
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0),
                    1e-2 + static_cast<double>(p) / (1e8 / 5.0));
   // Bytes are link-speed independent.
   EXPECT_EQ(network.stats().bytes_total, 2u * p);
@@ -538,13 +528,15 @@ TEST(AccountingTest, AlgorithmNames) {
 }
 
 TEST(HierarchicalTest, EdgeCloudPresetIsTwoTier) {
-  const auto preset = HierarchicalNetworkModel::EdgeCloud(3);
+  const TopologyTree preset = TopologyTree::EdgeCloud(3);
   EXPECT_TRUE(preset.enabled());
-  EXPECT_EQ(preset.num_clusters, 3);
-  EXPECT_GT(preset.intra.bandwidth_bytes_per_sec,
-            preset.uplink.bandwidth_bytes_per_sec);
-  EXPECT_LT(preset.intra.latency_seconds, preset.uplink.latency_seconds);
-  EXPECT_FALSE(HierarchicalNetworkModel::None().enabled());
+  EXPECT_EQ(preset.depth(), 2);
+  EXPECT_EQ(preset.num_leaf_groups(), 3);
+  const NetworkModel& uplink = preset.node(0).link;
+  const NetworkModel& cluster = preset.node(1).link;
+  EXPECT_GT(cluster.bandwidth_bytes_per_sec, uplink.bandwidth_bytes_per_sec);
+  EXPECT_LT(cluster.latency_seconds, uplink.latency_seconds);
+  EXPECT_FALSE(TopologyTree().enabled());
 }
 
 }  // namespace

@@ -28,10 +28,16 @@ std::vector<float> RandomVec(size_t n, uint64_t seed) {
 // ---------------------------------------------------------------- configs
 
 TEST(CompressionConfigTest, FactoriesAndValidation) {
-  EXPECT_EQ(CompressionConfig::None().kind, CompressionKind::kNone);
-  EXPECT_EQ(CompressionConfig::Quantize8().kind,
-            CompressionKind::kQuantize8);
-  EXPECT_EQ(CompressionConfig::TopK(0.1).kind, CompressionKind::kTopK);
+  EXPECT_FALSE(CompressionConfig::None().enabled());
+  // The presets are one-stage pipelines.
+  const CompressionConfig q8 = CompressionConfig::Quantize8();
+  ASSERT_EQ(q8.stages.size(), 1u);
+  EXPECT_EQ(q8.stages[0].kind, CodecStageKind::kQuantize);
+  EXPECT_EQ(q8.stages[0].bits, 8);
+  const CompressionConfig top = CompressionConfig::TopK(0.1);
+  ASSERT_EQ(top.stages.size(), 1u);
+  EXPECT_EQ(top.stages[0].kind, CodecStageKind::kTopK);
+  EXPECT_DOUBLE_EQ(top.stages[0].fraction, 0.1);
   EXPECT_TRUE(CompressionConfig::TopK(0.5).Validate().ok());
   EXPECT_FALSE(CompressionConfig::TopK(0.0).Validate().ok());
   EXPECT_FALSE(CompressionConfig::TopK(1.5).Validate().ok());

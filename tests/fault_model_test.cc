@@ -303,9 +303,8 @@ TEST(FaultCollectivesTest, SubsetAverageMatchesSmallerFleet) {
 }
 
 TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
-  TopologyTree tree =
-      TopologyTree::FromHierarchy(HierarchicalNetworkModel::EdgeCloud(2));
-  SimNetwork network(4, std::move(tree), AllReduceAlgorithm::kFlat);
+  SimNetwork network(4, TopologyTree::EdgeCloud(2),
+                     AllReduceAlgorithm::kFlat);
   const size_t n = 16;
   std::vector<float> buffer(n, 2.0f);
   std::vector<char> active = {1, 0, 1, 1};  // worker 1 absent
@@ -501,10 +500,7 @@ struct HierarchicalHarness {
 
   HierarchicalHarness()
       : arena(4, kDim, 0),
-        network(4,
-                TopologyTree::FromHierarchy(
-                    HierarchicalNetworkModel::EdgeCloud(2)),
-                AllReduceAlgorithm::kFlat),
+        network(4, TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kFlat),
         faults(FaultConfig::None(), 4, /*seed=*/1),
         sync_params(kDim, 0.0f),
         prev_sync_params(kDim, 0.0f) {

@@ -12,7 +12,8 @@
 // exactly; accuracies are exact sample-count ratios so they compare exactly
 // too; simulated seconds compare at 1e-9 relative tolerance (double sums
 // whose last bits may legitimately differ across FMA-contraction choices of
-// other toolchains).
+// other toolchains). Every run also checks that its CommStats obey the
+// accounting conservation laws (testing::ExpectCommStatsConserved).
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "nn/zoo.h"
 #include "sim/topology_tree.h"
 #include "tensor/simd_dispatch.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -163,6 +165,7 @@ TEST(GoldenHistoryTest, MlpLinearFdaSequentialAndParallel) {
     FEDRA_CHECK(policy.ok());
     auto result = trainer.Run(policy->get());
     FEDRA_CHECK(result.ok());
+    testing::ExpectCommStatsConserved(result->comm);
     return result->history;
   };
   std::vector<EvalPoint> sequential = run_with(false);
@@ -188,6 +191,7 @@ TEST(GoldenHistoryTest, LenetSynchronous) {
   ASSERT_TRUE(policy.ok());
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
   ExpectHistoryMatches("LenetSync", result->history, kLenetSync);
 }
 
@@ -208,6 +212,7 @@ TEST(GoldenHistoryTest, MlpFedAvg) {
   ASSERT_TRUE(policy.ok());
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
   ExpectHistoryMatches("MlpFedAvg", result->history, kMlpFedAvg);
 }
 
@@ -225,6 +230,7 @@ TEST(GoldenHistoryTest, MlpAsyncFda) {
                           async_config);
   auto result = trainer.Run();
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->base.comm);
   ExpectHistoryMatches("MlpAsync", result->base.history, kMlpAsync);
 }
 
@@ -256,6 +262,7 @@ TEST(GoldenHistoryTest, ThreeTierHierarchicalFdaSequentialAndParallel) {
     FEDRA_CHECK(policy.ok());
     auto result = trainer.Run(policy->get());
     FEDRA_CHECK(result.ok());
+    testing::ExpectCommStatsConserved(result->comm);
     return result->history;
   };
   std::vector<EvalPoint> sequential = run_with(false);
@@ -296,6 +303,7 @@ void ExpectFdaGolden(const char* name, const AlgorithmConfig& algorithm,
     FEDRA_CHECK(policy.ok());
     auto result = trainer.Run(policy->get());
     FEDRA_CHECK(result.ok());
+    testing::ExpectCommStatsConserved(result->comm);
     return std::move(result).value();
   };
   const TrainResult sequential = run_with(false);
@@ -357,6 +365,7 @@ TEST(GoldenHistoryTest, DenseNetParallelMatchesSequentialBitExact) {
     FEDRA_CHECK(policy.ok());
     auto result = trainer.Run(policy->get());
     FEDRA_CHECK(result.ok());
+    testing::ExpectCommStatsConserved(result->comm);
     return result->history;
   };
   std::vector<EvalPoint> sequential = run_with(false);
@@ -386,6 +395,7 @@ TEST(GoldenHistoryTest, FleetPopulationEqualsCohortMatchesGolden) {
   ASSERT_TRUE(policy.ok());
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
   ExpectHistoryMatches("MlpLinearFdaFleet", result->history, kMlpLinearFda);
   EXPECT_EQ(result->comm.check_in_syncs, 0ull);
 }
@@ -406,6 +416,7 @@ TEST(GoldenHistoryTest, FleetHierarchicalPopulationEqualsCohortMatchesGolden) {
   ASSERT_TRUE(policy.ok());
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
   ExpectHistoryMatches("MlpHier3TierFleet", result->history, kMlpHier3Tier);
 }
 
@@ -425,6 +436,7 @@ TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
                           async_config);
   auto result = trainer.Run();
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->base.comm);
   ExpectHistoryMatches("MlpAsyncFleet", result->base.history, kMlpAsync);
 }
 
@@ -453,6 +465,7 @@ TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortBitIdentical) {
     FEDRA_CHECK(policy.ok());
     auto result = trainer.Run(policy->get());
     FEDRA_CHECK(result.ok());
+    testing::ExpectCommStatsConserved(result->comm);
     return std::move(result).value();
   };
   TrainResult resident = run_with(false);
@@ -495,6 +508,7 @@ TEST(GoldenHistoryTest, CompressedChurnedFleetMatchesGolden) {
   ASSERT_TRUE(policy.ok());
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
   ExpectHistoryMatches("MlpCodecFleet", result->history, kMlpCodecFleet);
   if (GoldenPrintMode()) {
     std::printf("bytes_total=%lluull rejoins=%lluull check_in_syncs=%lluull\n",
@@ -525,15 +539,30 @@ struct GoldenTotals {
   uint64_t rejoin_count;
 };
 
+// Per-depth simulated seconds: depth 0 is the root tier (the whole channel
+// of a flat network), depth 1 the tier below it.
+struct GoldenDepthSeconds {
+  double depth0;
+  double depth1;
+};
+
 template <typename RunFn, size_t N>
 void ExpectRunGolden(const char* name, const RunFn& run,
                      const GoldenPoint (&golden)[N],
-                     const GoldenTotals& totals) {
+                     const GoldenTotals& totals,
+                     const GoldenDepthSeconds* depth_seconds = nullptr) {
   const TrainResult sequential = run(/*parallel=*/false);
   const TrainResult parallel = run(/*parallel=*/true);
+  testing::ExpectCommStatsConserved(sequential.comm);
+  testing::ExpectCommStatsConserved(parallel.comm);
   ExpectHistoryMatches(name, sequential.history, golden);
   ExpectHistoriesBitIdentical(sequential.history, parallel.history);
   if (GoldenPrintMode()) {
+    if (depth_seconds != nullptr) {
+      std::printf("{%.17g, %.17g}  // depth seconds\n",
+                  sequential.comm.SecondsAtDepth(0),
+                  sequential.comm.SecondsAtDepth(1));
+    }
     std::printf(
         "{%lluull, %lluull, %lluull, %lluull}  // model_syncs=%llu "
         "subtree_syncs=%llu\n",
@@ -550,6 +579,14 @@ void ExpectRunGolden(const char* name, const RunFn& run,
     EXPECT_EQ(result->comm.retries, totals.retries) << name;
     EXPECT_EQ(result->comm.dropped_messages, totals.dropped_messages) << name;
     EXPECT_EQ(result->rejoin_count, totals.rejoin_count) << name;
+    if (depth_seconds != nullptr) {
+      EXPECT_NEAR(result->comm.SecondsAtDepth(0), depth_seconds->depth0,
+                  1e-9 * std::max(1.0, depth_seconds->depth0))
+          << name;
+      EXPECT_NEAR(result->comm.SecondsAtDepth(1), depth_seconds->depth1,
+                  1e-9 * std::max(1.0, depth_seconds->depth1))
+          << name;
+    }
   }
 }
 
@@ -696,6 +733,168 @@ TEST(GoldenHistoryTest, AsyncFdaUnderChurnAndLoss) {
         return std::move(result).value().base;
       },
       kMlpAsyncChurnLoss, kMlpAsyncChurnLossTotals);
+}
+
+// ---------------------------------------------------------------------------
+// Two-tier edge->cloud runs and the q8 / q4 / top-k codec presets, pinned
+// with their per-depth time split. Captured with FEDRA_GOLDEN_PRINT=1 while
+// two-tier networks and single-codec presets still had config surfaces of
+// their own; the TopologyTree and stage-pipeline forms reproduce them.
+
+// Each worker is persistently 4x slow with probability 0.3.
+StragglerModel EdgeStragglers() {
+  StragglerModel straggler = StragglerModel::None(0.01);
+  straggler.slow_worker_prob = 0.3;
+  straggler.slow_factor = 4.0;
+  return straggler;
+}
+
+const GoldenPoint kMlpTwoTierStragglers[] = {
+    {20, 0.5078125, 0.703125, 1080464ull, 3ull, 1.2869514112},
+    {40, 0.7734375, 0.8203125, 1801520ull, 5ull, 2.5515884160000017},
+    {60, 0.9453125, 0.90625, 2522576ull, 7ull, 3.816225420800003},
+};
+const GoldenTotals kMlpTwoTierStragglersTotals = {2522576ull, 0ull, 0ull, 0ull};
+const GoldenDepthSeconds kMlpTwoTierStragglersDepths =
+    {1.3457658880000014, 0.070459532799999947};
+
+TEST(GoldenHistoryTest, TwoTierStragglersSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpTwoTierStragglers",
+      [](bool parallel) {
+        TrainerConfig config = MlpConfig(8);
+        config.topology = TopologyTree::EdgeCloud(2);
+        config.straggler = EdgeStragglers();
+        config.parallel_workers = parallel;
+        return RunMlp(config, AlgorithmConfig::LinearFda(0.15));
+      },
+      kMlpTwoTierStragglers, kMlpTwoTierStragglersTotals,
+      &kMlpTwoTierStragglersDepths);
+}
+
+const GoldenPoint kMlpTwoTierSlowCluster[] = {
+    {20, 0.5078125, 0.703125, 1080464ull, 3ull, 0.72251411199999982},
+    {40, 0.7734375, 0.8203125, 1801520ull, 5ull, 1.4108841599999995},
+    {60, 0.9453125, 0.90625, 2522576ull, 7ull, 2.0992542079999987},
+};
+const GoldenTotals kMlpTwoTierSlowClusterTotals =
+    {2522576ull, 0ull, 0ull, 0ull};
+const GoldenDepthSeconds kMlpTwoTierSlowClusterDepths =
+    {1.3457658880000014, 0.15348832000000021};
+
+TEST(GoldenHistoryTest, TwoTierSlowClusterSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpTwoTierSlowCluster",
+      [](bool parallel) {
+        TrainerConfig config = MlpConfig(8);
+        // EdgeCloud(2) with cluster 1's edge link 100x slower.
+        TopologyNode root;
+        root.link = NetworkModel::Federated();
+        root.children.resize(2);
+        for (TopologyNode& cluster : root.children) {
+          cluster.link = NetworkModel::EdgeLan();
+        }
+        root.children[1].link.bandwidth_bytes_per_sec /= 100.0;
+        config.topology = TopologyTree(root);
+        config.parallel_workers = parallel;
+        return RunMlp(config, AlgorithmConfig::LinearFda(0.15));
+      },
+      kMlpTwoTierSlowCluster, kMlpTwoTierSlowClusterTotals,
+      &kMlpTwoTierSlowClusterDepths);
+}
+
+template <size_t N>
+void ExpectCodecPresetGolden(const char* name, const CompressionConfig& codec,
+                             const GoldenPoint (&golden)[N],
+                             const GoldenTotals& totals,
+                             const GoldenDepthSeconds& depth_seconds) {
+  ExpectRunGolden(
+      name,
+      [&codec](bool parallel) {
+        TrainerConfig config = MlpConfig(4);
+        config.sync_compression = codec;
+        config.parallel_workers = parallel;
+        return RunMlp(config, AlgorithmConfig::LinearFda(0.15));
+      },
+      golden, totals, &depth_seconds);
+}
+
+const GoldenPoint kMlpQuantize8[] = {
+    {20, 0.4921875, 0.671875, 52016ull, 2ull, 0.2001174308571429},
+    {40, 0.78125, 0.8046875, 104032ull, 4ull, 0.40023486171428591},
+    {60, 0.9375, 0.8984375, 156048ull, 6ull, 0.60035229257142886},
+};
+const GoldenTotals kMlpQuantize8Totals = {156048ull, 0ull, 0ull, 0ull};
+const GoldenDepthSeconds kMlpQuantize8Depths = {0.00035229257142857116, 0.0};
+
+TEST(GoldenHistoryTest, Quantize8PresetSequentialAndParallel) {
+  ExpectCodecPresetGolden("MlpQuantize8", CompressionConfig::Quantize8(),
+                          kMlpQuantize8, kMlpQuantize8Totals,
+                          kMlpQuantize8Depths);
+}
+
+const GoldenPoint kMlpQuantize4[] = {
+    {20, 0.4921875, 0.671875, 26344ull, 2ull, 0.20011376342857146},
+    {40, 0.78125, 0.8046875, 52688ull, 4ull, 0.40022752685714302},
+    {60, 0.9375, 0.8984375, 79032ull, 6ull, 0.60034129028571459},
+};
+const GoldenTotals kMlpQuantize4Totals = {79032ull, 0ull, 0ull, 0ull};
+const GoldenDepthSeconds kMlpQuantize4Depths = {0.00034129028571428541, 0.0};
+
+TEST(GoldenHistoryTest, Quantize4PresetSequentialAndParallel) {
+  ExpectCodecPresetGolden("MlpQuantize4", CompressionConfig::Quantize4(),
+                          kMlpQuantize4, kMlpQuantize4Totals,
+                          kMlpQuantize4Depths);
+}
+
+const GoldenPoint kMlpTopK[] = {
+    {20, 0.4140625, 0.59375, 10880ull, 1ull, 0.20010655428571433},
+    {40, 0.4921875, 0.6640625, 21760ull, 2ull, 0.40021310857142878},
+    {60, 0.71875, 0.703125, 42880ull, 4ull, 0.60032612571428601},
+};
+const GoldenTotals kMlpTopKTotals = {42880ull, 0ull, 0ull, 0ull};
+const GoldenDepthSeconds kMlpTopKDepths = {0.00032612571428571404, 0.0};
+
+TEST(GoldenHistoryTest, TopKPresetSequentialAndParallel) {
+  ExpectCodecPresetGolden("MlpTopK", CompressionConfig::TopK(0.05), kMlpTopK,
+                          kMlpTopKTotals, kMlpTopKDepths);
+}
+
+const GoldenPoint kMlpAsyncTwoTier[] = {
+    {10, 0.3515625, 0.484375, 771680ull, 1ull, 0.1923144064},
+    {20, 0.46875, 0.5625, 1645824ull, 2ull, 0.39462881280000012},
+    {30, 0.609375, 0.703125, 1904224ull, 2ull, 0.5546288128000002},
+    {40, 0.6953125, 0.75, 2521968ull, 3ull, 0.72694321920000038},
+    {50, 0.7890625, 0.78125, 3293536ull, 4ull, 0.92925762560000058},
+};
+const GoldenTotals kMlpAsyncTwoTierTotals = {3293536ull, 118ull, 2ull, 42ull};
+const GoldenDepthSeconds kMlpAsyncTwoTierDepths =
+    {10.386369024000016, 1.0137971584000045};
+
+TEST(GoldenHistoryTest, AsyncFdaTwoTierUnderChurnAndLoss) {
+  ExpectRunGolden(
+      "MlpAsyncTwoTier",
+      [](bool parallel) {
+        const SynthImageData& data = SharedMnistLike();
+        auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+        TrainerConfig config = MlpConfig(8);
+        config.eval_every_steps = 10;
+        config.topology = TopologyTree::EdgeCloud(2);
+        config.straggler = EdgeStragglers();
+        config.faults = FaultConfig::Churn(8.0, 2.0);
+        config.faults.message_loss_prob = 0.2;
+        config.parallel_workers = parallel;
+        AsyncFdaConfig async_config;
+        async_config.theta = 0.5;
+        async_config.monitor.kind = MonitorKind::kLinear;
+        async_config.max_total_worker_steps = 400;
+        AsyncFdaTrainer trainer(factory, data.train, data.test, config,
+                                async_config);
+        auto result = trainer.Run();
+        FEDRA_CHECK(result.ok());
+        return std::move(result).value().base;
+      },
+      kMlpAsyncTwoTier, kMlpAsyncTwoTierTotals, &kMlpAsyncTwoTierDepths);
 }
 
 }  // namespace

@@ -254,8 +254,8 @@ TEST(CommStatsTest, MergeAccumulates) {
   a.comm_seconds = 1.5;
   a.seconds_local_state = 0.5;
   a.seconds_model_sync = 1.0;
-  a.seconds_intra = 0.25;
-  a.seconds_uplink = 1.25;
+  a.ChargeDepth(0, 60, 1.25);
+  a.ChargeDepth(1, 40, 0.25);
   CommStats b = a;
   a.Merge(b);
   EXPECT_EQ(a.allreduce_calls, 4u);
@@ -265,8 +265,10 @@ TEST(CommStatsTest, MergeAccumulates) {
   EXPECT_DOUBLE_EQ(a.comm_seconds, 3.0);
   EXPECT_DOUBLE_EQ(a.seconds_local_state, 1.0);
   EXPECT_DOUBLE_EQ(a.seconds_model_sync, 2.0);
-  EXPECT_DOUBLE_EQ(a.seconds_intra, 0.5);
-  EXPECT_DOUBLE_EQ(a.seconds_uplink, 2.5);
+  EXPECT_DOUBLE_EQ(a.SecondsAtDepth(0), 2.5);
+  EXPECT_DOUBLE_EQ(a.SecondsAtDepth(1), 0.5);
+  EXPECT_EQ(a.BytesAtDepth(0), 120u);
+  EXPECT_EQ(a.BytesAtDepth(1), 80u);
 }
 
 TEST(CommStatsTest, GigabytesConversion) {
@@ -279,6 +281,12 @@ TEST(CommStatsTest, ToStringMentionsTotals) {
   CommStats stats;
   stats.bytes_total = 1024;
   EXPECT_NE(stats.ToString().find("1.00 KB"), std::string::npos);
+  // One depth prints no split; two or more print the time per depth.
+  stats.ChargeDepth(0, 1024, 1.0);
+  EXPECT_EQ(stats.ToString().find("by_depth"), std::string::npos);
+  stats.ChargeDepth(1, 0, 0.25);
+  EXPECT_NE(stats.ToString().find("by_depth=[1.000s, 0.250s]"),
+            std::string::npos);
 }
 
 }  // namespace

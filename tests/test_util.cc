@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include <gtest/gtest.h>
+
 #include "nn/loss.h"
 #include "util/check.h"
 
@@ -93,6 +95,24 @@ GradCheckResult CheckParamGradient(Model* model, const Tensor& input,
     UpdateErrors(static_cast<double>(model->grads()[i]), numeric, &result);
   }
   return result;
+}
+
+void ExpectCommStatsConserved(const CommStats& stats) {
+  ASSERT_EQ(stats.seconds_by_depth.size(), stats.bytes_by_depth.size());
+  uint64_t depth_bytes = 0;
+  double depth_seconds = 0.0;
+  for (size_t d = 0; d < stats.bytes_by_depth.size(); ++d) {
+    depth_bytes += stats.bytes_by_depth[d];
+    depth_seconds += stats.seconds_by_depth[d];
+  }
+  EXPECT_EQ(depth_bytes, stats.bytes_total);
+  EXPECT_EQ(stats.bytes_local_state + stats.bytes_model_sync,
+            stats.bytes_total);
+  EXPECT_LE(stats.bytes_model_downlink, stats.bytes_model_sync);
+  const double tolerance = 1e-12 * stats.comm_seconds;
+  EXPECT_NEAR(depth_seconds, stats.comm_seconds, tolerance);
+  EXPECT_NEAR(stats.seconds_local_state + stats.seconds_model_sync,
+              stats.comm_seconds, tolerance);
 }
 
 }  // namespace testing

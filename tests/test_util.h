@@ -1,5 +1,6 @@
-// Shared test helpers: random tensor filling and finite-difference gradient
-// checking for layers and models.
+// Shared test helpers: random tensor filling, finite-difference gradient
+// checking for layers and models, and the conservation laws of a run's
+// communication accounting.
 
 #ifndef FEDRA_TESTS_TEST_UTIL_H_
 #define FEDRA_TESTS_TEST_UTIL_H_
@@ -11,6 +12,7 @@
 
 #include "nn/layer.h"
 #include "nn/model.h"
+#include "sim/comm_stats.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
 
@@ -82,6 +84,13 @@ GradCheckResult CheckParamGradient(Model* model, const Tensor& input,
                                    const std::vector<int>& labels,
                                    size_t num_probes, uint64_t seed,
                                    double epsilon = 1e-3);
+
+/// Expects the conservation laws every CommStats record obeys: the
+/// per-depth bytes and the two traffic classes' bytes each sum exactly to
+/// bytes_total, downlink bytes are a share of model-sync bytes, and the
+/// per-depth and per-class seconds each sum to comm_seconds within 1e-12
+/// relative (they accumulate in separate doubles).
+void ExpectCommStatsConserved(const CommStats& stats);
 
 }  // namespace testing
 }  // namespace fedra

@@ -8,10 +8,10 @@
 //      re-executing this binary with the env var pinned and comparing
 //      result hashes (the global pool size is fixed at first use, so the
 //      sweep needs fresh processes);
-//   3. depth-2 parity — a random two-tier hierarchy costs exactly (to the
-//      last byte and the last double bit) what the original closed-form
-//      HierarchicalNetworkModel formulas computed; the legacy formulas are
-//      reimplemented here verbatim as the independent reference;
+//   3. depth-2 parity — a random two-tier tree costs exactly (to the last
+//      byte and the last double bit) what the closed-form edge-cluster /
+//      uplink formulas compute; those formulas are implemented here as the
+//      independent reference;
 //   4. degeneracy — a single-node tree reproduces the flat single-tier
 //      network's accounting exactly.
 
@@ -31,6 +31,7 @@
 #include "sim/network_model.h"
 #include "sim/topology_tree.h"
 #include "tensor/ref_ops.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace fedra {
@@ -197,7 +198,6 @@ TEST(TopologyTreeTest, SubtreeAllReduceAveragesMembersOnly) {
   // Root tier (the uplink) carries nothing; the site and device tiers do.
   EXPECT_EQ(stats.BytesAtDepth(0), 0u);
   EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(0), 0.0);
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, 0.0);
   EXPECT_GT(stats.SecondsAtDepth(1), 0.0);
   EXPECT_GT(stats.SecondsAtDepth(2), 0.0);
   const size_t p = n * sizeof(float);
@@ -209,9 +209,47 @@ TEST(TopologyTreeTest, SubtreeAllReduceAveragesMembersOnly) {
 
 // ------------------------------------------ legacy closed-form reference --
 
-// The pre-generalization HierarchicalNetworkModel cost formulas, kept
+// The two-tier closed-form cost formulas the tree generalized, kept
 // verbatim as the independent oracle for the depth-2 parity property.
 namespace legacy {
+
+// The two-tier layout the formulas read: `num_clusters` contiguous blocks
+// of workers (sizes as equal as possible), cluster c reaching its leader
+// over intra[c], the leaders joined by `uplink`.
+struct TwoTier {
+  NetworkModel uplink;
+  std::vector<NetworkModel> intra;  // one link per cluster
+  int num_clusters = 0;
+
+  const NetworkModel& IntraModel(int cluster) const {
+    return intra[static_cast<size_t>(cluster)];
+  }
+  int ClusterSize(int cluster, int num_workers) const {
+    const int clusters = std::min(num_clusters, num_workers);
+    const int base = num_workers / clusters;
+    const int remainder = num_workers % clusters;
+    return base + (cluster < remainder ? 1 : 0);
+  }
+  // The same layout as a depth-2 tree: the uplink at the root over one
+  // leaf group per cluster.
+  TopologyTree Tree() const {
+    TopologyNode root;
+    root.link = uplink;
+    for (const NetworkModel& link : intra) {
+      TopologyNode cluster;
+      cluster.link = link;
+      root.children.push_back(cluster);
+    }
+    return TopologyTree(root);
+  }
+};
+
+struct TierCost {
+  double intra_seconds = 0.0;
+  double uplink_seconds = 0.0;
+  size_t intra_bytes = 0;
+  size_t uplink_bytes = 0;
+};
 
 double MaxLinkFactor(const std::vector<double>* factors, int begin,
                      int size) {
@@ -230,7 +268,7 @@ struct IntraPhase {
   double max_leader_factor = 1.0;
 };
 
-IntraPhase SlowestIntraPhase(const HierarchicalNetworkModel& h,
+IntraPhase SlowestIntraPhase(const TwoTier& h,
                              double payload_bytes, int num_workers,
                              const std::vector<double>* factors) {
   const int clusters = std::min(h.num_clusters, num_workers);
@@ -254,11 +292,11 @@ IntraPhase SlowestIntraPhase(const HierarchicalNetworkModel& h,
   return phase;
 }
 
-HierarchicalNetworkModel::TierCost GroupedAllReduceCost(
-    const HierarchicalNetworkModel& h, double payload_bytes, int num_workers,
-    AllReduceAlgorithm cross_algorithm,
-    const std::vector<double>* factors) {
-  HierarchicalNetworkModel::TierCost cost;
+TierCost GroupedAllReduceCost(const TwoTier& h, double payload_bytes,
+                              int num_workers,
+                              AllReduceAlgorithm cross_algorithm,
+                              const std::vector<double>* factors) {
+  TierCost cost;
   if (num_workers == 1) {
     return cost;
   }
@@ -285,10 +323,9 @@ HierarchicalNetworkModel::TierCost GroupedAllReduceCost(
   return cost;
 }
 
-HierarchicalNetworkModel::TierCost BroadcastCost(
-    const HierarchicalNetworkModel& h, size_t payload_bytes, int num_workers,
-    const std::vector<double>* factors) {
-  HierarchicalNetworkModel::TierCost cost;
+TierCost BroadcastCost(const TwoTier& h, size_t payload_bytes,
+                       int num_workers, const std::vector<double>* factors) {
+  TierCost cost;
   if (num_workers == 1) {
     return cost;
   }
@@ -313,30 +350,34 @@ HierarchicalNetworkModel::TierCost BroadcastCost(
 
 }  // namespace legacy
 
-HierarchicalNetworkModel RandomHierarchy(Rng& rng) {
-  HierarchicalNetworkModel h;
-  h.name = "random2tier";
+// A random two-tier layout: one shared cluster link or, half the time, a
+// distinct link per cluster.
+legacy::TwoTier RandomTwoTier(Rng& rng) {
+  legacy::TwoTier h;
   h.num_clusters = 1 + static_cast<int>(rng.NextBounded(5));
-  h.intra = RandomLink(rng);
+  const NetworkModel shared_intra = RandomLink(rng);
   h.uplink = RandomLink(rng);
+  h.intra.assign(static_cast<size_t>(h.num_clusters), shared_intra);
   if (rng.NextBernoulli(0.5)) {
-    for (int c = 0; c < h.num_clusters; ++c) {
-      h.cluster_intra.push_back(RandomLink(rng));
+    for (NetworkModel& link : h.intra) {
+      link = RandomLink(rng);
     }
   }
   return h;
 }
 
 // Depth-2 parity to the last byte and the last double bit, randomized over
-// cluster counts, heterogeneous intra links, straggler factors, fractional
-// (compressed-wire-size) payloads, algorithms, and worker counts.
+// cluster counts, heterogeneous cluster links, straggler factors,
+// fractional (compressed-wire-size) payloads, algorithms, and worker
+// counts. Depth 0 is the uplink tier, depth 1 the cluster tier.
 TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
   Rng rng(7);
   const AllReduceAlgorithm algorithms[] = {
       AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
       AllReduceAlgorithm::kRecursiveHalving};
   for (int trial = 0; trial < 200; ++trial) {
-    const HierarchicalNetworkModel h = RandomHierarchy(rng);
+    const legacy::TwoTier h = RandomTwoTier(rng);
+    const TopologyTree tree = h.Tree();
     const int workers =
         h.num_clusters + static_cast<int>(rng.NextBounded(12));
     const double payload =
@@ -356,58 +397,22 @@ TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
 
     const auto expected = legacy::GroupedAllReduceCost(
         h, payload, workers, algorithm, factors_ptr);
-    const auto got =
-        h.GroupedAllReduceCost(payload, workers, algorithm, factors_ptr);
-    EXPECT_EQ(expected.intra_seconds, got.intra_seconds);
-    EXPECT_EQ(expected.uplink_seconds, got.uplink_seconds);
-    EXPECT_EQ(expected.intra_bytes, got.intra_bytes);
-    EXPECT_EQ(expected.uplink_bytes, got.uplink_bytes);
+    const TreeCost got =
+        tree.GroupedAllReduceCost(payload, workers, algorithm, factors_ptr);
+    EXPECT_EQ(expected.intra_seconds, got.SecondsAt(1));
+    EXPECT_EQ(expected.uplink_seconds, got.SecondsAt(0));
+    EXPECT_EQ(expected.intra_bytes, got.BytesAt(1));
+    EXPECT_EQ(expected.uplink_bytes, got.BytesAt(0));
 
     const size_t bcast_payload = static_cast<size_t>(payload);
     const auto expected_bcast =
         legacy::BroadcastCost(h, bcast_payload, workers, factors_ptr);
-    const auto got_bcast =
-        h.BroadcastCost(bcast_payload, workers, factors_ptr);
-    EXPECT_EQ(expected_bcast.intra_seconds, got_bcast.intra_seconds);
-    EXPECT_EQ(expected_bcast.uplink_seconds, got_bcast.uplink_seconds);
-    EXPECT_EQ(expected_bcast.intra_bytes, got_bcast.intra_bytes);
-    EXPECT_EQ(expected_bcast.uplink_bytes, got_bcast.uplink_bytes);
-  }
-}
-
-// The same parity at the SimNetwork level: a network configured with the
-// two-tier hierarchy and one configured with its depth-2 tree account
-// identical stats for a mixed collective sequence.
-TEST(TopologyTreeTest, HierarchicalNetworkEqualsDepth2TreeNetwork) {
-  Rng rng(99);
-  for (int trial = 0; trial < 20; ++trial) {
-    const HierarchicalNetworkModel h = RandomHierarchy(rng);
-    const int workers =
-        h.num_clusters + static_cast<int>(rng.NextBounded(9));
-    const size_t n = 1 + rng.NextBounded(5000);
-    std::vector<double> factors = RandomFactors(rng, workers);
-    auto run = [&](SimNetwork network) {
-      network.SetWorkerLinkFactors(factors);
-      auto buffers = RandomBuffers(workers, n, 300 + trial);
-      auto pointers = Pointers(buffers);
-      network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-      network.Broadcast(pointers, n, 0, TrafficClass::kModelSync);
-      network.PointToPoint(n, TrafficClass::kLocalState,
-                           static_cast<int>(rng.NextBounded(workers)));
-      return network.stats();
-    };
-    Rng fork = rng;  // both runs draw the same p2p worker
-    const CommStats a = run(SimNetwork(workers, h, AllReduceAlgorithm::kRing));
-    rng = fork;
-    const CommStats b = run(SimNetwork(
-        workers, TopologyTree::FromHierarchy(h), AllReduceAlgorithm::kRing));
-    SCOPED_TRACE(::testing::Message() << "trial " << trial);
-    EXPECT_EQ(a.bytes_total, b.bytes_total);
-    EXPECT_EQ(a.comm_seconds, b.comm_seconds);
-    EXPECT_EQ(a.seconds_intra, b.seconds_intra);
-    EXPECT_EQ(a.seconds_uplink, b.seconds_uplink);
-    EXPECT_EQ(a.BytesAtDepth(0), b.BytesAtDepth(0));
-    EXPECT_EQ(a.BytesAtDepth(1), b.BytesAtDepth(1));
+    const TreeCost got_bcast =
+        tree.BroadcastCost(bcast_payload, workers, factors_ptr);
+    EXPECT_EQ(expected_bcast.intra_seconds, got_bcast.SecondsAt(1));
+    EXPECT_EQ(expected_bcast.uplink_seconds, got_bcast.SecondsAt(0));
+    EXPECT_EQ(expected_bcast.intra_bytes, got_bcast.BytesAt(1));
+    EXPECT_EQ(expected_bcast.uplink_bytes, got_bcast.BytesAt(0));
   }
 }
 
@@ -451,8 +456,6 @@ TEST(TopologyTreeTest, SingleNodeTreeMatchesFlatNetworkExactly) {
                  << " algorithm " << AllReduceAlgorithmName(algorithm));
     EXPECT_EQ(flat.stats.bytes_total, tree.stats.bytes_total);
     EXPECT_EQ(flat.stats.comm_seconds, tree.stats.comm_seconds);
-    EXPECT_EQ(flat.stats.seconds_uplink, tree.stats.seconds_uplink);
-    EXPECT_EQ(flat.stats.seconds_intra, tree.stats.seconds_intra);
     EXPECT_EQ(flat.stats.seconds_local_state, tree.stats.seconds_local_state);
     EXPECT_EQ(flat.stats.seconds_model_sync, tree.stats.seconds_model_sync);
     EXPECT_EQ(flat.stats.BytesAtDepth(0), tree.stats.BytesAtDepth(0));
@@ -503,17 +506,19 @@ TEST(TopologyTreeTest, ThreeTierGroupedAllReduceGolden) {
   EXPECT_DOUBLE_EQ(cost.SecondsAt(0), 1e-2 + 2.0 * p / 1e8);
   EXPECT_EQ(cost.BytesAt(0), 2u * static_cast<uint64_t>(p));
 
-  // The SimNetwork charge splits match: depth 0 is the uplink, the rest
-  // intra, and everything sums to comm_seconds.
+  // The SimNetwork charge lands per depth, and everything sums to
+  // comm_seconds.
   SimNetwork network(8, tree, AllReduceAlgorithm::kFlat);
   auto buffers = RandomBuffers(8, n, 17);
   auto pointers = Pointers(buffers);
   const double predicted = network.ModelSyncSeconds(n * sizeof(float));
   network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
   const CommStats& stats = network.stats();
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, cost.SecondsAt(0));
-  EXPECT_DOUBLE_EQ(stats.seconds_intra,
-                   cost.SecondsAt(1) + cost.SecondsAt(2));
+  for (size_t d = 0; d < 3; ++d) {
+    EXPECT_EQ(stats.SecondsAtDepth(d), cost.SecondsAt(d)) << d;
+    EXPECT_EQ(stats.BytesAtDepth(d), cost.BytesAt(d)) << d;
+  }
+  testing::ExpectCommStatsConserved(stats);
   EXPECT_DOUBLE_EQ(stats.comm_seconds, predicted);
   EXPECT_NEAR(stats.SecondsAtDepth(0) + stats.SecondsAtDepth(1) +
                   stats.SecondsAtDepth(2),
@@ -587,19 +592,22 @@ TEST(TopologyTreeTest, WorkerLayoutIsContiguousBalancedAndConsistent) {
 }
 
 TEST(TopologyTreeTest, Depth2LayoutMatchesHierarchicalClusterBlocks) {
-  auto h = HierarchicalNetworkModel::EdgeCloud(3);
-  TopologyTree tree = TopologyTree::FromHierarchy(h);
+  legacy::TwoTier h;
+  h.num_clusters = 3;
+  TopologyTree tree = TopologyTree::EdgeCloud(3);
   ASSERT_EQ(tree.depth(), 2);
   ASSERT_EQ(tree.num_leaf_groups(), 3);
   for (int workers : {3, 4, 7, 8, 11}) {
+    int begin = 0;
     for (int c = 0; c < 3; ++c) {
-      EXPECT_EQ(tree.GroupSize(c, workers), h.ClusterSize(c, workers))
+      const int size = h.ClusterSize(c, workers);
+      EXPECT_EQ(tree.GroupSize(c, workers), size)
           << "workers " << workers << " cluster " << c;
-    }
-    for (int w = 0; w < workers; ++w) {
-      EXPECT_EQ(tree.LeafGroupOfWorker(w, workers),
-                h.ClusterOfWorker(w, workers))
-          << "workers " << workers << " worker " << w;
+      for (int w = begin; w < begin + size; ++w) {
+        EXPECT_EQ(tree.LeafGroupOfWorker(w, workers), c)
+            << "workers " << workers << " worker " << w;
+      }
+      begin += size;
     }
   }
 }
@@ -729,10 +737,11 @@ TEST(TopologyTreeTest, PresetShapes) {
   EXPECT_EQ(dsc.depth(), 3);
   EXPECT_EQ(dsc.num_leaf_groups(), 6);
   EXPECT_EQ(dsc.num_nodes(), 1 + 3 + 6);
-  const TopologyTree two =
-      TopologyTree::FromHierarchy(HierarchicalNetworkModel::EdgeCloud(4));
+  const TopologyTree two = TopologyTree::EdgeCloud(4);
   EXPECT_EQ(two.depth(), 2);
   EXPECT_EQ(two.num_leaf_groups(), 4);
+  EXPECT_EQ(two.name(), "EdgeCloud");
+  EXPECT_EQ(two.node(1).name, "cluster0");
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 // accuracy targets, determinism, and the paper's headline ordering
 // (FDA communicates orders of magnitude less than Synchronous).
 
-#include <algorithm>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -12,6 +11,8 @@
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
+#include "sim/topology_tree.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -333,7 +334,7 @@ TEST(TrainerTest, HierarchicalTopologyRunsAndSplitsTiers) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(4);
   config.max_steps = 40;
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
+  config.topology = TopologyTree::EdgeCloud(2);
   DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
                              config);
   auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
@@ -342,28 +343,30 @@ TEST(TrainerTest, HierarchicalTopologyRunsAndSplitsTiers) {
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->total_syncs, 0u);
-  EXPECT_GT(result->comm.seconds_intra, 0.0);
-  EXPECT_GT(result->comm.seconds_uplink, 0.0);
-  // Accumulated separately, so equal only up to rounding of the sums.
-  EXPECT_NEAR(result->comm.seconds_intra + result->comm.seconds_uplink,
-              result->comm.comm_seconds,
-              1e-9 * std::max(1.0, result->comm.comm_seconds));
+  EXPECT_GT(result->comm.SecondsAtDepth(1), 0.0);
+  EXPECT_GT(result->comm.SecondsAtDepth(0), 0.0);
+  testing::ExpectCommStatsConserved(result->comm);
 }
 
 TEST(TrainerTest, PerClusterIntraLinksSlowTheIntraTier) {
-  // Heterogeneous intra tier: replacing one cluster's EdgeLan link with a
-  // 100x slower one must strictly increase intra-tier seconds while moving
-  // exactly the same bytes.
+  // Heterogeneous cluster tier: replacing one cluster's EdgeLan link with a
+  // 100x slower one must strictly increase cluster-tier (depth 1) seconds
+  // while moving exactly the same bytes.
   SynthImageData data = SmallMnistLike();
   auto run_with = [&](bool slow_cluster) {
     TrainerConfig config = BaseConfig(4);
     config.max_steps = 20;
-    config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
-    if (slow_cluster) {
-      config.hierarchy.cluster_intra = {config.hierarchy.intra,
-                                        config.hierarchy.intra};
-      config.hierarchy.cluster_intra[1].bandwidth_bytes_per_sec /= 100.0;
+    // EdgeCloud(2), built by hand so cluster 1's link can differ.
+    TopologyNode root;
+    root.link = NetworkModel::Federated();
+    root.children.resize(2);
+    for (TopologyNode& cluster : root.children) {
+      cluster.link = NetworkModel::EdgeLan();
     }
+    if (slow_cluster) {
+      root.children[1].link.bandwidth_bytes_per_sec /= 100.0;
+    }
+    config.topology = TopologyTree(root);
     DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
                                config);
     auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.2),
@@ -377,19 +380,9 @@ TEST(TrainerTest, PerClusterIntraLinksSlowTheIntraTier) {
   TrainResult hetero = run_with(true);
   ASSERT_GT(uniform.total_syncs, 0u);
   EXPECT_EQ(hetero.comm.bytes_total, uniform.comm.bytes_total);
-  EXPECT_GT(hetero.comm.seconds_intra, uniform.comm.seconds_intra);
-  EXPECT_DOUBLE_EQ(hetero.comm.seconds_uplink, uniform.comm.seconds_uplink);
-}
-
-TEST(TrainerTest, ValidationRejectsMismatchedClusterIntraSize) {
-  SynthImageData data = SmallMnistLike();
-  TrainerConfig config = BaseConfig(4);
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
-  config.hierarchy.cluster_intra = {config.hierarchy.intra};  // need 2
-  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
-                             config);
-  SynchronousPolicy policy;
-  EXPECT_FALSE(trainer.Run(&policy).ok());
+  EXPECT_GT(hetero.comm.SecondsAtDepth(1), uniform.comm.SecondsAtDepth(1));
+  EXPECT_DOUBLE_EQ(hetero.comm.SecondsAtDepth(0),
+                   uniform.comm.SecondsAtDepth(0));
 }
 
 TEST(TrainerTest, StragglerSlowsCollectivesViaSlowestLink) {
@@ -416,14 +409,36 @@ TEST(TrainerTest, StragglerSlowsCollectivesViaSlowestLink) {
   EXPECT_GT(straggling.comm.comm_seconds, uniform.comm.comm_seconds);
 }
 
-TEST(TrainerTest, HierarchyValidationRejectsTooManyClusters) {
+TEST(TrainerTest, TreeWithMoreLeafGroupsThanWorkersRuns) {
+  // Five edge clusters for two workers: the layout fills groups 0 and 1
+  // and leaves the other three empty. Synchronous, flat FDA, hierarchical
+  // FDA and a fleet cohort all run over the empty groups.
   SynthImageData data = SmallMnistLike();
-  TrainerConfig config = BaseConfig(2);
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(5);
-  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
-                             config);
-  SynchronousPolicy policy;
-  EXPECT_FALSE(trainer.Run(&policy).ok());
+  const size_t dim = SmallMlpFactory()()->num_params();
+  auto run = [&](TrainerConfig config, SyncPolicy* policy) {
+    config.max_steps = 20;
+    config.topology = TopologyTree::EdgeCloud(5);
+    DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                               config);
+    auto result = trainer.Run(policy);
+    ASSERT_TRUE(result.ok()) << result.status();
+    testing::ExpectCommStatsConserved(result->comm);
+  };
+  SynchronousPolicy synchronous;
+  run(BaseConfig(2), &synchronous);
+  auto fda = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5), dim);
+  ASSERT_TRUE(fda.ok());
+  run(BaseConfig(2), fda->get());
+  HierarchicalFdaConfig hierarchical_config;
+  hierarchical_config.theta_by_depth = {1.0, 0.5};
+  auto hierarchical = MakeHierarchicalFdaPolicy(hierarchical_config, dim);
+  ASSERT_TRUE(hierarchical.ok());
+  run(BaseConfig(2), hierarchical->get());
+  TrainerConfig fleet = BaseConfig(2);
+  fleet.population = 50;
+  auto fleet_fda = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5), dim);
+  ASSERT_TRUE(fleet_fda.ok());
+  run(fleet, fleet_fda->get());
 }
 
 TEST(TrainerTest, FedProxProximalTermPullsWorkersTogether) {
