@@ -77,11 +77,10 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
   // event-driven analogue and are ignored here. A disabled config is the
   // identity schedule: no crash, every upload delivered, nothing drawn.
   FaultInjector injector(config_.faults, config_.num_workers, config_.seed,
-                         network.tree().enabled() ? &network.tree()
-                                                  : nullptr);
+                         &network.tree());
   std::vector<char> worker_up(static_cast<size_t>(config_.num_workers), 1);
 
-  // Fleet mode: the paged client store behind the K resident slots. The
+  // The fleet: the paged client store behind the K resident slots. The
   // async trainer has no rounds, so the cohort rotates at synchronization
   // boundaries instead: every successful sync re-samples the cohort
   // against the fresh anchor. Sampling always passes a null injector —
@@ -89,53 +88,23 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
   // the sampler degrades to uniform without them. Faults stay slot-level:
   // a crash models the machine slot, and a client checked into a downed
   // slot inherits its repair timer (re-anchoring at rejoin like any other
-  // mid-residency crash).
-  std::unique_ptr<ClientStateStore> store;
-  std::unique_ptr<CohortSampler> cohort_sampler;
+  // mid-residency crash). A resident config is the identity fleet,
+  // population == K: every sample is the identity and nothing moves.
   FleetState fleet;
-  std::vector<std::vector<size_t>> fleet_shards;
-  if (config_.fleet_enabled()) {
-    ClientStoreConfig store_config;
-    store_config.population = config_.population;
-    store_config.cohort_slots = config_.num_workers;
-    store_config.dim = dim_;
-    store_config.opt_state_slots = config_.local_optimizer.StateSlots();
-    store_config.seed = config_.seed;
-    store = std::make_unique<ClientStateStore>(
-        store_config, network.tree().enabled() ? &network.tree() : nullptr);
-    store->SetStateSize(monitor->StateSize());
-    cohort_sampler = std::make_unique<CohortSampler>(
-        store.get(), config_.cohort_schedule, config_.seed);
-    auto shards = PartitionDataset(train_.labels(), config_.num_workers,
-                                   config_.partition);
-    if (!shards.ok()) {
-      return shards.status();
-    }
-    fleet_shards = std::move(shards).value();
-    fleet.store = store.get();
-    fleet.sampler = cohort_sampler.get();
-    fleet.shards = &fleet_shards;
-    fleet.cohort.resize(workers.size());
-    for (size_t k = 0; k < workers.size(); ++k) {
-      fleet.cohort[k] = static_cast<uint32_t>(k);
-    }
-    fleet.just_swapped.assign(workers.size(), 0);
-  }
+  FEDRA_RETURN_IF_ERROR(BuildFleet(config_, train_, network, dim_, &fleet));
+  fleet.store->SetStateSize(monitor->StateSize());
 
   std::vector<float> sync_params(dim_);
   std::vector<float> prev_sync_params(dim_);
   vec::Copy(workers[0].view.params, sync_params.data(), dim_);
   prev_sync_params = sync_params;
 
-  if (fleet.enabled()) {
-    // Round 0: seed the resident set. With population == K the sample is
-    // the identity (no rng draws, no float roundtrips) and the run stays
-    // bit-identical to the resident-cohort path.
-    const std::vector<uint32_t> sampled =
-        fleet.sampler->Sample(/*round=*/0, /*faults=*/nullptr);
-    RotateFleetCohort(config_, sampled, &fleet, &workers, &arena, &network,
-                      sync_params.data(), monitor.get(), /*initial=*/true);
-  }
+  // Round 0: seed the resident set. With population == K the sample is
+  // the identity: no rng draws, no float roundtrips.
+  RotateFleetCohort(config_,
+                    fleet.sampler->Sample(/*round=*/0, /*faults=*/nullptr),
+                    &fleet, &workers, &arena, &network, sync_params.data(),
+                    monitor.get(), /*initial=*/true);
 
   // Coordinator's view: the latest state of every worker.
   std::vector<std::vector<float>> latest_states(
@@ -265,14 +234,10 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
         vec::Axpy(inv_k, latest_states[k].data(), mean_state.data(),
                   mean_state.size());
       }
-      // A fleet run folds the off-cohort population's stored states into
-      // the coordinator's estimate (bitwise no-op when population == K).
-      const double estimate =
-          fleet.enabled()
-              ? fleet.store->PopulationEstimate(*monitor, mean_state.data(),
-                                                live)
-              : monitor->EstimateVariance(mean_state.data());
-      trip = estimate > async_.theta;
+      // The coordinator's estimate folds the off-cohort population's
+      // stored states in (a bitwise no-op when population == K).
+      trip = fleet.store->PopulationEstimate(*monitor, mean_state.data(),
+                                             live) > async_.theta;
     }
     if (trip) {
       // Coordinator-mediated synchronization (accounted as a full-model
@@ -315,17 +280,16 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
           std::fill(state.begin(), state.end(), 0.0f);
         }
         ++result.sync_count;
-        if (fleet.enabled()) {
-          // Rotate the cohort against the fresh anchor. Departing clients
-          // park their (post-sync) drift in the store; arrivals restore
-          // theirs and bill a check-in model download. With population ==
-          // K the sample is the identity and nothing moves.
-          const std::vector<uint32_t> sampled = fleet.sampler->Sample(
-              fleet.rotations, /*faults=*/nullptr);
-          RotateFleetCohort(config_, sampled, &fleet, &workers, &arena,
-                            &network, sync_params.data(), monitor.get(),
-                            /*initial=*/false);
-        }
+        // Rotate the cohort against the fresh anchor. Departing clients
+        // park their (post-sync) drift in the store; arrivals restore
+        // theirs and bill a check-in model download. With population == K
+        // the sample is the identity and nothing moves.
+        RotateFleetCohort(config_,
+                          fleet.sampler->Sample(fleet.rotations,
+                                                /*faults=*/nullptr),
+                          &fleet, &workers, &arena, &network,
+                          sync_params.data(), monitor.get(),
+                          /*initial=*/false);
       }
       // Sync latency stalls everyone: rebuild the event queue from now.
       // The stall matches the configured topology (hierarchical grouped

@@ -76,8 +76,12 @@ void ClientStateStore::SetStateSize(size_t state_size) {
       << "client store state size must be set before any page is allocated";
   state_size_ = state_size;
   state_size_set_ = true;
-  off_state_sum_.assign(state_size_, 0.0);
-  blend_scratch_.assign(state_size_, 0.0f);
+  // Only a population beyond the cohort blends off-cohort states; the
+  // identity fleet (N == K) bypasses the blend and allocates neither.
+  if (config_.population > static_cast<size_t>(config_.cohort_slots)) {
+    off_state_sum_.assign(state_size_, 0.0);
+    blend_scratch_.assign(state_size_, 0.0f);
+  }
 }
 
 void ClientStateStore::SetResidualSize(size_t residual_size) {
@@ -174,7 +178,7 @@ ClientStateStore::CheckInResult ClientStateStore::CheckIn(
     }
     if (warm.state_in_sum) {
       const float* state = page + dim + opt_floats;
-      for (size_t j = 0; j < state_size_; ++j) {
+      for (size_t j = 0; j < off_state_sum_.size(); ++j) {
         off_state_sum_[j] -= static_cast<double>(state[j]);
       }
       FEDRA_CHECK_GT(off_states_, 0u);
@@ -248,7 +252,7 @@ void ClientStateStore::CheckOut(uint32_t client, const float* params,
     if (monitor != nullptr) {
       FEDRA_CHECK_EQ(monitor->StateSize(), state_size_);
       monitor->ComputeLocalState(page, state);
-      for (size_t j = 0; j < state_size_; ++j) {
+      for (size_t j = 0; j < off_state_sum_.size(); ++j) {
         off_state_sum_[j] += static_cast<double>(state[j]);
       }
       ++off_states_;

@@ -4,7 +4,9 @@
 // an arena row for the whole run. Real cross-device FL (the FL
 // communication survey's defining regime) samples a small cohort C from an
 // enormous population N every round: 10^5-10^6 clients, of which only C
-// train at any moment. This file decouples the two scales:
+// train at any moment. This file decouples the two scales, and both
+// trainers run every cohort through it; a resident cohort is the case
+// N == K:
 //
 //   population N   clients with persistent identity: per-client rng
 //                  streams, optimizer step counts, drift relative to the
@@ -24,10 +26,11 @@
 //
 // Determinism contract (docs/determinism.md): every schedule and every
 // per-client stream is a pure function of (config, seed, round | client
-// id). When population == cohort_slots the sampler returns the identity
-// cohort with *zero* rng draws, every slot is sticky, and no check-in/out
-// float roundtrip happens — the fleet path is bit-identical to the
-// resident-cohort path (locked against the golden histories).
+// id). A resident run is the identity fleet: at population ==
+// cohort_slots the sampler returns clients 0..K-1 with *zero* rng draws,
+// every slot is sticky, no check-in/out float roundtrip happens, and
+// PopulationEstimate bypasses to the plain cohort estimate (histories
+// locked by the golden suite).
 
 #ifndef FEDRA_CORE_CLIENT_STORE_H_
 #define FEDRA_CORE_CLIENT_STORE_H_
@@ -237,6 +240,7 @@ class ClientStateStore {
 
   // Running sum of stored off-cohort states (double accumulation; entries
   // are added at check-out and subtracted bitwise-exactly at check-in).
+  // Empty, like blend_scratch_, when population == cohort_slots.
   std::vector<double> off_state_sum_;
   size_t off_states_ = 0;
   std::vector<float> blend_scratch_;

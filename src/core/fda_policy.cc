@@ -121,14 +121,11 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
   if (active_count == 0) {
     return false;  // the trainer skips such rounds already
   }
-  // (line 8) everyone evaluates H on the averaged state. A fleet run folds
-  // the off-cohort population's stored states in (a bitwise no-op when
+  // (line 8) everyone evaluates H on the averaged state, with the
+  // off-cohort population's stored states folded in (a bitwise no-op when
   // population == cohort).
   last_estimate_ =
-      ctx.store != nullptr
-          ? ctx.store->PopulationEstimate(*monitor_, mean_state,
-                                          active_count)
-          : monitor_->EstimateVariance(mean_state);
+      ctx.store->PopulationEstimate(*monitor_, mean_state, active_count);
   if (record_estimates_) {
     estimate_history_.push_back(last_estimate_);
   }
@@ -327,17 +324,14 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
             : 0;
   }
   if (node_has_[0]) {
-    if (ctx.store != nullptr) {
-      // Population-scale correction at the decision tier only: the root
-      // estimate folds the off-cohort clients' stored states in before
-      // the comparison against the root threshold. Leaf and intermediate
-      // tiers stay cohort-local — their subtrees only ever see resident
-      // clients. Bitwise no-op when population == cohort.
-      node_estimate_[0] = ctx.store->PopulationEstimate(
-          *monitor_, node_state_[0].data(),
-          ActiveInSpan(mask, 0, num_workers));
-      node_trip_[0] = node_estimate_[0] > theta_[0] ? 1 : 0;
-    }
+    // Population-scale correction at the decision tier only: the root
+    // estimate folds the off-cohort clients' stored states in before the
+    // comparison against the root threshold. Leaf and intermediate tiers
+    // stay cohort-local — their subtrees only ever see resident clients.
+    // Bitwise no-op when population == cohort.
+    node_estimate_[0] = ctx.store->PopulationEstimate(
+        *monitor_, node_state_[0].data(), ActiveInSpan(mask, 0, num_workers));
+    node_trip_[0] = node_estimate_[0] > theta_[0] ? 1 : 0;
     last_root_estimate_ = node_estimate_[0];
   }
 

@@ -1,6 +1,8 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 
 #include "metrics/evaluation.h"
 #include "nn/loss.h"
@@ -204,16 +206,16 @@ int RotateFleetCohort(const TrainerConfig& config,
             : nullptr);
     worker.optimizer->set_step_count(in.optimizer_steps);
     worker.sampler = std::make_unique<BatchSampler>(
-        (*fleet->shards)[incoming % fleet->shards->size()],
-        config.batch_size, in.sampler_rng);
+        fleet->shards[incoming % fleet->shards.size()], config.batch_size,
+        in.sampler_rng);
     worker.rng = in.worker_rng;
     worker.shard_size = worker.sampler->dataset_size();
     vec::Fill(worker.view.grads, dim, 0.0f);
     vec::Fill(worker.drift, dim, 0.0f);
     if (!initial) {
       // The fresh participant downloads the current global model to
-      // re-anchor; the initial distribution is not billed, matching the
-      // resident path's unbilled first broadcast.
+      // re-anchor; the initial distribution is not billed, matching
+      // BuildWorkerCohort's unbilled first broadcast.
       network->AccountCheckInSync(dim, static_cast<int>(k));
     }
     fleet->cohort[k] = incoming;
@@ -263,37 +265,41 @@ Status TrainerConfig::Validate() const {
   FEDRA_RETURN_IF_ERROR(partition.Validate());
   FEDRA_RETURN_IF_ERROR(sync_compression.Validate());
   FEDRA_RETURN_IF_ERROR(faults.Validate());
-  if (population == 0) {
-    if (cohort_size != 0) {
-      return Status::InvalidArgument(
-          "cohort_size requires population > 0 (fleet mode)");
-    }
-  } else {
-    if (cohort_steps < 1) {
-      return Status::InvalidArgument(StrFormat(
-          "cohort_steps must be >= 1, got %d", cohort_steps));
-    }
-    const size_t cohort = cohort_size > 0
-                              ? static_cast<size_t>(cohort_size)
-                              : static_cast<size_t>(num_workers);
-    if (cohort > population) {
-      return Status::InvalidArgument(StrFormat(
-          "cohort_size (%zu) must not exceed population (%zu)", cohort,
-          population));
-    }
-    if (cohort > static_cast<size_t>(num_workers)) {
-      return Status::InvalidArgument(StrFormat(
-          "cohort_size (%zu) exceeds the topology's leaf capacity: the "
-          "tree lays out %d resident worker slots (num_workers) over its "
-          "leaf groups",
-          cohort, num_workers));
-    }
-    if (cohort < static_cast<size_t>(num_workers)) {
-      return Status::InvalidArgument(StrFormat(
-          "cohort_size (%zu) must equal num_workers (%d): the fleet maps "
-          "one sampled client onto each resident arena row",
-          cohort, num_workers));
-    }
+  // Every run rotates its cohort every cohort_steps rounds.
+  if (cohort_steps < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "cohort_steps must be >= 1, got %d", cohort_steps));
+  }
+  // Fault chains index clients by int.
+  if (population > static_cast<size_t>(std::numeric_limits<int>::max())) {
+    return Status::InvalidArgument(StrFormat(
+        "population (%zu) must not exceed INT_MAX (%d)", population,
+        std::numeric_limits<int>::max()));
+  }
+  if (population == 0 && cohort_size != 0) {
+    return Status::InvalidArgument(
+        "cohort_size requires population > 0 (fleet mode)");
+  }
+  // The cohort checks hold trivially for the identity fleet (N == C == K).
+  const size_t cohort = cohort_size > 0 ? static_cast<size_t>(cohort_size)
+                                        : static_cast<size_t>(num_workers);
+  if (cohort > FleetPopulation()) {
+    return Status::InvalidArgument(StrFormat(
+        "cohort_size (%zu) must not exceed population (%zu)", cohort,
+        FleetPopulation()));
+  }
+  if (cohort > static_cast<size_t>(num_workers)) {
+    return Status::InvalidArgument(StrFormat(
+        "cohort_size (%zu) exceeds the topology's leaf capacity: the "
+        "tree lays out %d resident worker slots (num_workers) over its "
+        "leaf groups",
+        cohort, num_workers));
+  }
+  if (cohort < static_cast<size_t>(num_workers)) {
+    return Status::InvalidArgument(StrFormat(
+        "cohort_size (%zu) must equal num_workers (%d): the fleet maps "
+        "one sampled client onto each resident arena row",
+        cohort, num_workers));
   }
   return Status::Ok();
 }
@@ -365,10 +371,28 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
   return Status::Ok();
 }
 
-Status DistributedTrainer::Setup(std::vector<WorkerState>* workers,
-                                 WorkerArena* arena) {
-  return BuildWorkerCohort(config_, train_, shared_model_->graph(),
-                           initial_params_, arena, workers);
+Status BuildFleet(const TrainerConfig& config, const Dataset& train,
+                  const SimNetwork& network, size_t dim, FleetState* fleet) {
+  ClientStoreConfig store_config;
+  store_config.population = config.FleetPopulation();
+  store_config.cohort_slots = config.num_workers;
+  store_config.dim = dim;
+  store_config.opt_state_slots = config.local_optimizer.StateSlots();
+  store_config.seed = config.seed;
+  fleet->store =
+      std::make_unique<ClientStateStore>(store_config, &network.tree());
+  fleet->sampler = std::make_unique<CohortSampler>(
+      fleet->store.get(), config.cohort_schedule, config.seed);
+  auto shards =
+      PartitionDataset(train.labels(), config.num_workers, config.partition);
+  if (!shards.ok()) {
+    return shards.status();
+  }
+  fleet->shards = std::move(shards).value();
+  fleet->cohort.resize(static_cast<size_t>(config.num_workers));
+  std::iota(fleet->cohort.begin(), fleet->cohort.end(), 0u);
+  fleet->just_swapped.assign(fleet->cohort.size(), 0);
+  return Status::Ok();
 }
 
 void DistributedTrainer::WorkerStep(WorkerState* worker,
@@ -403,7 +427,9 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   // whole cohort; the shared layer graph lives in shared_model_.
   WorkerArena arena(config_.num_workers, dim_,
                     config_.local_optimizer.StateSlots());
-  FEDRA_RETURN_IF_ERROR(Setup(&workers, &arena));
+  FEDRA_RETURN_IF_ERROR(BuildWorkerCohort(config_, train_,
+                                          shared_model_->graph(),
+                                          initial_params_, &arena, &workers));
 
   // Straggler-aware collective cost: a persistently slow worker also paces
   // the collectives it participates in (slowest-link formula).
@@ -437,96 +463,50 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     compressor->SetLayerOffsets(layer_offsets, dim_);
     ctx.compressor = compressor.get();
   }
-  // Fleet mode: the paged client store, the cohort sampler, and the K
-  // data shards (client c trains on shard c % K). The resident-cohort
-  // path (population == 0) never constructs any of it.
-  std::unique_ptr<ClientStateStore> store;
-  std::unique_ptr<CohortSampler> cohort_sampler;
+  // The fleet: the paged client store, the cohort sampler, and the K data
+  // shards (client c trains on shard c % K). A resident config is the
+  // identity fleet, population == K.
   FleetState fleet;
-  std::vector<std::vector<size_t>> fleet_shards;
-  if (config_.fleet_enabled()) {
-    ClientStoreConfig store_config;
-    store_config.population = config_.population;
-    store_config.cohort_slots = config_.num_workers;
-    store_config.dim = dim_;
-    store_config.opt_state_slots = config_.local_optimizer.StateSlots();
-    store_config.seed = config_.seed;
-    store = std::make_unique<ClientStateStore>(
-        store_config, network.tree().enabled() ? &network.tree() : nullptr);
-    cohort_sampler = std::make_unique<CohortSampler>(
-        store.get(), config_.cohort_schedule, config_.seed);
-    auto shards = PartitionDataset(train_.labels(), config_.num_workers,
-                                   config_.partition);
-    if (!shards.ok()) {
-      return shards.status();
-    }
-    fleet_shards = std::move(shards).value();
-    fleet.store = store.get();
-    fleet.sampler = cohort_sampler.get();
-    fleet.shards = &fleet_shards;
-    // Compressed fleet: the per-slot error-feedback residuals become
-    // per-client pages, checked out/in alongside drift and optimizer
-    // state (the rotation path below).
-    fleet.compressor = compressor.get();
-    fleet.cohort.resize(workers.size());
-    for (size_t k = 0; k < workers.size(); ++k) {
-      fleet.cohort[k] = static_cast<uint32_t>(k);
-    }
-    fleet.just_swapped.assign(workers.size(), 0);
-    ctx.store = store.get();
+  FEDRA_RETURN_IF_ERROR(BuildFleet(config_, train_, network, dim_, &fleet));
+  // Compressed fleet: the per-slot error-feedback residuals become
+  // per-client pages, checked out/in alongside drift and optimizer state
+  // (the rotation path below).
+  fleet.compressor = compressor.get();
+  ctx.store = fleet.store.get();
+  // Fault layer: every run carries an injector over the whole population,
+  // so a client can crash and repair while off-cohort. Link outages group
+  // clients by their home leaf (flat topologies give every client its own
+  // link). A disabled config is the identity schedule: no chain advances,
+  // everyone is up behind a live link, every contribution arrives, and the
+  // barrier is the plain max.
+  const size_t population = config_.FleetPopulation();
+  const bool tree = network.tree().enabled();
+  std::vector<int> client_links(population);
+  for (size_t c = 0; c < population; ++c) {
+    client_links[c] = tree ? fleet.store->LeafGroupOfClient(
+                                 static_cast<uint32_t>(c))
+                           : static_cast<int>(c);
   }
-  // Fault layer: every run carries an injector. A disabled config is the
-  // identity schedule — no chain advances, everyone is up behind a live
-  // link, every contribution arrives, and the barrier is the plain max.
-  std::unique_ptr<FaultInjector> injector;
-  if (config_.fleet_enabled()) {
-    // The chains run over the whole population: a client can crash and
-    // repair while off-cohort. Link outages group clients by their home
-    // leaf (flat topologies give every client its own link). With
-    // population == K this mapping equals the resident constructors' and
-    // the chains are bit-identical.
-    std::vector<int> client_links(config_.population);
-    int num_links;
-    if (network.tree().enabled()) {
-      num_links = network.tree().num_leaf_groups();
-      for (size_t c = 0; c < config_.population; ++c) {
-        client_links[c] = store->LeafGroupOfClient(static_cast<uint32_t>(c));
-      }
-    } else {
-      num_links = static_cast<int>(config_.population);
-      for (size_t c = 0; c < config_.population; ++c) {
-        client_links[c] = static_cast<int>(c);
-      }
-    }
-    injector = std::make_unique<FaultInjector>(
-        config_.faults, static_cast<int>(config_.population), config_.seed,
-        std::move(client_links), num_links);
-  } else {
-    injector = std::make_unique<FaultInjector>(
-        config_.faults, config_.num_workers, config_.seed,
-        network.tree().enabled() ? &network.tree() : nullptr);
-  }
+  auto injector = std::make_unique<FaultInjector>(
+      config_.faults, static_cast<int>(population), config_.seed,
+      std::move(client_links),
+      tree ? network.tree().num_leaf_groups() : static_cast<int>(population));
   ctx.faults = injector.get();
   ctx.participation.assign(workers.size(), 1);
   std::vector<double> step_times(workers.size());
   fedprox_anchor_ = sync_params.data();
   policy->Initialize(ctx);
-  if (store != nullptr) {
-    // The policy's Initialize sized the arena's monitor-state scratch (FDA
-    // families) or left it absent; the store's pages mirror that layout.
-    store->SetStateSize(arena.has_state_scratch() ? arena.state_size() : 0);
-    // Error-feedback residuals are per-*client* state under rotation: size
-    // the pages' residual segment when compressed sync carries memory.
-    store->SetResidualSize(
-        compressor != nullptr && compressor->has_residuals() ? dim_ : 0);
-  }
+  // The policy's Initialize sized the arena's monitor-state scratch (FDA
+  // families) or left it absent; the store's pages mirror that layout.
+  fleet.store->SetStateSize(arena.has_state_scratch() ? arena.state_size()
+                                                      : 0);
+  // Error-feedback residuals are per-*client* state under rotation: size
+  // the pages' residual segment when compressed sync carries memory.
+  fleet.store->SetResidualSize(
+      compressor != nullptr && compressor->has_residuals() ? dim_ : 0);
 
-  // The fault entity of slot k: the resident client in fleet mode, the
-  // worker itself otherwise.
-  auto entity_of = [&](size_t k) {
-    return fleet.enabled() ? static_cast<int>(fleet.cohort[k])
-                           : static_cast<int>(k);
-  };
+  // The fault entity of slot k is its resident client.
+  auto entity_of = [&](size_t k) { return static_cast<int>(fleet.cohort[k]); };
 
   // The evaluation model holds the average of the worker models — the
   // global model w_bar the paper's methodology evaluates. Averaging for
@@ -570,32 +550,26 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     // Advance the fault chains first: the availability-weighted sampler
     // reads this round's up-state.
     injector->BeginRound();
-    if (fleet.enabled()) {
-      if ((step - 1) % static_cast<size_t>(config_.cohort_steps) == 0) {
-        const uint64_t round =
-            (step - 1) / static_cast<size_t>(config_.cohort_steps);
-        const std::vector<uint32_t> sampled =
-            fleet.sampler->Sample(round, injector.get());
-        RotateFleetCohort(config_, sampled, &fleet, &workers, &arena,
-                          &network, sync_params.data(), ctx.monitor,
-                          /*initial=*/step == 1);
-      } else {
-        std::fill(fleet.just_swapped.begin(), fleet.just_swapped.end(), 0);
-      }
+    const size_t cohort_steps = static_cast<size_t>(config_.cohort_steps);
+    if ((step - 1) % cohort_steps == 0) {
+      const std::vector<uint32_t> sampled =
+          fleet.sampler->Sample((step - 1) / cohort_steps, injector.get());
+      RotateFleetCohort(config_, sampled, &fleet, &workers, &arena, &network,
+                        sync_params.data(), ctx.monitor,
+                        /*initial=*/step == 1);
+    } else {
+      std::fill(fleet.just_swapped.begin(), fleet.just_swapped.end(), 0);
     }
     // Re-anchor this round's rejoiners: each downloads the last
     // synchronized model (billed catch-up sync) and restarts from zeroed
-    // drift/optimizer/monitor state. In fleet mode a rejoiner only pays
-    // while resident; a freshly checked-in slot already re-anchored (and
-    // billed) through the store, and an off-cohort rejoiner's stored state
-    // simply waits to be sampled.
+    // drift/optimizer/monitor state. A rejoiner only pays while resident;
+    // a freshly checked-in slot already re-anchored (and billed) through
+    // the store, and an off-cohort rejoiner's stored state simply waits to
+    // be sampled.
     for (int c : injector->rejoined()) {
-      int k = c;
-      if (fleet.enabled()) {
-        k = fleet.SlotOfClient(static_cast<uint32_t>(c));
-        if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
-          continue;
-        }
+      const int k = fleet.SlotOfClient(static_cast<uint32_t>(c));
+      if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
+        continue;
       }
       network.AccountCatchUpSync(dim_, k);
       ReanchorRejoinedWorker(&arena, &workers[static_cast<size_t>(k)],

@@ -74,10 +74,11 @@ struct ClusterContext {
   std::vector<char> participation;
   /// Syncs abandoned because no contribution survived message loss.
   uint64_t skipped_syncs = 0;
-  /// Fleet mode (population > cohort): the paged client-state store the
-  /// trainer rotates sampled clients through. Null for resident-cohort
-  /// runs. FDA policies use it for the population-scale variance
-  /// correction (ClientStateStore::PopulationEstimate).
+  /// The paged client-state store the trainer rotates each cohort through,
+  /// owned by the trainer's FleetState and set for every run (a resident
+  /// cohort is the identity fleet, population == K). FDA policies use it
+  /// for the population-scale variance correction
+  /// (ClientStateStore::PopulationEstimate), a bitwise bypass at N == K.
   ClientStateStore* store = nullptr;
   /// The active policy's variance monitor, exposed by FDA policies in
   /// Initialize(); the trainer's check-out path uses it to fold departing
@@ -177,12 +178,11 @@ struct TrainerConfig {
   bool parallel_workers = false;
 
   // ------------------------------------------------------ cross-device --
-  /// Simulated client population N. 0 (default) keeps the resident-cohort
-  /// trainer: K workers own their arena rows for the whole run. When > 0
-  /// the trainer becomes a fleet simulator: each round's cohort is sampled
-  /// from the population and rotated through the K arena rows via the
-  /// paged ClientStateStore. population == num_workers is bit-identical
-  /// to the resident path (identity schedule, zero draws, no paging).
+  /// Simulated client population N; 0 (default) means num_workers. Every
+  /// run samples each round's cohort from the population and rotates it
+  /// through the K arena rows via the paged ClientStateStore. A resident
+  /// cohort is the identity fleet N == K: every sample is clients 0..K-1
+  /// with zero draws, and nothing pages. At most INT_MAX.
   size_t population = 0;
   /// Sampled cohort size C; 0 means num_workers. The current fleet maps
   /// one sampled client onto each arena row, so C must equal num_workers
@@ -190,12 +190,19 @@ struct TrainerConfig {
   /// rejects anything else with a Status.
   int cohort_size = 0;
   /// Rounds between cohort rotations in the synchronous trainer (the
-  /// async trainer rotates at every global sync instead). >= 1.
+  /// async trainer rotates at every global sync instead). >= 1 for every
+  /// config, resident ones included.
   int cohort_steps = 1;
   /// How the CohortSampler picks each round's cohort.
   CohortScheduleKind cohort_schedule = CohortScheduleKind::kUniform;
 
+  /// True when `population` is set explicitly.
   bool fleet_enabled() const { return population > 0; }
+  /// The population N the fleet runs over: `population`, or num_workers
+  /// when it is 0.
+  size_t FleetPopulation() const {
+    return population > 0 ? population : static_cast<size_t>(num_workers);
+  }
 
   Status Validate() const;
 };
@@ -218,7 +225,8 @@ void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
 /// — when the arena's monitor-state scratch is already allocated — state),
 /// creates arena-backed optimizers and per-worker sampler/rng forks, and
 /// initializes worker 0 from `initial_params` (or the graph's seeded init
-/// when empty) before broadcasting it to every slice. Shared by the
+/// when empty) before broadcasting it to every slice. Slot k holds client
+/// k; the first RotateFleetCohort adopts the sticky ones. Shared by the
 /// synchronous and async trainers so their per-seed rng streams (sampler
 /// fork k+1, worker rng fork k+1000, straggler fork 101) can never
 /// diverge — the fair sync-vs-async straggler comparisons depend on it.
@@ -249,15 +257,16 @@ void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
 bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
                          int worker, size_t wire_bytes, TrafficClass traffic);
 
-/// Mutable fleet bookkeeping both trainers carry while population > 0:
-/// the store, the sampler, the current slot -> client assignment, and the
-/// per-rotation swap markers the rejoin path consults.
+/// The fleet every run of both trainers goes through: the store, the
+/// sampler, the data shards, the current slot -> client assignment, and
+/// the per-rotation swap markers the rejoin path consults. A resident
+/// cohort is the identity fleet (population == K).
 struct FleetState {
-  ClientStateStore* store = nullptr;
-  CohortSampler* sampler = nullptr;
+  std::unique_ptr<ClientStateStore> store;
+  std::unique_ptr<CohortSampler> sampler;
   /// The K data shards; client c trains on shard c % K (identity at
   /// population == K, so resident configs keep their exact partitions).
-  const std::vector<std::vector<size_t>>* shards = nullptr;
+  std::vector<std::vector<size_t>> shards;
   /// Compressed-sync state (null without compression): rotation pages each
   /// slot's error-feedback residual out to the departing client and in
   /// from the arriving one, so compression memory follows the client.
@@ -268,10 +277,17 @@ struct FleetState {
   uint64_t rotations = 0;
   uint64_t swaps = 0;  // non-sticky check-ins across the run
 
-  bool enabled() const { return store != nullptr; }
   /// Resident slot of `client`, or -1.
   int SlotOfClient(uint32_t client) const;
 };
+
+/// Builds `fleet` over config.FleetPopulation() clients: the client store
+/// (home leaf groups from `network`'s tree), then the cohort sampler, then
+/// the K data shards of `train`, with slot k holding client k as
+/// BuildWorkerCohort seeded it. Shared by the synchronous and async
+/// trainers; the caller sizes the store's state and residual segments.
+Status BuildFleet(const TrainerConfig& config, const Dataset& train,
+                  const SimNetwork& network, size_t dim, FleetState* fleet);
 
 /// Rotates the resident cohort to `sampled` (one client per slot): sticky
 /// occupants are untouched (no float roundtrip — the bit-identity
@@ -353,7 +369,6 @@ class DistributedTrainer {
   Model& shared_model() { return *shared_model_; }
 
  private:
-  Status Setup(std::vector<WorkerState>* workers, WorkerArena* arena);
   void WorkerStep(WorkerState* worker, const Dataset& train);
 
   Dataset train_;

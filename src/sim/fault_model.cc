@@ -66,42 +66,35 @@ FaultConfig FaultConfig::Churn(double mttf_rounds, double mttr_rounds) {
   return config;
 }
 
+namespace {
+
+bool TreeEnabled(const TopologyTree* tree) {
+  return tree != nullptr && tree->enabled();
+}
+
+// Link entity of every worker: its leaf group under an enabled tree, else
+// the worker itself.
+std::vector<int> WorkerLinks(int num_workers, const TopologyTree* tree) {
+  std::vector<int> links(static_cast<size_t>(std::max(num_workers, 0)));
+  for (int k = 0; k < num_workers; ++k) {
+    links[static_cast<size_t>(k)] =
+        TreeEnabled(tree) ? tree->LeafGroupOfWorker(k, num_workers) : k;
+  }
+  return links;
+}
+
+}  // namespace
+
 FaultInjector::FaultInjector(const FaultConfig& config, int num_workers,
                              uint64_t seed, const TopologyTree* tree)
-    : config_(config),
-      num_workers_(num_workers),
-      tree_(tree != nullptr && tree->enabled() ? tree : nullptr),
-      rng_(Rng(seed).Fork(202)) {
-  FEDRA_CHECK(config_.Validate().ok())
-      << "invalid FaultConfig: " << config_.Validate().ToString();
-  FEDRA_CHECK_GT(num_workers_, 0);
-  worker_up_.assign(static_cast<size_t>(num_workers_), 1);
-  worker_link_.resize(static_cast<size_t>(num_workers_));
-  size_t num_links;
-  if (tree_ != nullptr) {
-    num_links = static_cast<size_t>(tree_->num_leaf_groups());
-    for (int k = 0; k < num_workers_; ++k) {
-      worker_link_[static_cast<size_t>(k)] =
-          tree_->LeafGroupOfWorker(k, num_workers_);
-    }
-  } else {
-    num_links = static_cast<size_t>(num_workers_);
-    for (int k = 0; k < num_workers_; ++k) {
-      worker_link_[static_cast<size_t>(k)] = k;
-    }
-  }
-  if (config_.link_mttf_rounds > 0.0) {
-    link_state_.assign(num_links, 1);
-  }
-}
+    : FaultInjector(config, num_workers, seed, WorkerLinks(num_workers, tree),
+                    TreeEnabled(tree) ? tree->num_leaf_groups()
+                                      : num_workers) {}
 
 FaultInjector::FaultInjector(const FaultConfig& config, int num_entities,
                              uint64_t seed, std::vector<int> entity_link,
                              int num_links)
-    : config_(config),
-      num_workers_(num_entities),
-      tree_(nullptr),
-      rng_(Rng(seed).Fork(202)) {
+    : config_(config), num_workers_(num_entities), rng_(Rng(seed).Fork(202)) {
   FEDRA_CHECK(config_.Validate().ok())
       << "invalid FaultConfig: " << config_.Validate().ToString();
   FEDRA_CHECK_GT(num_workers_, 0);

@@ -94,18 +94,19 @@ struct FaultConfig {
 /// async trainer uses the event-level Sample* hooks instead).
 class FaultInjector {
  public:
-  /// `tree` (optional, must outlive the injector) groups link outages by
-  /// leaf group; null means one link entity per worker.
+  /// One fault entity per worker. `tree` (optional, read only during
+  /// construction) groups link outages by leaf group; null or disabled
+  /// means one link entity per worker. Delegates to the entity-links
+  /// constructor with that worker -> link map.
   FaultInjector(const FaultConfig& config, int num_workers, uint64_t seed,
                 const TopologyTree* tree = nullptr);
 
-  /// Fleet variant: the chains run over `num_entities` fault entities
-  /// (simulated clients, usually far more than the resident workers) and
-  /// `entity_link` maps each one to its link-outage entity in
-  /// [0, num_links) — the fleet layer passes every client's home leaf
-  /// group. With num_entities == num_workers and the resident link
-  /// mapping this reproduces the tree/flat constructor's chains
-  /// bit-for-bit (same seed fork, same advance order).
+  /// The chains run over `num_entities` fault entities (the simulated
+  /// clients of the fleet, or the workers themselves) and `entity_link`
+  /// maps each one to its link-outage entity in [0, num_links): the
+  /// synchronous trainer passes every client's home leaf group. At
+  /// population == K that map is the worker layout, so the chains are the
+  /// ones the tree constructor draws.
   FaultInjector(const FaultConfig& config, int num_entities, uint64_t seed,
                 std::vector<int> entity_link, int num_links);
 
@@ -169,7 +170,6 @@ class FaultInjector {
 
   FaultConfig config_;
   int num_workers_;
-  const TopologyTree* tree_;  // not owned; null => flat link entities
   Rng rng_;
   uint64_t rounds_ = 0;
   std::vector<char> worker_up_;

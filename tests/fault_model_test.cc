@@ -494,7 +494,17 @@ TEST(FaultTrainerTest, FaultScheduleIndependentOfWorkerParallelism) {
 
 // Hand-built cluster harness: 4 workers on a 2-cluster tree, no trainer
 // loop — MaybeSync is driven directly with a participation mask (all ones
-// until a test clears entries) under the identity fault schedule.
+// until a test clears entries) under the identity fault schedule and the
+// identity fleet (population == K).
+ClientStoreConfig IdentityFleet(size_t dim) {
+  ClientStoreConfig config;
+  config.population = 4;
+  config.cohort_slots = 4;
+  config.dim = dim;
+  config.seed = 1;
+  return config;
+}
+
 struct HierarchicalHarness {
   static constexpr size_t kDim = 8;
 
@@ -502,6 +512,7 @@ struct HierarchicalHarness {
       : arena(4, kDim, 0),
         network(4, TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kFlat),
         faults(FaultConfig::None(), 4, /*seed=*/1),
+        store(IdentityFleet(kDim), &network.tree()),
         sync_params(kDim, 0.0f),
         prev_sync_params(kDim, 0.0f) {
     workers.resize(4);
@@ -523,6 +534,7 @@ struct HierarchicalHarness {
     ctx.sync_params = &sync_params;
     ctx.prev_sync_params = &prev_sync_params;
     ctx.faults = &faults;
+    ctx.store = &store;
     ctx.participation.assign(4, 1);
   }
 
@@ -540,6 +552,7 @@ struct HierarchicalHarness {
   WorkerArena arena;
   SimNetwork network;
   FaultInjector faults;
+  ClientStateStore store;
   std::vector<float> sync_params;
   std::vector<float> prev_sync_params;
   std::vector<WorkerState> workers;

@@ -440,43 +440,6 @@ TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
   ExpectHistoryMatches("MlpAsyncFleet", result->base.history, kMlpAsync);
 }
 
-/// Fault chains must also agree at population == K: the fleet constructs a
-/// population-sized injector with an explicit client->link map, which has to
-/// reproduce the resident constructor's chains bit-for-bit (same crash and
-/// outage schedule, same availability the sampler reads). Runtime-compared
-/// resident-vs-fleet pair; availability-weighted sampling covers the
-/// sampler's fault-reading path.
-TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortBitIdentical) {
-  SynthImageData data = SmallMnistLike();
-  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-  auto run_with = [&](bool fleet) {
-    TrainerConfig config = MlpConfig(4);
-    config.faults.worker_mttf_rounds = 4.0;
-    config.faults.worker_mttr_rounds = 2.0;
-    config.faults.message_loss_prob = 0.15;
-    if (fleet) {
-      config.population = 4;
-      config.cohort_size = 4;
-      config.cohort_schedule = CohortScheduleKind::kAvailability;
-    }
-    DistributedTrainer trainer(factory, data.train, data.test, config);
-    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
-                                 trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok());
-    testing::ExpectCommStatsConserved(result->comm);
-    return std::move(result).value();
-  };
-  TrainResult resident = run_with(false);
-  TrainResult fleet = run_with(true);
-  ASSERT_FALSE(resident.history.empty());
-  ExpectHistoriesBitIdentical(resident.history, fleet.history);
-  EXPECT_EQ(resident.rejoin_count, fleet.rejoin_count);
-  EXPECT_EQ(resident.comm.bytes_total, fleet.comm.bytes_total);
-  EXPECT_EQ(fleet.comm.check_in_syncs, 0ull);
-}
-
 // ---------------------------------------------------------------------------
 // Compressed fleet: a top-5% + q8 WireCodec with error feedback on a churned
 // fleet of K = 8 slots over a 256-client population. The mask stage feeds
@@ -895,6 +858,165 @@ TEST(GoldenHistoryTest, AsyncFdaTwoTierUnderChurnAndLoss) {
         return std::move(result).value().base;
       },
       kMlpAsyncTwoTier, kMlpAsyncTwoTierTotals, &kMlpAsyncTwoTierDepths);
+}
+
+// ---------------------------------------------------------------------------
+// Population defaults to the cohort: the fleet layer at N == K.
+
+/// Fault chains must also agree at population == K: a churned, lossy run
+/// with the default population (0, i.e. K) and one with population = K and
+/// availability-weighted sampling (the sampler's fault-reading path) both
+/// reproduce this golden. Captured with FEDRA_GOLDEN_PRINT=1 while the two
+/// configs still ran separate resident and fleet code paths.
+const GoldenPoint kMlpChurnLossFleet[] = {
+    {20, 0.203125, 0.3125, 359784ull, 0ull, 0.20020639771428575},
+    {40, 0.4765625, 0.6484375, 694016ull, 1ull, 0.40540914514285731},
+    {60, 0.4765625, 0.515625, 1079456ull, 1ull, 0.59562420800000027},
+};
+
+TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortMatchesGolden) {
+  for (const size_t population : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "population " << population);
+    TrainerConfig config = MlpConfig(4);
+    config.faults.worker_mttf_rounds = 4.0;
+    config.faults.worker_mttr_rounds = 2.0;
+    config.faults.message_loss_prob = 0.15;
+    config.population = population;
+    if (population > 0) {
+      config.cohort_size = 4;
+      config.cohort_schedule = CohortScheduleKind::kAvailability;
+    }
+    const TrainResult result =
+        RunMlp(config, AlgorithmConfig::LinearFda(0.5));
+    testing::ExpectCommStatsConserved(result.comm);
+    ExpectHistoryMatches("MlpChurnLossFleet", result.history,
+                         kMlpChurnLossFleet);
+    if (GoldenPrintMode()) {
+      std::printf("rejoins=%lluull bytes_total=%lluull\n",
+                  static_cast<unsigned long long>(result.rejoin_count),
+                  static_cast<unsigned long long>(result.comm.bytes_total));
+      continue;
+    }
+    EXPECT_EQ(result.rejoin_count, 39ull);
+    EXPECT_EQ(result.comm.bytes_total, 1079456ull);
+    EXPECT_EQ(result.comm.check_in_syncs, 0ull);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Link outages and round deadlines: every participation mask a run builds
+// from LinkUp and ApplyDeadline, on a 3-tier tree (one link entity per leaf
+// group) and on a flat network (one link per worker). Step times carry
+// lognormal jitter, so the 0.013 s deadline cuts their slow tail.
+// Captured with FEDRA_GOLDEN_PRINT=1 while fault chains were still built
+// from the topology tree directly; each run must reproduce them with
+// parallel_workers off and on.
+
+struct GoldenOutageTotals {
+  uint64_t bytes_total;
+  uint64_t zero_participant_rounds;
+  uint64_t subtree_sync_count;
+  double seconds_at_depth[3];
+};
+
+template <typename RunFn, size_t N>
+void ExpectOutageGolden(const char* name, const RunFn& run,
+                        const GoldenPoint (&golden)[N],
+                        const GoldenOutageTotals& totals) {
+  const TrainResult sequential = run(/*parallel=*/false);
+  const TrainResult parallel = run(/*parallel=*/true);
+  testing::ExpectCommStatsConserved(sequential.comm);
+  testing::ExpectCommStatsConserved(parallel.comm);
+  ExpectHistoryMatches(name, sequential.history, golden);
+  ExpectHistoriesBitIdentical(sequential.history, parallel.history);
+  if (GoldenPrintMode()) {
+    std::printf("{%lluull, %lluull, %lluull, {%.17g, %.17g, %.17g}}\n",
+                static_cast<unsigned long long>(sequential.comm.bytes_total),
+                static_cast<unsigned long long>(
+                    sequential.zero_participant_rounds),
+                static_cast<unsigned long long>(
+                    sequential.comm.subtree_sync_count),
+                sequential.comm.SecondsAtDepth(0),
+                sequential.comm.SecondsAtDepth(1),
+                sequential.comm.SecondsAtDepth(2));
+    return;
+  }
+  for (const TrainResult* result : {&sequential, &parallel}) {
+    EXPECT_EQ(result->comm.bytes_total, totals.bytes_total) << name;
+    EXPECT_EQ(result->zero_participant_rounds,
+              totals.zero_participant_rounds)
+        << name;
+    EXPECT_EQ(result->comm.subtree_sync_count, totals.subtree_sync_count)
+        << name;
+    for (size_t depth = 0; depth < 3; ++depth) {
+      EXPECT_NEAR(result->comm.SecondsAtDepth(depth),
+                  totals.seconds_at_depth[depth],
+                  1e-9 * std::max(1.0, totals.seconds_at_depth[depth]))
+          << name << " depth " << depth;
+    }
+  }
+}
+
+// Link outages (MTTF 6, MTTR 2 rounds) and a 0.013 s deadline over jittered
+// 0.01 s steps.
+TrainerConfig OutageConfig(int num_workers, double link_mttf, bool parallel) {
+  TrainerConfig config = MlpConfig(num_workers);
+  config.straggler = StragglerModel::None(0.01);
+  config.straggler.lognormal_sigma = 0.3;
+  config.faults.link_mttf_rounds = link_mttf;
+  config.faults.link_mttr_rounds = 2.0;
+  config.faults.round_deadline_seconds = 0.013;
+  config.parallel_workers = parallel;
+  return config;
+}
+
+const GoldenPoint kMlpHier3TierOutages[] = {
+    {20, 0.5, 0.6953125, 1541136ull, 1ull, 0.397044180091428},
+    {40, 0.78125, 0.8203125, 4520224ull, 2ull, 0.8602930915482353},
+    {60, 0.9375, 0.8984375, 6061216ull, 2ull, 1.195904713389196},
+};
+const GoldenOutageTotals kMlpHier3TierOutagesTotals = {
+    6061216ull, 0ull, 77ull,
+    {0.12164352, 0.12805473279999993, 0.20416437760000025}};
+
+TEST(GoldenHistoryTest, ThreeTierLinkOutagesAndDeadline) {
+  ExpectOutageGolden(
+      "MlpHier3TierOutages",
+      [](bool parallel) {
+        const SynthImageData& data = SharedMnistLike();
+        auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+        TrainerConfig config = OutageConfig(8, 6.0, parallel);
+        config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+        DistributedTrainer trainer(factory, data.train, data.test, config);
+        HierarchicalFdaConfig policy_config;
+        policy_config.monitor.kind = MonitorKind::kLinear;
+        policy_config.theta_by_depth = {1.2, 0.5, 0.2};
+        auto policy =
+            MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
+        FEDRA_CHECK(policy.ok());
+        auto result = trainer.Run(policy->get());
+        FEDRA_CHECK(result.ok());
+        return std::move(result).value();
+      },
+      kMlpHier3TierOutages, kMlpHier3TierOutagesTotals);
+}
+
+const GoldenPoint kMlpFlatOutages[] = {
+    {20, 0.4921875, 0.6875, 77320ull, 3ull, 0.22752390286387719},
+    {40, 0.765625, 0.8046875, 308816ull, 6ull, 0.45119928273210913},
+    {60, 0.9296875, 0.8984375, 360376ull, 7ull, 0.68434669194144904},
+};
+const GoldenOutageTotals kMlpFlatOutagesTotals = {
+    360376ull, 2ull, 0ull, {0.00029648228571428571, 0.0, 0.0}};
+
+TEST(GoldenHistoryTest, FlatLinkOutagesAndDeadline) {
+  ExpectOutageGolden(
+      "MlpFlatOutages",
+      [](bool parallel) {
+        return RunMlp(OutageConfig(4, 5.0, parallel),
+                      AlgorithmConfig::LinearFda(0.5));
+      },
+      kMlpFlatOutages, kMlpFlatOutagesTotals);
 }
 
 }  // namespace

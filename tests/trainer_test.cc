@@ -3,11 +3,13 @@
 // accuracy targets, determinism, and the paper's headline ordering
 // (FDA communicates orders of magnitude less than Synchronous).
 
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
+#include "core/async_fda.h"
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -305,6 +307,47 @@ TEST(TrainerTest, ValidationErrorsSurface) {
                              config);
   SynchronousPolicy policy;
   EXPECT_FALSE(trainer.Run(&policy).ok());
+}
+
+// Every run rotates its cohort every cohort_steps rounds, a resident one
+// too: cohort_steps = 0 is a Status from Validate and from both trainers,
+// never a division by zero.
+TEST(TrainerTest, ResidentConfigRejectsZeroCohortSteps) {
+  SynthImageData data = SmallMnistLike();
+  TrainerConfig config = BaseConfig(2);
+  config.max_steps = 2;
+  config.cohort_steps = 0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             config);
+  SynchronousPolicy policy;
+  EXPECT_EQ(trainer.Run(&policy).status().code(),
+            StatusCode::kInvalidArgument);
+  AsyncFdaConfig async_config;
+  async_config.max_total_worker_steps = 4;
+  AsyncFdaTrainer async_trainer(SmallMlpFactory(), data.train, data.test,
+                                config, async_config);
+  EXPECT_EQ(async_trainer.Run().status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Fault chains index clients by int, so a population beyond INT_MAX is a
+// Status. At 2^32 + 4 the uint32 client ids would also wrap; Run returns
+// before allocating anything population-sized.
+TEST(TrainerTest, PopulationBeyondIntIsInvalidArgument) {
+  TrainerConfig config = BaseConfig(4);
+  config.population = static_cast<size_t>(std::numeric_limits<int>::max());
+  EXPECT_TRUE(config.Validate().ok());
+  config.population += 1;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.population = (size_t{1} << 32) + 4;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  SynthImageData data = SmallMnistLike();
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             config);
+  SynchronousPolicy policy;
+  EXPECT_EQ(trainer.Run(&policy).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(TrainerTest, HistoryIsMonotoneInStepsAndBytes) {
