@@ -854,11 +854,28 @@ double SecondsPerCall(const std::function<void()>& fn) {
   }
 }
 
-/// Writes BENCH_kernels.json: every dispatched kernel timed at every SIMD
-/// level this host supports (simd::SupportedLevels x simd::SetLevel), with
-/// bytes-touched GB/s, GFLOP/s where FLOPs are well-defined, and speedup
-/// relative to the kGeneric portable-vector path. Buffers are L2-resident
-/// (n = 4096) so the numbers expose compute limits, not DRAM bandwidth.
+/// The `host` member of the recorded sweeps: what the timings depend on —
+/// online cores, the active SIMD level, and FEDRA_NUM_THREADS verbatim (null
+/// when unset). Opens the JSON object: "{\n  \"host\": {...},\n".
+std::string HostJsonHead() {
+  const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
+  const char* quote = num_threads_env != nullptr ? "\"" : "";
+  char host[256];
+  std::snprintf(host, sizeof(host),
+                "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
+                "\"fedra_num_threads\": %s%s%s},\n",
+                std::thread::hardware_concurrency(),
+                simd::LevelName(simd::ActiveLevel()), quote,
+                num_threads_env != nullptr ? num_threads_env : "null", quote);
+  return host;
+}
+
+/// Writes BENCH_kernels.json: the `host` object (HostJsonHead), then every
+/// dispatched kernel timed at every SIMD level this host supports
+/// (simd::SupportedLevels x simd::SetLevel), with bytes-touched GB/s,
+/// GFLOP/s where FLOPs are well-defined, and speedup relative to the
+/// kGeneric portable-vector path. Buffers are L2-resident (n = 4096) so the
+/// numbers expose compute limits, not DRAM bandwidth.
 int RunKernelsSweep(const std::string& path) {
   const size_t n = 4096;
   const size_t reduce_bufs = 8;
@@ -879,6 +896,15 @@ int RunKernelsSweep(const std::string& path) {
   auto apanel = RandomVec(static_cast<size_t>(kc) * simd::kGemmMr, 90);
   auto bpanel = RandomVec(static_cast<size_t>(kc) * simd::kGemmNr, 91);
   std::vector<float> acc(static_cast<size_t>(simd::kGemmMr) * simd::kGemmNr);
+  auto adam_params = RandomVec(n, 92);
+  std::vector<float> adam_m(n, 0.0f);
+  std::vector<float> adam_v(n, 0.0f);
+  vec::AdamStepArgs adam;
+  adam.lr = 1e-3f;
+  adam.corrected_lr = 1e-3f;
+  adam.beta1 = 0.9f;
+  adam.beta2 = 0.999f;
+  adam.epsilon = 1e-7f;
 
   struct Kernel {
     const char* name;
@@ -916,6 +942,17 @@ int RunKernelsSweep(const std::string& path) {
          simd::Kernels().reduce_scale(bufs.data(), reduce_bufs, n,
                                       1.0 / reduce_bufs, out.data());
        }},
+      // Reads grads and reads+writes params, m and v: 7 floats per element.
+      // 14 flops per element for Adam and AdamW alike, an FMA counting as
+      // 2 and sqrt and div as 1 each: the wd FMA (AdamW: the decay FMA),
+      // m's mul + FMA, v's 2 muls + FMA, and mul, sqrt, add, div, sub for
+      // the update.
+      {"adam_step", 7 * fn * sizeof(float), 14 * fn,
+       [&] {
+         simd::Kernels().adam_step(adam, x.data(), adam_params.data(),
+                                   adam_m.data(), adam_v.data(), n);
+         benchmark::DoNotOptimize(adam_params.data());
+       }},
       {"gemm_micro_8x32",
        static_cast<double>(kc) * (simd::kGemmMr + simd::kGemmNr) *
            sizeof(float),
@@ -927,7 +964,7 @@ int RunKernelsSweep(const std::string& path) {
        }},
   };
 
-  std::string json = "{\n  \"n\": 4096,\n  \"levels\": [";
+  std::string json = HostJsonHead() + "  \"n\": 4096,\n  \"levels\": [";
   for (size_t i = 0; i < levels.size(); ++i) {
     json += std::string(i == 0 ? "" : ", ") + "\"" +
             simd::LevelName(levels[i]) + "\"";
@@ -985,22 +1022,6 @@ int RunKernelsSweep(const std::string& path) {
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
   return 0;
-}
-
-/// The `host` member of the recorded sweeps: what the timings depend on —
-/// online cores, the active SIMD level, and FEDRA_NUM_THREADS verbatim (null
-/// when unset). Opens the JSON object: "{\n  \"host\": {...},\n".
-std::string HostJsonHead() {
-  const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
-  const char* quote = num_threads_env != nullptr ? "\"" : "";
-  char host[256];
-  std::snprintf(host, sizeof(host),
-                "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
-                "\"fedra_num_threads\": %s%s%s},\n",
-                std::thread::hardware_concurrency(),
-                simd::LevelName(simd::ActiveLevel()), quote,
-                num_threads_env != nullptr ? num_threads_env : "null", quote);
-  return host;
 }
 
 /// Writes BENCH_compression.json: the `host` object (HostJsonHead), then the

@@ -32,15 +32,22 @@ codebases:
                       fixed 32768-element helpers (sim/collectives.cc
                       kReduceChunk) or another thread-count-independent
                       constant.
-  raw-cpu-dispatch    __builtin_cpu_supports/cpuid probes or ISA-macro
-                      #ifdefs (__AVX2__/__AVX512F__/__ARM_NEON/...) outside
-                      src/tensor/simd_dispatch.*: scattered ISA branches
-                      make which accumulation pattern ran depend on the
-                      build flags and host CPU of each call site, which no
-                      parity suite covers. All ISA selection goes through
-                      the dispatch table (simd::Kernels()), where every
-                      compiled-in level is parity-tested and the active
-                      level is observable and pinnable (FEDRA_SIMD).
+  raw-cpu-dispatch    ISA code outside src/tensor/simd_dispatch.*:
+                      __builtin_cpu_supports/cpuid probes, ISA-macro
+                      #ifdefs (__AVX2__/__AVX512F__/__ARM_NEON/...),
+                      intrinsic headers (<immintrin.h>, <x86intrin.h>,
+                      <arm_neon.h>, ...), target attributes
+                      (__attribute__((target(...))), [[gnu::target]]),
+                      _mm*_ intrinsic calls and the __m128/__m256/__m512
+                      vector types. A target attribute needs no #ifdef,
+                      so without the last four a hand-vectorized kernel
+                      could hide in any file. Scattered ISA code makes
+                      which arithmetic ran depend on the build flags and
+                      host CPU of each call site, which no parity suite
+                      covers. All ISA selection goes through the dispatch
+                      table (simd::Kernels()), where every compiled-in
+                      level is parity-tested and the active level is
+                      observable and pinnable (FEDRA_SIMD).
 
 Waiver syntax — same line or the line directly above, reason mandatory:
 
@@ -120,11 +127,21 @@ RULES = [
             r"|\b_xgetbv\b"
             r"|^\s*#\s*(?:el)?if(?:n?def)?\b.*\b__"
             r"(?:AVX|SSE|FMA|ARM_NEON|ARM_FEATURE)\w*\b"
+            # The ISA code itself: intrinsic headers, target attributes (the
+            # [^)]* stays inside the attribute list, so a call such as
+            # gigabytes_to_target() never matches), intrinsic calls, and
+            # vector register types.
+            r"|^\s*#\s*include\s*<(?:\w*intrin|arm_neon|arm_sve)\.h>"
+            r"|\b__attribute__\s*\(\([^)]*\b(?:__)?target(?:__)?\s*\("
+            r"|\bgnu::(?:__)?target(?:__)?\s*\("
+            r"|\b_mm\d*_\w+\s*\("
+            r"|\b__m(?:128|256|512)\w*\b"
         ),
-        "raw CPU dispatch outside src/tensor/simd_dispatch.*: cpuid probes "
-        "and ISA-macro #ifdefs pick an accumulation pattern per call site, "
-        "untestable by the dispatch parity suite; route the kernel through "
-        "simd::Kernels() instead",
+        "raw CPU dispatch outside src/tensor/simd_dispatch.*: cpuid probes, "
+        "ISA-macro #ifdefs and ISA code (intrinsic headers, target "
+        "attributes, intrinsics, vector types) pick the arithmetic per call "
+        "site, untestable by the dispatch parity suite; route the kernel "
+        "through simd::Kernels() instead",
     ),
 ]
 
@@ -342,7 +359,10 @@ def self_test():
         "unordered-iteration": 1,
         "raw-thread": 2,  # std::thread and std::async
         "variable-chunk": 1,
-        "raw-cpu-dispatch": 2,  # __builtin_cpu_supports and #ifdef __AVX2__
+        # __builtin_cpu_supports, #ifdef __AVX2__, <immintrin.h>,
+        # <arm_neon.h>, __attribute__((target)), [[gnu::target]], an __m512
+        # declaration and an _mm512_ call
+        "raw-cpu-dispatch": 8,
         "empty-waiver": 1,
     }
     if fired != expected:

@@ -188,35 +188,26 @@ class AdamOptimizer : public Optimizer {
     vec::Fill(v_, dim_, 0.0f);
   }
 
+  // The bias correction stays in double here; the element loop is
+  // vec::AdamStep, dispatched per SIMD level and bit-identical across them.
   void Step(float* params, const float* grads, size_t n) override {
     FEDRA_CHECK_EQ(dim_, n);
     ++step_;
-    const float lr = config_.learning_rate;
-    const float b1 = config_.beta1;
-    const float b2 = config_.beta2;
-    const float eps = config_.epsilon;
-    const bool decoupled = config_.kind == OptimizerConfig::Kind::kAdamW;
-    const float wd = config_.weight_decay;
+    vec::AdamStepArgs args;
+    args.lr = config_.learning_rate;
+    args.beta1 = config_.beta1;
+    args.beta2 = config_.beta2;
+    args.epsilon = config_.epsilon;
+    args.weight_decay = config_.weight_decay;
+    args.decoupled = config_.kind == OptimizerConfig::Kind::kAdamW;
     const double bias1 =
-        1.0 - std::pow(static_cast<double>(b1), static_cast<double>(step_));
+        1.0 - std::pow(static_cast<double>(args.beta1),
+                       static_cast<double>(step_));
     const double bias2 =
-        1.0 - std::pow(static_cast<double>(b2), static_cast<double>(step_));
-    const float corrected_lr =
-        lr * static_cast<float>(std::sqrt(bias2) / bias1);
-    float* m = m_;
-    float* v = v_;
-    for (size_t i = 0; i < n; ++i) {
-      float g = grads[i];
-      if (!decoupled) {
-        g += wd * params[i];  // classic L2 regularization
-      }
-      m[i] = b1 * m[i] + (1.0f - b1) * g;
-      v[i] = b2 * v[i] + (1.0f - b2) * g * g;
-      params[i] -= corrected_lr * m[i] / (std::sqrt(v[i]) + eps);
-      if (decoupled) {
-        params[i] -= lr * wd * params[i];  // AdamW decoupled decay
-      }
-    }
+        1.0 - std::pow(static_cast<double>(args.beta2),
+                       static_cast<double>(step_));
+    args.corrected_lr = args.lr * static_cast<float>(std::sqrt(bias2) / bias1);
+    vec::AdamStep(args, grads, params, m_, v_, n);
   }
 
   void Reset() override {

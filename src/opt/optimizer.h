@@ -6,6 +6,11 @@
 //  - *server* optimizers for the FedOpt family (FedAvgM = server SGD with
 //    momentum, FedAdam = server Adam), which treat the negated average
 //    client delta as a pseudo-gradient (Reddi et al., 2021).
+//
+// Adam and AdamW compute their bias correction per step in double and run
+// the element loop as vec::AdamStep, a SIMD-dispatched kernel that produces
+// the same bits at every level (docs/determinism.md §5). Both roles above
+// use it.
 
 #ifndef FEDRA_OPT_OPTIMIZER_H_
 #define FEDRA_OPT_OPTIMIZER_H_

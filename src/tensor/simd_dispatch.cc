@@ -2,8 +2,9 @@
 // probing, the per-level kernel variants, and the dispatch tables. The
 // determinism lint (scripts/lint_determinism.py, rule raw-cpu-dispatch)
 // enforces that nothing outside tensor/simd_dispatch.* touches
-// __builtin_cpu_supports or ISA preprocessor conditionals, so every kernel
-// selection decision is auditable in one place.
+// __builtin_cpu_supports, ISA preprocessor conditionals, intrinsic headers,
+// target attributes, intrinsics or vector types, so every kernel selection
+// decision is auditable in one place.
 //
 // Layout of this file:
 //   1. Portable canonical kernels — the exact code vec_ops.cc/ops.cc
@@ -21,16 +22,20 @@
 // 16/32 independent double lanes instead of the canonical 4 — reductions
 // across levels therefore agree only to parity tolerance (the latency-bound
 // 4-lane chain is the very thing being fixed; see bench/BENCH_kernels.json).
-// The reduce_scale variants keep the canonical per-element
-// pairing order (element-wise operations leave no reassociation freedom).
+// The reduce_scale variants keep the canonical per-element pairing order,
+// and the adam_step variant the portable body's per-element FMA pattern
+// (element-wise operations leave no reassociation freedom), so those two
+// kernels produce the same bits at every level.
 
 #include "tensor/simd_dispatch.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 
+#include "tensor/vec_ops.h"
 #include "util/check.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -189,6 +194,40 @@ void ReduceScalePortable(const float* const* bufs, size_t num_bufs, size_t n,
     float* o = out + base;
     for (size_t j = 0; j < len; ++j) {
       o[j] = static_cast<float>(acc[j] * scale);
+    }
+  }
+}
+
+// The Adam/AdamW update, moved verbatim from AdamOptimizer::Step. Built at
+// -O2 or above for a baseline ISA with FMA (the default -march=native
+// build), GCC contracts it to this per-element arithmetic:
+//   Adam:   g = fma(wd, p, grad)          AdamW: g = grad
+//   m' = fma(b1, m, (1-b1)*g)
+//   v' = fma(b2, v, ((1-b2)*g)*g)
+//   p' = p - (clr*m') / (sqrt(v') + eps)
+//   AdamW:  p' = fma(-(lr*wd), p', p')    (whatever wd is)
+// AdamStepAvx512 writes exactly these operations out. The loop itself stays
+// scalar: each std::sqrt carries an errno slow path (a compare and a branch
+// to sqrtf), and GCC does not vectorize a loop with that control flow.
+void AdamStepPortable(const vec::AdamStepArgs& args, const float* grads,
+                      float* params, float* m, float* v, size_t n) {
+  const float lr = args.lr;
+  const float corrected_lr = args.corrected_lr;
+  const float b1 = args.beta1;
+  const float b2 = args.beta2;
+  const float eps = args.epsilon;
+  const bool decoupled = args.decoupled;
+  const float wd = args.weight_decay;
+  for (size_t i = 0; i < n; ++i) {
+    float g = grads[i];
+    if (!decoupled) {
+      g += wd * params[i];  // classic L2 regularization
+    }
+    m[i] = b1 * m[i] + (1.0f - b1) * g;
+    v[i] = b2 * v[i] + (1.0f - b2) * g * g;
+    params[i] -= corrected_lr * m[i] / (std::sqrt(v[i]) + eps);
+    if (decoupled) {
+      params[i] -= lr * wd * params[i];  // AdamW decoupled decay
     }
   }
 }
@@ -693,6 +732,69 @@ __attribute__((target("avx512f"))) void ReduceScaleAvx512(
   }
 }
 
+// adam_step: AdamStepPortable's contracted arithmetic, 16 elements per
+// iteration, the tail under a lane mask. Every FMA is an explicit intrinsic,
+// and no plain multiply feeds a plain add, so -ffp-contract=fast has nothing
+// left to fuse (GCC fuses _mm512_mul_ps + _mm512_add_ps like scalar code).
+// Masked-off tail lanes compute 0 / (sqrt(0) + eps) and are never stored.
+// The variant may exist only where the portable body is contracted. GCC
+// contracts it at -O2 and above when the baseline ISA has FMA (-march=native
+// on any AVX-512 host), so the variant is compiled in under __FMA__ and
+// __OPTIMIZE__, and a FEDRA_NATIVE_ARCH=OFF or -O0 build runs the portable
+// body at every level. An -O1 or -Og build defines __OPTIMIZE__ but does not
+// contract, so there the two disagree and the parity test fails.
+#if defined(__FMA__) && defined(__OPTIMIZE__)
+#define FEDRA_SIMD_ADAM_AVX512 1
+
+template <bool kDecoupled>
+__attribute__((target("avx512f"))) void AdamStepAvx512Loop(
+    const vec::AdamStepArgs& args, const float* grads, float* params,
+    float* m, float* v, size_t n) {
+  const __m512 b1 = _mm512_set1_ps(args.beta1);
+  const __m512 c1 = _mm512_set1_ps(1.0f - args.beta1);
+  const __m512 b2 = _mm512_set1_ps(args.beta2);
+  const __m512 c2 = _mm512_set1_ps(1.0f - args.beta2);
+  const __m512 clr = _mm512_set1_ps(args.corrected_lr);
+  const __m512 eps = _mm512_set1_ps(args.epsilon);
+  const __m512 wd = _mm512_set1_ps(args.weight_decay);
+  const __m512 decay = _mm512_set1_ps(args.lr * args.weight_decay);
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 k =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    __m512 p = _mm512_maskz_loadu_ps(k, params + i);
+    __m512 g = _mm512_maskz_loadu_ps(k, grads + i);
+    if constexpr (!kDecoupled) {
+      g = _mm512_fmadd_ps(wd, p, g);
+    }
+    const __m512 mn = _mm512_fmadd_ps(b1, _mm512_maskz_loadu_ps(k, m + i),
+                                      _mm512_mul_ps(c1, g));
+    const __m512 vn =
+        _mm512_fmadd_ps(b2, _mm512_maskz_loadu_ps(k, v + i),
+                        _mm512_mul_ps(_mm512_mul_ps(c2, g), g));
+    p = _mm512_sub_ps(p, _mm512_div_ps(_mm512_mul_ps(clr, mn),
+                                       _mm512_add_ps(_mm512_sqrt_ps(vn),
+                                                     eps)));
+    if constexpr (kDecoupled) {
+      p = _mm512_fnmadd_ps(decay, p, p);
+    }
+    _mm512_mask_storeu_ps(m + i, k, mn);
+    _mm512_mask_storeu_ps(v + i, k, vn);
+    _mm512_mask_storeu_ps(params + i, k, p);
+  }
+}
+
+__attribute__((target("avx512f"))) void AdamStepAvx512(
+    const vec::AdamStepArgs& args, const float* grads, float* params,
+    float* m, float* v, size_t n) {
+  if (args.decoupled) {
+    AdamStepAvx512Loop<true>(args, grads, params, m, v, n);
+  } else {
+    AdamStepAvx512Loop<false>(args, grads, params, m, v, n);
+  }
+}
+#endif  // __FMA__ && __OPTIMIZE__
+
 // The explicit-zmm formulation of the generic micro-kernel (16 accumulator
 // vectors + 2 B vectors in the 32-register file). On a -march=native
 // AVX-512 build this matches what the compiler emits for the generic
@@ -902,6 +1004,7 @@ struct Tables {
     scalar.sub_squared_norm = SubSquaredNormPortable;
     scalar.axpy_norm = AxpyNormPortable;
     scalar.reduce_scale = ReduceScalePortable;
+    scalar.adam_step = AdamStepPortable;
     scalar.gemm_micro_8x32 = GemmMicroScalar;
 
     KernelTable generic = scalar;
@@ -927,6 +1030,9 @@ struct Tables {
     avx512.axpy_norm = AxpyNormAvx512;
     avx512.reduce_scale = ReduceScaleAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
+#endif
+#if defined(FEDRA_SIMD_ADAM_AVX512)
+    avx512.adam_step = AdamStepAvx512;
 #endif
 
     KernelTable neon = generic;

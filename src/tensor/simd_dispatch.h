@@ -5,7 +5,8 @@
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
 // vector throughput on the table. This header centralizes the solution —
 // every ISA-specific decision in the tree lives behind it (the determinism
-// lint bans cpuid/ISA-#ifdef use anywhere else in src/):
+// lint bans cpuid probes, ISA #ifdefs and ISA code such as intrinsics and
+// target attributes anywhere else in src/):
 //
 //   * `Level` enumerates the compiled-in implementation tiers: kScalar
 //     (plain loops), kGeneric (GCC/Clang generic-vector code, the portable
@@ -40,6 +41,10 @@
 #include <vector>
 
 namespace fedra {
+namespace vec {
+struct AdamStepArgs;  // tensor/vec_ops.h
+}  // namespace vec
+
 namespace simd {
 
 enum class Level {
@@ -59,6 +64,15 @@ inline constexpr int kGemmNr = 32;
 /// vec:: declarations; `gemm_micro_8x32` computes
 /// acc[kGemmMr][kGemmNr] = apanel * bpanel over kc depth steps of packed
 /// panels (apanel stride kGemmMr, bpanel stride kGemmNr).
+///
+/// The reductions (dot, the norms) differ across levels by reassociation.
+/// reduce_scale and adam_step are element-wise, and each of their variants
+/// computes the portable body's per-element arithmetic, so they produce the
+/// same bits at every level. For adam_step that includes the FMAs GCC
+/// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
+/// variant is compiled in only in builds that contract it (-O2 and above
+/// with FMA in the baseline ISA), and kScalar, kGeneric, kAvx2 and kNeon
+/// run the portable body.
 struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   double (*dot)(const float* a, const float* b, size_t n);
@@ -68,6 +82,8 @@ struct KernelTable {
   double (*axpy_norm)(float alpha, const float* x, float* y, size_t n);
   void (*reduce_scale)(const float* const* bufs, size_t num_bufs, size_t n,
                        double scale, float* out);
+  void (*adam_step)(const vec::AdamStepArgs& args, const float* grads,
+                    float* params, float* m, float* v, size_t n);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
 };

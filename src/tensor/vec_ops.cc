@@ -11,10 +11,11 @@ namespace vec {
 
 // The element-wise kernels are written as plain contiguous loops: at -O3 the
 // compiler turns each into packed SIMD. The hot kernels — Axpy, the
-// double-accumulated reductions, and the reduce family the collectives sit
-// on — forward through the runtime SIMD dispatch table instead; their
-// canonical portable bodies live in tensor/simd_dispatch.cc alongside the
-// per-ISA variants (see that file for the determinism contract).
+// double-accumulated reductions, the Adam update, and the reduce family the
+// collectives sit on — forward through the runtime SIMD dispatch table
+// instead; their canonical portable bodies live in tensor/simd_dispatch.cc
+// alongside the per-ISA variants (see that file for the determinism
+// contract).
 
 void Copy(const float* src, float* dst, size_t n) {
   std::memcpy(dst, src, n * sizeof(float));
@@ -140,6 +141,11 @@ void AddScaledDiff(float alpha, const float* a, const float* b, float* y,
   for (size_t i = 0; i < n; ++i) {
     y[i] += alpha * (a[i] - b[i]);
   }
+}
+
+void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
+              float* m, float* v, size_t n) {
+  simd::Kernels().adam_step(args, grads, params, m, v, n);
 }
 
 void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,

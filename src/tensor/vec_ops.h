@@ -5,15 +5,16 @@
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
 // The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm /
-// AxpyNorm, and the collective reductions) route through the runtime SIMD
-// dispatch table in tensor/simd_dispatch.h — resolved once per process to
-// the best ISA tier the CPU supports (or FEDRA_SIMD), bit-deterministic per
-// tier. Reductions accumulate in double across independent lanes (four at
-// the portable tiers, more under AVX2/AVX-512/NEON) so results differ from
-// a single-accumulator loop — and across tiers — only by floating-point
-// reassociation. The fused kernels (SubSquaredNorm, AxpyNorm) exist for the
-// FDA hot path: every local step computes a drift and its squared norm, and
-// fusing the two halves the memory traffic over the model-sized spans.
+// AxpyNorm, the Adam update, and the collective reductions) route through
+// the runtime SIMD dispatch table in tensor/simd_dispatch.h — resolved once
+// per process to the best ISA tier the CPU supports (or FEDRA_SIMD),
+// bit-deterministic per tier. Reductions accumulate in double across
+// independent lanes (four at the portable tiers, more under
+// AVX2/AVX-512/NEON) so results differ from a single-accumulator loop — and
+// across tiers — only by floating-point reassociation. The fused kernels
+// (SubSquaredNorm, AxpyNorm) exist for the FDA hot path: every local step
+// computes a drift and its squared norm, and fusing the two halves the
+// memory traffic over the model-sized spans.
 // Scalar oracles live in tensor/ref_ops.h.
 
 #ifndef FEDRA_TENSOR_VEC_OPS_H_
@@ -88,6 +89,30 @@ void NormBackwardDx(const float* dy, const float* xhat, float scale,
 /// every local gradient).
 void AddScaledDiff(float alpha, const float* a, const float* b, float* y,
                    size_t n);
+
+/// Scalars of one Adam/AdamW step: the OptimizerConfig fields plus the
+/// step's bias-corrected rate, which the optimizer computes in double.
+struct AdamStepArgs {
+  float lr = 0.0f;
+  float corrected_lr = 0.0f;  // lr * sqrt(1 - beta2^t) / (1 - beta1^t)
+  float beta1 = 0.0f;
+  float beta2 = 0.0f;
+  float epsilon = 0.0f;
+  float weight_decay = 0.0f;
+  bool decoupled = false;  // AdamW: decay the params after the step
+};
+
+/// One Adam (or, when args.decoupled, AdamW) step in place on params and
+/// the moments m, v:
+///   g = grads[i] + weight_decay * params[i]   (AdamW: g = grads[i])
+///   m[i] = beta1 * m[i] + (1 - beta1) * g
+///   v[i] = beta2 * v[i] + (1 - beta2) * g * g
+///   params[i] -= corrected_lr * m[i] / (sqrt(v[i]) + epsilon)
+///   params[i] -= lr * weight_decay * params[i]   (AdamW only)
+/// Element-wise, so every SIMD level produces the same bits
+/// (docs/determinism.md §5).
+void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
+              float* m, float* v, size_t n);
 
 /// Fused tree-reduce + scale kernel, the arithmetic core of the simulated
 /// collectives: out[i] = scale * sum_k bufs[k][i]. Buffers are combined

@@ -79,6 +79,12 @@ struct ForkableRng {
   unsigned long long NextBounded(unsigned long long bound);
 };
 
+// Words that merely contain "target" are not target attributes.
+struct Result {
+  double gigabytes_to_target() const;
+};
+double Reach(const Result& result) { return result.gigabytes_to_target(); }
+
 unsigned long long SampleCohortClient(const ForkableRng& master,
                                       unsigned long long round,
                                       unsigned long long population) {

@@ -10,13 +10,17 @@
 //   unordered-iteration x1
 //   raw-thread          x2  (std::thread, std::async)
 //   variable-chunk      x1
-//   raw-cpu-dispatch    x2  (__builtin_cpu_supports, #ifdef __AVX2__)
+//   raw-cpu-dispatch    x8  (__builtin_cpu_supports, #ifdef __AVX2__,
+//                            <immintrin.h>, <arm_neon.h>, target attribute,
+//                            [[gnu::target]], __m512 type, _mm512_ call)
 //   empty-waiver        x1
 
+#include <arm_neon.h>
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <future>
+#include <immintrin.h>
 #include <random>
 #include <thread>
 #include <unordered_map>
@@ -90,6 +94,17 @@ inline constexpr int kIsaTunedBlock = 16;
 #else
 inline constexpr int kIsaTunedBlock = 4;
 #endif
+
+// A target attribute compiles an ISA kernel under any -march with no #ifdef
+// at all, so the kernel itself is flagged: the attribute (in either
+// spelling), the vector type, and the intrinsic call each on its own line.
+__attribute__((target("avx512f"))) void HandVectorizedLoad(float* x) {
+  __m512 lanes;
+  lanes = _mm512_loadu_ps(x);
+  (void)lanes;
+}
+
+[[gnu::target("avx2")]] void OtherAttributeSpelling();
 
 // A waiver that names no reason is rejected outright:
 // fedra-nondeterminism-ok:

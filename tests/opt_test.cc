@@ -2,11 +2,14 @@
 // reference sequences, plus config validation and state reset.
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "opt/optimizer.h"
+#include "tensor/simd_dispatch.h"
+#include "util/rng.h"
 
 namespace fedra {
 namespace {
@@ -196,6 +199,43 @@ TEST(OptimizerTest, AdamResetRestartsBiasCorrection) {
   p[0] = 0.0f;
   opt->Step(p.data(), g.data(), 1);
   EXPECT_FLOAT_EQ(p[0], after_first);
+}
+
+// Adam's element loop is a dispatched kernel; the optimizer must produce the
+// same bytes at the level cpuid picked (or FEDRA_SIMD forced) as at kScalar.
+TEST(AdamTest, ParamsAtActiveLevelMatchScalarByteForByte) {
+  const size_t dim = 1003;
+  auto adam_wd = OptimizerConfig::Adam(0.01f);
+  adam_wd.weight_decay = 0.01f;
+  const OptimizerConfig configs[] = {OptimizerConfig::Adam(0.01f), adam_wd,
+                                     OptimizerConfig::AdamW(0.01f, 0.01f)};
+  const simd::Level active = simd::ActiveLevel();
+  for (const OptimizerConfig& config : configs) {
+    SCOPED_TRACE(config.ToString());
+    std::vector<float> params_at[2];
+    const simd::Level levels[2] = {active, simd::Level::kScalar};
+    for (int l = 0; l < 2; ++l) {
+      simd::SetLevel(levels[l]);
+      auto opt = Optimizer::Create(config, dim);
+      Rng rng(77);
+      std::vector<float> params(dim);
+      for (float& p : params) {
+        p = rng.NextGaussian(0.0f, 1.0f);
+      }
+      std::vector<float> grads(dim);
+      for (int step = 0; step < 50; ++step) {
+        for (size_t i = 0; i < dim; ++i) {
+          grads[i] = 0.1f * params[i] + rng.NextGaussian(0.0f, 0.01f);
+        }
+        opt->Step(params.data(), grads.data(), dim);
+      }
+      params_at[l] = params;
+    }
+    simd::SetLevel(active);
+    EXPECT_EQ(0, std::memcmp(params_at[0].data(), params_at[1].data(),
+                             dim * sizeof(float)))
+        << "at " << simd::LevelName(active);
+  }
 }
 
 TEST(OptimizerDeathTest, InvalidConfigDies) {

@@ -1,11 +1,14 @@
 // Dispatch-matrix parity suite: force-runs every compiled-in SIMD level on
 // this machine (simd::SupportedLevels + simd::SetLevel) and checks each
 // dispatched kernel against its ref:: oracle to parity tolerance. Also pins
-// the two exact clauses of the determinism contract (docs/determinism.md):
-// a fixed level is bit-deterministic run-to-run, and kScalar == kGeneric
+// the exact clauses of the determinism contract (docs/determinism.md): a
+// fixed level is bit-deterministic run-to-run, kScalar == kGeneric
 // bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies). Sizes straddle every vector width's main-loop/remainder split so
-// tail handling is covered at all levels.
+// bodies), and the element-wise adam_step is bit-identical at every level.
+// The golden suites pin kGeneric, so this file (and the level check in
+// opt_test.cc) is what runs the wide adam_step variant. Sizes straddle
+// every vector width's main-loop/remainder split so tail handling is
+// covered at all levels.
 
 #include <cmath>
 #include <cstring>
@@ -16,6 +19,7 @@
 
 #include "tensor/ref_ops.h"
 #include "tensor/simd_dispatch.h"
+#include "tensor/vec_ops.h"
 #include "util/rng.h"
 
 namespace fedra {
@@ -273,17 +277,35 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
     const auto x = RandomVec(n, 7777 + n);
     const auto b = RandomVec(n, 8888 + n);
 
+    vec::AdamStepArgs adam;
+    adam.lr = 1e-3f;
+    adam.corrected_lr = 3e-4f;
+    adam.beta1 = 0.9f;
+    adam.beta2 = 0.999f;
+    adam.epsilon = 1e-7f;
+    adam.weight_decay = 0.01f;
+
     simd::SetLevel(simd::Level::kScalar);
     auto y_scalar = RandomVec(n, 9999 + n);
     const double dot_scalar = simd::Kernels().dot(x.data(), b.data(), n);
     const double axpy_scalar =
         simd::Kernels().axpy_norm(0.61f, x.data(), y_scalar.data(), n);
+    auto p_scalar = RandomVec(n, 9999 + n);
+    auto m_scalar = RandomVec(n, 6000 + n);
+    auto v_scalar = RandomVec(n, 6001 + n, 0.0f, 1.0f);
+    simd::Kernels().adam_step(adam, x.data(), p_scalar.data(),
+                              m_scalar.data(), v_scalar.data(), n);
 
     simd::SetLevel(simd::Level::kGeneric);
     auto y_generic = RandomVec(n, 9999 + n);
     const double dot_generic = simd::Kernels().dot(x.data(), b.data(), n);
     const double axpy_generic =
         simd::Kernels().axpy_norm(0.61f, x.data(), y_generic.data(), n);
+    auto p_generic = RandomVec(n, 9999 + n);
+    auto m_generic = RandomVec(n, 6000 + n);
+    auto v_generic = RandomVec(n, 6001 + n, 0.0f, 1.0f);
+    simd::Kernels().adam_step(adam, x.data(), p_generic.data(),
+                              m_generic.data(), v_generic.data(), n);
 
     EXPECT_EQ(dot_scalar, dot_generic);
     EXPECT_EQ(axpy_scalar, axpy_generic);
@@ -291,6 +313,128 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
     if (n > 0) {  // memcmp on the null data() of an empty vector is UB
       EXPECT_EQ(0, std::memcmp(y_scalar.data(), y_generic.data(),
                                n * sizeof(float)));
+      EXPECT_EQ(0, std::memcmp(p_scalar.data(), p_generic.data(),
+                               n * sizeof(float)));
+      EXPECT_EQ(0, std::memcmp(m_scalar.data(), m_generic.data(),
+                               n * sizeof(float)));
+      EXPECT_EQ(0, std::memcmp(v_scalar.data(), v_generic.data(),
+                               n * sizeof(float)));
+    }
+  }
+}
+
+// ------------------------------------------------------------- adam_step --
+
+// Byte equality, except that two NaNs match whatever their payloads.
+::testing::AssertionResult SameBits(const std::vector<float>& got,
+                                    const std::vector<float>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << " vs " << want.size();
+  }
+  for (size_t i = 0; i < want.size(); ++i) {
+    const bool got_nan = std::isnan(got[i]);
+    const bool want_nan = std::isnan(want[i]);
+    if (got_nan || want_nan) {
+      if (got_nan != want_nan) {
+        return ::testing::AssertionFailure()
+               << "NaN position differs at " << i << ": " << got[i]
+               << " vs " << want[i];
+      }
+      continue;
+    }
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "index " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+struct AdamState {
+  std::vector<float> params;
+  std::vector<float> m;
+  std::vector<float> v;
+};
+
+// Twenty consecutive steps (t = 1..20, so the bias-corrected rate changes
+// every step) from the same params and zeroed moments, one gradient vector
+// per step, at the active level.
+AdamState RunAdamSteps(vec::AdamStepArgs args,
+                       const std::vector<float>& params,
+                       const std::vector<std::vector<float>>& grads) {
+  AdamState state{params, std::vector<float>(params.size(), 0.0f),
+                  std::vector<float>(params.size(), 0.0f)};
+  for (size_t t = 1; t <= grads.size(); ++t) {
+    const double bias1 =
+        1.0 - std::pow(static_cast<double>(args.beta1), static_cast<double>(t));
+    const double bias2 =
+        1.0 - std::pow(static_cast<double>(args.beta2), static_cast<double>(t));
+    args.corrected_lr =
+        args.lr * static_cast<float>(std::sqrt(bias2) / bias1);
+    simd::Kernels().adam_step(args, grads[t - 1].data(), state.params.data(),
+                              state.m.data(), state.v.data(),
+                              params.size());
+  }
+  return state;
+}
+
+TEST_F(SimdDispatchTest, AdamStepIsBitIdenticalAtEveryLevel) {
+  constexpr size_t kAdamSizes[] = {0, 1, 15, 16, 17, 33, 4096, 68362};
+  constexpr int kSteps = 20;
+  struct Config {
+    const char* name;
+    float weight_decay;
+    bool decoupled;
+  };
+  const Config configs[] = {{"adam", 0.0f, false},
+                            {"adam_wd", 0.01f, false},
+                            {"adamw", 0.01f, true}};
+  // Planted at fixed strides over every length: signed zeros, denormals,
+  // and gradients whose square overflows float (1e20 * 1e20).
+  const float special_params[] = {0.0f, -0.0f, 1e-40f, -3e-39f};
+  const float special_grads[] = {0.0f, -0.0f, 1e-41f, -2e-39f, 1e20f,
+                                 -1e20f};
+  for (size_t n : kAdamSizes) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    Rng rng(4242 + n);
+    std::vector<float> params(n);
+    for (float& p : params) {
+      p = rng.NextGaussian(0.0f, 1.0f);
+    }
+    std::vector<std::vector<float>> grads(kSteps, std::vector<float>(n));
+    for (auto& step_grads : grads) {
+      for (float& g : step_grads) {
+        g = rng.NextGaussian(0.0f, 1e-2f);  // standard deviation 1e-2
+      }
+    }
+    for (size_t i = 0; i < n; i += 5) {
+      params[i] = special_params[(i / 5) % 4];
+    }
+    for (size_t i = 2; i < n; i += 7) {
+      for (auto& step_grads : grads) {
+        step_grads[i] = special_grads[(i / 7) % 6];
+      }
+    }
+    for (const Config& config : configs) {
+      SCOPED_TRACE(config.name);
+      vec::AdamStepArgs args;
+      args.lr = 1e-3f;
+      args.beta1 = 0.9f;
+      args.beta2 = 0.999f;
+      args.epsilon = 1e-7f;
+      args.weight_decay = config.weight_decay;
+      args.decoupled = config.decoupled;
+      simd::SetLevel(simd::Level::kScalar);
+      const AdamState want = RunAdamSteps(args, params, grads);
+      for (simd::Level level : simd::SupportedLevels()) {
+        SCOPED_TRACE(simd::LevelName(level));
+        simd::SetLevel(level);
+        const AdamState got = RunAdamSteps(args, params, grads);
+        EXPECT_TRUE(SameBits(got.params, want.params)) << "params";
+        EXPECT_TRUE(SameBits(got.m, want.m)) << "m";
+        EXPECT_TRUE(SameBits(got.v, want.v)) << "v";
+      }
     }
   }
 }
