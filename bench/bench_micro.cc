@@ -874,8 +874,9 @@ std::string HostJsonHead() {
 /// dispatched kernel timed at every SIMD level this host supports
 /// (simd::SupportedLevels x simd::SetLevel), with bytes-touched GB/s,
 /// GFLOP/s where FLOPs are well-defined, and speedup relative to the
-/// kGeneric portable-vector path. Buffers are L2-resident (n = 4096) so the
-/// numbers expose compute limits, not DRAM bandwidth.
+/// kGeneric portable-vector path. Buffers are L2-resident (n = 4096; the
+/// 256 x 256 pack_b_trans operand is 256 KB) so the numbers expose compute
+/// limits, not DRAM bandwidth.
 int RunKernelsSweep(const std::string& path) {
   const size_t n = 4096;
   const size_t reduce_bufs = 8;
@@ -905,6 +906,10 @@ int RunKernelsSweep(const std::string& path) {
   adam.beta1 = 0.9f;
   adam.beta2 = 0.999f;
   adam.epsilon = 1e-7f;
+  const int pack_dim = 256;
+  const size_t pack_elems = static_cast<size_t>(pack_dim) * pack_dim;
+  auto pack_src = RandomVec(pack_elems, 93);
+  std::vector<float> pack_dst(pack_elems);
 
   struct Kernel {
     const char* name;
@@ -961,6 +966,21 @@ int RunKernelsSweep(const std::string& path) {
          simd::Kernels().gemm_micro_8x32(kc, apanel.data(), bpanel.data(),
                                          acc.data());
          benchmark::DoNotOptimize(acc.data());
+       }},
+      // A 256 x 256 trans_b operand (a Dense layer's weight) packed into
+      // eight 32-wide panels, as the GEMM's PackB does: every float is read
+      // once and written once, 8 bytes per element, and no arithmetic.
+      {"pack_b_trans", 8.0 * static_cast<double>(pack_elems), 0.0,
+       [&] {
+         for (int j = 0; j < pack_dim; j += simd::kGemmNr) {
+           const size_t offset = static_cast<size_t>(j) * pack_dim;
+           simd::Kernels().pack_b_trans(pack_src.data() + offset,
+                                        static_cast<size_t>(pack_dim),
+                                        pack_dim, simd::kGemmNr,
+                                        pack_dst.data() + offset);
+         }
+         benchmark::DoNotOptimize(pack_dst.data());
+         benchmark::ClobberMemory();
        }},
   };
 

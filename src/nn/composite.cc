@@ -18,8 +18,14 @@ Sequential& Sequential::Add(LayerPtr layer) {
 }
 
 void Sequential::RegisterParams(ParameterStore* store) {
-  for (auto& layer : layers_) {
-    layer->RegisterParams(store);
+  first_trainable_ = layers_.size();
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const size_t blocks_before = store->num_blocks();
+    layers_[i]->RegisterParams(store);
+    if (first_trainable_ == layers_.size() &&
+        store->num_blocks() > blocks_before) {
+      first_trainable_ = i;
+    }
   }
 }
 
@@ -44,11 +50,15 @@ Tensor Sequential::Forward(const Tensor& input, ExecContext& ctx) {
 }
 
 Tensor Sequential::Backward(const Tensor& grad_output, ExecContext& ctx) {
+  const bool input_grad = ctx.input_grad;
+  const size_t stop = input_grad ? 0 : first_trainable_;
   Tensor current = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    current = (*it)->Backward(current, ctx);
+  for (size_t i = layers_.size(); i > stop; --i) {
+    // Every child but the last one walked feeds its input gradient on.
+    ctx.input_grad = input_grad || i - 1 > stop;
+    current = layers_[i - 1]->Backward(current, ctx);
   }
-  return current;
+  return input_grad ? current : Tensor();
 }
 
 // ------------------------------------------------------------- Residual --
@@ -67,6 +77,7 @@ Tensor ResidualLayer::Forward(const Tensor& input, ExecContext& ctx) {
 }
 
 Tensor ResidualLayer::Backward(const Tensor& grad_output, ExecContext& ctx) {
+  ctx.input_grad = true;
   Tensor grad_inner = inner_->Backward(grad_output, ctx);
   FEDRA_CHECK(grad_inner.SameShape(grad_output));
   float* gi = grad_inner.data();
@@ -181,6 +192,7 @@ Tensor DenseBlockLayer::Backward(const Tensor& grad_output,
     Tensor grad_new = SliceChannels(grad_accum, prefix_ch,
                                     prefix_ch + growth_);
     Tensor grad_prefix = SliceChannels(grad_accum, 0, prefix_ch);
+    ctx.input_grad = true;
     Tensor grad_sub_input =
         sublayers_[static_cast<size_t>(i)]->Backward(grad_new, ctx);
     FEDRA_CHECK(grad_sub_input.SameShape(grad_prefix));

@@ -14,7 +14,10 @@
 
 namespace fedra {
 
-/// Runs children in order; Backward in reverse order.
+/// Runs children in order; Backward in reverse order. When the caller does
+/// not read the input gradient (ctx.input_grad false), Backward stops at
+/// the first child with parameters and passes the flag on to it: the
+/// children in front of it have no gradient to leave.
 class Sequential : public Layer {
  public:
   Sequential() = default;
@@ -36,6 +39,10 @@ class Sequential : public Layer {
 
  private:
   std::vector<LayerPtr> layers_;
+  // Index of the first child that registered a parameter block (size() when
+  // none did); set by RegisterParams. 0 before registration, which walks
+  // every child.
+  size_t first_trainable_ = 0;
 };
 
 /// y = x + inner(x). Input and inner-output shapes must match.

@@ -13,7 +13,10 @@
 //
 // The contract per execution context is unchanged: Forward precedes
 // Backward with the same ExecContext, and Backward *accumulates* into
-// parameter gradients (the caller zeroes grads per step).
+// parameter gradients (the caller zeroes grads per step). Backward returns
+// d(loss)/d(input) unless ctx.input_grad is false: then nobody reads the
+// input gradient, and a layer may skip computing it and return an empty
+// tensor.
 
 #ifndef FEDRA_NN_LAYER_H_
 #define FEDRA_NN_LAYER_H_
@@ -95,9 +98,13 @@ class LayerStateStore {
 
 /// Everything one Forward/Backward pair executes against: the parameter
 /// view, the per-execution layer state, and the per-call toggles (training
-/// enables dropout/batch-stats; rng drives stochastic layers).
+/// enables dropout/batch-stats; rng drives stochastic layers; input_grad
+/// says whether the caller of Backward reads d(loss)/d(input)).
+/// ModelGraph::Backward clears input_grad for the root, whose input is the
+/// data batch; a composite sets it before each call to a child.
 struct ExecContext {
   bool training = false;
+  bool input_grad = true;
   Rng* rng = nullptr;
   ParameterView view;
   LayerStateStore* states = nullptr;
@@ -130,7 +137,9 @@ class Layer {
   virtual Tensor Forward(const Tensor& input, ExecContext& ctx) = 0;
 
   /// Consumes d(loss)/d(output), accumulates parameter gradients into
-  /// ctx.view.grads, and returns d(loss)/d(input).
+  /// ctx.view.grads, and returns d(loss)/d(input) — or, when
+  /// ctx.input_grad is false, may skip that gradient and return an empty
+  /// tensor.
   virtual Tensor Backward(const Tensor& grad_output, ExecContext& ctx) = 0;
 };
 

@@ -82,6 +82,9 @@ Tensor DenseLayer::Backward(const Tensor& grad_output, ExecContext& ctx) {
               grad_output.data() + static_cast<size_t>(b) * out_features_,
               grad_bias, static_cast<size_t>(out_features_));
   }
+  if (!ctx.input_grad) {
+    return Tensor();
+  }
   // dX[B, in] = dY[B, out] * W[out, in]
   Tensor grad_input({batch, in_features_});
   ops::Gemm(/*trans_a=*/false, /*trans_b=*/false, batch, in_features_,

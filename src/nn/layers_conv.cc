@@ -65,10 +65,14 @@ Tensor Conv2dLayer::Forward(const Tensor& input, ExecContext& ctx) {
 
 Tensor Conv2dLayer::Backward(const Tensor& grad_output, ExecContext& ctx) {
   State& state = ctx.states->Get<State>(state_slot_);
-  Tensor grad_input(state.cached_input.shape());
+  Tensor grad_input;
+  if (ctx.input_grad) {
+    grad_input = Tensor(state.cached_input.shape());
+  }
   ops::Conv2dBackward(state.geometry, state.cached_input.data(),
                       ctx.view.params + weight_offset_, grad_output.data(),
-                      grad_input.data(), ctx.view.grads + weight_offset_,
+                      ctx.input_grad ? grad_input.data() : nullptr,
+                      ctx.view.grads + weight_offset_,
                       ctx.view.grads + bias_offset_, &state.workspace);
   return grad_input;
 }
@@ -129,10 +133,14 @@ Tensor DepthwiseConv2dLayer::Forward(const Tensor& input, ExecContext& ctx) {
 Tensor DepthwiseConv2dLayer::Backward(const Tensor& grad_output,
                                       ExecContext& ctx) {
   State& state = ctx.states->Get<State>(state_slot_);
-  Tensor grad_input(state.cached_input.shape());
+  Tensor grad_input;
+  if (ctx.input_grad) {
+    grad_input = Tensor(state.cached_input.shape());
+  }
   ops::DepthwiseConv2dBackward(state.geometry, state.cached_input.data(),
                                ctx.view.params + weight_offset_,
-                               grad_output.data(), grad_input.data(),
+                               grad_output.data(),
+                               ctx.input_grad ? grad_input.data() : nullptr,
                                ctx.view.grads + weight_offset_,
                                ctx.view.grads + bias_offset_);
   return grad_input;

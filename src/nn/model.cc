@@ -65,6 +65,7 @@ void ModelGraph::Backward(const Tensor& grad_output,
                           const ParameterView& view, ExecSlot& slot) {
   FEDRA_CHECK_EQ(view.dim, dim());
   ExecContext ctx;
+  ctx.input_grad = false;  // the root's input is the data batch
   ctx.view = view;
   ctx.states = slot.states();
   root_->Backward(grad_output, ctx);

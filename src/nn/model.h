@@ -43,6 +43,10 @@ class ModelGraph {
   size_t dim() const { return store_.num_params(); }
   const ParameterStore& store() const { return store_; }
 
+  /// The root layer, for callers that drive Layer::Forward/Backward with an
+  /// ExecContext of their own.
+  Layer& root() { return *root_; }
+
   /// RAII lease of one execution slot (a LayerStateStore). Hold it across a
   /// Forward/Backward pair; concurrent executions must use distinct slots.
   class ExecSlot {
@@ -90,7 +94,8 @@ class ModelGraph {
                  ExecSlot& slot, bool training, Rng* rng = nullptr);
 
   /// Backward from d(loss)/d(output); accumulates into view.grads. Must use
-  /// the slot of the preceding Forward.
+  /// the slot of the preceding Forward. The input gradient is not computed
+  /// (ExecContext::input_grad is false for the root).
   void Backward(const Tensor& grad_output, const ParameterView& view,
                 ExecSlot& slot);
 

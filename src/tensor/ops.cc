@@ -77,23 +77,23 @@ void PackA(bool trans_a, const float* a, int m, int k, int i0, int mc, int p0,
 
 // Packs depth [p0, p0+kc) x cols [j0, j0+nc) of op(B) into NR-wide panels:
 // panel jr holds elements [p][jj] at bpack[jr/NR * kc*NR + p*NR + jj],
-// zero-padded past nc.
+// zero-padded past nc. For B^T each panel is a transpose of NR rows of b,
+// which the dispatch layer's pack_b_trans kernel performs.
 void PackB(bool trans_b, const float* b, int k, int n, int p0, int kc, int j0,
            int nc, float* bpack) {
+  const auto pack_b_trans = simd::Kernels().pack_b_trans;
   for (int jr = 0; jr < nc; jr += kNR) {
     float* panel = bpack + static_cast<size_t>(jr / kNR) * kc * kNR;
     const int nr_eff = std::min(kNR, nc - jr);
+    if (trans_b) {
+      pack_b_trans(b + static_cast<size_t>(j0 + jr) * k + p0,
+                   static_cast<size_t>(k), kc, nr_eff, panel);
+      continue;
+    }
     for (int p = 0; p < kc; ++p) {
       float* dst = panel + static_cast<size_t>(p) * kNR;
-      if (!trans_b) {
-        const float* src =
-            b + static_cast<size_t>(p0 + p) * n + (j0 + jr);
-        std::memcpy(dst, src, static_cast<size_t>(nr_eff) * sizeof(float));
-      } else {
-        for (int jj = 0; jj < nr_eff; ++jj) {
-          dst[jj] = b[static_cast<size_t>(j0 + jr + jj) * k + (p0 + p)];
-        }
-      }
+      const float* src = b + static_cast<size_t>(p0 + p) * n + (j0 + jr);
+      std::memcpy(dst, src, static_cast<size_t>(nr_eff) * sizeof(float));
       for (int jj = nr_eff; jj < kNR; ++jj) {
         dst[jj] = 0.0f;
       }

@@ -25,7 +25,8 @@
 // The reduce_scale variants keep the canonical per-element pairing order,
 // and the adam_step variant the portable body's per-element FMA pattern
 // (element-wise operations leave no reassociation freedom), so those two
-// kernels produce the same bits at every level.
+// kernels produce the same bits at every level; pack_b_trans only moves
+// data, so it does too.
 
 #include "tensor/simd_dispatch.h"
 
@@ -277,6 +278,21 @@ __attribute__((noinline)) void GemmMicroGeneric(int kc,
   std::memcpy(acc, local, sizeof(local));
 }
 #endif  // vector extensions
+
+// The trans_b branch of the GEMM's B packing, moved verbatim from
+// ops.cc's PackB: one strided gather per panel element, depth-major.
+void PackBTransPortable(const float* b, size_t ld, int kc, int nr,
+                        float* panel) {
+  for (int p = 0; p < kc; ++p) {
+    float* dst = panel + static_cast<size_t>(p) * kGemmNr;
+    for (int jj = 0; jj < nr; ++jj) {
+      dst[jj] = b[static_cast<size_t>(jj) * ld + p];
+    }
+    for (int jj = nr; jj < kGemmNr; ++jj) {
+      dst[jj] = 0.0f;
+    }
+  }
+}
 
 // ------------------------------------------------------------------------
 // 2. x86 variants: AVX2+FMA and AVX-512F, selected at runtime. Target
@@ -576,6 +592,12 @@ __attribute__((target("avx512f"))) double SquaredNormAvx512(const float* x,
   return total;
 }
 
+// The upper 8 floats of x. _mm512_extractf32x8_ps would be one intrinsic,
+// but it is AVX-512DQ, and the AVX-512 level probes only AVX-512F.
+__attribute__((target("avx512f"))) inline __m256 UpperHalfAvx512(__m512 x) {
+  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1));
+}
+
 __attribute__((target("avx512f"))) double SubSquaredNormAvx512(
     const float* a, const float* b, float* out, size_t n) {
   __m512d acc0 = _mm512_setzero_pd();
@@ -593,11 +615,11 @@ __attribute__((target("avx512f"))) double SubSquaredNormAvx512(
     const __m512d w0 =
         _mm512_cvtps_pd(_mm512_castps512_ps256(d0));
     const __m512d w1 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(d0, 1));
+        _mm512_cvtps_pd(UpperHalfAvx512(d0));
     const __m512d w2 =
         _mm512_cvtps_pd(_mm512_castps512_ps256(d1));
     const __m512d w3 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(d1, 1));
+        _mm512_cvtps_pd(UpperHalfAvx512(d1));
     acc0 = _mm512_fmadd_pd(w0, w0, acc0);
     acc1 = _mm512_fmadd_pd(w1, w1, acc1);
     acc2 = _mm512_fmadd_pd(w2, w2, acc2);
@@ -631,11 +653,11 @@ __attribute__((target("avx512f"))) double AxpyNormAvx512(float alpha,
     const __m512d w0 =
         _mm512_cvtps_pd(_mm512_castps512_ps256(y0));
     const __m512d w1 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(y0, 1));
+        _mm512_cvtps_pd(UpperHalfAvx512(y0));
     const __m512d w2 =
         _mm512_cvtps_pd(_mm512_castps512_ps256(y1));
     const __m512d w3 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(y1, 1));
+        _mm512_cvtps_pd(UpperHalfAvx512(y1));
     acc0 = _mm512_fmadd_pd(w0, w0, acc0);
     acc1 = _mm512_fmadd_pd(w1, w1, acc1);
     acc2 = _mm512_fmadd_pd(w2, w2, acc2);
@@ -825,6 +847,74 @@ __attribute__((target("avx512f"))) void GemmMicroAvx512(int kc,
   }
 }
 
+// pack_b_trans: a full panel is two 16-row halves, packed in 16 x 16
+// blocks (16 rows of b, 16 depth steps) that are loaded row by row,
+// transposed in registers and stored as 16 half panel rows. The portable
+// body gathers every element with a strided load instead. A depth tail
+// under 16 loads under a lane mask, so no read passes the end of a row, and
+// stores only its own steps. Partial panels (nr < 32) take the portable
+// body: they occur once per GEMM column edge.
+__attribute__((target("avx512f"), always_inline)) inline void
+PackBTransBlockAvx512(const float* b, size_t ld, int steps, float* dst) {
+  const __mmask16 mask = static_cast<__mmask16>((1u << steps) - 1u);
+  __m512 r[16];
+  __m512 t[16];
+  for (int i = 0; i < 16; ++i) {
+    r[i] = _mm512_maskz_loadu_ps(mask, b + static_cast<size_t>(i) * ld);
+  }
+  // Interleave row pairs by 32 bits, then pairs of pairs by 64 bits: r[4g+q]
+  // holds step q, q + 4, q + 8 and q + 12 of rows 4g..4g+3, one per 128-bit
+  // lane.
+  for (int i = 0; i < 16; i += 2) {
+    t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+  }
+  for (int g = 0; g < 16; g += 4) {
+    const __m512d t0 = _mm512_castps_pd(t[g]);
+    const __m512d t1 = _mm512_castps_pd(t[g + 1]);
+    const __m512d t2 = _mm512_castps_pd(t[g + 2]);
+    const __m512d t3 = _mm512_castps_pd(t[g + 3]);
+    r[g] = _mm512_castpd_ps(_mm512_unpacklo_pd(t0, t2));
+    r[g + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(t0, t2));
+    r[g + 2] = _mm512_castpd_ps(_mm512_unpacklo_pd(t1, t3));
+    r[g + 3] = _mm512_castpd_ps(_mm512_unpackhi_pd(t1, t3));
+  }
+  // Two rounds of 128-bit lane shuffles gather each step's four row groups:
+  // afterwards r[q] holds step q of all 16 rows.
+  for (int q = 0; q < 4; ++q) {
+    t[q] = _mm512_shuffle_f32x4(r[q], r[q + 4], 0x88);
+    t[q + 4] = _mm512_shuffle_f32x4(r[q], r[q + 4], 0xdd);
+    t[q + 8] = _mm512_shuffle_f32x4(r[q + 8], r[q + 12], 0x88);
+    t[q + 12] = _mm512_shuffle_f32x4(r[q + 8], r[q + 12], 0xdd);
+  }
+  for (int q = 0; q < 8; ++q) {
+    r[q] = _mm512_shuffle_f32x4(t[q], t[q + 8], 0x88);
+    r[q + 8] = _mm512_shuffle_f32x4(t[q], t[q + 8], 0xdd);
+  }
+  for (int q = 0; q < 16; ++q) {
+    if (q < steps) {
+      _mm512_storeu_ps(dst + static_cast<size_t>(q) * kGemmNr, r[q]);
+    }
+  }
+}
+
+__attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
+                                                         size_t ld, int kc,
+                                                         int nr,
+                                                         float* panel) {
+  if (nr < kGemmNr) {
+    PackBTransPortable(b, ld, kc, nr, panel);
+    return;
+  }
+  const float* upper = b + 16 * ld;
+  for (int p = 0; p < kc; p += 16) {
+    const int steps = kc - p < 16 ? kc - p : 16;
+    float* dst = panel + static_cast<size_t>(p) * kGemmNr;
+    PackBTransBlockAvx512(b + p, ld, steps, dst);
+    PackBTransBlockAvx512(upper + p, ld, steps, dst + 16);
+  }
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // FEDRA_SIMD_X86
@@ -1006,6 +1096,7 @@ struct Tables {
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
     scalar.gemm_micro_8x32 = GemmMicroScalar;
+    scalar.pack_b_trans = PackBTransPortable;
 
     KernelTable generic = scalar;
 #if defined(FEDRA_SIMD_HAS_VECEXT)
@@ -1030,6 +1121,7 @@ struct Tables {
     avx512.axpy_norm = AxpyNormAvx512;
     avx512.reduce_scale = ReduceScaleAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
+    avx512.pack_b_trans = PackBTransAvx512;
 #endif
 #if defined(FEDRA_SIMD_ADAM_AVX512)
     avx512.adam_step = AdamStepAvx512;

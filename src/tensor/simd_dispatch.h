@@ -1,5 +1,5 @@
-// Runtime SIMD dispatch for the hot flat-span kernels and the GEMM
-// micro-kernel.
+// Runtime SIMD dispatch for the hot flat-span kernels, the GEMM
+// micro-kernel and the GEMM's transposed-panel packing.
 //
 // The library is built once and must run well on whatever CPU it lands on:
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
@@ -65,10 +65,15 @@ inline constexpr int kGemmNr = 32;
 /// acc[kGemmMr][kGemmNr] = apanel * bpanel over kc depth steps of packed
 /// panels (apanel stride kGemmMr, bpanel stride kGemmNr).
 ///
+/// `pack_b_trans` packs one kGemmNr-wide panel of a transposed GEMM
+/// operand: panel[p * kGemmNr + j] = b[j * ld + p] for p < kc and j < nr
+/// (nr <= kGemmNr), and 0.0f in the pad lanes j >= nr.
+///
 /// The reductions (dot, the norms) differ across levels by reassociation.
-/// reduce_scale and adam_step are element-wise, and each of their variants
-/// computes the portable body's per-element arithmetic, so they produce the
-/// same bits at every level. For adam_step that includes the FMAs GCC
+/// pack_b_trans only moves data, and reduce_scale and adam_step are
+/// element-wise, each of their variants computing the portable body's
+/// per-element arithmetic, so those three produce the same bits at every
+/// level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
 /// with FMA in the baseline ISA), and kScalar, kGeneric, kAvx2 and kNeon
@@ -86,6 +91,8 @@ struct KernelTable {
                     float* params, float* m, float* v, size_t n);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
+  void (*pack_b_trans)(const float* b, size_t ld, int kc, int nr,
+                       float* panel);
 };
 
 /// The table for the active level. First call resolves the level (FEDRA_SIMD

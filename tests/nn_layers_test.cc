@@ -4,7 +4,9 @@
 // standalone ParameterStore + LayerStateStore environment mirroring what a
 // shared ModelGraph provides per execution slot.
 
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -472,6 +474,113 @@ TEST(DenseBlockTest, Gradient) {
   harness.store().ZeroGrads();
   auto result = CheckInputGradient(&harness, x, 108);
   EXPECT_LT(result.max_rel_error, 8e-2);
+}
+
+// ------------------------------------------------ unused input gradient
+
+// Forwards everything to `inner` and counts the calls to its Backward.
+class BackwardCounter : public Layer {
+ public:
+  BackwardCounter(LayerPtr inner, int* calls)
+      : inner_(std::move(inner)), calls_(calls) {}
+
+  std::string name() const override { return inner_->name(); }
+  void RegisterParams(ParameterStore* store) override {
+    inner_->RegisterParams(store);
+  }
+  void BindOffsets(const ParameterStore& store) override {
+    inner_->BindOffsets(store);
+  }
+  void InitParams(Rng* rng, const ParameterView& view) override {
+    inner_->InitParams(rng, view);
+  }
+  Tensor Forward(const Tensor& input, ExecContext& ctx) override {
+    return inner_->Forward(input, ctx);
+  }
+  Tensor Backward(const Tensor& grad_output, ExecContext& ctx) override {
+    ++*calls_;
+    return inner_->Backward(grad_output, ctx);
+  }
+
+ private:
+  LayerPtr inner_;
+  int* calls_;
+};
+
+// One Forward/Backward pair through the harnessed layer with the input
+// gradient requested or not; returns the parameter gradients it left.
+std::vector<float> ParamGradsOfStep(LayerHarness* harness, const Tensor& x,
+                                    const Tensor& grad_y, bool input_grad) {
+  harness->Forward(x);
+  harness->store().ZeroGrads();
+  harness->ctx().input_grad = input_grad;
+  const Tensor grad_x = harness->Backward(grad_y);
+  if (input_grad) {
+    EXPECT_TRUE(grad_x.SameShape(x));
+  } else {
+    EXPECT_TRUE(grad_x.empty());
+  }
+  const float* grads = harness->store().grads();
+  return std::vector<float>(grads, grads + harness->store().num_params());
+}
+
+void ExpectSameBytes(const std::vector<float>& got,
+                     const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           want.size() * sizeof(float)));
+}
+
+TEST(SequentialTest, UnusedInputGradientStopsAtFirstTrainableChild) {
+  int flatten_calls = 0;
+  Sequential seq;
+  seq.Add(std::make_unique<BackwardCounter>(std::make_unique<FlattenLayer>(),
+                                            &flatten_calls));
+  seq.Add(std::make_unique<DenseLayer>(12, 5));
+  LayerHarness harness(&seq);
+  Rng rng(26);
+  Tensor x({2, 3, 2, 2});
+  Tensor grad_y({2, 5});
+  FillUniform(&x, &rng);
+  FillUniform(&grad_y, &rng);
+
+  const auto full = ParamGradsOfStep(&harness, x, grad_y, true);
+  EXPECT_EQ(flatten_calls, 1);
+  const auto skipped = ParamGradsOfStep(&harness, x, grad_y, false);
+  EXPECT_EQ(flatten_calls, 1) << "flatten's backward ran without a reader";
+  ExpectSameBytes(skipped, full);
+}
+
+TEST(SequentialTest, UnusedInputGradientKeepsResidualParamGrads) {
+  Sequential seq;
+  seq.Add(std::make_unique<ActivationLayer>(Activation::kTanh));
+  seq.Add(std::make_unique<ResidualLayer>(std::make_unique<DenseLayer>(6, 6)));
+  seq.Add(std::make_unique<DenseLayer>(6, 3));
+  LayerHarness harness(&seq);
+  Rng rng(27);
+  Tensor x({3, 6});
+  Tensor grad_y({3, 3});
+  FillUniform(&x, &rng);
+  FillUniform(&grad_y, &rng);
+  ExpectSameBytes(ParamGradsOfStep(&harness, x, grad_y, false),
+                  ParamGradsOfStep(&harness, x, grad_y, true));
+}
+
+TEST(SequentialTest, UnusedInputGradientKeepsDenseBlockParamGrads) {
+  Sequential seq;
+  seq.Add(std::make_unique<Pool2dLayer>(PoolKind::kAvg, 2, 2));
+  seq.Add(std::make_unique<DenseBlockLayer>(4, 3, 2));
+  seq.Add(std::make_unique<GlobalAvgPoolLayer>());
+  seq.Add(std::make_unique<DenseLayer>(10, 3));
+  LayerHarness harness(&seq);
+  Rng rng(28);
+  Tensor x({2, 4, 8, 8});
+  Tensor grad_y({2, 3});
+  FillUniform(&x, &rng);
+  FillUniform(&grad_y, &rng);
+  ExpectSameBytes(ParamGradsOfStep(&harness, x, grad_y, false),
+                  ParamGradsOfStep(&harness, x, grad_y, true));
 }
 
 // ------------------------------------------------------------------- Loss

@@ -4,19 +4,21 @@
 // the exact clauses of the determinism contract (docs/determinism.md): a
 // fixed level is bit-deterministic run-to-run, kScalar == kGeneric
 // bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies), and the element-wise adam_step is bit-identical at every level.
-// The golden suites pin kGeneric, so this file (and the level check in
-// opt_test.cc) is what runs the wide adam_step variant. Sizes straddle
-// every vector width's main-loop/remainder split so tail handling is
-// covered at all levels.
+// bodies), and the element-wise adam_step and the data-moving pack_b_trans
+// are bit-identical at every level. The golden suites pin kGeneric, so this
+// file (and the level check in opt_test.cc) is what runs the wide adam_step
+// and pack_b_trans variants. Sizes straddle every vector width's
+// main-loop/remainder split so tail handling is covered at all levels.
 
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/ops.h"
 #include "tensor/ref_ops.h"
 #include "tensor/simd_dispatch.h"
 #include "tensor/vec_ops.h"
@@ -245,6 +247,115 @@ TEST_F(SimdDispatchTest, GemmMicroKernelMatchesOracleAtEveryLevel) {
       simd::Kernels().gemm_micro_8x32(kc, apanel.data(), bpanel.data(),
                                       acc.data());
       ExpectSpanNear(acc, want);
+    }
+  }
+}
+
+// ----------------------------------------------------------- pack_b_trans --
+
+// Packs one panel of `b` at the active level into a buffer pre-filled with a
+// sentinel, so a panel element the kernel never writes shows up.
+std::vector<float> PackPanel(const std::vector<float>& b, size_t depth_offset,
+                             size_t ld, int kc, int nr) {
+  std::vector<float> panel(static_cast<size_t>(kc) * simd::kGemmNr, -7.0f);
+  simd::Kernels().pack_b_trans(b.data() + depth_offset, ld, kc, nr,
+                               panel.data());
+  return panel;
+}
+
+// Every level packs the same bytes as kScalar, which packs the documented
+// layout: panel[p][j] = b[j * ld + p], pad lanes j >= nr exactly +0.0f.
+void ExpectPackBTransBitIdentical(int nr, int kc, size_t ld,
+                                  size_t depth_offset) {
+  SCOPED_TRACE(::testing::Message() << "nr=" << nr << " kc=" << kc
+                                    << " ld=" << ld
+                                    << " offset=" << depth_offset);
+  // The buffer ends at the last element the panel reads.
+  const size_t len =
+      depth_offset + static_cast<size_t>(nr - 1) * ld + static_cast<size_t>(kc);
+  const auto b = RandomVec(len, 1200 + 37 * nr + kc);
+  simd::SetLevel(simd::Level::kScalar);
+  const auto want = PackPanel(b, depth_offset, ld, kc, nr);
+  const float zero = 0.0f;
+  for (int p = 0; p < kc; ++p) {
+    for (int j = 0; j < simd::kGemmNr; ++j) {
+      const float got = want[static_cast<size_t>(p) * simd::kGemmNr + j];
+      if (j < nr) {
+        ASSERT_EQ(got, b[depth_offset + static_cast<size_t>(j) * ld + p])
+            << "p=" << p << " j=" << j;
+      } else {
+        ASSERT_EQ(0, std::memcmp(&got, &zero, sizeof(float)))
+            << "pad lane p=" << p << " j=" << j << " holds " << got;
+      }
+    }
+  }
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    const auto got = PackPanel(b, depth_offset, ld, kc, nr);
+    ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)));
+  }
+}
+
+TEST_F(SimdDispatchTest, PackBTransIsBitIdenticalAtEveryLevel) {
+  // Every depth 1..300 (multiples of 16 and every remainder) for full and
+  // partial panels, every panel width 1..32 for a few depths; each with a
+  // tight row stride at depth offset 0 and a wider one at offset 3.
+  std::vector<std::pair<int, int>> shapes;
+  for (int kc = 1; kc <= 300; ++kc) {
+    for (int nr : {1, 17, simd::kGemmNr}) {
+      shapes.emplace_back(nr, kc);
+    }
+  }
+  for (int nr = 1; nr <= simd::kGemmNr; ++nr) {
+    for (int kc : {5, 16, 33, 256}) {
+      shapes.emplace_back(nr, kc);
+    }
+  }
+  for (const auto& [nr, kc] : shapes) {
+    const size_t tight = static_cast<size_t>(kc);
+    ExpectPackBTransBitIdentical(nr, kc, tight, 0);
+    ExpectPackBTransBitIdentical(nr, kc, tight + 19, 3);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+TEST_F(SimdDispatchTest, GemmTransBMatchesExplicitTransposeAtEveryLevel) {
+  // op(B) = B^T packed by pack_b_trans must give the same bytes as the same
+  // B copied out transposed and packed by the plain row copy: the panels
+  // are equal, so the micro-kernel sees equal inputs. n crosses the 32-wide
+  // panel edges; k crosses the 256-deep depth panel, whose second half
+  // starts at a nonzero depth offset.
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    for (int m = 1; m <= 9; ++m) {
+      for (int n : {1, 7, 31, 32, 33, 64, 70}) {
+        for (int k : {1, 15, 16, 17, 100, 256, 257, 300}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << m << " n=" << n << " k=" << k);
+          const auto a = RandomVec(static_cast<size_t>(m) * k, 2100 + k);
+          const auto bt = RandomVec(static_cast<size_t>(n) * k, 2200 + n);
+          std::vector<float> b(bt.size());
+          for (int j = 0; j < n; ++j) {
+            for (int p = 0; p < k; ++p) {
+              b[static_cast<size_t>(p) * n + j] =
+                  bt[static_cast<size_t>(j) * k + p];
+            }
+          }
+          std::vector<float> c_trans(static_cast<size_t>(m) * n);
+          std::vector<float> c_plain(c_trans.size());
+          ops::Gemm(false, /*trans_b=*/true, m, n, k, 1.0f, a.data(),
+                    bt.data(), 0.0f, c_trans.data());
+          ops::Gemm(false, /*trans_b=*/false, m, n, k, 1.0f, a.data(),
+                    b.data(), 0.0f, c_plain.data());
+          ASSERT_EQ(0, std::memcmp(c_trans.data(), c_plain.data(),
+                                   c_trans.size() * sizeof(float)));
+        }
+      }
     }
   }
 }

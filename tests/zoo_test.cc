@@ -2,6 +2,8 @@
 // scale, produces correct logits shapes, initializes deterministically, and
 // learns (loss decreases / gradient check passes) on small inputs.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
@@ -91,6 +93,45 @@ TEST_P(ZooModelTest, ParamGradientMatchesFiniteDifferences) {
                                    /*num_probes=*/24, 300);
   EXPECT_LT(result.max_rel_error, 0.12)
       << test_case.name << " abs=" << result.max_abs_error;
+}
+
+// ModelGraph::Backward tells the root that nobody reads its input gradient,
+// so the walk stops at the first layer with parameters, which skips its own
+// input gradient. The parameter gradients must not move by a bit against
+// the full walk (a root Backward with input_grad left true).
+TEST_P(ZooModelTest, GraphBackwardParamGradsMatchFullWalk) {
+  ZooCase test_case = AllZooCases()[GetParam()];
+  auto model = test_case.factory();
+  model->InitParams(13);
+  Tensor x({2, test_case.channels, test_case.image_size,
+            test_case.image_size});
+  Rng input_rng(3);
+  FillUniform(&x, &input_rng);
+  ModelGraph& graph = model->graph();
+  const ParameterView view = model->view();
+  auto step_grads = [&](bool full_walk) {
+    model->ZeroGrads();
+    ModelGraph::ExecSlot slot = graph.AcquireSlot();
+    Rng dropout_rng(4);
+    Tensor logits =
+        graph.Forward(x, view, slot, /*training=*/true, &dropout_rng);
+    LossResult loss = SoftmaxCrossEntropy(logits, {1, 7});
+    if (full_walk) {
+      ExecContext ctx;
+      ctx.view = view;
+      ctx.states = slot.states();
+      EXPECT_TRUE(graph.root().Backward(loss.grad_logits, ctx).SameShape(x));
+    } else {
+      graph.Backward(loss.grad_logits, view, slot);
+    }
+    return std::vector<float>(view.grads, view.grads + view.dim);
+  };
+  const std::vector<float> full = step_grads(true);
+  const std::vector<float> skipped = step_grads(false);
+  ASSERT_EQ(full.size(), skipped.size());
+  EXPECT_EQ(0, std::memcmp(full.data(), skipped.data(),
+                           full.size() * sizeof(float)))
+      << test_case.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooModelTest,
