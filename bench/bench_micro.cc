@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -876,8 +877,11 @@ std::string HostJsonHead() {
 /// GFLOP/s where FLOPs are well-defined, and speedup relative to the
 /// kGeneric portable-vector path. Buffers are L2-resident (n = 4096; the
 /// 256 x 256 pack_b_trans operand is 256 KB) so the numbers expose compute
-/// limits, not DRAM bandwidth.
+/// limits, not DRAM bandwidth. Each kernel is timed in kSweeps sweeps over
+/// the levels, interleaved so that a slow phase of the host lands on every
+/// level alike, and each level reports its median sweep.
 int RunKernelsSweep(const std::string& path) {
+  constexpr int kSweeps = 5;
   const size_t n = 4096;
   const size_t reduce_bufs = 8;
   const std::vector<simd::Level> levels = simd::SupportedLevels();
@@ -906,6 +910,10 @@ int RunKernelsSweep(const std::string& path) {
   adam.beta1 = 0.9f;
   adam.beta2 = 0.999f;
   adam.epsilon = 1e-7f;
+  auto tanh_in = RandomVec(n, 94);
+  for (float& v : tanh_in) {
+    v *= 1.5f;  // standard deviation 1.5, about a LeNet pre-activation's
+  }
   const int pack_dim = 256;
   const size_t pack_elems = static_cast<size_t>(pack_dim) * pack_dim;
   auto pack_src = RandomVec(pack_elems, 93);
@@ -958,6 +966,14 @@ int RunKernelsSweep(const std::string& path) {
                                    adam_m.data(), adam_v.data(), n);
          benchmark::DoNotOptimize(adam_params.data());
        }},
+      // Reads x and writes y: 8 bytes per element. No FLOP count: the
+      // branches of the portable body run different operation counts.
+      {"tanh", 2 * fn * sizeof(float), 0.0,
+       [&] {
+         simd::Kernels().tanh(tanh_in.data(), out.data(), n);
+         benchmark::DoNotOptimize(out.data());
+         benchmark::ClobberMemory();
+       }},
       {"gemm_micro_8x32",
        static_cast<double>(kc) * (simd::kGemmMr + simd::kGemmNr) *
            sizeof(float),
@@ -984,7 +1000,8 @@ int RunKernelsSweep(const std::string& path) {
        }},
   };
 
-  std::string json = HostJsonHead() + "  \"n\": 4096,\n  \"levels\": [";
+  std::string json = HostJsonHead() + "  \"n\": 4096,\n  \"sweeps\": " +
+                     std::to_string(kSweeps) + ",\n  \"levels\": [";
   for (size_t i = 0; i < levels.size(); ++i) {
     json += std::string(i == 0 ? "" : ", ") + "\"" +
             simd::LevelName(levels[i]) + "\"";
@@ -995,11 +1012,18 @@ int RunKernelsSweep(const std::string& path) {
 
   bool first_kernel = true;
   for (const Kernel& kernel : kernels) {
+    std::vector<std::vector<double>> sweeps(levels.size());
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      for (size_t i = 0; i < levels.size(); ++i) {
+        simd::SetLevel(levels[i]);
+        sweeps[i].push_back(SecondsPerCall(kernel.run));
+      }
+    }
     std::vector<double> seconds(levels.size());
     double generic_seconds = 0.0;
     for (size_t i = 0; i < levels.size(); ++i) {
-      simd::SetLevel(levels[i]);
-      seconds[i] = SecondsPerCall(kernel.run);
+      std::sort(sweeps[i].begin(), sweeps[i].end());
+      seconds[i] = sweeps[i][kSweeps / 2];
       if (levels[i] == simd::Level::kGeneric) {
         generic_seconds = seconds[i];
       }

@@ -48,6 +48,16 @@ codebases:
                       table (simd::Kernels()), where every compiled-in
                       level is parity-tested and the active level is
                       observable and pinnable (FEDRA_SIMD).
+  fp-contract         floating-point contraction or optimization settings
+                      outside src/tensor/simd_dispatch.cc: #pragma GCC
+                      optimize, #pragma clang fp, #pragma STDC FP_CONTRACT,
+                      #pragma float_control, their _Pragma("...") forms,
+                      __attribute__((optimize(...))) and [[gnu::optimize]].
+                      Whether a multiply and an add fuse into one FMA picks
+                      the rounding of every expression under the setting,
+                      just as an ISA branch picks the accumulation pattern;
+                      the one such setting (tanh's, contraction off) lives
+                      next to the kernels the parity suite checks.
 
 Waiver syntax — same line or the line directly above, reason mandatory:
 
@@ -81,7 +91,18 @@ RULE_ALLOWED_FILES = {
         "tensor/simd_dispatch.h",
         "tensor/simd_dispatch.cc",
     ),
+    "fp-contract": ("tensor/simd_dispatch.cc",),
 }
+
+# The pragmas that set contraction or optimization, as they follow
+# "#pragma" or open a _Pragma("...") string.
+FP_PRAGMA = r"(?:GCC\s+optimize|clang\s+fp\b|STDC\s+FP_CONTRACT|float_control)"
+FP_CONTRACT_MESSAGE = (
+    "floating-point contraction or optimize setting outside "
+    "src/tensor/simd_dispatch.cc: it decides which multiplies and adds "
+    "fuse into FMAs, so the rounding of the code under it differs from "
+    "the rest of the build; put the kernel in the dispatch table instead"
+)
 
 RULES = [
     (
@@ -143,7 +164,22 @@ RULES = [
         "site, untestable by the dispatch parity suite; route the kernel "
         "through simd::Kernels() instead",
     ),
+    (
+        "fp-contract",
+        re.compile(
+            r"^\s*#\s*pragma\s+" + FP_PRAGMA
+            + r"|\b__attribute__\s*\(\([^)]*\b(?:__)?optimize(?:__)?\s*\("
+            r"|\bgnu::(?:__)?optimize(?:__)?\s*\("
+        ),
+        FP_CONTRACT_MESSAGE,
+    ),
 ]
+
+# The _Pragma form of an fp-contract pragma: its text is a string literal,
+# which the stripped lines blank, so it is matched on the raw line wherever
+# the stripped line still holds the _Pragma call.
+PRAGMA_CALL_RE = re.compile(r"\b_Pragma\s*\(")
+FP_PRAGMA_CALL_RE = re.compile(r"\b_Pragma\s*\(\s*\"\s*" + FP_PRAGMA)
 
 # variable-chunk needs the call statement, matched separately over a window.
 # Member access (pool.ParallelFor / GlobalThreadPool().ParallelForRange) is
@@ -278,6 +314,11 @@ def lint_file(path):
             if pattern.search(line):
                 report(idx, rule, message)
 
+    if not relpath_matches(path, RULE_ALLOWED_FILES["fp-contract"]):
+        for idx, (raw, line) in enumerate(zip(raw_lines, code_lines), start=1):
+            if PRAGMA_CALL_RE.search(line) and FP_PRAGMA_CALL_RE.search(raw):
+                report(idx, "fp-contract", FP_CONTRACT_MESSAGE)
+
     # variable-chunk: inspect a few lines of each ParallelFor* call for
     # thread-count-derived arguments (grain expressions split across lines).
     for idx, line in enumerate(code_lines, start=1):
@@ -363,6 +404,10 @@ def self_test():
         # <arm_neon.h>, __attribute__((target)), [[gnu::target]], an __m512
         # declaration and an _mm512_ call
         "raw-cpu-dispatch": 8,
+        # #pragma GCC optimize, #pragma clang fp, #pragma STDC FP_CONTRACT,
+        # #pragma float_control, a _Pragma("GCC optimize"),
+        # __attribute__((optimize)) and [[gnu::optimize]]
+        "fp-contract": 7,
         "empty-waiver": 1,
     }
     if fired != expected:

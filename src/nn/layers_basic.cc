@@ -134,7 +134,14 @@ void ActivationLayer::RegisterParams(ParameterStore* store) {
 
 Tensor ActivationLayer::Forward(const Tensor& input, ExecContext& ctx) {
   State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_input = input;
+  state.cached = input;
+  if (kind_ == Activation::kTanh) {
+    // The backward needs only tanh(x), so the cache holds the output,
+    // computed in place and then copied out (cache first, then output: the
+    // allocation order of the other kinds).
+    vec::Tanh(state.cached.data(), state.cached.data(), state.cached.numel());
+    return state.cached;
+  }
   Tensor output = input;
   float* out = output.data();
   const size_t n = output.numel();
@@ -144,10 +151,7 @@ Tensor ActivationLayer::Forward(const Tensor& input, ExecContext& ctx) {
         out[i] = out[i] > 0.0f ? out[i] : 0.0f;
       }
       break;
-    case Activation::kTanh:
-      for (size_t i = 0; i < n; ++i) {
-        out[i] = std::tanh(out[i]);
-      }
+    case Activation::kTanh:  // returned above
       break;
     case Activation::kGelu:
       for (size_t i = 0; i < n; ++i) {
@@ -160,26 +164,25 @@ Tensor ActivationLayer::Forward(const Tensor& input, ExecContext& ctx) {
 
 Tensor ActivationLayer::Backward(const Tensor& grad_output, ExecContext& ctx) {
   State& state = ctx.states->Get<State>(state_slot_);
-  FEDRA_CHECK(grad_output.SameShape(state.cached_input));
+  FEDRA_CHECK(grad_output.SameShape(state.cached));
   Tensor grad_input = grad_output;
   float* gi = grad_input.data();
-  const float* x = state.cached_input.data();
+  const float* cached = state.cached.data();
   const size_t n = grad_input.numel();
   switch (kind_) {
     case Activation::kRelu:
       for (size_t i = 0; i < n; ++i) {
-        gi[i] = x[i] > 0.0f ? gi[i] : 0.0f;
+        gi[i] = cached[i] > 0.0f ? gi[i] : 0.0f;
       }
       break;
     case Activation::kTanh:
       for (size_t i = 0; i < n; ++i) {
-        const float t = std::tanh(x[i]);
-        gi[i] *= 1.0f - t * t;
+        gi[i] *= 1.0f - cached[i] * cached[i];
       }
       break;
     case Activation::kGelu:
       for (size_t i = 0; i < n; ++i) {
-        gi[i] *= GeluGrad(x[i]);
+        gi[i] *= GeluGrad(cached[i]);
       }
       break;
   }

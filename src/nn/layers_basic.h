@@ -60,7 +60,7 @@ class ActivationLayer : public Layer {
 
  private:
   struct State : LayerState {
-    Tensor cached_input;
+    Tensor cached;  // ReLU and GELU: the input; tanh: the output
   };
 
   Activation kind_;

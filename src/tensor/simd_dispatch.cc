@@ -15,7 +15,9 @@
 //   2. x86 variants (AVX2+FMA, AVX-512F) behind target attributes, so a
 //     baseline build still carries them and picks them at runtime.
 //   3. AArch64 NEON variants.
-//   4. Table construction (fallback ladder) and level resolution.
+//   4. tanh: the portable port of glibc's tanhf and its AVX-512F variant,
+//     the one section compiled with FP contraction off.
+//   5. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -23,15 +25,17 @@
 // across levels therefore agree only to parity tolerance (the latency-bound
 // 4-lane chain is the very thing being fixed; see bench/BENCH_kernels.json).
 // The reduce_scale variants keep the canonical per-element pairing order,
-// and the adam_step variant the portable body's per-element FMA pattern
-// (element-wise operations leave no reassociation freedom), so those two
-// kernels produce the same bits at every level; pack_b_trans only moves
-// data, so it does too.
+// the adam_step variant the portable body's per-element FMA pattern and the
+// tanh variant its operation sequence (element-wise operations leave no
+// reassociation freedom), so those three kernels produce the same bits at
+// every level; pack_b_trans only moves data, so it does too.
 
 #include "tensor/simd_dispatch.h"
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -1062,7 +1066,290 @@ double AxpyNormNeon(float alpha, const float* x, float* y, size_t n) {
 #endif  // FEDRA_SIMD_NEON
 
 // ------------------------------------------------------------------------
-// 4. Tables and resolution.
+// 4. tanh: a port of the fdlibm tanhf and expm1f that glibc ships, and its
+// AVX-512F variant, both compiled with FP contraction off.
+// ------------------------------------------------------------------------
+//
+// glibc builds libm without contraction, so its tanhf is a fixed sequence
+// of rounded IEEE operations. This file is built with GCC's default
+// -ffp-contract=fast, which fuses a multiply feeding an add into an FMA;
+// adam_step depends on that (section 1), so it is turned off for this
+// section only. Left on here, it would move 150,744 of the 2^32 results.
+// With it off, the portable body and the variant equal glibc 2.36's tanhf
+// on every input, NaN payloads included. GCC lowers _mm512_mul_ps and
+// _mm512_add_ps to plain vector arithmetic and fuses those too, so the
+// variant needs the setting as much as the portable body does.
+
+#if defined(__clang__)
+#pragma float_control(push)
+#pragma clang fp contract(off)
+#else
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
+
+// The fdlibm constants, with the bit patterns glibc's s_expm1f.c lists.
+constexpr float kLn2Hi = 6.9313812256e-01f;     // 0x3f317180
+constexpr float kLn2Lo = 9.0580006145e-06f;     // 0x3717f7d1
+constexpr float kInvLn2 = 1.4426950216e+00f;    // 0x3fb8aa3b
+constexpr float kExpm1Q1 = -3.3333335072e-02f;  // 0xbd088889
+constexpr float kExpm1Q2 = 1.5873016091e-03f;   // 0x3ad00d01
+constexpr float kExpm1Q3 = -7.9365076090e-05f;  // 0xb8a670cd
+constexpr float kExpm1Q4 = 4.0082177293e-06f;   // 0x36867e54
+constexpr float kExpm1Q5 = -2.0109921195e-07f;  // 0xb457edbb
+
+// glibc's expm1f (sysdeps/ieee754/flt-32/s_expm1f.c) for the arguments
+// TanhOne passes: 2|v| in [2, 44) and -2|v| in (-2, -2^-54]. The branches
+// no such argument reaches are left out: the overflow, NaN and x < -27 ln2
+// filters, and the k == 1 and k == 128 cases. Everything else is glibc's
+// sequence, operation for operation. The reduction index k is 0, -1, -2 or
+// -3 for a negative x and 3..63 for a positive one.
+float Expm1ForTanh(float x) {
+  uint32_t hx = std::bit_cast<uint32_t>(x);
+  const bool negative = (hx >> 31) != 0;
+  hx &= 0x7fffffffu;
+  int k = 0;
+  float c = 0.0f;
+  if (hx > 0x3eb17218u) {  // |x| > 0.5 ln2: x = k ln2 + (hi - lo)
+    float hi;
+    float lo;
+    if (hx < 0x3f851592u) {  // |x| < 1.5 ln2: only negative x get here
+      hi = x + kLn2Hi;
+      lo = -kLn2Lo;
+      k = -1;
+    } else {
+      k = static_cast<int>(kInvLn2 * x + (negative ? -0.5f : 0.5f));
+      const float t = static_cast<float>(k);
+      hi = x - t * kLn2Hi;  // t * kLn2Hi is exact
+      lo = t * kLn2Lo;
+    }
+    x = hi - lo;
+    c = (hi - x) - lo;
+  } else if (hx < 0x33000000u) {  // |x| < 2^-25: expm1(x) rounds to x
+    return x;
+  }
+  const float hfx = 0.5f * x;
+  const float hxs = x * hfx;
+  const float r1 =
+      1.0f +
+      hxs * (kExpm1Q1 +
+             hxs * (kExpm1Q2 +
+                    hxs * (kExpm1Q3 + hxs * (kExpm1Q4 + hxs * kExpm1Q5))));
+  const float t = 3.0f - r1 * hfx;
+  float e = hxs * ((r1 - t) / (6.0f - x * t));
+  if (k == 0) {
+    return x - (x * e - hxs);
+  }
+  e = x * (e - c) - c;
+  e -= hxs;
+  if (k == -1) {
+    return 0.5f * (x - e) - 0.5f;
+  }
+  // Adds k to a float's exponent; unsigned, so a negative k wraps.
+  const uint32_t scale = static_cast<uint32_t>(k) << 23;
+  if (k <= -2 || k > 56) {
+    const float y = 1.0f - (e - x);
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(y) + scale) - 1.0f;
+  }
+  if (k < 23) {
+    const float one_minus = std::bit_cast<float>(
+        0x3f800000u - (0x1000000u >> k));  // 1 - 2^-k
+    const float y = one_minus - (e - x);
+    return std::bit_cast<float>(std::bit_cast<uint32_t>(y) + scale);
+  }
+  const float tiny = std::bit_cast<float>(
+      (0x7fu - static_cast<uint32_t>(k)) << 23);  // 2^-k
+  const float y = (x - (e + tiny)) + 1.0f;
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(y) + scale);
+}
+
+// glibc's tanhf (sysdeps/ieee754/flt-32/s_tanhf.c), operation for operation.
+float TanhOne(float x) {
+  const uint32_t jx = std::bit_cast<uint32_t>(x);
+  const uint32_t ix = jx & 0x7fffffffu;
+  const bool negative = (jx >> 31) != 0;
+  if (ix >= 0x7f800000u) {  // tanh(+-inf) = +-1, tanh(NaN) = NaN
+    return negative ? 1.0f / x - 1.0f : 1.0f / x + 1.0f;
+  }
+  float z;
+  if (ix < 0x41b00000u) {  // |x| < 22
+    if (ix == 0) {
+      return x;
+    }
+    if (ix < 0x24000000u) {  // |x| < 2^-55
+      return x * (1.0f + x);
+    }
+    if (ix >= 0x3f800000u) {  // |x| >= 1
+      const float t = Expm1ForTanh(2.0f * std::fabs(x));
+      z = 1.0f - 2.0f / (t + 2.0f);
+    } else {
+      const float t = Expm1ForTanh(-2.0f * std::fabs(x));
+      z = -t / (t + 2.0f);
+    }
+  } else {
+    z = 1.0f;  // glibc computes 1 - 1e-30, which rounds to 1
+  }
+  return negative ? -z : z;
+}
+
+void TanhPortable(const float* x, float* y, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    y[i] = TanhOne(x[i]);
+  }
+}
+
+#if defined(FEDRA_SIMD_X86)
+// The intrinsics warning silenced in section 2.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// Expm1ForTanh on 16 lanes: every branch is computed in every lane, and
+// the results are blended by lane mask, the earliest branch of the
+// portable body last.
+__attribute__((target("avx512f"), always_inline)) inline __m512
+Expm1ForTanhAvx512(__m512 a) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512i bits = _mm512_castps_si512(a);
+  const __m512i hx = _mm512_and_si512(bits, _mm512_set1_epi32(0x7fffffff));
+  const __mmask16 negative =
+      _mm512_cmplt_epi32_mask(bits, _mm512_setzero_si512());
+  // The reduction index: k = 0 for |a| <= 0.5 ln2, and -1 below 1.5 ln2,
+  // where only negative arguments fall. With t = k, the general reduction
+  // computes those two cases' hi and lo exactly: a - 0 * kLn2Hi = a, and
+  // a - (-1) * kLn2Hi = a + kLn2Hi.
+  const __m512 round_half =
+      _mm512_mask_blend_ps(negative, half, _mm512_set1_ps(-0.5f));
+  __m512i k = _mm512_cvttps_epi32(
+      _mm512_add_ps(_mm512_mul_ps(_mm512_set1_ps(kInvLn2), a), round_half));
+  k = _mm512_mask_mov_epi32(
+      k, _mm512_cmplt_epu32_mask(hx, _mm512_set1_epi32(0x3f851592)),
+      _mm512_set1_epi32(-1));
+  k = _mm512_maskz_mov_epi32(
+      _mm512_cmpgt_epu32_mask(hx, _mm512_set1_epi32(0x3eb17218)), k);
+  const __m512 t = _mm512_cvtepi32_ps(k);
+  const __m512 hi = _mm512_sub_ps(a, _mm512_mul_ps(t, _mm512_set1_ps(kLn2Hi)));
+  const __m512 lo = _mm512_mul_ps(t, _mm512_set1_ps(kLn2Lo));
+  const __m512 x = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, x), lo);
+  // The polynomial, in the portable body's Horner order.
+  const __m512 hfx = _mm512_mul_ps(half, x);
+  const __m512 hxs = _mm512_mul_ps(x, hfx);
+  __m512 poly = _mm512_mul_ps(hxs, _mm512_set1_ps(kExpm1Q5));
+  poly = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(kExpm1Q4), poly));
+  poly = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(kExpm1Q3), poly));
+  poly = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(kExpm1Q2), poly));
+  poly = _mm512_mul_ps(hxs, _mm512_add_ps(_mm512_set1_ps(kExpm1Q1), poly));
+  const __m512 r1 = _mm512_add_ps(one, poly);
+  const __m512 t3 = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+  const __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t3),
+                         _mm512_sub_ps(_mm512_set1_ps(6.0f),
+                                       _mm512_mul_ps(x, t3))));
+  // k == 0.
+  const __m512 r_zero =
+      _mm512_sub_ps(x, _mm512_sub_ps(_mm512_mul_ps(x, e), hxs));
+  // k != 0: the corrected e, then the four cases by k.
+  const __m512 ec = _mm512_sub_ps(
+      _mm512_sub_ps(_mm512_mul_ps(x, _mm512_sub_ps(e, c)), c), hxs);
+  const __m512 ec_minus_x = _mm512_sub_ps(ec, x);
+  const __m512i scale = _mm512_slli_epi32(k, 23);
+  const __m512 r_minus_one =
+      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(x, ec)), half);
+  const __m512 y_far = _mm512_sub_ps(one, ec_minus_x);
+  const __m512 r_far = _mm512_sub_ps(
+      _mm512_castsi512_ps(
+          _mm512_add_epi32(_mm512_castps_si512(y_far), scale)),
+      one);
+  const __m512i one_minus = _mm512_sub_epi32(
+      _mm512_set1_epi32(0x3f800000),
+      _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k));  // 1 - 2^-k
+  const __m512 y_low =
+      _mm512_sub_ps(_mm512_castsi512_ps(one_minus), ec_minus_x);
+  const __m512 r_low = _mm512_castsi512_ps(
+      _mm512_add_epi32(_mm512_castps_si512(y_low), scale));
+  const __m512i tiny = _mm512_slli_epi32(
+      _mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23);  // 2^-k
+  const __m512 y_high = _mm512_add_ps(
+      _mm512_sub_ps(x, _mm512_add_ps(ec, _mm512_castsi512_ps(tiny))), one);
+  const __m512 r_high = _mm512_castsi512_ps(
+      _mm512_add_epi32(_mm512_castps_si512(y_high), scale));
+  __m512 r = _mm512_mask_blend_ps(
+      _mm512_cmplt_epi32_mask(k, _mm512_set1_epi32(23)), r_high, r_low);
+  r = _mm512_mask_blend_ps(
+      _mm512_cmple_epi32_mask(k, _mm512_set1_epi32(-2)) |
+          _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56)),
+      r, r_far);
+  r = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), r, r_minus_one);
+  r = _mm512_mask_blend_ps(
+      _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), r, r_zero);
+  return _mm512_mask_blend_ps(
+      _mm512_cmplt_epu32_mask(hx, _mm512_set1_epi32(0x33000000)), r, a);
+}
+
+// TanhOne on 16 lanes, the tail under a lane mask, blended like
+// Expm1ForTanhAvx512. One division serves both |x| >= 1 and |x| < 1:
+// 2 / (t + 2) for the first, t / (t + 2) negated for the second, which
+// equals the portable body's -t / (t + 2) because division rounds
+// symmetrically about zero. The inf/NaN lanes' 1/x is computed only when
+// a block has such a lane. Masked-off tail lanes are loaded as 0 and
+// never stored.
+__attribute__((target("avx512f"))) void TanhAvx512(const float* xs,
+                                                   float* ys, size_t n) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512i sign_bit = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  for (size_t i = 0; i < n; i += 16) {
+    const __mmask16 lanes =
+        n - i >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512 x = _mm512_maskz_loadu_ps(lanes, xs + i);
+    const __m512i jx = _mm512_castps_si512(x);
+    const __m512i sign = _mm512_and_si512(jx, sign_bit);
+    const __m512i ix = _mm512_andnot_si512(sign_bit, jx);
+    const __mmask16 big =
+        _mm512_cmpge_epu32_mask(ix, _mm512_set1_epi32(0x3f800000));
+    const __m512 t = Expm1ForTanhAvx512(_mm512_mul_ps(
+        _mm512_mask_blend_ps(big, _mm512_set1_ps(-2.0f), two),
+        _mm512_castsi512_ps(ix)));
+    const __m512 q = _mm512_div_ps(_mm512_mask_blend_ps(big, t, two),
+                                   _mm512_add_ps(t, two));
+    __m512 z = _mm512_mask_blend_ps(
+        big, _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(q),
+                                                  sign_bit)),
+        _mm512_sub_ps(one, q));
+    z = _mm512_mask_mov_ps(
+        z, _mm512_cmpge_epu32_mask(ix, _mm512_set1_epi32(0x41b00000)), one);
+    __m512 y = _mm512_castsi512_ps(
+        _mm512_xor_si512(_mm512_castps_si512(z), sign));
+    y = _mm512_mask_blend_ps(
+        _mm512_cmplt_epu32_mask(ix, _mm512_set1_epi32(0x24000000)), y,
+        _mm512_mul_ps(x, _mm512_add_ps(one, x)));
+    const __mmask16 special =
+        _mm512_cmpge_epu32_mask(ix, _mm512_set1_epi32(0x7f800000));
+    if (special != 0) {
+      // 1/x + 1, or 1/x - 1 as 1/x + (-1) for a negative x.
+      const __m512 signed_one = _mm512_castsi512_ps(
+          _mm512_or_si512(_mm512_castps_si512(one), sign));
+      y = _mm512_mask_blend_ps(
+          special, y, _mm512_add_ps(_mm512_div_ps(one, x), signed_one));
+    }
+    _mm512_mask_storeu_ps(ys + i, lanes, y);
+  }
+}
+
+#pragma GCC diagnostic pop
+#endif  // FEDRA_SIMD_X86
+
+#if defined(__clang__)
+#pragma float_control(pop)
+#else
+#pragma GCC pop_options
+#endif
+
+// ------------------------------------------------------------------------
+// 5. Tables and resolution.
 // ------------------------------------------------------------------------
 
 bool CpuSupportsAvx2() {
@@ -1095,6 +1382,7 @@ struct Tables {
     scalar.axpy_norm = AxpyNormPortable;
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
+    scalar.tanh = TanhPortable;
     scalar.gemm_micro_8x32 = GemmMicroScalar;
     scalar.pack_b_trans = PackBTransPortable;
 
@@ -1122,6 +1410,7 @@ struct Tables {
     avx512.reduce_scale = ReduceScaleAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
     avx512.pack_b_trans = PackBTransAvx512;
+    avx512.tanh = TanhAvx512;
 #endif
 #if defined(FEDRA_SIMD_ADAM_AVX512)
     avx512.adam_step = AdamStepAvx512;

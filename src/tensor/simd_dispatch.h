@@ -1,5 +1,6 @@
 // Runtime SIMD dispatch for the hot flat-span kernels, the GEMM
-// micro-kernel and the GEMM's transposed-panel packing.
+// micro-kernel, the GEMM's transposed-panel packing and the tanh
+// activation.
 //
 // The library is built once and must run well on whatever CPU it lands on:
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
@@ -69,15 +70,19 @@ inline constexpr int kGemmNr = 32;
 /// operand: panel[p * kGemmNr + j] = b[j * ld + p] for p < kc and j < nr
 /// (nr <= kGemmNr), and 0.0f in the pad lanes j >= nr.
 ///
+/// `tanh` computes y[i] = tanh(x[i]); y may alias x.
+///
 /// The reductions (dot, the norms) differ across levels by reassociation.
-/// pack_b_trans only moves data, and reduce_scale and adam_step are
+/// pack_b_trans only moves data, and reduce_scale, adam_step and tanh are
 /// element-wise, each of their variants computing the portable body's
-/// per-element arithmetic, so those three produce the same bits at every
+/// per-element arithmetic, so those four produce the same bits at every
 /// level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
 /// with FMA in the baseline ISA), and kScalar, kGeneric, kAvx2 and kNeon
-/// run the portable body.
+/// run the portable body. tanh's portable body is a port of the fdlibm
+/// tanhf/expm1f that glibc ships; it and its AVX-512F variant are compiled
+/// with FP contraction off, so every build gives glibc 2.36's tanhf bits.
 struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   double (*dot)(const float* a, const float* b, size_t n);
@@ -89,6 +94,7 @@ struct KernelTable {
                        double scale, float* out);
   void (*adam_step)(const vec::AdamStepArgs& args, const float* grads,
                     float* params, float* m, float* v, size_t n);
+  void (*tanh)(const float* x, float* y, size_t n);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
   void (*pack_b_trans)(const float* b, size_t ld, int kc, int nr,

@@ -11,8 +11,8 @@ namespace vec {
 
 // The element-wise kernels are written as plain contiguous loops: at -O3 the
 // compiler turns each into packed SIMD. The hot kernels — Axpy, the
-// double-accumulated reductions, the Adam update, and the reduce family the
-// collectives sit on — forward through the runtime SIMD dispatch table
+// double-accumulated reductions, the Adam update, tanh, and the reduce family
+// the collectives sit on — forward through the runtime SIMD dispatch table
 // instead; their canonical portable bodies live in tensor/simd_dispatch.cc
 // alongside the per-ISA variants (see that file for the determinism
 // contract).
@@ -147,6 +147,8 @@ void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
               float* m, float* v, size_t n) {
   simd::Kernels().adam_step(args, grads, params, m, v, n);
 }
+
+void Tanh(const float* x, float* y, size_t n) { simd::Kernels().tanh(x, y, n); }
 
 void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
                  double scale, float* out) {

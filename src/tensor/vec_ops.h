@@ -5,11 +5,11 @@
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
 // The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm /
-// AxpyNorm, the Adam update, and the collective reductions) route through
-// the runtime SIMD dispatch table in tensor/simd_dispatch.h — resolved once
-// per process to the best ISA tier the CPU supports (or FEDRA_SIMD),
-// bit-deterministic per tier. Reductions accumulate in double across
-// independent lanes (four at the portable tiers, more under
+// AxpyNorm, the Adam update, tanh, and the collective reductions) route
+// through the runtime SIMD dispatch table in tensor/simd_dispatch.h —
+// resolved once per process to the best ISA tier the CPU supports (or
+// FEDRA_SIMD), bit-deterministic per tier. Reductions accumulate in double
+// across independent lanes (four at the portable tiers, more under
 // AVX2/AVX-512/NEON) so results differ from a single-accumulator loop — and
 // across tiers — only by floating-point reassociation. The fused kernels
 // (SubSquaredNorm, AxpyNorm) exist for the FDA hot path: every local step
@@ -113,6 +113,12 @@ struct AdamStepArgs {
 /// (docs/determinism.md §5).
 void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
               float* m, float* v, size_t n);
+
+/// y[i] = tanh(x[i]), with the bits of glibc 2.36's tanhf for every input
+/// at every SIMD level: the kernel is a port of glibc's fdlibm code, so the
+/// result does not depend on the host's libm (docs/determinism.md §5).
+/// y may alias x.
+void Tanh(const float* x, float* y, size_t n);
 
 /// Fused tree-reduce + scale kernel, the arithmetic core of the simulated
 /// collectives: out[i] = scale * sum_k bufs[k][i]. Buffers are combined

@@ -85,6 +85,16 @@ struct Result {
 };
 double Reach(const Result& result) { return result.gigabytes_to_target(); }
 
+// Diagnostic pragmas change no arithmetic, and a method named optimize is
+// not an optimize attribute.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wunused-parameter"
+struct Solver {
+  double optimize(double x) const;
+};
+double Solve(const Solver& solver) { return solver.optimize(1.0); }
+#pragma GCC diagnostic pop
+
 unsigned long long SampleCohortClient(const ForkableRng& master,
                                       unsigned long long round,
                                       unsigned long long population) {

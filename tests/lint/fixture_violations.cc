@@ -13,6 +13,10 @@
 //   raw-cpu-dispatch    x8  (__builtin_cpu_supports, #ifdef __AVX2__,
 //                            <immintrin.h>, <arm_neon.h>, target attribute,
 //                            [[gnu::target]], __m512 type, _mm512_ call)
+//   fp-contract         x7  (#pragma GCC optimize, #pragma clang fp,
+//                            #pragma STDC FP_CONTRACT, #pragma
+//                            float_control, _Pragma("GCC optimize"),
+//                            optimize attribute, [[gnu::optimize]])
 //   empty-waiver        x1
 
 #include <arm_neon.h>
@@ -105,6 +109,22 @@ __attribute__((target("avx512f"))) void HandVectorizedLoad(float* x) {
 }
 
 [[gnu::target("avx2")]] void OtherAttributeSpelling();
+
+// A contraction setting picks, per call site, whether a multiply and an add
+// round once (FMA) or twice, so the same expression gives different bits
+// under it than in the rest of the build. Every spelling is flagged.
+#pragma GCC optimize("fp-contract=off")
+#pragma clang fp contract(fast)
+#pragma STDC FP_CONTRACT ON
+#pragma float_control(precise, off)
+_Pragma("GCC optimize(\"fp-contract=fast\")")
+
+__attribute__((optimize("fp-contract=fast"))) float FusedHere(float a,
+                                                             float b) {
+  return a * b + 1.0f;
+}
+
+[[gnu::optimize("O0")]] float OtherOptimizeSpelling(float a);
 
 // A waiver that names no reason is rejected outright:
 // fedra-nondeterminism-ok:

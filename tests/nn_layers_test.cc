@@ -4,6 +4,8 @@
 // standalone ParameterStore + LayerStateStore environment mirroring what a
 // shared ModelGraph provides per execution slot.
 
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -141,6 +143,49 @@ TEST(ActivationTest, GeluMatchesKnownValues) {
   EXPECT_NEAR(y[0], 0.0f, 1e-6);
   EXPECT_NEAR(y[1], 0.8412f, 1e-3);
   EXPECT_NEAR(y[2], -0.1588f, 1e-3);
+}
+
+TEST(ActivationTest, TanhMatchesLibmAndItsBackwardTheRecomputedForm) {
+  // The tanh layer caches its output y and scales the gradient by 1 - y*y.
+  // That must give the bytes of g * (1 - t*t) with t = std::tanh(x)
+  // recomputed from the input, for signed zeros, denormals, saturated
+  // |x| >= 9, infinities and NaN too. The ordinary values are ones whose
+  // tanhf glibc rounds correctly, so a correctly rounding libm agrees.
+  const uint32_t special_bits[] = {
+      0x00000000u, 0x80000000u,  // +-0
+      0x00000001u, 0x80400000u,  // denormals
+      0x7f800000u, 0xff800000u,  // +-inf
+      0x7fc00000u, 0xffc12345u,  // NaNs
+  };
+  std::vector<float> xs = {0.01f, -0.1f, 0.25f,  -0.35f, -0.75f, 0.875f,
+                           1.0f,  -1.5f, 2.0f,   3.0f,   4.0f,   -5.5f,
+                           8.0f,  9.0f,  -9.5f,  12.0f,  -30.0f, 1e30f};
+  for (uint32_t bits : special_bits) {
+    float x;
+    std::memcpy(&x, &bits, sizeof(float));
+    xs.push_back(x);
+  }
+  const size_t n = xs.size();
+  ActivationLayer layer(Activation::kTanh);
+  LayerHarness harness(&layer);
+  Tensor x({1, static_cast<int>(n)});
+  Tensor g({1, static_cast<int>(n)});
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = xs[i];
+    g[i] = 0.75f - 0.5f * static_cast<float>(i % 5);
+  }
+  const Tensor y = harness.Forward(x);
+  const Tensor grad_input = harness.Backward(g);
+  for (size_t i = 0; i < n; ++i) {
+    const float t = std::tanh(x[i]);
+    const float want = g[i] * (1.0f - t * t);
+    const float got_y = y[i];
+    const float got_grad = grad_input[i];
+    EXPECT_EQ(0, std::memcmp(&got_y, &t, sizeof(float)))
+        << "forward, x = " << x[i] << ": " << got_y << " vs " << t;
+    EXPECT_EQ(0, std::memcmp(&got_grad, &want, sizeof(float)))
+        << "backward, x = " << x[i] << ": " << got_grad << " vs " << want;
+  }
 }
 
 // ---------------------------------------------------------------- Dropout

@@ -4,14 +4,20 @@
 // the exact clauses of the determinism contract (docs/determinism.md): a
 // fixed level is bit-deterministic run-to-run, kScalar == kGeneric
 // bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies), and the element-wise adam_step and the data-moving pack_b_trans
-// are bit-identical at every level. The golden suites pin kGeneric, so this
-// file (and the level check in opt_test.cc) is what runs the wide adam_step
-// and pack_b_trans variants. Sizes straddle every vector width's
-// main-loop/remainder split so tail handling is covered at all levels.
+// bodies), and the element-wise adam_step and tanh and the data-moving
+// pack_b_trans are bit-identical at every level. The golden suites pin
+// kGeneric, so this file (and the level check in opt_test.cc) is what runs
+// the wide adam_step, tanh and pack_b_trans variants. Sizes straddle every
+// vector width's main-loop/remainder split so tail handling is covered at
+// all levels.
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +29,7 @@
 #include "tensor/simd_dispatch.h"
 #include "tensor/vec_ops.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fedra {
 namespace {
@@ -397,6 +404,8 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
     adam.weight_decay = 0.01f;
 
     simd::SetLevel(simd::Level::kScalar);
+    std::vector<float> tanh_scalar(n);
+    simd::Kernels().tanh(x.data(), tanh_scalar.data(), n);
     auto y_scalar = RandomVec(n, 9999 + n);
     const double dot_scalar = simd::Kernels().dot(x.data(), b.data(), n);
     const double axpy_scalar =
@@ -408,6 +417,8 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
                               m_scalar.data(), v_scalar.data(), n);
 
     simd::SetLevel(simd::Level::kGeneric);
+    std::vector<float> tanh_generic(n);
+    simd::Kernels().tanh(x.data(), tanh_generic.data(), n);
     auto y_generic = RandomVec(n, 9999 + n);
     const double dot_generic = simd::Kernels().dot(x.data(), b.data(), n);
     const double axpy_generic =
@@ -429,6 +440,8 @@ TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
       EXPECT_EQ(0, std::memcmp(m_scalar.data(), m_generic.data(),
                                n * sizeof(float)));
       EXPECT_EQ(0, std::memcmp(v_scalar.data(), v_generic.data(),
+                               n * sizeof(float)));
+      EXPECT_EQ(0, std::memcmp(tanh_scalar.data(), tanh_generic.data(),
                                n * sizeof(float)));
     }
   }
@@ -547,6 +560,211 @@ TEST_F(SimdDispatchTest, AdamStepIsBitIdenticalAtEveryLevel) {
         EXPECT_TRUE(SameBits(got.v, want.v)) << "v";
       }
     }
+  }
+}
+
+// ------------------------------------------------------------------ tanh --
+
+// Byte equality of n floats, NaN payloads included.
+::testing::AssertionResult SameBytes(const float* got, const float* want,
+                                     size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "index " << i << ": got 0x" << std::hex
+             << std::bit_cast<uint32_t>(got[i]) << ", want 0x"
+             << std::bit_cast<uint32_t>(want[i]);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The inputs every level is checked on: a strided sweep of all 2^32 bit
+// patterns, then each branch threshold of the portable body +-4 ulps at
+// both signs, then the special values.
+std::vector<float> TanhProbeInputs() {
+  std::vector<float> xs;
+  for (uint64_t bits = 0; bits < (uint64_t{1} << 32); bits += 4093) {
+    xs.push_back(std::bit_cast<float>(static_cast<uint32_t>(bits)));
+  }
+  const uint32_t thresholds[] = {
+      0x24000000u,  // tanhf: |x| < 2^-55 returns x * (1 + x)
+      0x3f800000u,  // tanhf: |x| >= 1 takes expm1f(2|x|)
+      0x41b00000u,  // tanhf: |x| >= 22 returns +-1
+      0x32800000u,  // expm1f(-2|x|): |arg| < 2^-25 returns arg
+      0x3e317218u,  // expm1f(-2|x|): |arg| > 0.5 ln2 reduces, k = -1
+      0x3f051592u,  // expm1f(-2|x|): |arg| >= 1.5 ln2, k = -2
+      0x3f5dce9eu,  // expm1f(-2|x|): k = -3 from here
+      0x40f98872u,  // expm1f(2|x|): k = 23 from here (22 below)
+      0x419ca6b9u,  // expm1f(2|x|): k = 57 from here (56 below)
+  };
+  for (uint32_t threshold : thresholds) {
+    for (uint32_t sign : {0u, 0x80000000u}) {
+      for (uint32_t bits = threshold - 4; bits <= threshold + 4; ++bits) {
+        xs.push_back(std::bit_cast<float>(bits | sign));
+      }
+    }
+  }
+  const uint32_t specials[] = {
+      0x00000000u, 0x80000000u,                            // +-0
+      0x00000001u, 0x80000001u, 0x007fffffu, 0x807fffffu,  // denormals
+      0x7f800000u, 0xff800000u,                            // +-inf
+      0x7fc00000u, 0xffc00000u, 0x7fc12345u,               // quiet NaNs
+      0x7f800001u, 0xff812345u, 0x7fbfffffu,               // signalling NaNs
+  };
+  for (uint32_t bits : specials) {
+    xs.push_back(std::bit_cast<float>(bits));
+  }
+  return xs;
+}
+
+TEST_F(SimdDispatchTest, TanhIsBitIdenticalAtEveryLevel) {
+  const std::vector<float> xs = TanhProbeInputs();
+  const size_t total = xs.size();
+  simd::SetLevel(simd::Level::kScalar);
+  std::vector<float> want(total);
+  simd::Kernels().tanh(xs.data(), want.data(), total);
+  const float sentinel = -7.0f;
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    std::vector<float> got(total);
+    simd::Kernels().tanh(xs.data(), got.data(), total);
+    ASSERT_TRUE(SameBytes(got.data(), want.data(), total));
+    // Every length 0..40, from the start of the sweep and over the last
+    // inputs (thresholds and specials), out of place and in place: every
+    // masked tail, and no store past the end.
+    for (size_t n = 0; n <= 40; ++n) {
+      for (size_t start : {size_t{0}, total - n}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " start=" << start);
+        std::vector<float> out(n + 1, sentinel);
+        simd::Kernels().tanh(xs.data() + start, out.data(), n);
+        ASSERT_TRUE(SameBytes(out.data(), want.data() + start, n));
+        ASSERT_TRUE(SameBytes(&out[n], &sentinel, 1)) << "store past the end";
+        std::vector<float> in_place(xs.begin() + start, xs.begin() + start + n);
+        in_place.push_back(sentinel);
+        simd::Kernels().tanh(in_place.data(), in_place.data(), n);
+        ASSERT_TRUE(SameBytes(in_place.data(), want.data() + start, n));
+        ASSERT_TRUE(SameBytes(&in_place[n], &sentinel, 1))
+            << "store past the end";
+      }
+    }
+  }
+}
+
+TEST_F(SimdDispatchTest, TanhMatchesPinnedGlibcBits) {
+  // (input, output) bit pairs from glibc 2.36's tanhf, one or more per
+  // branch of the port, so the portable body is held to libm's bits
+  // without calling the host's libm. Several outputs are not the correctly
+  // rounded tanh (0x3e317219, 0x3f051591, 0x3f051592, 0x3f200000): a libm
+  // that rounds correctly would not reproduce them.
+  const std::pair<uint32_t, uint32_t> pinned[] = {
+      {0x00000000u, 0x00000000u},  // +0
+      {0x80000000u, 0x80000000u},  // -0
+      {0x00000001u, 0x00000001u},  // denormals: x * (1 + x)
+      {0x807fffffu, 0x807fffffu},
+      {0x23ffffffu, 0x23ffffffu},  // |x| < 2^-55
+      {0xa3ffffffu, 0xa3ffffffu},
+      {0x24000000u, 0x24000000u},  // expm1f returns its argument
+      {0xb2000000u, 0xb2000000u},
+      {0x327fffffu, 0x327fffffu},
+      {0x32800000u, 0x32800000u},  // k = 0
+      {0x3c23d70au, 0x3c23d5a4u},
+      {0xbdcccccdu, 0xbdcc1ebcu},
+      {0x3e317218u, 0x3e2fb0cdu},
+      {0x3e317219u, 0x3e2fb0cdu},  // k = -1
+      {0x3e800000u, 0x3e7acbf5u},
+      {0xbeb33333u, 0xbeac396au},
+      {0x3f051591u, 0x3ef486f8u},
+      {0x3f051592u, 0x3ef486f8u},  // k = -2
+      {0x3f200000u, 0x3f0dfa40u},
+      {0xbf400000u, 0xbf22991fu},
+      {0x3f5dce9du, 0x3f331638u},
+      {0xbf5dce9eu, 0xbf331638u},  // k = -3
+      {0x3f600000u, 0x3f343328u},
+      {0xbf7fffffu, 0xbf42f7d5u},
+      {0x3f800000u, 0x3f42f7d6u},  // k = 3..22
+      {0xbfc00000u, 0xbf67b7ccu},
+      {0x40000000u, 0x3f76ca83u},
+      {0x40400000u, 0x3f7ebbe9u},
+      {0x40800000u, 0x3f7fd40cu},
+      {0xc0b00000u, 0xbf7ffdd0u},
+      {0xc0f00000u, 0xbf7ffff6u},
+      {0x40f98871u, 0x3f7ffffau},
+      {0xc0f98872u, 0xbf7ffffau},  // k = 23..56
+      {0x41000000u, 0x3f7ffffcu},
+      {0x41800000u, 0x3f800000u},
+      {0x419ca6b8u, 0x3f800000u},
+      {0xc19ca6b9u, 0xbf800000u},  // k = 57..63
+      {0x41a00000u, 0x3f800000u},
+      {0x41afffffu, 0x3f800000u},
+      {0x41b00000u, 0x3f800000u},  // |x| >= 22
+      {0xc2c80000u, 0xbf800000u},
+      {0x7f7fffffu, 0x3f800000u},
+      {0x7f800000u, 0x3f800000u},  // +-inf
+      {0xff800000u, 0xbf800000u},
+      {0x7fc00000u, 0x7fc00000u},  // NaNs keep sign and payload, quieted
+      {0xffc00001u, 0xffc00001u},
+      {0x7f800001u, 0x7fc00001u},
+      {0xff812345u, 0xffc12345u},
+  };
+  std::vector<float> xs;
+  std::vector<float> want;
+  for (const auto& [in, out] : pinned) {
+    xs.push_back(std::bit_cast<float>(in));
+    want.push_back(std::bit_cast<float>(out));
+  }
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    std::vector<float> got(xs.size());
+    simd::Kernels().tanh(xs.data(), got.data(), xs.size());
+    EXPECT_TRUE(SameBytes(got.data(), want.data(), xs.size()));
+  }
+}
+
+// All 2^32 inputs at every level against kScalar, in fixed 2^16-element
+// chunks over the global pool. About 15 s on 4 cores, so it is
+// disabled in the default run; CI runs it once with
+// --gtest_also_run_disabled_tests --gtest_filter='*TanhExhaustive*'.
+TEST_F(SimdDispatchTest, DISABLED_TanhExhaustiveAtEveryLevel) {
+  constexpr size_t kChunk = size_t{1} << 16;
+  constexpr size_t kChunks = (uint64_t{1} << 32) / kChunk;
+  simd::SetLevel(simd::Level::kScalar);
+  const auto want_tanh = simd::Kernels().tanh;
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    const auto got_tanh = simd::Kernels().tanh;
+    if (got_tanh == want_tanh) {
+      continue;  // the portable body itself
+    }
+    std::atomic<uint64_t> mismatches{0};
+    std::mutex first_mutex;
+    uint64_t first_bad = UINT64_MAX;
+    GlobalThreadPool().ParallelForRange(
+        kChunks, 16, [&](size_t begin, size_t end) {
+          std::vector<float> xs(kChunk);
+          std::vector<float> want(kChunk);
+          std::vector<float> got(kChunk);
+          for (size_t chunk = begin; chunk < end; ++chunk) {
+            const uint64_t base = chunk * kChunk;
+            for (size_t j = 0; j < kChunk; ++j) {
+              xs[j] = std::bit_cast<float>(static_cast<uint32_t>(base + j));
+            }
+            want_tanh(xs.data(), want.data(), kChunk);
+            got_tanh(xs.data(), got.data(), kChunk);
+            for (size_t j = 0; j < kChunk; ++j) {
+              if (std::memcmp(&got[j], &want[j], sizeof(float)) != 0) {
+                mismatches.fetch_add(1, std::memory_order_relaxed);
+                const std::lock_guard<std::mutex> lock(first_mutex);
+                first_bad = std::min(first_bad, base + j);
+              }
+            }
+          }
+        });
+    EXPECT_EQ(mismatches.load(), 0u)
+        << "first mismatching input 0x" << std::hex << first_bad;
   }
 }
 
