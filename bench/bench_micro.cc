@@ -918,6 +918,26 @@ int RunKernelsSweep(const std::string& path) {
   const size_t pack_elems = static_cast<size_t>(pack_dim) * pack_dim;
   auto pack_src = RandomVec(pack_elems, 93);
   std::vector<float> pack_dst(pack_elems);
+  // One block of SketchFDA's 5 x 250 sketch: a family over exactly
+  // vec::kBucketBlock coordinates. Its lists' entry count (padding
+  // included, since every step loads all 16 lanes) sets the bytes read.
+  const int sketch_rows = 5;
+  const int sketch_cols = 250;
+  const auto bucket_family =
+      AmsHashFamily::Create(sketch_rows, sketch_cols, vec::kBucketBlock, 95);
+  auto bucket_x = RandomVec(vec::kBucketBlock, 96);
+  std::vector<float> bucket_cells(static_cast<size_t>(sketch_rows) *
+                                  sketch_cols);
+  const vec::BucketSumArgs bucket_args =
+      bucket_family->BucketSumArgs(bucket_x.data(), bucket_cells.data());
+  const size_t bucket_runs =
+      static_cast<size_t>(sketch_rows) *
+      ((sketch_cols + vec::kBucketLanes - 1) / vec::kBucketLanes);
+  double bucket_entries = 0.0;
+  for (size_t i = 0; i < bucket_runs; ++i) {
+    bucket_entries += static_cast<double>(bucket_args.runs[i].steps) *
+                      vec::kBucketLanes;
+  }
 
   struct Kernel {
     const char* name;
@@ -972,6 +992,19 @@ int RunKernelsSweep(const std::string& path) {
        [&] {
          simd::Kernels().tanh(tanh_in.data(), out.data(), n);
          benchmark::DoNotOptimize(out.data());
+         benchmark::ClobberMemory();
+       }},
+      // Reads 2 bytes per list entry and 4 per coordinate of the x block;
+      // the 1,250 cells stay in registers and L1 and are not counted. One
+      // add per (row, coordinate).
+      {"bucket_sum",
+       2.0 * bucket_entries +
+           static_cast<double>(vec::kBucketBlock) * sizeof(float),
+       static_cast<double>(sketch_rows) *
+           static_cast<double>(vec::kBucketBlock),
+       [&] {
+         simd::Kernels().bucket_sum(bucket_args);
+         benchmark::DoNotOptimize(bucket_cells.data());
          benchmark::ClobberMemory();
        }},
       {"gemm_micro_8x32",

@@ -185,6 +185,11 @@ Status MonitorConfig::Validate() const {
     if (sketch_rows < 1 || sketch_cols < 1) {
       return Status::InvalidArgument("sketch dims must be >= 1");
     }
+    if (static_cast<int64_t>(sketch_rows) * sketch_cols >
+        AmsHashFamily::kMaxCells) {
+      return Status::InvalidArgument(
+          "sketch_rows * sketch_cols must be at most 2^31 cells");
+    }
   }
   return Status::Ok();
 }

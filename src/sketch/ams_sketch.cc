@@ -1,6 +1,7 @@
 #include "sketch/ams_sketch.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "tensor/vec_ops.h"
@@ -40,23 +41,9 @@ void AmsSketch::AccumulateVector(const float* v) {
 
 void AmsSketch::AccumulateVector(const AmsHashFamily& family, const float* v,
                                  float* cells) {
-  const size_t dim = family.dim();
-  const int num_rows = family.rows();
-  // Blocked per-depth accumulation: walk v once per block (it stays in L1
-  // across the row loop) using the family's precomputed absolute-cell-offset
-  // and float-sign tables — one gather-multiply-add per (row, coordinate),
-  // no per-element bucket arithmetic or int-to-float sign conversion.
-  constexpr size_t kBlock = 4096;
-  for (size_t j0 = 0; j0 < dim; j0 += kBlock) {
-    const size_t j1 = std::min(dim, j0 + kBlock);
-    for (int r = 0; r < num_rows; ++r) {
-      const uint32_t* offsets = family.cell_offsets(r);
-      const float* signs = family.sign_values(r);
-      for (size_t j = j0; j < j1; ++j) {
-        cells[offsets[j]] += signs[j] * v[j];
-      }
-    }
-  }
+  // Each cell adds its coordinates in ascending order, as a per-coordinate
+  // Update loop would (docs/determinism.md §5).
+  vec::BucketSum(family.BucketSumArgs(v, cells));
 }
 
 void AmsSketch::AccumulateSparse(const float* v, const uint32_t* indices,
@@ -71,15 +58,18 @@ void AmsSketch::AccumulateSparse(const AmsHashFamily& family, const float* v,
   for (size_t i = 0; i < count; ++i) {
     FEDRA_CHECK_LT(indices[i], family.dim());
   }
-  // Same precomputed offset/sign tables as AccumulateVector, gathered only
-  // at the listed coordinates. Rows innermost: the index list is short, so
-  // revisiting it per row stays in cache while each row's tables stream.
+  // A scatter over the forward table, at the listed coordinates only. Rows
+  // outermost: the index list is short, so revisiting it per row stays in
+  // cache while each row's table streams. The sign moves onto v's sign bit
+  // without a branch: the signs are random, so a branch would mispredict
+  // half the time.
   for (int r = 0; r < num_rows; ++r) {
-    const uint32_t* offsets = family.cell_offsets(r);
-    const float* signs = family.sign_values(r);
+    const uint32_t* signed_cells = family.signed_cells(r);
     for (size_t i = 0; i < count; ++i) {
       const uint32_t j = indices[i];
-      cells[offsets[j]] += signs[j] * v[j];
+      const uint32_t word = signed_cells[j];
+      cells[word & ~AmsHashFamily::kSignBit] += std::bit_cast<float>(
+          std::bit_cast<uint32_t>(v[j]) ^ (word & AmsHashFamily::kSignBit));
     }
   }
 }

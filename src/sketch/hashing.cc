@@ -1,5 +1,7 @@
 #include "sketch/hashing.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -65,23 +67,95 @@ AmsHashFamily::AmsHashFamily(int rows, int cols, size_t dim, uint64_t seed)
   FEDRA_CHECK_GT(rows, 0);
   FEDRA_CHECK_GT(cols, 0);
   FEDRA_CHECK_GT(dim, 0u);
-  cell_offsets_.resize(static_cast<size_t>(rows) * dim);
-  sign_values_.resize(static_cast<size_t>(rows) * dim);
+  FEDRA_CHECK_LE(static_cast<int64_t>(rows) * cols, kMaxCells);
+  signed_cells_.resize(static_cast<size_t>(rows) * dim);
   uint64_t sm = seed;
   for (int r = 0; r < rows; ++r) {
     const FourWiseHash sign_hash(SplitMix64(sm));
     const PairwiseHash bucket_hash(SplitMix64(sm));
-    const size_t row_base = static_cast<size_t>(r) * dim;
-    uint32_t* row_offsets = cell_offsets_.data() + row_base;
-    float* row_sign_values = sign_values_.data() + row_base;
+    uint32_t* row = signed_cells_.data() + static_cast<size_t>(r) * dim;
     const uint32_t cell_base = static_cast<uint32_t>(r) *
                                static_cast<uint32_t>(cols);
     for (size_t j = 0; j < dim; ++j) {
-      row_offsets[j] =
-          cell_base + bucket_hash.Bucket(j, static_cast<uint32_t>(cols));
-      row_sign_values[j] = sign_hash.Sign(j);
+      const uint32_t bucket =
+          bucket_hash.Bucket(j, static_cast<uint32_t>(cols));
+      row[j] = (cell_base + bucket) |
+               (sign_hash.Sign(j) < 0.0f ? kSignBit : 0u);
     }
   }
+  BuildBucketLists();
+}
+
+void AmsHashFamily::BuildBucketLists() {
+  constexpr int kLanes = vec::kBucketLanes;
+  const size_t num_blocks = (dim_ + vec::kBucketBlock - 1) / vec::kBucketBlock;
+  const size_t groups = (static_cast<size_t>(cols_) + kLanes - 1) / kLanes;
+  bucket_runs_.resize(num_blocks * static_cast<size_t>(rows_) * groups);
+  // One counting pass per (block, row) sizes every run, then a second pass
+  // places each coordinate, in ascending order, into its cell's lane.
+  std::vector<uint32_t> count(groups * kLanes);
+  size_t total = 0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const size_t j0 = b * vec::kBucketBlock;
+    const size_t j1 = std::min(dim_, j0 + vec::kBucketBlock);
+    for (int r = 0; r < rows_; ++r) {
+      const uint32_t* row = signed_cells(r);
+      const uint32_t cell_base = static_cast<uint32_t>(r) *
+                                 static_cast<uint32_t>(cols_);
+      std::fill(count.begin(), count.end(), 0u);
+      for (size_t j = j0; j < j1; ++j) {
+        ++count[(row[j] & ~kSignBit) - cell_base];
+      }
+      vec::BucketRun* run =
+          &bucket_runs_[(b * static_cast<size_t>(rows_) + r) * groups];
+      for (size_t g = 0; g < groups; ++g) {
+        FEDRA_CHECK_LE(total, size_t{UINT32_MAX});
+        run[g].offset = static_cast<uint32_t>(total);
+        uint32_t steps = 0;
+        for (int i = 0; i < kLanes; ++i) {
+          const uint32_t len = count[g * kLanes + i];
+          run[g].len[i] = static_cast<uint16_t>(len);
+          steps = std::max(steps, len);
+        }
+        run[g].steps = static_cast<uint16_t>(steps);
+        total += static_cast<size_t>(steps) * kLanes;
+      }
+    }
+  }
+  bucket_entries_.assign(total, 0);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const size_t j0 = b * vec::kBucketBlock;
+    const size_t j1 = std::min(dim_, j0 + vec::kBucketBlock);
+    for (int r = 0; r < rows_; ++r) {
+      const uint32_t* row = signed_cells(r);
+      const uint32_t cell_base = static_cast<uint32_t>(r) *
+                                 static_cast<uint32_t>(cols_);
+      const vec::BucketRun* run =
+          &bucket_runs_[(b * static_cast<size_t>(rows_) + r) * groups];
+      std::fill(count.begin(), count.end(), 0u);
+      for (size_t j = j0; j < j1; ++j) {
+        const uint32_t cell = (row[j] & ~kSignBit) - cell_base;
+        const size_t lane = cell % kLanes;
+        const size_t at = run[cell / kLanes].offset +
+                          static_cast<size_t>(count[cell]++) * kLanes + lane;
+        bucket_entries_[at] = static_cast<uint16_t>(
+            (j - j0) | ((row[j] & kSignBit) != 0 ? vec::kBucketSign : 0u));
+      }
+    }
+  }
+}
+
+vec::BucketSumArgs AmsHashFamily::BucketSumArgs(const float* x,
+                                                float* cells) const {
+  vec::BucketSumArgs args;
+  args.x = x;
+  args.cells = cells;
+  args.entries = bucket_entries_.data();
+  args.runs = bucket_runs_.data();
+  args.num_blocks = (dim_ + vec::kBucketBlock - 1) / vec::kBucketBlock;
+  args.rows = rows_;
+  args.cols = cols_;
+  return args;
 }
 
 std::shared_ptr<const AmsHashFamily> AmsHashFamily::Create(int rows, int cols,

@@ -5,8 +5,21 @@
 // polynomial hashes over the Mersenne prime p = 2^61 - 1 (Carter-Wegman),
 // which gives exactly the independence the estimator's variance analysis
 // requires. Because FDA sketches the same model dimension at every step,
-// the family precomputes (bucket, sign) tables once per dimension, turning
-// each per-coordinate update into one table lookup + one add.
+// the family evaluates the hashes once per dimension and stores them twice:
+//
+//   * a forward table, one word per (row, coordinate) holding the cell and
+//     the sign, for single-coordinate and sparse updates;
+//   * bucket lists for whole-vector sums (vec::BucketSum): per block of
+//     vec::kBucketBlock coordinates and per row, each cell's coordinates in
+//     ascending order, 16 adjacent cells side by side, so that a SIMD lane
+//     sums one cell in a register while gathering from the L1-resident
+//     block instead of scattering one load-add-store per coordinate.
+//
+// A run's lanes are padded to its longest list, so the lists take
+// 16 / min(cols, 16) times 2 bytes per (row, coordinate), plus that
+// padding: 2.25 bytes at cols = 250 (the forward table takes 4), but 32
+// bytes at cols = 1, where 15 of the 16 lanes are empty. Outside tests,
+// every sketch in this repository has cols >= 50.
 
 #ifndef FEDRA_SKETCH_HASHING_H_
 #define FEDRA_SKETCH_HASHING_H_
@@ -14,6 +27,8 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
+
+#include "tensor/vec_ops.h"
 
 namespace fedra {
 
@@ -54,7 +69,13 @@ class PairwiseHash {
 /// sketches are linear across workers: sk(a*u + b*v) = a*sk(u) + b*sk(v).
 class AmsHashFamily {
  public:
-  /// Precomputes bucket and sign tables for coordinate indices [0, dim).
+  /// Bit 31 of a forward-table word: set when the coordinate's sign is -1.
+  /// The bits below it hold the cell, so rows * cols must not exceed
+  /// kMaxCells.
+  static constexpr uint32_t kSignBit = 0x80000000u;
+  static constexpr int64_t kMaxCells = int64_t{1} << 31;
+
+  /// Precomputes the tables for coordinate indices [0, dim).
   AmsHashFamily(int rows, int cols, size_t dim, uint64_t seed);
 
   int rows() const { return rows_; }
@@ -64,26 +85,23 @@ class AmsHashFamily {
 
   /// Bucket of coordinate j in row r.
   uint32_t bucket(int r, size_t j) const {
-    return cell_offsets_[static_cast<size_t>(r) * dim_ + j] -
+    return (signed_cells(r)[j] & ~kSignBit) -
            static_cast<uint32_t>(r) * static_cast<uint32_t>(cols_);
   }
   /// Sign (+1/-1) of coordinate j in row r.
   float sign(int r, size_t j) const {
-    return sign_values_[static_cast<size_t>(r) * dim_ + j];
+    return (signed_cells(r)[j] & kSignBit) != 0 ? -1.0f : 1.0f;
   }
 
-  /// Flat accumulation tables for AmsSketch::AccumulateVector: per row r,
-  /// cell_offsets(r)[j] is the *absolute* cell index r*cols + bucket(r, j)
-  /// and sign_values(r)[j] the sign as a float, so the hot loop is a single
-  /// gather-multiply-add per (row, coordinate) with no int-to-float
-  /// conversion or row-base arithmetic. These are the only stored tables;
-  /// bucket()/sign() above derive their values from them.
-  const uint32_t* cell_offsets(int r) const {
-    return cell_offsets_.data() + static_cast<size_t>(r) * dim_;
+  /// The forward table of row r: signed_cells(r)[j] is the absolute cell
+  /// r * cols + bucket(r, j), with kSignBit set when sign(r, j) is -1.
+  const uint32_t* signed_cells(int r) const {
+    return signed_cells_.data() + static_cast<size_t>(r) * dim_;
   }
-  const float* sign_values(int r) const {
-    return sign_values_.data() + static_cast<size_t>(r) * dim_;
-  }
+
+  /// The vec::BucketSum call that adds sk(x) into `cells` (rows x cols,
+  /// row-major): its lists hold every (row, coordinate) once.
+  vec::BucketSumArgs BucketSumArgs(const float* x, float* cells) const;
 
   /// Creates a family usable by every worker of a run (value-shared).
   static std::shared_ptr<const AmsHashFamily> Create(int rows, int cols,
@@ -91,12 +109,15 @@ class AmsHashFamily {
                                                      uint64_t seed);
 
  private:
+  void BuildBucketLists();
+
   int rows_;
   int cols_;
   size_t dim_;
   uint64_t seed_;
-  std::vector<uint32_t> cell_offsets_;  // rows x dim; r*cols + bucket
-  std::vector<float> sign_values_;      // rows x dim; +-1.0f
+  std::vector<uint32_t> signed_cells_;       // rows x dim
+  std::vector<uint16_t> bucket_entries_;     // every run's entries
+  std::vector<vec::BucketRun> bucket_runs_;  // (block, row, group) order
 };
 
 }  // namespace fedra

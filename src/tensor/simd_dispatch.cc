@@ -10,7 +10,7 @@
 //   1. Portable canonical kernels — the exact code vec_ops.cc/ops.cc
 //     shipped before dispatch existed, moved here verbatim. They define the
 //     canonical accumulation patterns (4 double lanes for reductions, the
-//     256-double L1 tile for the reduce kernels) and serve as both the
+//     256-double L1 tile for the reduce kernel) and serve as both the
 //     kScalar and kGeneric flat-span implementations.
 //   2. x86 variants (AVX2+FMA, AVX-512F) behind target attributes, so a
 //     baseline build still carries them and picks them at runtime.
@@ -24,11 +24,12 @@
 // 16/32 independent double lanes instead of the canonical 4 — reductions
 // across levels therefore agree only to parity tolerance (the latency-bound
 // 4-lane chain is the very thing being fixed; see bench/BENCH_kernels.json).
-// The reduce_scale variants keep the canonical per-element pairing order,
-// the adam_step variant the portable body's per-element FMA pattern and the
-// tanh variant its operation sequence (element-wise operations leave no
-// reassociation freedom), so those three kernels produce the same bits at
-// every level; pack_b_trans only moves data, so it does too.
+// The adam_step variant keeps the portable body's per-element FMA pattern,
+// the tanh variant its operation sequence (element-wise operations leave no
+// reassociation freedom) and the bucket_sum variant its per-cell order of
+// additions, so those three kernels produce the same bits at every level;
+// pack_b_trans only moves data, so it does too, and reduce_scale runs its
+// portable body at every level.
 
 #include "tensor/simd_dispatch.h"
 
@@ -151,10 +152,8 @@ double AxpyNormPortable(float alpha, const float* x, float* y, size_t n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-// Block size for the reduction kernels: the double accumulator tile stays in
-// L1 (2 KB) while every input buffer streams through exactly once. Every
-// variant keeps this tiling and the fixed buffer-pairing order, so the
-// reduce kernels agree bitwise across levels.
+// Block size for the reduction kernel: the double accumulator tile stays in
+// L1 (2 KB) while every input buffer streams through exactly once.
 constexpr size_t kReduceBlock = 256;
 
 void ReduceScalePortable(const float* const* bufs, size_t num_bufs, size_t n,
@@ -294,6 +293,46 @@ void PackBTransPortable(const float* b, size_t ld, int kc, int nr,
     }
     for (int jj = nr; jj < kGemmNr; ++jj) {
       dst[jj] = 0.0f;
+    }
+  }
+}
+
+// The AMS sketch's bucket sums (vec::BucketSum). A run's 16 lanes are 16
+// independent cells, so the inner loop is a 16-lane vector loop with one
+// indexed load per lane. A lane past the end of its list adds -0.0f, which
+// leaves every value as it is, signed zeros and NaNs included. That choice
+// is made with integer masks: written as a conditional, GCC compiles it to
+// a branch per lane, which list lengths make unpredictable.
+void BucketSumPortable(const vec::BucketSumArgs& args) {
+  constexpr int kLanes = vec::kBucketLanes;
+  const vec::BucketRun* run = args.runs;
+  for (size_t b = 0; b < args.num_blocks; ++b) {
+    const float* block = args.x + b * vec::kBucketBlock;
+    for (int r = 0; r < args.rows; ++r) {
+      float* row = args.cells +
+                   static_cast<size_t>(r) * static_cast<size_t>(args.cols);
+      for (int c0 = 0; c0 < args.cols; c0 += kLanes, ++run) {
+        const int lanes = args.cols - c0 < kLanes ? args.cols - c0 : kLanes;
+        float acc[kLanes] = {};
+        for (int i = 0; i < lanes; ++i) {
+          acc[i] = row[c0 + i];
+        }
+        const uint16_t* entries = args.entries + run->offset;
+        for (int k = 0; k < run->steps; ++k, entries += kLanes) {
+          for (int i = 0; i < kLanes; ++i) {
+            const uint32_t entry = entries[i];
+            const uint32_t live = 0u - static_cast<uint32_t>(k < run->len[i]);
+            const uint32_t bits =
+                std::bit_cast<uint32_t>(block[entry & (vec::kBucketSign - 1)]) ^
+                ((entry & vec::kBucketSign) << 16);
+            acc[i] += std::bit_cast<float>((bits & live) |
+                                           (~live & 0x80000000u));
+          }
+        }
+        for (int i = 0; i < lanes; ++i) {
+          row[c0 + i] = acc[i];
+        }
+      }
     }
   }
 }
@@ -676,88 +715,6 @@ __attribute__((target("avx512f"))) double AxpyNormAvx512(float alpha,
   return total;
 }
 
-// reduce_scale: same L1 tile, same fixed buffer-pairing
-// order as the portable kernel — every per-element add chain is identical,
-// so these are bit-identical to the canonical result; the win is the
-// vectorized float<->double conversion traffic over the tile.
-
-__attribute__((target("avx512f"))) void ReduceScaleAvx512(
-    const float* const* bufs, size_t num_bufs, size_t n, double scale,
-    float* out) {
-  if (num_bufs == 0) {
-    for (size_t i = 0; i < n; ++i) {
-      out[i] = 0.0f;
-    }
-    return;
-  }
-  alignas(64) double acc[kReduceBlock];
-  for (size_t base = 0; base < n; base += kReduceBlock) {
-    const size_t len = (kReduceBlock < n - base) ? kReduceBlock : n - base;
-    const size_t vec_len = len - len % 8;
-    if (num_bufs == 1) {
-      const float* b0 = bufs[0] + base;
-      size_t j = 0;
-      for (; j < vec_len; j += 8) {
-        _mm512_store_pd(acc + j, _mm512_cvtps_pd(_mm256_loadu_ps(b0 + j)));
-      }
-      for (; j < len; ++j) {
-        acc[j] = static_cast<double>(b0[j]);
-      }
-    } else {
-      const float* b0 = bufs[0] + base;
-      const float* b1 = bufs[1] + base;
-      size_t j = 0;
-      for (; j < vec_len; j += 8) {
-        _mm512_store_pd(
-            acc + j,
-            _mm512_add_pd(_mm512_cvtps_pd(_mm256_loadu_ps(b0 + j)),
-                          _mm512_cvtps_pd(_mm256_loadu_ps(b1 + j))));
-      }
-      for (; j < len; ++j) {
-        acc[j] = static_cast<double>(b0[j]) + static_cast<double>(b1[j]);
-      }
-    }
-    size_t k = 2;
-    for (; k + 1 < num_bufs; k += 2) {
-      const float* ba = bufs[k] + base;
-      const float* bb = bufs[k + 1] + base;
-      size_t j = 0;
-      for (; j < vec_len; j += 8) {
-        const __m512d sum =
-            _mm512_add_pd(_mm512_cvtps_pd(_mm256_loadu_ps(ba + j)),
-                          _mm512_cvtps_pd(_mm256_loadu_ps(bb + j)));
-        _mm512_store_pd(acc + j, _mm512_add_pd(_mm512_load_pd(acc + j), sum));
-      }
-      for (; j < len; ++j) {
-        acc[j] += static_cast<double>(ba[j]) + static_cast<double>(bb[j]);
-      }
-    }
-    if (k < num_bufs) {
-      const float* ba = bufs[k] + base;
-      size_t j = 0;
-      for (; j < vec_len; j += 8) {
-        _mm512_store_pd(
-            acc + j,
-            _mm512_add_pd(_mm512_load_pd(acc + j),
-                          _mm512_cvtps_pd(_mm256_loadu_ps(ba + j))));
-      }
-      for (; j < len; ++j) {
-        acc[j] += static_cast<double>(ba[j]);
-      }
-    }
-    float* o = out + base;
-    const __m512d sv = _mm512_set1_pd(scale);
-    size_t j = 0;
-    for (; j < vec_len; j += 8) {
-      _mm256_storeu_ps(
-          o + j, _mm512_cvtpd_ps(_mm512_mul_pd(_mm512_load_pd(acc + j), sv)));
-    }
-    for (; j < len; ++j) {
-      o[j] = static_cast<float>(acc[j] * scale);
-    }
-  }
-}
-
 // adam_step: AdamStepPortable's contracted arithmetic, 16 elements per
 // iteration, the tail under a lane mask. Every FMA is an explicit intrinsic,
 // and no plain multiply feeds a plain add, so -ffp-contract=fast has nothing
@@ -919,13 +876,59 @@ __attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
   }
 }
 
+// bucket_sum: a run's 16 cells in one register. Each step loads the run's
+// 16 entries, widens them to 32 bits and gathers the lanes still in their
+// lists from the L1-resident block; bit 15 of each entry becomes the float
+// sign bit, and a masked add leaves the other lanes as they are. The last
+// group of a row loads and stores only the row's own cells.
+__attribute__((target("avx512f"))) void BucketSumAvx512(
+    const vec::BucketSumArgs& args) {
+  constexpr int kLanes = vec::kBucketLanes;
+  const __m512i offset_mask = _mm512_set1_epi32(vec::kBucketSign - 1);
+  const __m512i sign_bit = _mm512_set1_epi32(static_cast<int>(0x80000000u));
+  const vec::BucketRun* run = args.runs;
+  for (size_t b = 0; b < args.num_blocks; ++b) {
+    const float* block = args.x + b * vec::kBucketBlock;
+    for (int r = 0; r < args.rows; ++r) {
+      float* row = args.cells +
+                   static_cast<size_t>(r) * static_cast<size_t>(args.cols);
+      for (int c0 = 0; c0 < args.cols; c0 += kLanes, ++run) {
+        const int lanes = args.cols - c0;
+        const __mmask16 cells =
+            lanes >= kLanes ? __mmask16{0xFFFF}
+                            : static_cast<__mmask16>((1u << lanes) - 1u);
+        __m512 acc = _mm512_maskz_loadu_ps(cells, row + c0);
+        const __m512i len = _mm512_cvtepu16_epi32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(run->len)));
+        const uint16_t* entries = args.entries + run->offset;
+        for (int k = 0; k < run->steps; ++k, entries += kLanes) {
+          const __mmask16 live =
+              _mm512_cmpgt_epi32_mask(len, _mm512_set1_epi32(k));
+          const __m512i entry = _mm512_cvtepu16_epi32(
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(entries)));
+          const __m512 x = _mm512_mask_i32gather_ps(
+              _mm512_setzero_ps(), live, _mm512_and_si512(entry, offset_mask),
+              block, 4);
+          const __m512i sign =
+              _mm512_and_si512(_mm512_slli_epi32(entry, 16), sign_bit);
+          acc = _mm512_mask_add_ps(
+              acc, live, acc,
+              _mm512_castsi512_ps(
+                  _mm512_xor_si512(_mm512_castps_si512(x), sign)));
+        }
+        _mm512_mask_storeu_ps(row + c0, cells, acc);
+      }
+    }
+  }
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // FEDRA_SIMD_X86
 
 // ------------------------------------------------------------------------
 // 3. AArch64 NEON variants: 8 double lanes (4 x float64x2) per reduction.
-// The reduce kernels and the GEMM micro-kernel fall back to the generic
+// The reduce kernel and the GEMM micro-kernel fall back to the generic
 // tier (the vector-extension kernel lowers to NEON well).
 // ------------------------------------------------------------------------
 
@@ -1383,6 +1386,7 @@ struct Tables {
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
     scalar.tanh = TanhPortable;
+    scalar.bucket_sum = BucketSumPortable;
     scalar.gemm_micro_8x32 = GemmMicroScalar;
     scalar.pack_b_trans = PackBTransPortable;
 
@@ -1407,10 +1411,10 @@ struct Tables {
     avx512.squared_norm = SquaredNormAvx512;
     avx512.sub_squared_norm = SubSquaredNormAvx512;
     avx512.axpy_norm = AxpyNormAvx512;
-    avx512.reduce_scale = ReduceScaleAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
     avx512.pack_b_trans = PackBTransAvx512;
     avx512.tanh = TanhAvx512;
+    avx512.bucket_sum = BucketSumAvx512;
 #endif
 #if defined(FEDRA_SIMD_ADAM_AVX512)
     avx512.adam_step = AdamStepAvx512;

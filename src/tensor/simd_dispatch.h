@@ -1,6 +1,6 @@
 // Runtime SIMD dispatch for the hot flat-span kernels, the GEMM
-// micro-kernel, the GEMM's transposed-panel packing and the tanh
-// activation.
+// micro-kernel, the GEMM's transposed-panel packing, the tanh activation
+// and the AMS sketch's bucket sums.
 //
 // The library is built once and must run well on whatever CPU it lands on:
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
@@ -43,7 +43,8 @@
 
 namespace fedra {
 namespace vec {
-struct AdamStepArgs;  // tensor/vec_ops.h
+struct AdamStepArgs;   // tensor/vec_ops.h
+struct BucketSumArgs;  // tensor/vec_ops.h
 }  // namespace vec
 
 namespace simd {
@@ -72,11 +73,16 @@ inline constexpr int kGemmNr = 32;
 ///
 /// `tanh` computes y[i] = tanh(x[i]); y may alias x.
 ///
+/// `bucket_sum` adds each cell's list of signed entries of x into the cell,
+/// 16 cells side by side (vec::BucketSum).
+///
 /// The reductions (dot, the norms) differ across levels by reassociation.
-/// pack_b_trans only moves data, and reduce_scale, adam_step and tanh are
-/// element-wise, each of their variants computing the portable body's
-/// per-element arithmetic, so those four produce the same bits at every
-/// level. For adam_step that includes the FMAs GCC
+/// pack_b_trans only moves data; reduce_scale has one body, the portable
+/// one, at every level; adam_step and tanh are element-wise, each variant
+/// computing the portable body's per-element arithmetic; and bucket_sum's
+/// variant adds each cell's entries in the portable body's order, one
+/// exact sign flip and one rounded add apiece. So those five produce the
+/// same bits at every level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
 /// with FMA in the baseline ISA), and kScalar, kGeneric, kAvx2 and kNeon
@@ -95,6 +101,7 @@ struct KernelTable {
   void (*adam_step)(const vec::AdamStepArgs& args, const float* grads,
                     float* params, float* m, float* v, size_t n);
   void (*tanh)(const float* x, float* y, size_t n);
+  void (*bucket_sum)(const vec::BucketSumArgs& args);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
   void (*pack_b_trans)(const float* b, size_t ld, int kc, int nr,

@@ -11,11 +11,11 @@ namespace vec {
 
 // The element-wise kernels are written as plain contiguous loops: at -O3 the
 // compiler turns each into packed SIMD. The hot kernels — Axpy, the
-// double-accumulated reductions, the Adam update, tanh, and the reduce family
-// the collectives sit on — forward through the runtime SIMD dispatch table
-// instead; their canonical portable bodies live in tensor/simd_dispatch.cc
-// alongside the per-ISA variants (see that file for the determinism
-// contract).
+// double-accumulated reductions, the Adam update, tanh, the sketch's bucket
+// sums, and the reduce family the collectives sit on — forward through the
+// runtime SIMD dispatch table instead; their canonical portable bodies live
+// in tensor/simd_dispatch.cc alongside the per-ISA variants (see that file
+// for the determinism contract).
 
 void Copy(const float* src, float* dst, size_t n) {
   std::memcpy(dst, src, n * sizeof(float));
@@ -149,6 +149,8 @@ void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
 }
 
 void Tanh(const float* x, float* y, size_t n) { simd::Kernels().tanh(x, y, n); }
+
+void BucketSum(const BucketSumArgs& args) { simd::Kernels().bucket_sum(args); }
 
 void ReduceScale(const float* const* bufs, size_t num_bufs, size_t n,
                  double scale, float* out) {

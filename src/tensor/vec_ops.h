@@ -4,16 +4,16 @@
 // payloads are all contiguous float spans; these kernels are the numeric
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
-// The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm /
-// AxpyNorm, the Adam update, tanh, and the collective reductions) route
-// through the runtime SIMD dispatch table in tensor/simd_dispatch.h —
-// resolved once per process to the best ISA tier the CPU supports (or
-// FEDRA_SIMD), bit-deterministic per tier. Reductions accumulate in double
-// across independent lanes (four at the portable tiers, more under
-// AVX2/AVX-512/NEON) so results differ from a single-accumulator loop — and
-// across tiers — only by floating-point reassociation. The fused kernels
-// (SubSquaredNorm, AxpyNorm) exist for the FDA hot path: every local step
-// computes a drift and its squared norm, and fusing the two halves the
+// The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm / AxpyNorm,
+// the Adam update, tanh, the AMS sketch's bucket sums, and the collective
+// reductions) route through the runtime SIMD dispatch table in
+// tensor/simd_dispatch.h — resolved once per process to the best ISA tier the
+// CPU supports (or FEDRA_SIMD), bit-deterministic per tier. Reductions
+// accumulate in double across independent lanes (four at the portable tiers,
+// more under AVX2/AVX-512/NEON) so results differ from a single-accumulator
+// loop — and across tiers — only by floating-point reassociation. The fused
+// kernels (SubSquaredNorm, AxpyNorm) exist for the FDA hot path: every local
+// step computes a drift and its squared norm, and fusing the two halves the
 // memory traffic over the model-sized spans.
 // Scalar oracles live in tensor/ref_ops.h.
 
@@ -21,6 +21,7 @@
 #define FEDRA_TENSOR_VEC_OPS_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace fedra {
 namespace vec {
@@ -119,6 +120,52 @@ void AdamStep(const AdamStepArgs& args, const float* grads, float* params,
 /// result does not depend on the host's libm (docs/determinism.md §5).
 /// y may alias x.
 void Tanh(const float* x, float* y, size_t n);
+
+/// Coordinates of x per block of BucketSum: a 16 KB block stays in L1 while
+/// every row's lists gather from it.
+inline constexpr size_t kBucketBlock = 4096;
+/// Adjacent cells one BucketRun sums side by side, one per SIMD lane.
+inline constexpr int kBucketLanes = 16;
+/// The sign bit of a BucketRun entry, set for a negative coordinate; the
+/// bits below it hold the coordinate's offset in its block.
+inline constexpr uint32_t kBucketSign = 0x8000;
+
+/// The lists of kBucketLanes adjacent cells of one row over one block of
+/// x. Lane i's k-th entry, for k < len[i], is
+/// entries[offset + k * kBucketLanes + i]. Entries past a lane's length
+/// are padding. steps is the longest lane's length.
+struct BucketRun {
+  uint32_t offset = 0;
+  uint16_t steps = 0;
+  uint16_t len[kBucketLanes] = {};
+};
+
+/// The spans of one BucketSum call. cells is rows x cols, row-major; a row
+/// is cut into groups = ceil(cols / kBucketLanes) groups of adjacent cells
+/// (the last one partial when cols % kBucketLanes != 0), and runs holds
+/// one run per (block, row, group), in that order.
+struct BucketSumArgs {
+  const float* x = nullptr;
+  float* cells = nullptr;
+  const uint16_t* entries = nullptr;
+  const BucketRun* runs = nullptr;
+  size_t num_blocks = 0;
+  int rows = 0;
+  int cols = 0;
+};
+
+/// Adds signed entries of x into cells, one list per cell: for every run
+/// in order, and every lane i whose cell c = r * cols + g * kBucketLanes + i
+/// exists,
+///   acc = cells[c];
+///   for k < len[i]: acc += sign_k * x[b * kBucketBlock + offset_k];
+///   cells[c] = acc;
+/// The sign is applied by flipping x's sign bit, which gives the bits of a
+/// multiply by +-1.0f for every input but NaN. Each cell's additions run in
+/// list order at every level, so every SIMD level produces the same bits
+/// (docs/determinism.md §5). Cells outside [0, rows * cols) are never read
+/// or written.
+void BucketSum(const BucketSumArgs& args);
 
 /// Fused tree-reduce + scale kernel, the arithmetic core of the simulated
 /// collectives: out[i] = scale * sum_k bufs[k][i]. Buffers are combined

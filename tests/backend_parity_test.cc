@@ -1,10 +1,13 @@
 // Randomized parity tests: the fast compute backend (ops::Gemm blocked
-// packed GEMM, im2col Conv2d, fused vec kernels, batched sketch
-// accumulation) against the scalar reference oracle in tensor/ref_ops.h.
-// Differences come only from floating-point reassociation, so everything is
-// held to a relative tolerance of 1e-4.
+// packed GEMM, im2col Conv2d, fused vec kernels) against the scalar
+// reference oracle in tensor/ref_ops.h. Differences come only from
+// floating-point reassociation, so those are held to a relative tolerance
+// of 1e-4. The batched sketch accumulation has no reassociation freedom
+// and must equal the per-coordinate updates byte for byte.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,7 @@
 #include "sketch/ams_sketch.h"
 #include "tensor/ops.h"
 #include "tensor/ref_ops.h"
+#include "tensor/simd_dispatch.h"
 #include "tensor/vec_ops.h"
 #include "util/rng.h"
 
@@ -549,32 +553,90 @@ TEST(VecParityTest, SumAndSquaredNormMatchesUnfused) {
 // ---------------------------------------------------------------- sketch --
 
 TEST(SketchParityTest, BatchedAccumulateMatchesPerCoordinateUpdate) {
+  // Each cell adds its coordinates in ascending order, as the Update loop
+  // does, and a sign flip gives the bits of a multiply by +-1: the bytes
+  // match at every SIMD level.
   const size_t dim = 10000;  // crosses the 4096-coordinate blocking boundary
   auto family = AmsHashFamily::Create(5, 250, dim, 77);
   auto v = RandomVec(dim, 78);
-  AmsSketch batched(family);
-  batched.AccumulateVector(v.data());
   AmsSketch reference(family);
   for (size_t j = 0; j < dim; ++j) {
     reference.Update(j, v[j]);
   }
-  std::vector<float> got(batched.data(), batched.data() + batched.numel());
-  std::vector<float> want(reference.data(),
-                          reference.data() + reference.numel());
-  EXPECT_LE(MaxRelError(got, want), kRelTol);
+  const simd::Level saved_level = simd::ActiveLevel();
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    AmsSketch batched(family);
+    batched.AccumulateVector(v.data());
+    ASSERT_EQ(batched.numel(), reference.numel());
+    EXPECT_EQ(0, std::memcmp(batched.data(), reference.data(),
+                             reference.numel() * sizeof(float)));
+  }
+  simd::SetLevel(saved_level);
 }
 
-TEST(SketchParityTest, OffsetTablesMatchBucketSignAccessors) {
-  const size_t dim = 513;
-  auto family = AmsHashFamily::Create(3, 17, dim, 9);
-  for (int r = 0; r < family->rows(); ++r) {
-    const uint32_t* offsets = family->cell_offsets(r);
-    const float* signs = family->sign_values(r);
-    for (size_t j = 0; j < dim; ++j) {
-      EXPECT_EQ(offsets[j],
-                static_cast<uint32_t>(r) * family->cols() +
-                    family->bucket(r, j));
-      EXPECT_EQ(signs[j], family->sign(r, j));
+TEST(SketchParityTest, BucketListsHoldEveryCoordinateOnceInAscendingOrder) {
+  struct Shape {
+    int rows;
+    int cols;
+    size_t dim;
+  };
+  // A tail block; cols % 16 != 0; lanes longer than 255 entries; one lane
+  // holding a whole block, then a block of one coordinate.
+  for (const Shape& shape : {Shape{5, 250, 10000}, Shape{3, 17, 513},
+                             Shape{2, 4, 9000}, Shape{1, 1, 4097}}) {
+    SCOPED_TRACE(::testing::Message() << shape.rows << "x" << shape.cols
+                                      << " dim=" << shape.dim);
+    auto family = AmsHashFamily::Create(shape.rows, shape.cols, shape.dim, 9);
+    const vec::BucketSumArgs args = family->BucketSumArgs(nullptr, nullptr);
+    ASSERT_EQ(args.num_blocks,
+              (shape.dim + vec::kBucketBlock - 1) / vec::kBucketBlock);
+    ASSERT_EQ(args.rows, shape.rows);
+    ASSERT_EQ(args.cols, shape.cols);
+    std::vector<int> seen(static_cast<size_t>(shape.rows) * shape.dim, 0);
+    const vec::BucketRun* run = args.runs;
+    size_t offset = 0;
+    for (size_t b = 0; b < args.num_blocks; ++b) {
+      for (int r = 0; r < shape.rows; ++r) {
+        for (int c0 = 0; c0 < shape.cols; c0 += vec::kBucketLanes, ++run) {
+          ASSERT_EQ(run->offset, offset) << "runs are packed in order";
+          int longest = 0;
+          for (int i = 0; i < vec::kBucketLanes; ++i) {
+            const int cell = c0 + i;
+            const int len = run->len[i];
+            longest = std::max(longest, len);
+            if (cell >= shape.cols) {
+              ASSERT_EQ(len, 0) << "lane past the row's last cell";
+            }
+            size_t previous = 0;
+            for (int k = 0; k < len; ++k) {
+              const uint32_t entry =
+                  args.entries[offset + static_cast<size_t>(k) *
+                                            vec::kBucketLanes + i];
+              const size_t j =
+                  b * vec::kBucketBlock + (entry & (vec::kBucketSign - 1));
+              ASSERT_LT(j, shape.dim);
+              if (k > 0) {
+                ASSERT_GT(j, previous) << "lane " << i << " not ascending";
+              }
+              previous = j;
+              ASSERT_EQ(family->bucket(r, j), static_cast<uint32_t>(cell))
+                  << "r=" << r << " j=" << j;
+              ASSERT_EQ((entry & vec::kBucketSign) != 0 ? -1.0f : 1.0f,
+                        family->sign(r, j))
+                  << "r=" << r << " j=" << j;
+              ++seen[static_cast<size_t>(r) * shape.dim + j];
+            }
+          }
+          ASSERT_EQ(run->steps, longest);
+          offset += static_cast<size_t>(run->steps) * vec::kBucketLanes;
+        }
+      }
+    }
+    for (size_t i = 0; i < seen.size(); ++i) {
+      ASSERT_EQ(seen[i], 1) << "(row, coordinate) " << i / shape.dim << ", "
+                            << i % shape.dim;
     }
   }
 }

@@ -424,6 +424,22 @@ TEST(MonitorFactoryTest, RejectsBadConfigs) {
   EXPECT_FALSE(MakeVarianceMonitor(ok_config, 0).ok());
 }
 
+TEST(MonitorFactoryTest, RejectsSketchShapesPastTheCellField) {
+  // The hash family keeps a cell index in 31 bits beside the sign bit, so
+  // a sketch holds at most 2^31 cells. Validate rejects more, before any
+  // table is built.
+  MonitorConfig config;
+  config.kind = MonitorKind::kSketch;
+  config.sketch_rows = 1 << 16;
+  config.sketch_cols = (1 << 15) + 1;
+  const Status status = config.Validate();
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(MakeVarianceMonitor(config, 10).ok());
+  config.sketch_cols = 1 << 15;  // exactly 2^31 cells
+  EXPECT_TRUE(config.Validate().ok());
+}
+
 TEST(MonitorTest, NamesMatchPaper) {
   EXPECT_EQ(ExactVarianceMonitor(8).name(), "ExactFDA");
   EXPECT_EQ(SketchVarianceMonitor(8, 2, 4, 1).name(), "SketchFDA");

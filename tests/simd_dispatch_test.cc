@@ -4,12 +4,12 @@
 // the exact clauses of the determinism contract (docs/determinism.md): a
 // fixed level is bit-deterministic run-to-run, kScalar == kGeneric
 // bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies), and the element-wise adam_step and tanh and the data-moving
-// pack_b_trans are bit-identical at every level. The golden suites pin
-// kGeneric, so this file (and the level check in opt_test.cc) is what runs
-// the wide adam_step, tanh and pack_b_trans variants. Sizes straddle every
-// vector width's main-loop/remainder split so tail handling is covered at
-// all levels.
+// bodies), and the element-wise adam_step and tanh, the per-cell ordered
+// bucket_sum and the data-moving pack_b_trans are bit-identical at every
+// level. The golden suites pin kGeneric, so this file (and the level check
+// in opt_test.cc) is what runs the wide adam_step, tanh, bucket_sum and
+// pack_b_trans variants. Sizes straddle every vector width's
+// main-loop/remainder split so tail handling is covered at all levels.
 
 #include <algorithm>
 #include <atomic>
@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sketch/hashing.h"
 #include "tensor/ops.h"
 #include "tensor/ref_ops.h"
 #include "tensor/simd_dispatch.h"
@@ -720,6 +721,94 @@ TEST_F(SimdDispatchTest, TanhMatchesPinnedGlibcBits) {
     std::vector<float> got(xs.size());
     simd::Kernels().tanh(xs.data(), got.data(), xs.size());
     EXPECT_TRUE(SameBytes(got.data(), want.data(), xs.size()));
+  }
+}
+
+// ------------------------------------------------------------ bucket_sum --
+
+// A drift-like input: Gaussian values at a trained model's drift scale, or,
+// when `wide`, magnitudes log-uniform over 1e-30..1e30 with +-inf and NaNs
+// planted. Both carry +-0 and denormals at a fixed stride.
+std::vector<float> BucketSumInput(size_t dim, bool wide, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> x(dim);
+  for (float& v : x) {
+    v = wide ? rng.NextSign() * std::pow(10.0f, rng.NextUniform(-30.0f, 30.0f))
+             : rng.NextGaussian(0.0f, 1e-3f);
+  }
+  const float tiny[] = {0.0f, -0.0f, 1e-45f, -1e-40f, 3e-39f};
+  for (size_t j = 3; j < dim; j += 11) {
+    x[j] = tiny[(j / 11) % 5];
+  }
+  if (wide) {
+    const float specials[] = {INFINITY, -INFINITY, NAN};
+    for (size_t j = 5; j < dim; j += 1009) {
+      x[j] = specials[(j / 1009) % 3];
+    }
+  }
+  return x;
+}
+
+TEST_F(SimdDispatchTest, BucketSumIsBitIdenticalAtEveryLevel) {
+  struct Shape {
+    int rows;
+    int cols;
+    size_t dim;
+  };
+  // mlp_wide's sketch; a tail block; cols % 16 != 0; lanes longer than 255
+  // entries; one lane holding a whole block, then a block of one
+  // coordinate.
+  const Shape shapes[] = {{5, 250, 265482},
+                          {5, 250, 10000},
+                          {3, 17, 513},
+                          {2, 4, 9000},
+                          {1, 1, 4097}};
+  // The cells sit between two margins of sentinels, so a read or write
+  // outside [0, rows * cols) shows up.
+  constexpr size_t kMargin = 2 * vec::kBucketLanes;
+  for (const Shape& shape : shapes) {
+    const auto family =
+        AmsHashFamily::Create(shape.rows, shape.cols, shape.dim, 31);
+    const size_t numel = static_cast<size_t>(shape.rows) * shape.cols;
+    for (bool wide : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << shape.rows << "x" << shape.cols << " dim=" << shape.dim
+                   << (wide ? " wide" : " drift"));
+      const auto x = BucketSumInput(shape.dim, wide, 4000 + shape.dim);
+      // bucket_sum adds into the cells, so they start from nonzero values.
+      auto start = RandomVec(numel + 2 * kMargin, 4100 + numel);
+      std::fill(start.begin(), start.begin() + kMargin, -7.0f);
+      std::fill(start.end() - kMargin, start.end(), -7.0f);
+      // The definition: each (row, coordinate) in ascending coordinate
+      // order, one multiply by +-1 and one add apiece.
+      auto reference = start;
+      for (size_t j = 0; j < shape.dim; ++j) {
+        for (int r = 0; r < shape.rows; ++r) {
+          reference[kMargin + static_cast<size_t>(r) * shape.cols +
+                    family->bucket(r, j)] += family->sign(r, j) * x[j];
+        }
+      }
+      const auto run = [&] {
+        std::vector<float> cells = start;
+        simd::Kernels().bucket_sum(
+            family->BucketSumArgs(x.data(), cells.data() + kMargin));
+        return cells;
+      };
+      simd::SetLevel(simd::Level::kScalar);
+      const std::vector<float> want = run();
+      ASSERT_TRUE(SameBits(want, reference));
+      for (simd::Level level : simd::SupportedLevels()) {
+        SCOPED_TRACE(simd::LevelName(level));
+        simd::SetLevel(level);
+        const std::vector<float> got = run();
+        ASSERT_TRUE(SameBytes(got.data(), start.data(), kMargin))
+            << "write before the first cell";
+        ASSERT_TRUE(SameBytes(got.data() + kMargin + numel,
+                              start.data() + kMargin + numel, kMargin))
+            << "write past the last cell";
+        ASSERT_TRUE(SameBits(got, want));
+      }
+    }
   }
 }
 
