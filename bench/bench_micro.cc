@@ -24,6 +24,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sys/resource.h>
+#endif
+
 #include "core/client_store.h"
 #include "core/compression.h"
 #include "core/variance_monitor.h"
@@ -364,6 +368,82 @@ void BM_Conv2dForwardVgg(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dForwardVgg);
 
+// One training backward pass: grad_weight and grad_bias, plus grad_input
+// when `input_grad` (a first layer skips it, as LeNet's conv1 does).
+void RunConvBackwardBench(benchmark::State& state,
+                          const ops::Conv2dGeometry& g, bool input_grad) {
+  const size_t in_numel =
+      static_cast<size_t>(g.batch) * g.in_channels * g.in_h * g.in_w;
+  const size_t out_numel = static_cast<size_t>(g.batch) * g.out_channels *
+                           g.out_h() * g.out_w();
+  const size_t w_numel = static_cast<size_t>(g.out_channels) *
+                         g.in_channels * g.kernel * g.kernel;
+  auto input = RandomVec(in_numel, 32);
+  auto weight = RandomVec(w_numel, 33);
+  auto grad_output = RandomVec(out_numel, 34);
+  std::vector<float> grad_input(input_grad ? in_numel : 0);
+  std::vector<float> grad_weight(w_numel);
+  std::vector<float> grad_bias(static_cast<size_t>(g.out_channels));
+  float* gi = input_grad ? grad_input.data() : nullptr;
+  ops::Conv2dWorkspace workspace;
+  for (auto _ : state) {
+    if (g_use_ref_backend) {
+      ref::Conv2dBackward(g, input.data(), weight.data(), grad_output.data(),
+                          gi, grad_weight.data(), grad_bias.data());
+    } else {
+      ops::Conv2dBackward(g, input.data(), weight.data(), grad_output.data(),
+                          gi, grad_weight.data(), grad_bias.data(),
+                          &workspace);
+    }
+    benchmark::DoNotOptimize(grad_weight.data());
+  }
+  const long long gemm_flops = 2LL * g.batch * g.out_channels * g.out_h() *
+                               g.out_w() * g.in_channels * g.kernel *
+                               g.kernel;
+  state.SetItemsProcessed(state.iterations() * gemm_flops *
+                          (input_grad ? 2 : 1));
+}
+
+void BM_Conv2dBackwardVgg(benchmark::State& state) {
+  ops::Conv2dGeometry g;
+  g.batch = 2;
+  g.in_channels = 64;
+  g.in_h = g.in_w = 32;
+  g.out_channels = 64;
+  g.kernel = 3;
+  g.stride = 1;
+  g.pad = 1;
+  RunConvBackwardBench(state, g, /*input_grad=*/true);
+}
+BENCHMARK(BM_Conv2dBackwardVgg);
+
+// LeNet-5's two convs on 16x16 inputs at batch 32, as the
+// lenet_sketchfda workload trains them: conv1 1->6 5x5 pad 2 (the first
+// layer: no input gradient), conv2 6->16 5x5 valid on the pooled 8x8 map.
+ops::Conv2dGeometry LenetConvGeometry(int layer) {
+  ops::Conv2dGeometry g;
+  g.batch = 32;
+  g.in_channels = layer == 1 ? 1 : 6;
+  g.in_h = g.in_w = layer == 1 ? 16 : 8;
+  g.out_channels = layer == 1 ? 6 : 16;
+  g.kernel = 5;
+  g.stride = 1;
+  g.pad = layer == 1 ? 2 : 0;
+  return g;
+}
+
+void BM_Conv2dForwardLenet(benchmark::State& state) {
+  RunConvBench(state, LenetConvGeometry(static_cast<int>(state.range(0))));
+}
+BENCHMARK(BM_Conv2dForwardLenet)->Arg(1)->Arg(2);
+
+void BM_Conv2dBackwardLenet(benchmark::State& state) {
+  const int layer = static_cast<int>(state.range(0));
+  RunConvBackwardBench(state, LenetConvGeometry(layer),
+                       /*input_grad=*/layer == 2);
+}
+BENCHMARK(BM_Conv2dBackwardLenet)->Arg(1)->Arg(2);
+
 void BM_VarianceIdentity(benchmark::State& state) {
   // The per-step scalar work of LinearFDA's state computation.
   const size_t dim = static_cast<size_t>(state.range(0));
@@ -610,6 +690,17 @@ void BM_WorkerStepMlp(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkerStepMlp)->Arg(4)->Arg(64)->Unit(benchmark::kMillisecond);
 
+/// Minor page faults this process has taken so far (0 without getrusage).
+long MinorFaults() {
+#ifdef __linux__
+  struct rusage usage;
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    return usage.ru_minflt;
+  }
+#endif
+  return 0;
+}
+
 // The cohort-construction cost itself: building the arena slabs and
 // initializing worker 0, as a function of K. Demonstrates that setup work
 // is slab-bound, not K-object-bound.
@@ -619,6 +710,7 @@ void BM_WorkerCohortSetup(benchmark::State& state) {
   ModelGraph& graph = model->graph();
   const size_t dim = graph.dim();
   const OptimizerConfig opt_config = OptimizerConfig::Adam(0.001f);
+  const long faults_before = MinorFaults();
   for (auto _ : state) {
     WorkerArena arena(num_workers, dim, opt_config.StateSlots());
     graph.InitParams(7, arena.view(0));
@@ -629,6 +721,10 @@ void BM_WorkerCohortSetup(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(num_workers));
+  // Page faults the slabs take on first touch, per cohort built.
+  state.counters["minor_faults"] = benchmark::Counter(
+      static_cast<double>(MinorFaults() - faults_before),
+      benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_WorkerCohortSetup)
     ->Arg(4)
@@ -1028,6 +1124,18 @@ int RunKernelsSweep(const std::string& path) {
                                         pack_dim, simd::kGemmNr,
                                         pack_dst.data() + offset);
          }
+         benchmark::DoNotOptimize(pack_dst.data());
+         benchmark::ClobberMemory();
+       }},
+      // A partial panel: a 10-output Dense head's 10 x 256 weight, the
+      // operand every classifier's last layer packs per forward pass. It
+      // reads 10 rows and writes the whole 32-wide panel, pad lanes zeroed.
+      {"pack_b_trans_nr10",
+       (10.0 + simd::kGemmNr) * pack_dim * sizeof(float), 0.0,
+       [&] {
+         simd::Kernels().pack_b_trans(pack_src.data(),
+                                      static_cast<size_t>(pack_dim), pack_dim,
+                                      10, pack_dst.data());
          benchmark::DoNotOptimize(pack_dst.data());
          benchmark::ClobberMemory();
        }},

@@ -5,8 +5,9 @@
 // parameter values or activations. Parameters live in whatever buffer the
 // caller passes as a ParameterView (a worker's slice of the trainer's
 // arena, a standalone Model's own vectors, a test's ParameterStore), and
-// every per-call cache a backward pass needs (activations, masks, im2col
-// scratch) lives in a LayerStateStore slot owned by the execution context.
+// every per-call cache a backward pass needs (activations, masks, packed
+// conv weights) lives in a LayerStateStore slot owned by the execution
+// context.
 // One layer graph can therefore run many workers concurrently: workers
 // share the layer objects and differ only in the ExecContext they thread
 // through Forward/Backward.

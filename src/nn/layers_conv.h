@@ -1,6 +1,6 @@
 // Convolution and pooling layers (NCHW). Layer objects are shareable
 // across concurrent executions; per-call caches (cached inputs, geometry,
-// im2col workspaces, argmax maps) live in the ExecContext's state store.
+// conv workspaces, argmax maps) live in the ExecContext's state store.
 
 #ifndef FEDRA_NN_LAYERS_CONV_H_
 #define FEDRA_NN_LAYERS_CONV_H_
@@ -33,7 +33,7 @@ class Conv2dLayer : public Layer {
   struct State : LayerState {
     Tensor cached_input;
     ops::Conv2dGeometry geometry;
-    // Per-execution im2col scratch, reused across steps: the inner training
+    // Per-execution packed weights, reused across steps: the inner training
     // loop allocates nothing once the buffers reach steady-state capacity.
     ops::Conv2dWorkspace workspace;
   };

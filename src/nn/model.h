@@ -5,7 +5,7 @@
 // buffers). One graph serves any number of workers concurrently — each
 // execution runs against a ParameterView (that worker's params/grads
 // slices) and an ExecSlot (a leased LayerStateStore holding the cached
-// activations / im2col workspaces of one in-flight Forward/Backward pair).
+// activations / conv workspaces of one in-flight Forward/Backward pair).
 // Slots are pooled and reused, so the number of live activation workspaces
 // scales with the number of *concurrent* executions (threads), not with
 // the worker count K.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -40,6 +41,39 @@ constexpr int kNC = 1024; // B panel cols (multiple of kNR)
 // Parallelize only when the panel loop has enough arithmetic to amortize the
 // pool's wake/wait round-trip.
 constexpr long long kParallelFlopThreshold = 1LL << 21;
+
+// Whether a panel loop of `flops` arithmetic over `num_cells` independent
+// output blocks fans out over GlobalThreadPool: only with enough arithmetic,
+// more than one block, and not from inside a pool task (which would wait on
+// its own pool).
+bool UsePool(long long flops, long long num_cells) {
+  return GlobalThreadPool().num_threads() > 1 &&
+         flops >= kParallelFlopThreshold && num_cells > 1 &&
+         !ThreadPool::OnPoolThread();
+}
+
+// Runs task(bi, begin, end) over a 2-D grid of `num_iblocks` row blocks x
+// groups of `num_units` column units on GlobalThreadPool. Units are grouped
+// so the grid has ~3 tasks per thread: enough slack for dynamic balancing
+// without shrinking the per-task GEMM below the panel reuse the packing
+// paid for.
+template <typename Task>
+void ParallelGrid(int num_iblocks, int num_units, const Task& task) {
+  ThreadPool& pool = GlobalThreadPool();
+  const size_t units = static_cast<size_t>(num_units);
+  const size_t target_tasks = 3 * pool.num_threads();
+  size_t num_groups = std::max<size_t>(
+      1, std::min(units, target_tasks / static_cast<size_t>(num_iblocks)));
+  const size_t per_group = (units + num_groups - 1) / num_groups;
+  num_groups = (units + per_group - 1) / per_group;
+  pool.ParallelFor2d(static_cast<size_t>(num_iblocks), num_groups,
+                     [&](size_t bi, size_t gj) {
+                       const int begin = static_cast<int>(gj * per_group);
+                       const int end = static_cast<int>(
+                           std::min(units, (gj + 1) * per_group));
+                       task(static_cast<int>(bi), begin, end);
+                     });
+}
 
 // Packs rows [i0, i0+mc) x depth [p0, p0+kc) of op(A) into MR-tall panels:
 // panel ir holds elements [p][ii] at apack[ir/MR * kc*MR + p*MR + ii],
@@ -177,47 +211,28 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
         }
       };
 
-      ThreadPool& pool = GlobalThreadPool();
-      const size_t num_pool_threads = pool.num_threads();
-      if (num_pool_threads > 1 && flops >= kParallelFlopThreshold &&
-          static_cast<long long>(num_iblocks) * num_jpanels > 1 &&
-          !ThreadPool::OnPoolThread()) {
+      if (UsePool(flops, static_cast<long long>(num_iblocks) * num_jpanels)) {
         // Phase 1: pack every A row block cooperatively into one shared
         // buffer (uniform kMC * kc stride per block; only the last block is
-        // short). Phase 2 reads it from every task.
+        // short). Phase 2 reads it from every task of a row block x column
+        // group grid.
         const size_t block_stride =
             static_cast<size_t>(kMC) * static_cast<size_t>(kc);
         apack_all.resize(static_cast<size_t>(num_iblocks) * block_stride);
         float* apack_data = apack_all.data();
-        pool.ParallelFor(static_cast<size_t>(num_iblocks), [&](size_t bi) {
-          const int ic = static_cast<int>(bi) * kMC;
-          const int mc = std::min(kMC, m - ic);
-          PackA(trans_a, a, m, k, ic, mc, pc, kc,
-                apack_data + bi * block_stride);
-        });
-        // Phase 2: 2-D (row block x column group) task grid. Column panels
-        // are grouped so the grid has ~3 tasks per thread — enough slack for
-        // dynamic balancing without shrinking the per-task GEMM below the
-        // panel reuse the packing paid for.
-        const size_t target_tasks = 3 * num_pool_threads;
-        size_t num_jgroups = std::max<size_t>(
-            1, std::min<size_t>(static_cast<size_t>(num_jpanels),
-                                target_tasks /
-                                    static_cast<size_t>(num_iblocks)));
-        const size_t panels_per_group =
-            (static_cast<size_t>(num_jpanels) + num_jgroups - 1) / num_jgroups;
-        num_jgroups = (static_cast<size_t>(num_jpanels) + panels_per_group -
-                       1) / panels_per_group;
-        pool.ParallelFor2d(
-            static_cast<size_t>(num_iblocks), num_jgroups,
-            [&](size_t bi, size_t gj) {
-              const int jr_begin =
-                  static_cast<int>(gj * panels_per_group) * kNR;
-              const int jr_end = std::min(
-                  nc, static_cast<int>((gj + 1) * panels_per_group) * kNR);
-              compute_block(static_cast<int>(bi),
-                            apack_data + bi * block_stride, jr_begin, jr_end);
+        GlobalThreadPool().ParallelFor(
+            static_cast<size_t>(num_iblocks), [&](size_t bi) {
+              const int ic = static_cast<int>(bi) * kMC;
+              const int mc = std::min(kMC, m - ic);
+              PackA(trans_a, a, m, k, ic, mc, pc, kc,
+                    apack_data + bi * block_stride);
             });
+        ParallelGrid(num_iblocks, num_jpanels,
+                     [&](int bi, int panel_begin, int panel_end) {
+                       compute_block(bi, apack_data + bi * block_stride,
+                                     panel_begin * kNR,
+                                     std::min(nc, panel_end * kNR));
+                     });
       } else {
         // Sequential: pack one block at a time and compute it while hot.
         thread_local std::vector<float> apack;
@@ -234,6 +249,26 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 }
 
 // ------------------------------------------------------------------ conv --
+//
+// Conv2d drives the GEMM micro-kernel straight over the NCHW batch; no
+// im2col matrix is built. The forward pass and the input gradient are one
+// wide GEMM per call whose column j is output pixel j % ohw of sample
+// j / ohw: their B panels are packed from zero-bordered copies of the
+// samples (the im2col rows of each tap) or from grad_output, and each tile
+// is written straight back into NCHW. The weight operand is packed once
+// per call: W for the output, W^T for the input gradient. The weight
+// gradient keeps one chain per sample (merging samples would reassociate
+// its sums): per sample and depth chunk it copies one panel's taps of
+// im2col (at most kNR x kKC) and transposes them into a panel with the
+// dispatch layer's pack_b_trans.
+//
+// Every output cell keeps the arithmetic of a per-sample im2col + Gemm
+// lowering: the same micro-kernel chain over the same kKC depth chunks of
+// the same panel values, the bias (or zero) seed plus alpha * acc (alpha
+// is 1, so seed + acc), one weight-gradient chain per sample and depth
+// chunk added in sample order, and each input-gradient cell receiving its
+// taps in ascending order, as col2im adds them
+// (tests/backend_parity_test.cc checks it byte for byte).
 
 namespace {
 
@@ -244,95 +279,241 @@ inline size_t Idx4(int n, int c, int h, int w, int channels, int height,
          w;
 }
 
-// 1x1 stride-1 unpadded convs (DenseNet bottlenecks) are already a plain
-// GEMM over the input plane; skip the im2col copy for them.
-inline bool IsPointwise(const Conv2dGeometry& g) {
-  return g.kernel == 1 && g.stride == 1 && g.pad == 0;
+// Valid output range for tap column offset w0 = kx - pad: every x in
+// [*x_lo, *x_hi) has 0 <= x * stride + w0 < in_w.
+inline void TapRange(int w0, int stride, int in_w, int ow, int* x_lo,
+                     int* x_hi) {
+  const int lo = w0 < 0 ? (-w0 + stride - 1) / stride : 0;
+  const int hi =
+      in_w > w0 ? std::min(ow, (in_w - w0 + stride - 1) / stride) : 0;
+  *x_lo = std::min(lo, hi);
+  *x_hi = hi;
 }
 
+inline int RoundUp(int v, int multiple) {
+  return (v + multiple - 1) / multiple * multiple;
+}
+
+// The columns of one panel (or of one weight-gradient depth chunk), split
+// once into the pieces the packers and the write-back walk. `rows` stay
+// inside one output row of one sample: columns [col, col + len) hold pixels
+// (y, x0 .. x0 + len) of sample n. `runs` merge a sample's rows: pixels
+// pix .. pix + len, contiguous in any NCHW tensor of the output's shape.
+struct PanelColumns {
+  struct Row {
+    int n, y, x0, len, col;
+  };
+  struct Run {
+    int n, pix, len, col;
+  };
+  int nr = 0;
+  int num_rows = 0;
+  int num_runs = 0;
+  Row rows[kKC];
+  Run runs[kKC];
+};
+
+// Splits batch-wide columns [j0, j0 + nr), nr <= kKC: one division per
+// panel.
+void SplitPanel(int j0, int nr, int oh, int ow, PanelColumns* cols) {
+  const int ohw = oh * ow;
+  int n = j0 / ohw;
+  int pix = j0 - n * ohw;
+  int y = pix / ow;
+  int x = pix - y * ow;
+  cols->nr = nr;
+  cols->num_rows = 0;
+  cols->num_runs = 0;
+  for (int col = 0; col < nr;) {
+    const int len = std::min(ow - x, nr - col);
+    cols->rows[cols->num_rows++] = {n, y, x, len, col};
+    PanelColumns::Run* last =
+        cols->num_runs > 0 ? &cols->runs[cols->num_runs - 1] : nullptr;
+    if (last != nullptr && last->n == n) {
+      last->len += len;
+    } else {
+      cols->runs[cols->num_runs++] = {n, y * ow + x, len, col};
+    }
+    col += len;
+    x = 0;
+    if (++y == oh) {
+      y = 0;
+      ++n;
+    }
+  }
+}
+
+// Slack after a padded sample and after a packed buffer: a stride-1 run is
+// copied in whole 16-float blocks, so it may read and write up to 15
+// floats past its end.
+constexpr int kRunBlock = 16;
+
+// Zero-bordered copies of the samples a task reads, so that every im2col
+// run is a plain copy with no bounds logic. Sample n sits in slot
+// n % slots (a panel's samples are consecutive and fewer than `slots`, so
+// none evicts another) and is copied, border included, on first use.
+struct PaddedSamples {
+  std::vector<float> data;
+  std::vector<int> held;  // sample in each slot, -1 when empty
+  size_t slot_size = 0;
+  int hp = 0;
+  int wp = 0;
+
+  void Reset(const Conv2dGeometry& g, int slots) {
+    hp = g.in_h + 2 * g.pad;
+    wp = g.in_w + 2 * g.pad;
+    slot_size = static_cast<size_t>(g.in_channels) * hp * wp + kRunBlock;
+    data.resize(slot_size * static_cast<size_t>(slots));
+    held.assign(static_cast<size_t>(slots), -1);
+  }
+
+  const float* Get(const Conv2dGeometry& g, const float* input, int n) {
+    const size_t slot = static_cast<size_t>(n) % held.size();
+    float* dst = data.data() + slot * slot_size;
+    if (held[slot] != n) {
+      held[slot] = n;
+      const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
+      const float* src =
+          input + static_cast<size_t>(n) * g.in_channels * in_plane;
+      const size_t pad_rows = static_cast<size_t>(g.pad) * wp;
+      for (int ic = 0; ic < g.in_channels; ++ic) {
+        float* plane = dst + static_cast<size_t>(ic) * hp * wp;
+        std::fill(plane, plane + pad_rows, 0.0f);
+        for (int h = 0; h < g.in_h; ++h) {
+          float* row = plane + pad_rows + static_cast<size_t>(h) * wp;
+          std::fill(row, row + g.pad, 0.0f);
+          std::memcpy(row + g.pad,
+                      src + ic * in_plane + static_cast<size_t>(h) * g.in_w,
+                      static_cast<size_t>(g.in_w) * sizeof(float));
+          std::fill(row + g.pad + g.in_w, row + wp, 0.0f);
+        }
+        std::fill(plane + static_cast<size_t>(hp) * wp - pad_rows,
+                  plane + static_cast<size_t>(hp) * wp, 0.0f);
+      }
+    }
+    return dst;
+  }
+};
+
+// Packs im2col rows [p0, p0 + kc) (taps ic, ky, kx) at the columns of
+// `cols`: out[p * ld + c] is tap p0 + p of the pixel in column c (0.0f in
+// the padding), and columns [cols.nr, pad_to) are zeroed. `out` needs
+// kRunBlock floats of slack past row kc - 1.
+void PackImageRows(const Conv2dGeometry& g, const float* input,
+                   PaddedSamples* samples, int p0, int kc,
+                   const PanelColumns& cols, int ld, int pad_to, float* out) {
+  const int k = g.kernel;
+  const int s = g.stride;
+  const size_t padded_plane = static_cast<size_t>(samples->hp) * samples->wp;
+  // Each row's top-left tap in its padded sample.
+  const float* base[kKC];
+  for (int r = 0; r < cols.num_rows; ++r) {
+    const PanelColumns::Row& row = cols.rows[r];
+    base[r] = samples->Get(g, input, row.n) +
+              static_cast<size_t>(row.y) * s * samples->wp + row.x0 * s;
+  }
+  int ic = p0 / (k * k);
+  int ky = (p0 - ic * k * k) / k;
+  int kx = p0 - ic * k * k - ky * k;
+  for (int p = 0; p < kc; ++p) {
+    float* dst = out + static_cast<size_t>(p) * ld;
+    const size_t tap = ic * padded_plane +
+                       static_cast<size_t>(ky) * samples->wp + kx;
+    for (int r = 0; r < cols.num_rows; ++r) {
+      const PanelColumns::Row& row = cols.rows[r];
+      const float* src = base[r] + tap;
+      float* d = dst + row.col;
+      if (s == 1) {
+        // Whole blocks: the overrun lands in columns a later run (or row)
+        // rewrites, or in the slack.
+        for (int c = 0; c < row.len; c += kRunBlock) {
+          std::memcpy(d + c, src + c, kRunBlock * sizeof(float));
+        }
+      } else {
+        for (int c = 0; c < row.len; ++c) {
+          d[c] = src[c * s];
+        }
+      }
+    }
+    std::fill(dst + cols.nr, dst + std::max(cols.nr, pad_to), 0.0f);
+    if (++kx == k) {
+      kx = 0;
+      if (++ky == k) {
+        ky = 0;
+        ++ic;
+      }
+    }
+  }
+}
+
+// Packs depth rows [p0, p0 + kc) (output channels) of grad_output for one
+// panel: panel[p * kNR + c] = grad_output[n, p0 + p, pixel of column c].
+void PackGradOutputPanel(const float* grad_output, int out_channels, int ohw,
+                         int p0, int kc, const PanelColumns& cols,
+                         float* panel) {
+  for (int p = 0; p < kc; ++p) {
+    float* dst = panel + static_cast<size_t>(p) * kNR;
+    for (int r = 0; r < cols.num_runs; ++r) {
+      const PanelColumns::Run& run = cols.runs[r];
+      std::memcpy(dst + run.col,
+                  grad_output +
+                      (static_cast<size_t>(run.n) * out_channels + p0 + p) *
+                          ohw +
+                      run.pix,
+                  static_cast<size_t>(run.len) * sizeof(float));
+    }
+    std::fill(dst + cols.nr, dst + kNR, 0.0f);
+  }
+}
+
+// Per-thread scratch of one conv task, each at most one panel's worth.
+struct ConvScratch {
+  std::vector<float> panel;    // one B panel: kKC x kNR (+ slack)
+  std::vector<float> rows;     // weight gradient: kNR taps x kKC pixels
+  std::vector<float> apack;    // weight gradient: a row block x kKC of dY
+  std::vector<float> strip;    // input gradient: one panel's taps x kNR
+  std::vector<int> tap_range;  // input gradient: TapRange of every kx
+  PaddedSamples samples;       // the samples the packed panels read
+};
+
+thread_local ConvScratch tls_conv_scratch;
 thread_local Conv2dWorkspace tls_conv_workspace;
 
+// Runs `task(i0, mc, begin, end)` over row blocks of `m` rows x groups of
+// `num_units` column units: on the pool (ParallelGrid) when the per-sample
+// GEMM has the flops a per-sample Gemm call would have fanned out for, else
+// inline as one task. `split_rows` = false keeps every row in each task.
+// Task boundaries move no bits: each output cell is computed whole in one
+// task.
+template <typename Task>
+void FanOut(long long flops_per_sample, int m, bool split_rows,
+            int num_units, const Task& task) {
+  const int block_rows = split_rows ? kMC : m;
+  const int num_iblocks = (m + block_rows - 1) / block_rows;
+  if (!UsePool(flops_per_sample,
+               static_cast<long long>(num_iblocks) * num_units)) {
+    task(0, m, 0, num_units);
+    return;
+  }
+  ParallelGrid(num_iblocks, num_units, [&](int bi, int begin, int end) {
+    const int i0 = bi * block_rows;
+    task(i0, std::min(block_rows, m - i0), begin, end);
+  });
+}
+
+// Packs rows [0, m) of op(A) (m x k) for every kKC depth chunk: the chunk
+// at depth p0 starts at packed + p0 * RoundUp(m, kMR).
+void PackAllDepthChunks(bool trans_a, const float* a, int m, int k,
+                        std::vector<float>* packed) {
+  const size_t m_pad = static_cast<size_t>(RoundUp(m, kMR));
+  packed->resize(m_pad * static_cast<size_t>(k));
+  for (int p0 = 0; p0 < k; p0 += kKC) {
+    PackA(trans_a, a, m, k, 0, m, p0, std::min(kKC, k - p0),
+          packed->data() + static_cast<size_t>(p0) * m_pad);
+  }
+}
+
 }  // namespace
-
-void Im2col(const Conv2dGeometry& g, const float* input, float* col) {
-  const int oh = g.out_h();
-  const int ow = g.out_w();
-  const size_t ohw = static_cast<size_t>(oh) * ow;
-  for (int ic = 0; ic < g.in_channels; ++ic) {
-    const float* plane =
-        input + static_cast<size_t>(ic) * g.in_h * g.in_w;
-    for (int ky = 0; ky < g.kernel; ++ky) {
-      for (int kx = 0; kx < g.kernel; ++kx) {
-        float* row =
-            col + ((static_cast<size_t>(ic) * g.kernel + ky) * g.kernel + kx) *
-                      ohw;
-        for (int y = 0; y < oh; ++y) {
-          const int h = y * g.stride - g.pad + ky;
-          float* dst = row + static_cast<size_t>(y) * ow;
-          if (h < 0 || h >= g.in_h) {
-            std::fill(dst, dst + ow, 0.0f);
-            continue;
-          }
-          const float* src_row = plane + static_cast<size_t>(h) * g.in_w;
-          if (g.stride == 1) {
-            // Contiguous middle segment; only the pad fringes need zeros.
-            const int w0 = kx - g.pad;  // input col at x = 0
-            const int x_lo = std::min(ow, std::max(0, -w0));
-            const int x_hi = std::max(x_lo, std::min(ow, g.in_w - w0));
-            std::fill(dst, dst + x_lo, 0.0f);
-            std::memcpy(dst + x_lo, src_row + (w0 + x_lo),
-                        static_cast<size_t>(x_hi - x_lo) * sizeof(float));
-            std::fill(dst + x_hi, dst + ow, 0.0f);
-          } else {
-            for (int x = 0; x < ow; ++x) {
-              const int w = x * g.stride - g.pad + kx;
-              dst[x] = (w >= 0 && w < g.in_w) ? src_row[w] : 0.0f;
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-void Col2imAdd(const Conv2dGeometry& g, const float* col, float* grad_input) {
-  const int oh = g.out_h();
-  const int ow = g.out_w();
-  const size_t ohw = static_cast<size_t>(oh) * ow;
-  for (int ic = 0; ic < g.in_channels; ++ic) {
-    float* plane = grad_input + static_cast<size_t>(ic) * g.in_h * g.in_w;
-    for (int ky = 0; ky < g.kernel; ++ky) {
-      for (int kx = 0; kx < g.kernel; ++kx) {
-        const float* row =
-            col + ((static_cast<size_t>(ic) * g.kernel + ky) * g.kernel + kx) *
-                      ohw;
-        for (int y = 0; y < oh; ++y) {
-          const int h = y * g.stride - g.pad + ky;
-          if (h < 0 || h >= g.in_h) {
-            continue;
-          }
-          const float* src = row + static_cast<size_t>(y) * ow;
-          float* dst_row = plane + static_cast<size_t>(h) * g.in_w;
-          if (g.stride == 1) {
-            const int w0 = kx - g.pad;
-            const int x_lo = std::min(ow, std::max(0, -w0));
-            const int x_hi = std::max(x_lo, std::min(ow, g.in_w - w0));
-            for (int x = x_lo; x < x_hi; ++x) {
-              dst_row[w0 + x] += src[x];
-            }
-          } else {
-            for (int x = 0; x < ow; ++x) {
-              const int w = x * g.stride - g.pad + kx;
-              if (w >= 0 && w < g.in_w) {
-                dst_row[w] += src[x];
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
 
 void Conv2dForward(const Conv2dGeometry& g, const float* input,
                    const float* weight, const float* bias, float* output,
@@ -341,34 +522,65 @@ void Conv2dForward(const Conv2dGeometry& g, const float* input,
   const int ow = g.out_w();
   FEDRA_CHECK(oh > 0 && ow > 0) << "conv output is empty";
   const int ohw = oh * ow;
+  const int oc_total = g.out_channels;
   const int ickk = g.in_channels * g.kernel * g.kernel;
-  const bool pointwise = IsPointwise(g);
+  const int num_cols = g.batch * ohw;
   Conv2dWorkspace* ws = workspace ? workspace : &tls_conv_workspace;
-  if (!pointwise) {
-    ws->col.resize(static_cast<size_t>(ickk) * ohw);
-  }
-  for (int n = 0; n < g.batch; ++n) {
-    const float* in_n =
-        input + Idx4(n, 0, 0, 0, g.in_channels, g.in_h, g.in_w);
-    float* out_n = output + Idx4(n, 0, 0, 0, g.out_channels, oh, ow);
-    const float* col = in_n;
-    if (!pointwise) {
-      Im2col(g, in_n, ws->col.data());
-      col = ws->col.data();
-    }
-    // Seed each output row with its bias, then accumulate the GEMM on top.
-    if (bias) {
-      for (int oc = 0; oc < g.out_channels; ++oc) {
-        vec::Fill(out_n + static_cast<size_t>(oc) * ohw,
-                  static_cast<size_t>(ohw), bias[oc]);
+  // out[OC, cols] = seed + weight[OC, IC*K*K] * im2col[IC*K*K, cols]
+  PackAllDepthChunks(false, weight, oc_total, ickk, &ws->packed_weight);
+  const float* wpack = ws->packed_weight.data();
+  const size_t m_pad = static_cast<size_t>(RoundUp(oc_total, kMR));
+  const auto micro_kernel = simd::Kernels().gemm_micro_8x32;
+
+  auto task = [&](int i0, int mc, int panel_begin, int panel_end) {
+    ConvScratch& scratch = tls_conv_scratch;
+    scratch.panel.resize(static_cast<size_t>(kKC) * kNR + kRunBlock);
+    // A panel spans at most (kNR - 1) / ohw + 2 samples.
+    scratch.samples.Reset(g, std::min(g.batch, (kNR - 1) / ohw + 2));
+    float* panel = scratch.panel.data();
+    PanelColumns cols;
+    alignas(64) float acc[kMR * kNR];
+    for (int jp = panel_begin; jp < panel_end; ++jp) {
+      const int j0 = jp * kNR;
+      SplitPanel(j0, std::min(kNR, num_cols - j0), oh, ow, &cols);
+      for (int p0 = 0; p0 < ickk; p0 += kKC) {
+        const int kc = std::min(kKC, ickk - p0);
+        PackImageRows(g, input, &scratch.samples, p0, kc, cols, kNR, kNR,
+                      panel);
+        for (int ir = i0; ir < i0 + mc; ir += kMR) {
+          micro_kernel(kc,
+                       wpack + static_cast<size_t>(p0) * m_pad +
+                           static_cast<size_t>(ir) * kc,
+                       panel, acc);
+          const int mr_eff = std::min(kMR, oc_total - ir);
+          for (int ii = 0; ii < mr_eff; ++ii) {
+            const int oc = ir + ii;
+            const float* acc_row = acc + ii * kNR;
+            // Seed with the bias (or zero), then accumulate on top.
+            const float seed = bias ? bias[oc] : 0.0f;
+            for (int r = 0; r < cols.num_runs; ++r) {
+              const PanelColumns::Run& run = cols.runs[r];
+              float* dst = output +
+                           (static_cast<size_t>(run.n) * oc_total + oc) * ohw +
+                           run.pix;
+              const float* src = acc_row + run.col;
+              if (p0 == 0) {
+                for (int c = 0; c < run.len; ++c) {
+                  dst[c] = seed + src[c];
+                }
+              } else {
+                for (int c = 0; c < run.len; ++c) {
+                  dst[c] += src[c];
+                }
+              }
+            }
+          }
+        }
       }
-    } else {
-      vec::Fill(out_n, static_cast<size_t>(g.out_channels) * ohw, 0.0f);
     }
-    // out[OC, OH*OW] += weight[OC, IC*K*K] * col[IC*K*K, OH*OW]
-    Gemm(false, false, g.out_channels, ohw, ickk, 1.0f, weight, col, 1.0f,
-         out_n);
-  }
+  };
+  FanOut(2LL * oc_total * ohw * ickk, oc_total, /*split_rows=*/true,
+         (num_cols + kNR - 1) / kNR, task);
 }
 
 void Conv2dBackward(const Conv2dGeometry& g, const float* input,
@@ -378,51 +590,183 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
   const int oh = g.out_h();
   const int ow = g.out_w();
   const int ohw = oh * ow;
+  const int oc_total = g.out_channels;
   const int ickk = g.in_channels * g.kernel * g.kernel;
-  const bool pointwise = IsPointwise(g);
+  const long long flops_per_sample = 2LL * oc_total * ohw * ickk;
   Conv2dWorkspace* ws = workspace ? workspace : &tls_conv_workspace;
-  if (!pointwise) {
-    if (grad_weight) {
-      ws->col.resize(static_cast<size_t>(ickk) * ohw);
-    }
-    if (grad_input) {
-      ws->grad_col.resize(static_cast<size_t>(ickk) * ohw);
-    }
-  }
-  for (int n = 0; n < g.batch; ++n) {
-    const float* in_n =
-        input + Idx4(n, 0, 0, 0, g.in_channels, g.in_h, g.in_w);
-    const float* go_n = grad_output + Idx4(n, 0, 0, 0, g.out_channels, oh, ow);
-    if (grad_bias) {
-      for (int oc = 0; oc < g.out_channels; ++oc) {
+  const auto micro_kernel = simd::Kernels().gemm_micro_8x32;
+
+  if (grad_bias) {
+    for (int n = 0; n < g.batch; ++n) {
+      const float* go_n =
+          grad_output + Idx4(n, 0, 0, 0, oc_total, oh, ow);
+      for (int oc = 0; oc < oc_total; ++oc) {
         grad_bias[oc] += static_cast<float>(
             vec::Sum(go_n + static_cast<size_t>(oc) * ohw,
                      static_cast<size_t>(ohw)));
       }
     }
-    if (grad_weight) {
-      const float* col = in_n;
-      if (!pointwise) {
-        Im2col(g, in_n, ws->col.data());
-        col = ws->col.data();
+  }
+
+  if (grad_weight) {
+    // dW[OC, IC*K*K] += dY_n[OC, OH*OW] * im2col_n^T, one sample and one
+    // kKC-pixel depth chunk at a time.
+    const auto pack_b_trans = simd::Kernels().pack_b_trans;
+    auto task = [&](int i0, int mc, int panel_begin, int panel_end) {
+      ConvScratch& scratch = tls_conv_scratch;
+      scratch.panel.resize(static_cast<size_t>(kKC) * kNR);
+      scratch.rows.resize(static_cast<size_t>(kNR) * kKC + kRunBlock);
+      scratch.apack.resize(static_cast<size_t>(RoundUp(mc, kMR)) * kKC);
+      scratch.samples.Reset(g, 1);
+      PanelColumns pixels;
+      alignas(64) float acc[kMR * kNR];
+      for (int n = 0; n < g.batch; ++n) {
+        const float* go_n =
+            grad_output + Idx4(n, 0, 0, 0, oc_total, oh, ow);
+        for (int q0 = 0; q0 < ohw; q0 += kKC) {
+          const int kc = std::min(kKC, ohw - q0);
+          SplitPanel(n * ohw + q0, kc, oh, ow, &pixels);
+          PackA(false, go_n, oc_total, ohw, i0, mc, q0, kc,
+                scratch.apack.data());
+          for (int jp = panel_begin; jp < panel_end; ++jp) {
+            const int t0 = jp * kNR;
+            const int nr = std::min(kNR, ickk - t0);
+            // im2col rows t0 .. t0 + nr of this chunk, then their transpose.
+            PackImageRows(g, input, &scratch.samples, t0, nr, pixels, kKC,
+                          /*pad_to=*/0, scratch.rows.data());
+            pack_b_trans(scratch.rows.data(), kKC, kc, nr,
+                         scratch.panel.data());
+            for (int ir = 0; ir < mc; ir += kMR) {
+              micro_kernel(kc,
+                           scratch.apack.data() + static_cast<size_t>(ir) * kc,
+                           scratch.panel.data(), acc);
+              const int mr_eff = std::min(kMR, mc - ir);
+              for (int ii = 0; ii < mr_eff; ++ii) {
+                float* gw_row = grad_weight +
+                                static_cast<size_t>(i0 + ir + ii) * ickk + t0;
+                const float* acc_row = acc + ii * kNR;
+                for (int jj = 0; jj < nr; ++jj) {
+                  gw_row[jj] += acc_row[jj];
+                }
+              }
+            }
+          }
+        }
       }
-      // dW[OC, IC*K*K] += dY[OC, OH*OW] * col^T
-      Gemm(false, true, g.out_channels, ickk, ohw, 1.0f, go_n, col, 1.0f,
-           grad_weight);
-    }
-    if (grad_input) {
-      float* gi_n =
-          grad_input + Idx4(n, 0, 0, 0, g.in_channels, g.in_h, g.in_w);
-      if (pointwise) {
-        // dX[IC, H*W] += W^T[IC, OC] * dY[OC, H*W]
-        Gemm(true, false, ickk, ohw, g.out_channels, 1.0f, weight, go_n, 1.0f,
-             gi_n);
-      } else {
-        Gemm(true, false, ickk, ohw, g.out_channels, 1.0f, weight, go_n, 0.0f,
-             ws->grad_col.data());
-        Col2imAdd(g, ws->grad_col.data(), gi_n);
+    };
+    FanOut(flops_per_sample, oc_total, /*split_rows=*/true,
+           (ickk + kNR - 1) / kNR, task);
+  }
+
+  if (grad_input) {
+    // dX = col2im(W^T[IC*K*K, OC] * dY[OC, cols]). A 1x1 stride-1 unpadded
+    // conv's col2im is the identity, so its tiles accumulate straight into
+    // grad_input, one depth chunk at a time; every other conv finishes each
+    // panel's taps in `strip` (zero seed + every depth chunk) and then adds
+    // them into grad_input taps ascending. Panels run last to first: an
+    // input cell's taps in ascending order read columns in descending order,
+    // so every cell receives its taps in col2im's order.
+    const bool identity_col2im =
+        g.kernel == 1 && g.stride == 1 && g.pad == 0;
+    PackAllDepthChunks(true, weight, ickk, oc_total, &ws->packed_weight);
+    const float* wtpack = ws->packed_weight.data();
+    const size_t m_pad = static_cast<size_t>(RoundUp(ickk, kMR));
+    const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
+
+    auto task = [&](int /*i0*/, int /*mc*/, int n_begin, int n_end) {
+      ConvScratch& scratch = tls_conv_scratch;
+      scratch.panel.resize(static_cast<size_t>(kKC) * kNR);
+      scratch.strip.resize(m_pad * kNR);
+      // Tap column kx adds output columns [x_lo[kx], x_hi[kx]) into the map.
+      scratch.tap_range.resize(2 * static_cast<size_t>(g.kernel));
+      int* x_lo = scratch.tap_range.data();
+      int* x_hi = x_lo + g.kernel;
+      for (int kx = 0; kx < g.kernel; ++kx) {
+        TapRange(kx - g.pad, g.stride, g.in_w, ow, &x_lo[kx], &x_hi[kx]);
       }
-    }
+      float* panel = scratch.panel.data();
+      float* strip = scratch.strip.data();
+      PanelColumns cols;
+      alignas(64) float acc[kMR * kNR];
+      const int j_begin = n_begin * ohw;
+      const int j_end = n_end * ohw;
+      const int num_panels = (j_end - j_begin + kNR - 1) / kNR;
+      for (int jp = num_panels - 1; jp >= 0; --jp) {
+        const int j0 = j_begin + jp * kNR;
+        SplitPanel(j0, std::min(kNR, j_end - j0), oh, ow, &cols);
+        for (int p0 = 0; p0 < oc_total; p0 += kKC) {
+          const int kc = std::min(kKC, oc_total - p0);
+          PackGradOutputPanel(grad_output, oc_total, ohw, p0, kc, cols,
+                              panel);
+          for (int ir = 0; ir < ickk; ir += kMR) {
+            micro_kernel(kc,
+                         wtpack + static_cast<size_t>(p0) * m_pad +
+                             static_cast<size_t>(ir) * kc,
+                         panel, acc);
+            if (identity_col2im) {
+              const int mr_eff = std::min(kMR, ickk - ir);
+              for (int ii = 0; ii < mr_eff; ++ii) {
+                const float* acc_row = acc + ii * kNR;
+                for (int r = 0; r < cols.num_runs; ++r) {
+                  const PanelColumns::Run& run = cols.runs[r];
+                  float* dst = grad_input +
+                               (static_cast<size_t>(run.n) * g.in_channels +
+                                ir + ii) *
+                                   in_plane +
+                               run.pix;
+                  for (int c = 0; c < run.len; ++c) {
+                    dst[c] += acc_row[run.col + c];
+                  }
+                }
+              }
+            } else {
+              float* rows = strip + static_cast<size_t>(ir) * kNR;
+              for (int e = 0; e < kMR * kNR; ++e) {
+                rows[e] = (p0 == 0 ? 0.0f : rows[e]) + acc[e];
+              }
+            }
+          }
+        }
+        if (identity_col2im) {
+          continue;
+        }
+        // Within the panel, rows run last to first and taps ascend: a
+        // cell's taps with a larger ky read an earlier output row.
+        for (int r = cols.num_rows - 1; r >= 0; --r) {
+          const PanelColumns::Row& row = cols.rows[r];
+          const float* tap = strip + row.col;
+          for (int ic = 0; ic < g.in_channels; ++ic) {
+            float* plane = grad_input +
+                           (static_cast<size_t>(row.n) * g.in_channels + ic) *
+                               in_plane;
+            for (int ky = 0; ky < g.kernel;
+                 ++ky, tap += static_cast<size_t>(g.kernel) * kNR) {
+              const int h = row.y * g.stride - g.pad + ky;
+              if (h < 0 || h >= g.in_h) {
+                continue;
+              }
+              float* gi_row = plane + static_cast<size_t>(h) * g.in_w;
+              for (int kx = 0; kx < g.kernel; ++kx) {
+                const int lo = std::max(x_lo[kx] - row.x0, 0);
+                const int hi = std::min(x_hi[kx] - row.x0, row.len);
+                if (lo >= hi) {
+                  continue;
+                }
+                const float* src = tap + static_cast<size_t>(kx) * kNR;
+                float* dst = gi_row + (row.x0 + lo) * g.stride + kx - g.pad;
+                for (int c = lo; c < hi; ++c) {
+                  dst[(c - lo) * g.stride] += src[c];
+                }
+              }
+            }
+          }
+        }
+      }
+    };
+    // Tasks own whole samples and every row of W^T, so no two write the
+    // same input cell; the pool splits the batch only (a batch of one runs
+    // as one task).
+    FanOut(flops_per_sample, ickk, /*split_rows=*/false, g.batch, task);
   }
 }
 
@@ -437,17 +781,6 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
 // out over GlobalThreadPool. Scalar oracles: ref:: in tensor/ref_ops.h.
 
 namespace {
-
-// Valid output range for tap column offset w0 = kx - pad: every x in
-// [*x_lo, *x_hi) has 0 <= x * stride + w0 < in_w.
-inline void TapRange(int w0, int stride, int in_w, int ow, int* x_lo,
-                     int* x_hi) {
-  const int lo = w0 < 0 ? (-w0 + stride - 1) / stride : 0;
-  const int hi =
-      in_w > w0 ? std::min(ow, (in_w - w0 + stride - 1) / stride) : 0;
-  *x_lo = std::min(lo, hi);
-  *x_hi = hi;
-}
 
 // Fans plane-granular work over the global pool when the total is big
 // enough to amortize the wake/wait round-trip (ParallelFor already inlines

@@ -1,13 +1,14 @@
-// Dense-compute kernels used by the nn layers: GEMM, im2col convolution and
+// Dense-compute kernels used by the nn layers: GEMM, convolution and
 // pooling (NCHW); all kernels have exact backward passes.
 //
 // GEMM is a cache-blocked, packed-panel kernel with a register-tiled
 // micro-kernel, parallelized over row-block panels via GlobalThreadPool.
-// Conv2d lowers to im2col + GEMM (with a 1x1/stride-1 fast path that skips
-// the im2col copy entirely), so Conv2d, Dense, and the conv weight-gradient
-// all ride the same fast kernel. The original scalar loops survive as the
-// correctness oracle in tensor/ref_ops.h (`ref::`, bench_micro
-// --backend=ref).
+// Conv2d drives the same micro-kernel directly: it packs GEMM panels
+// straight from the NCHW batch (im2col rows, grad_output, the weights) and
+// writes each tile back into NCHW, with the arithmetic of a per-sample
+// im2col + Gemm lowering but no im2col matrix. The original scalar loops
+// survive as the correctness oracle in tensor/ref_ops.h (`ref::`,
+// bench_micro --backend=ref).
 
 #ifndef FEDRA_TENSOR_OPS_H_
 #define FEDRA_TENSOR_OPS_H_
@@ -39,13 +40,15 @@ struct Conv2dGeometry {
   int out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
 };
 
-/// Scratch buffers for the im2col lowering. A layer owns one workspace and
-/// passes it to every Forward/Backward call, so after the first step the
-/// inner training loop performs no allocation (vectors keep their capacity).
+/// The weight operand of a conv call, packed into micro-kernel panels (W
+/// for the forward pass, W^T for the input gradient) and read by every task
+/// of the call. A layer owns one workspace and passes it to every
+/// Forward/Backward call, so after the first step the inner training loop
+/// performs no allocation (vectors keep their capacity); the per-task
+/// scratch is thread-local and at most one panel's worth per buffer.
 /// Passing nullptr falls back to a thread-local workspace.
 struct Conv2dWorkspace {
-  std::vector<float> col;       // [in_channels * k * k, out_h * out_w]
-  std::vector<float> grad_col;  // same shape; backward only
+  std::vector<float> packed_weight;
 };
 
 /// output[B, OC, OH, OW]; weight[OC, IC, K, K]; bias[OC] (may be null).
@@ -59,15 +62,6 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
                     const float* weight, const float* grad_output,
                     float* grad_input, float* grad_weight, float* grad_bias,
                     Conv2dWorkspace* workspace = nullptr);
-
-/// im2col: expands one NCHW image (`input` points at the [C, H, W] plane of
-/// a single batch element) into the [C*K*K, out_h*out_w] patch matrix. Out-
-/// of-bounds (padding) taps are written as zeros.
-void Im2col(const Conv2dGeometry& g, const float* input, float* col);
-
-/// Scatter-adds a [C*K*K, out_h*out_w] patch-gradient matrix back into the
-/// [C, H, W] input-gradient plane (the adjoint of Im2col).
-void Col2imAdd(const Conv2dGeometry& g, const float* col, float* grad_input);
 
 /// Depthwise conv: out_channels == in_channels; weight[C, K, K]; bias[C].
 void DepthwiseConv2dForward(const Conv2dGeometry& g, const float* input,

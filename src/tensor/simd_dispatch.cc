@@ -808,20 +808,27 @@ __attribute__((target("avx512f"))) void GemmMicroAvx512(int kc,
   }
 }
 
-// pack_b_trans: a full panel is two 16-row halves, packed in 16 x 16
-// blocks (16 rows of b, 16 depth steps) that are loaded row by row,
-// transposed in registers and stored as 16 half panel rows. The portable
-// body gathers every element with a strided load instead. A depth tail
-// under 16 loads under a lane mask, so no read passes the end of a row, and
-// stores only its own steps. Partial panels (nr < 32) take the portable
-// body: they occur once per GEMM column edge.
+// pack_b_trans: a panel is two 16-row halves, packed in 16 x 16 blocks
+// (16 rows of b, 16 depth steps) that are loaded row by row, transposed in
+// registers and stored as 16 half panel rows. The portable body gathers
+// every element with a strided load instead. A depth tail under 16 loads
+// under a lane mask, so no read passes the end of a row, and stores only
+// its own steps. A partial panel (nr < 32) loads only its `rows` rows of
+// each half and transposes zero registers into the pad lanes. Every Dense
+// layer's forward GEMM packs one when its output count is not a multiple
+// of 32 (a 10-way classifier head packs one 10-row panel per call), and a
+// conv weight gradient packs one at its last tap panel (25 taps for a 5x5
+// kernel over one input channel).
 __attribute__((target("avx512f"), always_inline)) inline void
-PackBTransBlockAvx512(const float* b, size_t ld, int steps, float* dst) {
+PackBTransBlockAvx512(const float* b, size_t ld, int rows, int steps,
+                      float* dst) {
   const __mmask16 mask = static_cast<__mmask16>((1u << steps) - 1u);
   __m512 r[16];
   __m512 t[16];
   for (int i = 0; i < 16; ++i) {
-    r[i] = _mm512_maskz_loadu_ps(mask, b + static_cast<size_t>(i) * ld);
+    r[i] = i < rows
+               ? _mm512_maskz_loadu_ps(mask, b + static_cast<size_t>(i) * ld)
+               : _mm512_setzero_ps();
   }
   // Interleave row pairs by 32 bits, then pairs of pairs by 64 bits: r[4g+q]
   // holds step q, q + 4, q + 8 and q + 12 of rows 4g..4g+3, one per 128-bit
@@ -863,16 +870,15 @@ __attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
                                                          size_t ld, int kc,
                                                          int nr,
                                                          float* panel) {
-  if (nr < kGemmNr) {
-    PackBTransPortable(b, ld, kc, nr, panel);
-    return;
-  }
-  const float* upper = b + 16 * ld;
+  const int lower_rows = nr < 16 ? nr : 16;
+  const int upper_rows = nr - lower_rows;
+  // With no upper rows the upper half loads nothing; `b` is a stand-in.
+  const float* upper = upper_rows > 0 ? b + 16 * ld : b;
   for (int p = 0; p < kc; p += 16) {
     const int steps = kc - p < 16 ? kc - p : 16;
     float* dst = panel + static_cast<size_t>(p) * kGemmNr;
-    PackBTransBlockAvx512(b + p, ld, steps, dst);
-    PackBTransBlockAvx512(upper + p, ld, steps, dst + 16);
+    PackBTransBlockAvx512(b + p, ld, lower_rows, steps, dst);
+    PackBTransBlockAvx512(upper + p, ld, upper_rows, steps, dst + 16);
   }
 }
 

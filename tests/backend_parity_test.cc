@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -205,6 +207,304 @@ TEST(ConvParityTest, SinglePixelOutputAndChannelExtremes) {
   CheckConvParity({3, 1, 0}, 1, 1, 1, 3, 3, 900);   // output is 1x1
   CheckConvParity({3, 1, 1}, 1, 8, 1, 5, 5, 910);   // many-in one-out
   CheckConvParity({1, 1, 0}, 3, 1, 8, 4, 4, 920);   // one-in many-out, 1x1
+}
+
+// Conv2d packs its GEMM panels straight from the NCHW batch. It must keep
+// the arithmetic of the per-sample lowering it replaced byte for byte: the
+// oracle below is that lowering, copied from ops.cc (Im2col + ops::Gemm per
+// sample, the bias/zero seed, the per-sample vec::Sum bias gradient, the
+// pointwise beta = 1 input-gradient GEMM and Col2imAdd).
+
+void OracleIm2col(const ops::Conv2dGeometry& g, const float* input,
+                  float* col) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const size_t ohw = static_cast<size_t>(oh) * ow;
+  for (int ic = 0; ic < g.in_channels; ++ic) {
+    const float* plane = input + static_cast<size_t>(ic) * g.in_h * g.in_w;
+    for (int ky = 0; ky < g.kernel; ++ky) {
+      for (int kx = 0; kx < g.kernel; ++kx) {
+        float* row =
+            col + ((static_cast<size_t>(ic) * g.kernel + ky) * g.kernel + kx) *
+                      ohw;
+        for (int y = 0; y < oh; ++y) {
+          const int h = y * g.stride - g.pad + ky;
+          float* dst = row + static_cast<size_t>(y) * ow;
+          for (int x = 0; x < ow; ++x) {
+            const int w = x * g.stride - g.pad + kx;
+            dst[x] = (h >= 0 && h < g.in_h && w >= 0 && w < g.in_w)
+                         ? plane[static_cast<size_t>(h) * g.in_w + w]
+                         : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void OracleCol2imAdd(const ops::Conv2dGeometry& g, const float* col,
+                     float* grad_input) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const size_t ohw = static_cast<size_t>(oh) * ow;
+  for (int ic = 0; ic < g.in_channels; ++ic) {
+    float* plane = grad_input + static_cast<size_t>(ic) * g.in_h * g.in_w;
+    for (int ky = 0; ky < g.kernel; ++ky) {
+      for (int kx = 0; kx < g.kernel; ++kx) {
+        const float* row =
+            col + ((static_cast<size_t>(ic) * g.kernel + ky) * g.kernel + kx) *
+                      ohw;
+        for (int y = 0; y < oh; ++y) {
+          const int h = y * g.stride - g.pad + ky;
+          if (h < 0 || h >= g.in_h) {
+            continue;
+          }
+          for (int x = 0; x < ow; ++x) {
+            const int w = x * g.stride - g.pad + kx;
+            if (w >= 0 && w < g.in_w) {
+              plane[static_cast<size_t>(h) * g.in_w + w] +=
+                  row[static_cast<size_t>(y) * ow + x];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+bool OracleIsPointwise(const ops::Conv2dGeometry& g) {
+  return g.kernel == 1 && g.stride == 1 && g.pad == 0;
+}
+
+void OracleConv2dForward(const ops::Conv2dGeometry& g, const float* input,
+                         const float* weight, const float* bias,
+                         float* output) {
+  const int ohw = g.out_h() * g.out_w();
+  const int ickk = g.in_channels * g.kernel * g.kernel;
+  std::vector<float> col(static_cast<size_t>(ickk) * ohw);
+  for (int n = 0; n < g.batch; ++n) {
+    const float* in_n =
+        input + static_cast<size_t>(n) * g.in_channels * g.in_h * g.in_w;
+    float* out_n = output + static_cast<size_t>(n) * g.out_channels * ohw;
+    const float* b = in_n;
+    if (!OracleIsPointwise(g)) {
+      OracleIm2col(g, in_n, col.data());
+      b = col.data();
+    }
+    if (bias) {
+      for (int oc = 0; oc < g.out_channels; ++oc) {
+        vec::Fill(out_n + static_cast<size_t>(oc) * ohw,
+                  static_cast<size_t>(ohw), bias[oc]);
+      }
+    } else {
+      vec::Fill(out_n, static_cast<size_t>(g.out_channels) * ohw, 0.0f);
+    }
+    ops::Gemm(false, false, g.out_channels, ohw, ickk, 1.0f, weight, b, 1.0f,
+              out_n);
+  }
+}
+
+void OracleConv2dBackward(const ops::Conv2dGeometry& g, const float* input,
+                          const float* weight, const float* grad_output,
+                          float* grad_input, float* grad_weight,
+                          float* grad_bias) {
+  const int ohw = g.out_h() * g.out_w();
+  const int ickk = g.in_channels * g.kernel * g.kernel;
+  const bool pointwise = OracleIsPointwise(g);
+  std::vector<float> col(static_cast<size_t>(ickk) * ohw);
+  std::vector<float> grad_col(static_cast<size_t>(ickk) * ohw);
+  const size_t in_sample =
+      static_cast<size_t>(g.in_channels) * g.in_h * g.in_w;
+  for (int n = 0; n < g.batch; ++n) {
+    const float* in_n = input + static_cast<size_t>(n) * in_sample;
+    const float* go_n =
+        grad_output + static_cast<size_t>(n) * g.out_channels * ohw;
+    if (grad_bias) {
+      for (int oc = 0; oc < g.out_channels; ++oc) {
+        grad_bias[oc] += static_cast<float>(
+            vec::Sum(go_n + static_cast<size_t>(oc) * ohw,
+                     static_cast<size_t>(ohw)));
+      }
+    }
+    if (grad_weight) {
+      const float* b = in_n;
+      if (!pointwise) {
+        OracleIm2col(g, in_n, col.data());
+        b = col.data();
+      }
+      ops::Gemm(false, true, g.out_channels, ickk, ohw, 1.0f, go_n, b, 1.0f,
+                grad_weight);
+    }
+    if (grad_input) {
+      float* gi_n = grad_input + static_cast<size_t>(n) * in_sample;
+      if (pointwise) {
+        ops::Gemm(true, false, ickk, ohw, g.out_channels, 1.0f, weight, go_n,
+                  1.0f, gi_n);
+      } else {
+        ops::Gemm(true, false, ickk, ohw, g.out_channels, 1.0f, weight, go_n,
+                  0.0f, grad_col.data());
+        OracleCol2imAdd(g, grad_col.data(), gi_n);
+      }
+    }
+  }
+}
+
+// Byte-for-byte equality, except that any NaN matches any NaN: a NaN's
+// payload depends on which operand the hardware propagates.
+void ExpectSameBytes(const std::vector<float>& got,
+                     const std::vector<float>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) {
+      continue;
+    }
+    uint32_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got[i], sizeof(float));
+    std::memcpy(&want_bits, &want[i], sizeof(float));
+    ASSERT_EQ(got_bits, want_bits)
+        << what << " differs at " << i << ": " << got[i] << " vs "
+        << want[i];
+  }
+}
+
+// Random values in [-2, 2); with `specials`, about one in 16 entries is
+// replaced by +-0, a denormal, +-inf or NaN (one in 64 for the non-finite
+// ones, so most outputs stay finite).
+std::vector<float> ValuesWithSpecials(size_t n, uint64_t seed,
+                                      bool specials) {
+  std::vector<float> v = RandomVec(n, seed);
+  if (!specials) {
+    return v;
+  }
+  const float kSpecial[] = {0.0f,
+                            -0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -3.0e-39f,
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  Rng rng(seed ^ 0x5eedull);
+  for (auto& x : v) {
+    const uint64_t r = rng.NextUint64() % 64;
+    if (r < 3) {
+      x = kSpecial[r];
+    } else if (r == 3) {
+      x = kSpecial[3 + rng.NextUint64() % 4];
+    }
+  }
+  return v;
+}
+
+struct ExactConvCase {
+  int batch, in_channels, out_channels, in_h, in_w, kernel, stride, pad;
+};
+
+void CheckConvMatchesOracle(const ExactConvCase& c, bool specials,
+                            uint64_t seed) {
+  ops::Conv2dGeometry g;
+  g.batch = c.batch;
+  g.in_channels = c.in_channels;
+  g.in_h = c.in_h;
+  g.in_w = c.in_w;
+  g.out_channels = c.out_channels;
+  g.kernel = c.kernel;
+  g.stride = c.stride;
+  g.pad = c.pad;
+  SCOPED_TRACE(::testing::Message()
+               << "batch=" << c.batch << " ic=" << c.in_channels
+               << " oc=" << c.out_channels << " in=" << c.in_h << "x"
+               << c.in_w << " k=" << c.kernel << " s=" << c.stride
+               << " p=" << c.pad << " out=" << g.out_h() << "x" << g.out_w()
+               << " specials=" << specials);
+  ASSERT_GT(g.out_h(), 0);
+  ASSERT_GT(g.out_w(), 0);
+  const size_t in_numel =
+      static_cast<size_t>(c.batch) * c.in_channels * c.in_h * c.in_w;
+  const size_t w_numel = static_cast<size_t>(c.out_channels) *
+                         c.in_channels * c.kernel * c.kernel;
+  const size_t out_numel = static_cast<size_t>(c.batch) * c.out_channels *
+                           g.out_h() * g.out_w();
+  const auto input = ValuesWithSpecials(in_numel, seed, specials);
+  const auto weight = ValuesWithSpecials(w_numel, seed + 1, specials);
+  const auto bias = ValuesWithSpecials(
+      static_cast<size_t>(c.out_channels), seed + 2, specials);
+  const auto grad_out = ValuesWithSpecials(out_numel, seed + 3, specials);
+  // Accumulate onto non-zero (and, with specials, signed-zero) values.
+  const auto gi0 = ValuesWithSpecials(in_numel, seed + 4, specials);
+  const auto gw0 = ValuesWithSpecials(w_numel, seed + 5, specials);
+  const auto gb0 = ValuesWithSpecials(
+      static_cast<size_t>(c.out_channels), seed + 6, specials);
+
+  ops::Conv2dWorkspace ws;
+  for (const float* b : {bias.data(), static_cast<const float*>(nullptr)}) {
+    std::vector<float> got(out_numel, 7.0f);
+    std::vector<float> want(out_numel, -7.0f);
+    ops::Conv2dForward(g, input.data(), weight.data(), b, got.data(), &ws);
+    OracleConv2dForward(g, input.data(), weight.data(), b, want.data());
+    ExpectSameBytes(got, want, b ? "forward" : "forward, no bias");
+  }
+  for (const bool all_grads : {true, false}) {
+    std::vector<float> gi = gi0, gi_want = gi0;
+    std::vector<float> gw = gw0, gw_want = gw0;
+    std::vector<float> gb = gb0, gb_want = gb0;
+    ops::Conv2dBackward(g, input.data(), weight.data(), grad_out.data(),
+                        all_grads ? gi.data() : nullptr, gw.data(),
+                        all_grads ? gb.data() : nullptr, &ws);
+    OracleConv2dBackward(g, input.data(), weight.data(), grad_out.data(),
+                         all_grads ? gi_want.data() : nullptr,
+                         gw_want.data(), all_grads ? gb_want.data() : nullptr);
+    ExpectSameBytes(gi, gi_want, "grad_input");
+    ExpectSameBytes(gw, gw_want, "grad_weight");
+    ExpectSameBytes(gb, gb_want, "grad_bias");
+  }
+}
+
+TEST(ConvParityTest, MatchesPerSampleIm2colGemmByteForByte) {
+  std::vector<ExactConvCase> cases;
+  // Every kernel 1..5 x stride 1..4 x pad 0..2 on small maps, cycling the
+  // channel counts and batch sizes.
+  const int kOut[] = {1, 6, 9, 16, 17};
+  const int kBatch[] = {1, 3, 32, 33};
+  int i = 0;
+  for (int k = 1; k <= 5; ++k) {
+    for (int s = 1; s <= 4; ++s) {
+      for (int p = 0; p <= 2; ++p, ++i) {
+        cases.push_back({kBatch[i % 4], 1 + (k + p) % 3, kOut[i % 5],
+                         7 + (k + s) % 4, 6 + (s + p) % 5, k, s, p});
+      }
+    }
+  }
+  const ExactConvCase extra[] = {
+      {32, 1, 6, 16, 16, 5, 1, 2},   // LeNet conv1 (the e2e workload)
+      {32, 6, 16, 8, 8, 5, 1, 0},    // LeNet conv2: 16-pixel samples
+      {3, 11, 9, 12, 12, 5, 1, 2},   // ickk 275: two depth chunks
+      {2, 29, 17, 9, 9, 3, 2, 1},    // ickk 261, strided
+      {1, 2, 6, 36, 36, 1, 1, 0},    // pointwise, ohw 1296 > kNC
+      {3, 3, 16, 36, 36, 3, 1, 1},   // ohw 1296
+      {1, 11, 17, 36, 36, 5, 1, 2},  // ohw 1296, ickk 275, pool fan-out
+      {33, 4, 6, 5, 5, 5, 1, 0},     // ohw 1
+      {32, 3, 9, 3, 3, 3, 4, 0},     // ohw 1, stride past the map
+      {2, 3, 260, 5, 5, 3, 1, 1},    // input gradient over two depth chunks
+      {3, 5, 300, 4, 4, 1, 1, 0},    // pointwise, two depth chunks
+  };
+  cases.insert(cases.end(), std::begin(extra), std::end(extra));
+  const simd::Level saved = simd::ActiveLevel();
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    uint64_t seed = 3000;
+    for (const auto& c : cases) {
+      for (const bool specials : {false, true}) {
+        CheckConvMatchesOracle(c, specials, seed);
+        seed += 10;
+        if (::testing::Test::HasFatalFailure()) {
+          simd::SetLevel(saved);
+          return;
+        }
+      }
+    }
+  }
+  simd::SetLevel(saved);
 }
 
 // ------------------------------------------------------------- vec fused --

@@ -195,6 +195,67 @@ TEST(GoldenHistoryTest, LenetSynchronous) {
   ExpectHistoryMatches("LenetSync", result->history, kLenetSync);
 }
 
+// The conv zoo models under synchronous SGD, in LenetSynchronous's setting.
+// Each pins a conv geometry LeNet's 5x5 convs do not reach: VggStar's 3x3
+// pad-1 convs (its 32->32 layer has ickk = 288, two GEMM depth chunks),
+// DenseNet121Lite's 3x3 dense-block convs (ickk up to 432) and 1x1
+// transitions, ConvNeXtLite's 4x4 stride-4 and 2x2 stride-2 downsamplers.
+// Captured with FEDRA_GOLDEN_PRINT=1 before Conv2d stopped building a
+// per-sample im2col matrix.
+const GoldenPoint kVggSync[] = {
+    {5, 0.09375, 0.03125, 1244240ull, 5ull, 0.050202748571428576},
+    {10, 0.140625, 0.109375, 2488480ull, 10ull, 0.10040549714285714},
+};
+
+const GoldenPoint kDenseNetSync[] = {
+    {5, 0.328125, 0.25, 1390000ull, 5ull, 0.05022357142857143},
+    {10, 0.375, 0.46875, 2780000ull, 10ull, 0.10044714285714285},
+};
+
+const GoldenPoint kConvNeXtSync[] = {
+    {5, 0.203125, 0.265625, 350160ull, 5ull, 0.05007502285714286},
+    {10, 0.21875, 0.28125, 700320ull, 10ull, 0.10015004571428571},
+};
+
+template <size_t N>
+void ExpectSynchronousGolden(const char* name, const ModelFactory& factory,
+                             const GoldenPoint (&golden)[N]) {
+  SynthImageData data = SmallMnistLike();
+  TrainerConfig config;
+  config.num_workers = 2;
+  config.batch_size = 8;
+  config.local_optimizer = OptimizerConfig::SgdMomentum(0.05f, 0.9f, true);
+  config.seed = 7;
+  config.max_steps = 10;
+  config.eval_every_steps = 5;
+  config.eval_subset = 64;
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::Synchronous(),
+                               trainer.model_dim());
+  ASSERT_TRUE(policy.ok());
+  auto result = trainer.Run(policy->get());
+  ASSERT_TRUE(result.ok()) << result.status();
+  testing::ExpectCommStatsConserved(result->comm);
+  ExpectHistoryMatches(name, result->history, golden);
+}
+
+TEST(GoldenHistoryTest, VggStar) {
+  ExpectSynchronousGolden(
+      "VggSync", [] { return zoo::VggStar(1, 16, 10); }, kVggSync);
+}
+
+TEST(GoldenHistoryTest, DenseNet121Lite) {
+  ExpectSynchronousGolden(
+      "DenseNetSync", [] { return zoo::DenseNet121Lite(1, 16, 10); },
+      kDenseNetSync);
+}
+
+TEST(GoldenHistoryTest, ConvNeXtLite) {
+  ExpectSynchronousGolden(
+      "ConvNeXtSync", [] { return zoo::ConvNeXtLite(1, 16, 10, 8); },
+      kConvNeXtSync);
+}
+
 TEST(GoldenHistoryTest, MlpFedAvg) {
   SynthImageData data = SmallMnistLike();
   auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
