@@ -952,17 +952,20 @@ double SecondsPerCall(const std::function<void()>& fn) {
 }
 
 /// The `host` member of the recorded sweeps: what the timings depend on —
-/// online cores, the active SIMD level, and FEDRA_NUM_THREADS verbatim (null
-/// when unset). Opens the JSON object: "{\n  \"host\": {...},\n".
+/// online cores, the active SIMD level, whether the build is -march=native
+/// (the portable bodies vectorize for the build's ISA, so their timings
+/// depend on it), and FEDRA_NUM_THREADS verbatim (null when unset). Opens
+/// the JSON object: "{\n  \"host\": {...},\n".
 std::string HostJsonHead() {
   const char* num_threads_env = std::getenv("FEDRA_NUM_THREADS");
   const char* quote = num_threads_env != nullptr ? "\"" : "";
   char host[256];
   std::snprintf(host, sizeof(host),
                 "{\n  \"host\": {\"nproc\": %u, \"simd_level\": \"%s\", "
-                "\"fedra_num_threads\": %s%s%s},\n",
+                "\"native_arch\": %s, \"fedra_num_threads\": %s%s%s},\n",
                 std::thread::hardware_concurrency(),
-                simd::LevelName(simd::ActiveLevel()), quote,
+                simd::LevelName(simd::ActiveLevel()),
+                FEDRA_BENCH_NATIVE_ARCH != 0 ? "true" : "false", quote,
                 num_threads_env != nullptr ? num_threads_env : "null", quote);
   return host;
 }
@@ -971,7 +974,7 @@ std::string HostJsonHead() {
 /// dispatched kernel timed at every SIMD level this host supports
 /// (simd::SupportedLevels x simd::SetLevel), with bytes-touched GB/s,
 /// GFLOP/s where FLOPs are well-defined, and speedup relative to the
-/// kGeneric portable-vector path. Buffers are L2-resident (n = 4096; the
+/// kScalar portable bodies. Buffers are L2-resident (n = 4096; the
 /// 256 x 256 pack_b_trans operand is 256 KB) so the numbers expose compute
 /// limits, not DRAM bandwidth. Each kernel is timed in kSweeps sweeps over
 /// the levels, interleaved so that a slow phase of the host lands on every
@@ -1161,13 +1164,9 @@ int RunKernelsSweep(const std::string& path) {
       }
     }
     std::vector<double> seconds(levels.size());
-    double generic_seconds = 0.0;
     for (size_t i = 0; i < levels.size(); ++i) {
       std::sort(sweeps[i].begin(), sweeps[i].end());
       seconds[i] = sweeps[i][kSweeps / 2];
-      if (levels[i] == simd::Level::kGeneric) {
-        generic_seconds = seconds[i];
-      }
     }
     json += first_kernel ? "" : ",\n";
     first_kernel = false;
@@ -1178,18 +1177,18 @@ int RunKernelsSweep(const std::string& path) {
     for (size_t i = 0; i < levels.size(); ++i) {
       const double gbs = kernel.bytes_per_call / seconds[i] / 1e9;
       const double gflops = kernel.flops_per_call / seconds[i] / 1e9;
-      const double speedup =
-          generic_seconds > 0.0 ? generic_seconds / seconds[i] : 0.0;
+      // levels[0] is kScalar, the portable bodies, on every host.
+      const double speedup = seconds[0] / seconds[i];
       char buf[256];
       std::snprintf(buf, sizeof(buf),
                     "%s\n      {\"level\": \"%s\", \"ns_per_call\": %.1f, "
                     "\"gb_per_s\": %.2f, \"gflop_per_s\": %.2f, "
-                    "\"speedup_vs_generic\": %.2f}",
+                    "\"speedup_vs_scalar\": %.2f}",
                     i == 0 ? "" : ",", simd::LevelName(levels[i]),
                     seconds[i] * 1e9, gbs, gflops, speedup);
       json += buf;
       std::printf("%-18s %-8s %9.1f ns/call %8.2f GB/s %8.2f GFLOP/s "
-                  "%5.2fx vs generic\n",
+                  "%5.2fx vs scalar\n",
                   kernel.name, simd::LevelName(levels[i]), seconds[i] * 1e9,
                   gbs, gflops, speedup);
     }

@@ -13,13 +13,13 @@
 // faulted until first written. With ArenaPlacement::kFirstTouch (opt in via
 // FEDRA_ARENA_PLACEMENT=first_touch), row k is zeroed — and therefore
 // page-faulted — by pool worker k % num_threads instead of the constructing
-// thread. Combined with FEDRA_AFFINITY worker→core pinning, Linux's default
-// first-touch NUMA policy then places each worker's params/grads/opt rows
-// on the socket of the worker that computes on them; on single-socket
-// machines the same path still gives per-core page locality. kDefault keeps
-// the old behavior (construct-thread zeroing), and first-touch quietly
-// degrades to it for single-thread pools or construction from inside a pool
-// worker (where blocking on the pool would deadlock).
+// thread, so Linux's default first-touch NUMA policy places each row on the
+// node that pool worker ran on when it zeroed the row (the pool does not
+// pin its workers, so that holds while the scheduler keeps them there).
+// kDefault keeps the old behavior (construct-thread zeroing), and
+// first-touch quietly degrades to it for single-thread pools or
+// construction from inside a pool worker (where blocking on the pool would
+// deadlock).
 //
 // Debug guards (FEDRA_DCHECK_IS_ON, i.e. Debug and sanitizer builds): every
 // slab row is fenced by kGuardFloats canary words, so rows sit at stride

@@ -136,11 +136,9 @@ void PackB(bool trans_b, const float* b, int k, int n, int p0, int kc, int j0,
 }
 
 // The register-tiled micro-kernel (acc[MR][NR] = apanel * bpanel over kc
-// depth steps) lives in tensor/simd_dispatch.cc: the generic-vector
-// formulation there is the exact kernel that used to be here, and the
-// dispatch table swaps in AVX2/AVX-512 tilings at runtime. The formulation
-// matters — GCC 12 compiles a scalar `local[i][j] += a[i] * b[j]` nest to
-// shuffle-heavy 4-wide code (~25x slower).
+// depth steps) lives in tensor/simd_dispatch.cc: a portable loop that GCC
+// vectorizes for the build's baseline ISA, and AVX2/AVX-512 tilings that
+// the dispatch table swaps in at runtime.
 
 }  // namespace
 
@@ -784,7 +782,8 @@ namespace {
 
 // Fans plane-granular work over the global pool when the total is big
 // enough to amortize the wake/wait round-trip (ParallelFor already inlines
-// nested and single-thread calls).
+// single-thread calls; a nested call parks its helpers on the calling
+// worker's own deque and drains whatever no idle peer steals).
 constexpr size_t kPlaneParallelThreshold = size_t{1} << 15;
 
 void ForEachPlane(size_t planes, size_t work_per_plane,

@@ -10,14 +10,13 @@
 //   1. Portable canonical kernels — the exact code vec_ops.cc/ops.cc
 //     shipped before dispatch existed, moved here verbatim. They define the
 //     canonical accumulation patterns (4 double lanes for reductions, the
-//     256-double L1 tile for the reduce kernel) and serve as both the
-//     kScalar and kGeneric flat-span implementations.
+//     256-double L1 tile for the reduce kernel), make up the kScalar table
+//     and fill every slot an intrinsics tier has no variant for.
 //   2. x86 variants (AVX2+FMA, AVX-512F) behind target attributes, so a
 //     baseline build still carries them and picks them at runtime.
-//   3. AArch64 NEON variants.
-//   4. tanh: the portable port of glibc's tanhf and its AVX-512F variant,
+//   3. tanh: the portable port of glibc's tanhf and its AVX-512F variant,
 //     the one section compiled with FP contraction off.
-//   5. Table construction (fallback ladder) and level resolution.
+//   4. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -39,6 +38,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <mutex>
 
 #include "tensor/vec_ops.h"
@@ -49,18 +49,13 @@
 #include <immintrin.h>
 #endif
 
-#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define FEDRA_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace fedra {
 namespace simd {
 
 namespace {
 
 // ------------------------------------------------------------------------
-// 1. Portable canonical kernels (kScalar and kGeneric flat-span tier).
+// 1. Portable canonical kernels (the kScalar tier).
 // ------------------------------------------------------------------------
 
 void AxpyPortable(float alpha, const float* x, float* y, size_t n) {
@@ -236,16 +231,14 @@ void AdamStepPortable(const vec::AdamStepArgs& args, const float* grads,
   }
 }
 
-// GEMM micro-kernels. The scalar variant is the original fallback loop; the
-// generic variant is the GCC/Clang vector-extension formulation that the
-// packed-panel GEMM shipped with (two 16-float accumulator vectors per row,
-// broadcast-FMA over the depth loop). Both compute each acc[i][j] as one
-// chain over p in ascending order, as do the intrinsics variants below —
-// the micro-kernel has no reduction reassociation freedom, only different
-// tiling of the same per-cell chains.
+// The GEMM micro-kernel's portable body, the original fallback loop. It
+// computes each acc[i][j] as one chain over p in ascending order, as do the
+// intrinsics variants below: the micro-kernel has no reduction
+// reassociation freedom, only different tilings of the same per-cell
+// chains. GCC vectorizes the j loop for the build's baseline ISA.
 
-void GemmMicroScalar(int kc, const float* apanel, const float* bpanel,
-                     float* acc) {
+void GemmMicroPortable(int kc, const float* apanel, const float* bpanel,
+                       float* acc) {
   float local[kGemmMr][kGemmNr] = {};
   for (int p = 0; p < kc; ++p, apanel += kGemmMr, bpanel += kGemmNr) {
     for (int i = 0; i < kGemmMr; ++i) {
@@ -257,30 +250,6 @@ void GemmMicroScalar(int kc, const float* apanel, const float* bpanel,
   }
   std::memcpy(acc, local, sizeof(local));
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-#define FEDRA_SIMD_HAS_VECEXT 1
-typedef float Vf16 __attribute__((vector_size(64), aligned(4)));
-static_assert(kGemmNr == 2 * 16, "micro-kernel assumes two 16-float vectors");
-
-__attribute__((noinline)) void GemmMicroGeneric(int kc,
-                                                const float* __restrict__
-                                                    apanel,
-                                                const float* __restrict__
-                                                    bpanel,
-                                                float* __restrict__ acc) {
-  Vf16 local[kGemmMr][2] = {};
-  for (int p = 0; p < kc; ++p, apanel += kGemmMr, bpanel += kGemmNr) {
-    const Vf16 b0 = *reinterpret_cast<const Vf16*>(bpanel);
-    const Vf16 b1 = *reinterpret_cast<const Vf16*>(bpanel + 16);
-    for (int i = 0; i < kGemmMr; ++i) {
-      local[i][0] += apanel[i] * b0;
-      local[i][1] += apanel[i] * b1;
-    }
-  }
-  std::memcpy(acc, local, sizeof(local));
-}
-#endif  // vector extensions
 
 // The trans_b branch of the GEMM's B packing, moved verbatim from
 // ops.cc's PackB: one strided gather per panel element, depth-major.
@@ -504,9 +473,8 @@ __attribute__((target("avx2,fma"))) double AxpyNormAvx2(float alpha,
 
 // 8x32 micro-tile as four 4x16 register sub-tiles (8 ymm accumulators + 2
 // B vectors + 1 broadcast fits the 16-register AVX2 file; the full 8x32
-// tile would need 32 ymm accumulators and spill every iteration — which is
-// exactly what the generic 64-byte-vector kernel degrades to on AVX2-only
-// hardware). Each sub-tile sweeps the whole L1-resident packed panel pair.
+// tile would need 32 ymm accumulators and spill every iteration). Each
+// sub-tile sweeps the whole L1-resident packed panel pair.
 __attribute__((target("avx2,fma"))) void GemmMicroAvx2(int kc,
                                                        const float* apanel,
                                                        const float* bpanel,
@@ -778,12 +746,11 @@ __attribute__((target("avx512f"))) void AdamStepAvx512(
 }
 #endif  // __FMA__ && __OPTIMIZE__
 
-// The explicit-zmm formulation of the generic micro-kernel (16 accumulator
-// vectors + 2 B vectors in the 32-register file). On a -march=native
-// AVX-512 build this matches what the compiler emits for the generic
-// kernel; on a baseline build — where the generic kernel lowers to 4-wide
-// SSE — it is the difference between shipping one binary and shipping one
-// per machine.
+// The 8x32 tile in zmm registers (16 accumulator vectors + 2 B vectors in
+// the 32-register file). On a -march=native AVX-512 build this matches what
+// the compiler emits for the portable body; on a baseline build — where the
+// portable body lowers to 4-wide SSE — it is the difference between
+// shipping one binary and shipping one per machine.
 __attribute__((target("avx512f"))) void GemmMicroAvx512(int kc,
                                                         const float* apanel,
                                                         const float* bpanel,
@@ -933,149 +900,7 @@ __attribute__((target("avx512f"))) void BucketSumAvx512(
 #endif  // FEDRA_SIMD_X86
 
 // ------------------------------------------------------------------------
-// 3. AArch64 NEON variants: 8 double lanes (4 x float64x2) per reduction.
-// The reduce kernel and the GEMM micro-kernel fall back to the generic
-// tier (the vector-extension kernel lowers to NEON well).
-// ------------------------------------------------------------------------
-
-#if defined(FEDRA_SIMD_NEON)
-
-double HSum8Neon(float64x2_t acc0, float64x2_t acc1, float64x2_t acc2,
-                 float64x2_t acc3) {
-  const float64x2_t sum =
-      vaddq_f64(vaddq_f64(acc0, acc1), vaddq_f64(acc2, acc3));
-  return vgetq_lane_f64(sum, 0) + vgetq_lane_f64(sum, 1);
-}
-
-void AxpyNeon(float alpha, const float* x, float* y, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vst1q_f32(y + i, vfmaq_n_f32(vld1q_f32(y + i), vld1q_f32(x + i), alpha));
-    vst1q_f32(y + i + 4,
-              vfmaq_n_f32(vld1q_f32(y + i + 4), vld1q_f32(x + i + 4), alpha));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double DotNeon(const float* a, const float* b, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t a0 = vld1q_f32(a + i);
-    const float32x4_t b0 = vld1q_f32(b + i);
-    const float32x4_t a1 = vld1q_f32(a + i + 4);
-    const float32x4_t b1 = vld1q_f32(b + i + 4);
-    acc0 = vfmaq_f64(acc0, vcvt_f64_f32(vget_low_f32(a0)),
-                     vcvt_f64_f32(vget_low_f32(b0)));
-    acc1 = vfmaq_f64(acc1, vcvt_high_f64_f32(a0), vcvt_high_f64_f32(b0));
-    acc2 = vfmaq_f64(acc2, vcvt_f64_f32(vget_low_f32(a1)),
-                     vcvt_f64_f32(vget_low_f32(b1)));
-    acc3 = vfmaq_f64(acc3, vcvt_high_f64_f32(a1), vcvt_high_f64_f32(b1));
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    total += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return total;
-}
-
-double SquaredNormNeon(const float* x, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t x0 = vld1q_f32(x + i);
-    const float32x4_t x1 = vld1q_f32(x + i + 4);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(x0));
-    const float64x2_t w1 = vcvt_high_f64_f32(x0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(x1));
-    const float64x2_t w3 = vcvt_high_f64_f32(x1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    total += xi * xi;
-  }
-  return total;
-}
-
-double SubSquaredNormNeon(const float* a, const float* b, float* out,
-                          size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t d0 = vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    const float32x4_t d1 =
-        vsubq_f32(vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-    vst1q_f32(out + i, d0);
-    vst1q_f32(out + i + 4, d1);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(d0));
-    const float64x2_t w1 = vcvt_high_f64_f32(d0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(d1));
-    const float64x2_t w3 = vcvt_high_f64_f32(d1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    out[i] = d;
-    total += static_cast<double>(d) * static_cast<double>(d);
-  }
-  return total;
-}
-
-double AxpyNormNeon(float alpha, const float* x, float* y, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t y0 =
-        vfmaq_n_f32(vld1q_f32(y + i), vld1q_f32(x + i), alpha);
-    const float32x4_t y1 =
-        vfmaq_n_f32(vld1q_f32(y + i + 4), vld1q_f32(x + i + 4), alpha);
-    vst1q_f32(y + i, y0);
-    vst1q_f32(y + i + 4, y1);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(y0));
-    const float64x2_t w1 = vcvt_high_f64_f32(y0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(y1));
-    const float64x2_t w3 = vcvt_high_f64_f32(y1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float yi = y[i] + alpha * x[i];
-    y[i] = yi;
-    total += static_cast<double>(yi) * static_cast<double>(yi);
-  }
-  return total;
-}
-
-#endif  // FEDRA_SIMD_NEON
-
-// ------------------------------------------------------------------------
-// 4. tanh: a port of the fdlibm tanhf and expm1f that glibc ships, and its
+// 3. tanh: a port of the fdlibm tanhf and expm1f that glibc ships, and its
 // AVX-512F variant, both compiled with FP contraction off.
 // ------------------------------------------------------------------------
 //
@@ -1358,8 +1183,11 @@ __attribute__((target("avx512f"))) void TanhAvx512(const float* xs,
 #endif
 
 // ------------------------------------------------------------------------
-// 5. Tables and resolution.
+// 4. Tables and resolution.
 // ------------------------------------------------------------------------
+
+// Every level, ascending: the order SupportedLevels() lists them in.
+constexpr Level kAllLevels[] = {Level::kScalar, Level::kAvx2, Level::kAvx512};
 
 bool CpuSupportsAvx2() {
 #if defined(FEDRA_SIMD_X86)
@@ -1378,9 +1206,9 @@ bool CpuSupportsAvx512() {
 }
 
 struct Tables {
-  // Indexed by static_cast<int>(Level). Each level starts from the tier
-  // below it and overrides the kernels it has a variant for.
-  KernelTable per_level[5];
+  // Indexed by static_cast<int>(Level). Each intrinsics tier starts from the
+  // tier below it and overrides the kernels it has a variant for.
+  KernelTable per_level[std::size(kAllLevels)];
 
   Tables() {
     KernelTable scalar;
@@ -1393,16 +1221,11 @@ struct Tables {
     scalar.adam_step = AdamStepPortable;
     scalar.tanh = TanhPortable;
     scalar.bucket_sum = BucketSumPortable;
-    scalar.gemm_micro_8x32 = GemmMicroScalar;
+    scalar.gemm_micro_8x32 = GemmMicroPortable;
     scalar.pack_b_trans = PackBTransPortable;
 
-    KernelTable generic = scalar;
-#if defined(FEDRA_SIMD_HAS_VECEXT)
-    generic.gemm_micro_8x32 = GemmMicroGeneric;
-#endif
-
-    KernelTable avx2 = generic;
-    KernelTable avx512 = generic;
+    KernelTable avx2 = scalar;
+    KernelTable avx512 = scalar;
 #if defined(FEDRA_SIMD_X86)
     avx2.axpy = AxpyAvx2;
     avx2.dot = DotAvx2;
@@ -1426,20 +1249,9 @@ struct Tables {
     avx512.adam_step = AdamStepAvx512;
 #endif
 
-    KernelTable neon = generic;
-#if defined(FEDRA_SIMD_NEON)
-    neon.axpy = AxpyNeon;
-    neon.dot = DotNeon;
-    neon.squared_norm = SquaredNormNeon;
-    neon.sub_squared_norm = SubSquaredNormNeon;
-    neon.axpy_norm = AxpyNormNeon;
-#endif
-
     per_level[static_cast<int>(Level::kScalar)] = scalar;
-    per_level[static_cast<int>(Level::kGeneric)] = generic;
     per_level[static_cast<int>(Level::kAvx2)] = avx2;
     per_level[static_cast<int>(Level::kAvx512)] = avx512;
-    per_level[static_cast<int>(Level::kNeon)] = neon;
   }
 };
 
@@ -1471,7 +1283,7 @@ Level ResolveDefaultLevel() {
       Level level;
       FEDRA_CHECK(ParseLevelName(env, &level))
           << "FEDRA_SIMD=" << env
-          << "is not a SIMD level (want scalar|generic|avx2|avx512|neon)";
+          << "is not a SIMD level; supported:" << SupportedLevelList();
       FEDRA_CHECK(LevelSupported(level))
           << "FEDRA_SIMD=" << env
           << "is not supported on this CPU/build; supported:"
@@ -1485,10 +1297,7 @@ Level ResolveDefaultLevel() {
   if (LevelSupported(Level::kAvx2)) {
     return Level::kAvx2;
   }
-  if (LevelSupported(Level::kNeon)) {
-    return Level::kNeon;
-  }
-  return Level::kGeneric;
+  return Level::kScalar;
 }
 
 }  // namespace
@@ -1496,26 +1305,18 @@ Level ResolveDefaultLevel() {
 bool LevelSupported(Level level) {
   switch (level) {
     case Level::kScalar:
-    case Level::kGeneric:
       return true;
     case Level::kAvx2:
       return CpuSupportsAvx2();
     case Level::kAvx512:
       return CpuSupportsAvx512();
-    case Level::kNeon:
-#if defined(FEDRA_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kGeneric, Level::kAvx2,
-                      Level::kAvx512, Level::kNeon}) {
+  for (Level level : kAllLevels) {
     if (LevelSupported(level)) {
       levels.push_back(level);
     }
@@ -1527,21 +1328,16 @@ const char* LevelName(Level level) {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kGeneric:
-      return "generic";
     case Level::kAvx2:
       return "avx2";
     case Level::kAvx512:
       return "avx512";
-    case Level::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
 bool ParseLevelName(const std::string& name, Level* level) {
-  for (Level candidate : {Level::kScalar, Level::kGeneric, Level::kAvx2,
-                          Level::kAvx512, Level::kNeon}) {
+  for (Level candidate : kAllLevels) {
     if (name == LevelName(candidate)) {
       *level = candidate;
       return true;

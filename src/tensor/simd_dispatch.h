@@ -9,30 +9,29 @@
 // lint bans cpuid probes, ISA #ifdefs and ISA code such as intrinsics and
 // target attributes anywhere else in src/):
 //
-//   * `Level` enumerates the compiled-in implementation tiers: kScalar
-//     (plain loops), kGeneric (GCC/Clang generic-vector code, the portable
-//     default), kAvx2 (AVX2+FMA intrinsics), kAvx512 (AVX-512F
-//     intrinsics), kNeon (AArch64 NEON intrinsics).
+//   * `Level` enumerates the implementation tiers: kScalar (the portable
+//     bodies, plain loops that the compiler vectorizes for the build's
+//     baseline ISA), kAvx2 (AVX2+FMA intrinsics) and kAvx512 (AVX-512F
+//     intrinsics). The two intrinsics tiers exist on x86-64 only; any other
+//     target runs kScalar.
 //   * Resolution happens once, lazily: the best runtime-supported level via
-//     cpuid (`__builtin_cpu_supports`), overridable by FEDRA_SIMD=
-//     scalar|generic|avx2|avx512|neon (requesting an unsupported level
-//     aborts with the supported list — a silent downgrade would invalidate
+//     cpuid (`__builtin_cpu_supports`), overridable by
+//     FEDRA_SIMD=scalar|avx2|avx512 (an unknown or unsupported level aborts
+//     with the supported list — a silent downgrade would invalidate
 //     recorded benchmarks).
 //   * `Kernels()` returns the active function-pointer table; vec_ops.cc and
 //     ops.cc route the hot kernels through it. A level runs each kernel at
 //     the highest variant <= the level that exists for that kernel, so e.g.
-//     kNeon uses NEON flat-span kernels but the generic-vector GEMM
-//     micro-kernel.
+//     kAvx2 runs the portable tanh body.
 //
 // Determinism contract (docs/determinism.md): results are bit-deterministic
 // for a fixed level — every variant has a fixed accumulation pattern, and
 // the 32768-element parallel chunk boundaries are level-independent.
 // Different levels may reassociate reductions differently and agree only to
 // parity-test tolerance (tests/simd_dispatch_test.cc drives every
-// compiled-in level against the ref:: oracles). kScalar and kGeneric share
-// the portable canonical implementations for the flat-span kernels and are
-// bit-identical by construction; golden-history suites pin kGeneric so
-// their hard-coded arrays hold on any machine.
+// supported level against the ref:: oracles). kScalar is supported on
+// every build and host, so the golden-history suites pin it and their
+// hard-coded arrays hold on any machine.
 
 #ifndef FEDRA_TENSOR_SIMD_DISPATCH_H_
 #define FEDRA_TENSOR_SIMD_DISPATCH_H_
@@ -51,10 +50,8 @@ namespace simd {
 
 enum class Level {
   kScalar = 0,
-  kGeneric = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-  kNeon = 4,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 /// Rows/cols of the packed GEMM micro-tile. ops.cc packs panels to this
@@ -85,10 +82,10 @@ inline constexpr int kGemmNr = 32;
 /// same bits at every level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
-/// with FMA in the baseline ISA), and kScalar, kGeneric, kAvx2 and kNeon
-/// run the portable body. tanh's portable body is a port of the fdlibm
-/// tanhf/expm1f that glibc ships; it and its AVX-512F variant are compiled
-/// with FP contraction off, so every build gives glibc 2.36's tanhf bits.
+/// with FMA in the baseline ISA), and kScalar and kAvx2 run the portable
+/// body. tanh's portable body is a port of the fdlibm tanhf/expm1f that
+/// glibc ships; it and its AVX-512F variant are compiled with FP
+/// contraction off, so every build gives glibc 2.36's tanhf bits.
 struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   double (*dot)(const float* a, const float* b, size_t n);
@@ -122,7 +119,7 @@ Level ActiveLevel();
 void SetLevel(Level level);
 
 /// True when `level` is both compiled in and executable on this CPU.
-/// kScalar/kGeneric are always supported.
+/// kScalar is always supported.
 bool LevelSupported(Level level);
 
 /// All supported levels, ascending (the bench sweep iterates this).

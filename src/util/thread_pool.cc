@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/check.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace fedra {
 
@@ -57,35 +51,6 @@ struct ParallelCallState {
   }
 };
 
-bool AffinityRequested() {
-  // Runs once per pool construction, before any worker exists; no setenv
-  // races it.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("FEDRA_AFFINITY");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "OFF") != 0;
-}
-
-// Pins the calling thread to one core so the worker→core slot is stable for
-// the life of the pool (first-touch locality depends on it). Modulo keeps
-// oversubscribed pools valid instead of failing the syscall.
-void PinCurrentThreadToCore(size_t worker_index) {
-#if defined(__linux__)
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(worker_index % cores), &set);
-  // Best-effort: a restricted cpuset (container, taskset) can reject the
-  // core; the worker then just runs unpinned.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker_index;
-#endif
-}
-
 }  // namespace
 
 bool ThreadPool::OnPoolThread() { return tls_on_pool_thread; }
@@ -97,7 +62,6 @@ ThreadPool::ThreadPool(size_t num_threads) {
       num_threads = 1;
     }
   }
-  pin_affinity_ = AffinityRequested();
   deques_.reserve(num_threads);
   inboxes_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -241,9 +205,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   tls_on_pool_thread = true;
   tls_pool = this;
   tls_worker_index = worker_index;
-  if (pin_affinity_) {
-    PinCurrentThreadToCore(worker_index);
-  }
   Inbox& inbox = *inboxes_[worker_index];
   for (;;) {
     Task* task = TryPop(worker_index);

@@ -4,8 +4,9 @@
 // determinism is preserved because each worker owns its forked Rng stream and
 // workers never share mutable state within a step. The tensor backend also
 // uses the pool (GEMM row x column tile grid), so ParallelFor is re-entrancy
-// safe: a call made from inside a pool worker runs inline instead of
-// deadlocking on its completion token.
+// safe: a call made from inside a pool worker parks its helper runners on
+// that worker's own deque and drains its chunks itself, so it never blocks
+// on a task that is still queued.
 //
 // Scheduling model: each worker owns a lock-free Chase-Lev deque
 // (util/chase_lev_deque.h) — the owner pushes and pops LIFO at the bottom,
@@ -18,12 +19,6 @@
 // threads only ever wait for their *own* chunks — never each other's. The
 // calling thread participates in draining its own chunks, so a ParallelFor
 // makes progress even when every worker is busy with someone else's work.
-//
-// Affinity: with FEDRA_AFFINITY set (anything but "0"/"off"), worker i pins
-// itself to core i modulo the online core count at startup (Linux only;
-// elsewhere the knob is accepted and ignored). Stable worker→core slots are
-// what turn first-touch placement into actual locality: the worker that
-// faulted a slab's pages is the worker that keeps computing on them.
 
 #ifndef FEDRA_UTIL_THREAD_POOL_H_
 #define FEDRA_UTIL_THREAD_POOL_H_
@@ -54,8 +49,10 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// True when the calling thread is a worker of *some* ThreadPool. Used to
-  /// run nested parallel loops inline.
+  /// True when the calling thread is a worker of *some* ThreadPool. Callers
+  /// use it to keep work that would block on a pool from a pool task
+  /// (ops.cc's UsePool, first-touch arena zeroing); ParallelForRange uses it
+  /// to run a call from another pool's worker inline.
   static bool OnPoolThread();
 
   /// Enqueues a task; it runs on some pool thread.
@@ -126,7 +123,6 @@ class ThreadPool {
   std::vector<std::unique_ptr<ChaseLevDeque<Task>>> deques_;
   std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<std::thread> threads_;
-  bool pin_affinity_ = false;
   std::mutex injector_mutex_;
   std::deque<Task*> injector_;
   // Stealable tasks in flight: deques + injector. Inbox occupancy is

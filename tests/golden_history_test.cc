@@ -34,12 +34,11 @@ namespace fedra {
 namespace {
 
 // The GOLDEN arrays are bit-exact for one accumulation pattern. Pin the
-// generic SIMD level so they hold on every machine regardless of which
-// intrinsics tier cpuid would pick (or what FEDRA_SIMD says): kGeneric is
-// always compiled in, and kScalar/kGeneric share the canonical portable
-// kernels bit-for-bit (docs/determinism.md, "ISA levels").
+// portable SIMD level so they hold on every machine regardless of which
+// intrinsics tier cpuid would pick (or what FEDRA_SIMD says): kScalar is
+// supported on every build and host (docs/determinism.md, "ISA levels").
 [[maybe_unused]] const bool kSimdLevelPinned = [] {
-  simd::SetLevel(simd::Level::kGeneric);
+  simd::SetLevel(simd::Level::kScalar);
   return true;
 }();
 

@@ -1,15 +1,14 @@
-// Dispatch-matrix parity suite: force-runs every compiled-in SIMD level on
+// Dispatch-matrix parity suite: force-runs every supported SIMD level on
 // this machine (simd::SupportedLevels + simd::SetLevel) and checks each
 // dispatched kernel against its ref:: oracle to parity tolerance. Also pins
 // the exact clauses of the determinism contract (docs/determinism.md): a
-// fixed level is bit-deterministic run-to-run, kScalar == kGeneric
-// bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies), and the element-wise adam_step and tanh, the per-cell ordered
-// bucket_sum and the data-moving pack_b_trans are bit-identical at every
-// level. The golden suites pin kGeneric, so this file (and the level check
-// in opt_test.cc) is what runs the wide adam_step, tanh, bucket_sum and
-// pack_b_trans variants. Sizes straddle every vector width's
-// main-loop/remainder split so tail handling is covered at all levels.
+// fixed level is bit-deterministic run-to-run, and the element-wise
+// adam_step and tanh, the per-cell ordered bucket_sum and the data-moving
+// pack_b_trans are bit-identical at every level. The golden suites pin
+// kScalar, so this file (and the level check in opt_test.cc) is what runs
+// the wide adam_step, tanh, bucket_sum and pack_b_trans variants. Sizes
+// straddle every vector width's main-loop/remainder split so tail handling
+// is covered at all levels.
 
 #include <algorithm>
 #include <atomic>
@@ -72,13 +71,17 @@ class SimdDispatchTest : public ::testing::Test {
   simd::Level saved_level_;
 };
 
-TEST_F(SimdDispatchTest, SupportedLevelsAlwaysIncludePortableTiers) {
+TEST_F(SimdDispatchTest, SupportedLevelsListThePortableTierFirst) {
+  // Exactly one portable level, kScalar, always supported and listed first;
+  // every level after it is an intrinsics tier, in ascending order.
   EXPECT_TRUE(simd::LevelSupported(simd::Level::kScalar));
-  EXPECT_TRUE(simd::LevelSupported(simd::Level::kGeneric));
   const auto levels = simd::SupportedLevels();
-  ASSERT_GE(levels.size(), 2u);
+  ASSERT_GE(levels.size(), 1u);
   EXPECT_EQ(levels[0], simd::Level::kScalar);
-  EXPECT_EQ(levels[1], simd::Level::kGeneric);
+  for (size_t i = 1; i < levels.size(); ++i) {
+    EXPECT_NE(levels[i], simd::Level::kScalar) << simd::LevelName(levels[i]);
+    EXPECT_LT(static_cast<int>(levels[i - 1]), static_cast<int>(levels[i]));
+  }
   for (simd::Level level : levels) {
     EXPECT_TRUE(simd::LevelSupported(level)) << simd::LevelName(level);
   }
@@ -86,8 +89,7 @@ TEST_F(SimdDispatchTest, SupportedLevelsAlwaysIncludePortableTiers) {
 
 TEST_F(SimdDispatchTest, LevelNamesRoundTripThroughParse) {
   for (simd::Level level :
-       {simd::Level::kScalar, simd::Level::kGeneric, simd::Level::kAvx2,
-        simd::Level::kAvx512, simd::Level::kNeon}) {
+       {simd::Level::kScalar, simd::Level::kAvx2, simd::Level::kAvx512}) {
     simd::Level parsed;
     ASSERT_TRUE(simd::ParseLevelName(simd::LevelName(level), &parsed))
         << simd::LevelName(level);
@@ -96,6 +98,10 @@ TEST_F(SimdDispatchTest, LevelNamesRoundTripThroughParse) {
   simd::Level parsed;
   EXPECT_FALSE(simd::ParseLevelName("sse9", &parsed));
   EXPECT_FALSE(simd::ParseLevelName("", &parsed));
+  // Names of deleted levels must not parse: an old FEDRA_SIMD setting then
+  // aborts with the supported list instead of running some other level.
+  EXPECT_FALSE(simd::ParseLevelName("generic", &parsed));
+  EXPECT_FALSE(simd::ParseLevelName("neon", &parsed));
 }
 
 TEST_F(SimdDispatchTest, SetLevelPublishesMatchingActiveLevel) {
@@ -383,67 +389,6 @@ TEST_F(SimdDispatchTest, FixedLevelIsBitDeterministicRunToRun) {
       // EXPECT_EQ, not NEAR: same level + same inputs must be the same bits.
       EXPECT_EQ(simd::Kernels().dot(a.data(), b.data(), n), first);
       EXPECT_EQ(simd::Kernels().squared_norm(a.data(), n), norm_first);
-    }
-  }
-}
-
-TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
-  // kScalar and kGeneric dispatch to the same portable canonical bodies for
-  // the flat-span kernels, so they are bit-identical — the clause that lets
-  // golden-history suites pin kGeneric and still describe kScalar builds.
-  for (size_t n : kSizes) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    const auto x = RandomVec(n, 7777 + n);
-    const auto b = RandomVec(n, 8888 + n);
-
-    vec::AdamStepArgs adam;
-    adam.lr = 1e-3f;
-    adam.corrected_lr = 3e-4f;
-    adam.beta1 = 0.9f;
-    adam.beta2 = 0.999f;
-    adam.epsilon = 1e-7f;
-    adam.weight_decay = 0.01f;
-
-    simd::SetLevel(simd::Level::kScalar);
-    std::vector<float> tanh_scalar(n);
-    simd::Kernels().tanh(x.data(), tanh_scalar.data(), n);
-    auto y_scalar = RandomVec(n, 9999 + n);
-    const double dot_scalar = simd::Kernels().dot(x.data(), b.data(), n);
-    const double axpy_scalar =
-        simd::Kernels().axpy_norm(0.61f, x.data(), y_scalar.data(), n);
-    auto p_scalar = RandomVec(n, 9999 + n);
-    auto m_scalar = RandomVec(n, 6000 + n);
-    auto v_scalar = RandomVec(n, 6001 + n, 0.0f, 1.0f);
-    simd::Kernels().adam_step(adam, x.data(), p_scalar.data(),
-                              m_scalar.data(), v_scalar.data(), n);
-
-    simd::SetLevel(simd::Level::kGeneric);
-    std::vector<float> tanh_generic(n);
-    simd::Kernels().tanh(x.data(), tanh_generic.data(), n);
-    auto y_generic = RandomVec(n, 9999 + n);
-    const double dot_generic = simd::Kernels().dot(x.data(), b.data(), n);
-    const double axpy_generic =
-        simd::Kernels().axpy_norm(0.61f, x.data(), y_generic.data(), n);
-    auto p_generic = RandomVec(n, 9999 + n);
-    auto m_generic = RandomVec(n, 6000 + n);
-    auto v_generic = RandomVec(n, 6001 + n, 0.0f, 1.0f);
-    simd::Kernels().adam_step(adam, x.data(), p_generic.data(),
-                              m_generic.data(), v_generic.data(), n);
-
-    EXPECT_EQ(dot_scalar, dot_generic);
-    EXPECT_EQ(axpy_scalar, axpy_generic);
-    ASSERT_EQ(y_scalar.size(), y_generic.size());
-    if (n > 0) {  // memcmp on the null data() of an empty vector is UB
-      EXPECT_EQ(0, std::memcmp(y_scalar.data(), y_generic.data(),
-                               n * sizeof(float)));
-      EXPECT_EQ(0, std::memcmp(p_scalar.data(), p_generic.data(),
-                               n * sizeof(float)));
-      EXPECT_EQ(0, std::memcmp(m_scalar.data(), m_generic.data(),
-                               n * sizeof(float)));
-      EXPECT_EQ(0, std::memcmp(v_scalar.data(), v_generic.data(),
-                               n * sizeof(float)));
-      EXPECT_EQ(0, std::memcmp(tanh_scalar.data(), tanh_generic.data(),
-                               n * sizeof(float)));
     }
   }
 }

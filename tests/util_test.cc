@@ -264,17 +264,19 @@ TEST(ThreadPoolTest, ParallelForRangeChunksAreDisjointAndComplete) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+TEST(ThreadPoolTest, NestedParallelForCompletesFromWorkersAndCaller) {
   // A chunk body runs either on a pool worker or on the calling thread (the
   // caller helps drain its own chunks). A nested ParallelFor must complete
-  // from both contexts: inline on a worker (a worker waiting on a nested
-  // token would block the thread that has to drain its deque), scheduled
-  // normally from the helping caller.
+  // from both contexts. From a worker, it parks its helper runners on that
+  // worker's own deque, where only this pool's threads can run or steal
+  // them, and the worker drains every unclaimed chunk before it waits, so
+  // it never waits on a runner still queued behind it. From the helping
+  // caller, it is scheduled through the injector like any outside call.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   pool.ParallelFor(4, [&](size_t) {
     if (ThreadPool::OnPoolThread()) {
-      // Nested call from a worker: must run inline without touching queues.
+      // Nested call from a worker: every chunk runs on a pool thread.
       pool.ParallelFor(8, [&](size_t) {
         EXPECT_TRUE(ThreadPool::OnPoolThread());
         ++counter;
