@@ -13,7 +13,7 @@
 
 #include "bench/harness.h"
 #include "bench/presets.h"
-#include "core/async_fda.h"
+#include "core/trainer.h"
 #include "nn/zoo.h"
 #include "util/string_util.h"
 
@@ -76,16 +76,16 @@ int Main() {
     async.theta = theta;
     async.monitor.kind = MonitorKind::kLinear;
     async.max_total_worker_steps = steps * static_cast<size_t>(workers);
-    AsyncFdaTrainer trainer(factory, data->train, data->test,
-                            base_config(straggler), async);
-    auto result = trainer.Run();
+    DistributedTrainer trainer(factory, data->train, data->test,
+                               base_config(straggler));
+    auto result = trainer.RunAsync(async);
     FEDRA_CHECK_OK(result.status());
     Outcome outcome;
     outcome.seconds_per_step =
-        result->sim_wall_seconds /
+        result->sim_seconds_to_target /
         (static_cast<double>(result->total_worker_steps) / workers);
-    outcome.accuracy = result->base.final_test_accuracy;
-    outcome.syncs = result->sync_count;
+    outcome.accuracy = result->final_test_accuracy;
+    outcome.syncs = result->total_syncs;
     return outcome;
   };
 

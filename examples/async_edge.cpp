@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "core/algorithms.h"
-#include "core/async_fda.h"
 #include "core/trainer.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -54,9 +53,8 @@ int main() {
   async.monitor.kind = MonitorKind::kLinear;
   async.max_total_worker_steps =
       config.max_steps * static_cast<size_t>(config.num_workers);
-  AsyncFdaTrainer async_trainer(factory, data->train, data->test, config,
-                                async);
-  auto result = async_trainer.Run();
+  DistributedTrainer async_trainer(factory, data->train, data->test, config);
+  auto result = async_trainer.RunAsync(async);
   FEDRA_CHECK_OK(result.status());
 
   const double bsp_wall = bsp->compute_seconds + bsp->comm.comm_seconds;
@@ -67,14 +65,14 @@ int main() {
               100.0 * bsp->final_test_accuracy,
               static_cast<unsigned long long>(bsp->total_syncs));
   const double async_per_step =
-      result->sim_wall_seconds /
+      result->sim_seconds_to_target /
       (static_cast<double>(result->total_worker_steps) /
        config.num_workers);
   std::printf("Async FDA : %zu worker-steps in %.1f simulated s "
-              "(%.1f ms/in-parallel step), accuracy %.1f%%, %zu syncs\n",
-              result->total_worker_steps, result->sim_wall_seconds,
-              1e3 * async_per_step,
-              100.0 * result->base.final_test_accuracy, result->sync_count);
+              "(%.1f ms/in-parallel step), accuracy %.1f%%, %llu syncs\n",
+              result->total_worker_steps, result->sim_seconds_to_target,
+              1e3 * async_per_step, 100.0 * result->final_test_accuracy,
+              static_cast<unsigned long long>(result->total_syncs));
   std::printf("\nspeedup from dropping the per-step barrier: %.1fx\n",
               (1e3 * bsp_wall / static_cast<double>(bsp->total_steps)) /
                   (1e3 * async_per_step));

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Runs the examples and bench_compression_compat from two build directories
-# and compares each program's stdout+stderr byte for byte. A change that
-# keeps trajectories bit-identical must leave every output unchanged.
+# Runs the examples, bench_compression_compat and bench_async_stragglers
+# from two build directories and compares each program's stdout+stderr
+# byte for byte. A change that keeps trajectories bit-identical must leave
+# every output unchanged.
 #
 # Usage: scripts/compare_outputs.sh PARENT_BUILD CHANGE_BUILD
 #
@@ -28,6 +29,7 @@ programs=(
   heterogeneity
   transfer_finetune
   bench_compression_compat
+  bench_async_stragglers
   "FEDRA_FLEET_SMOKE=1 fleet_fda"
   "FEDRA_FLEET_SMOKE=1 compressed_fleet_fda"
 )

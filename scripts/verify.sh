@@ -35,7 +35,8 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # CHECKs the WireCodec pipeline on that same fleet — top-k + 8-bit sync
 # payloads with error feedback paged through the client store must cut
 # uplink sync bytes >= 4x at the same accuracy target. async_edge is the
-# one example on AsyncFdaTrainer (event-driven FDA over edge stragglers).
+# one example on DistributedTrainer::RunAsync (event-driven FDA over edge
+# stragglers).
 "$BUILD_DIR/quickstart" > /dev/null
 "$BUILD_DIR/hierarchical_fda" > /dev/null
 "$BUILD_DIR/deep_tree_fda" > /dev/null
@@ -57,3 +58,16 @@ if ! grep -qx "compression_compat PASS" <<< "$compat_out"; then
   exit 1
 fi
 echo "smoke: bench_compression_compat PASS"
+
+# bench_async_stragglers runs BSP FDA against async FDA (RunAsync) with and
+# without stragglers and checks the paper's §3.3 claims. Like
+# bench_compression_compat it exits 0 when a claim fails, so gate on its
+# verdict line.
+async_out="$("$BUILD_DIR/bench_async_stragglers")"
+if ! grep -qx "async_stragglers PASS" <<< "$async_out"; then
+  echo "$async_out"
+  echo "smoke: bench_async_stragglers did not print" \
+       "'async_stragglers PASS'" >&2
+  exit 1
+fi
+echo "smoke: bench_async_stragglers PASS"

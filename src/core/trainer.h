@@ -1,4 +1,4 @@
-// DistributedTrainer: the simulated federated training loop shared by every
+// DistributedTrainer: the simulated federated trainer shared by every
 // algorithm in the paper's evaluation.
 //
 // Per step t (paper Alg. 1 lines 2-9): every worker draws a mini-batch from
@@ -6,20 +6,22 @@
 // whether (and how) to synchronize. Policies implement the full spectrum the
 // paper compares: FDA variants (state AllReduce + conditional model sync),
 // Synchronous/BSP (sync every step), Local-SGD schedules, and the FedOpt
-// family (periodic server-optimizer rounds). The trainer owns the paper's
-// two cost metrics: communication (bytes, via SimNetwork) and computation
+// family (periodic server-optimizer rounds). RunAsync schedules the same
+// worker step and model sync over simulated time instead of rounds
+// (asynchronous FDA, paper §3.3). The trainer owns the paper's two cost
+// metrics: communication (bytes, via SimNetwork) and computation
 // (In-Parallel Learning Steps = loop iterations).
 
 #ifndef FEDRA_CORE_TRAINER_H_
 #define FEDRA_CORE_TRAINER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/client_store.h"
 #include "core/compression.h"
+#include "core/variance_monitor.h"
 #include "core/worker_arena.h"
 #include "data/batching.h"
 #include "data/dataset.h"
@@ -71,6 +73,7 @@ struct ClusterContext {
   /// The current round's participation mask (sync-eligible survivors), one
   /// char per worker, filled by the trainer every round — all ones on a
   /// fault-free run. Policies average and bill only over participants.
+  /// RunAsync keeps its live (not crashed) workers here.
   std::vector<char> participation;
   /// Syncs abandoned because no contribution survived message loss.
   uint64_t skipped_syncs = 0;
@@ -81,9 +84,10 @@ struct ClusterContext {
   /// (ClientStateStore::PopulationEstimate), a bitwise bypass at N == K.
   ClientStateStore* store = nullptr;
   /// The active policy's variance monitor, exposed by FDA policies in
-  /// Initialize(); the trainer's check-out path uses it to fold departing
-  /// clients' states into the store's off-cohort sum. Null for non-FDA
-  /// policies (check-outs then store a zero state).
+  /// Initialize() (RunAsync sets its coordinator's); the trainer's
+  /// check-out path uses it to fold departing clients' states into the
+  /// store's off-cohort sum. Null for non-FDA policies (check-outs then
+  /// store a zero state).
   const VarianceMonitor* monitor = nullptr;
 
   int num_workers() const { return static_cast<int>(workers->size()); }
@@ -168,7 +172,8 @@ struct TrainerConfig {
 
   /// FedProx (Sahu et al., paper §2): proximal coefficient mu adds
   /// mu * (w_k - w_global) to every local gradient, pulling workers toward
-  /// the last synchronized model. 0 disables.
+  /// the last synchronized model. 0 disables. Applies to Run only: RunAsync
+  /// steps without the proximal term.
   float fedprox_mu = 0.0f;
 
   /// Parallelize the local worker steps across the global thread pool
@@ -189,9 +194,8 @@ struct TrainerConfig {
   /// (and never exceed the topology's K resident leaf slots) — Validate
   /// rejects anything else with a Status.
   int cohort_size = 0;
-  /// Rounds between cohort rotations in the synchronous trainer (the
-  /// async trainer rotates at every global sync instead). >= 1 for every
-  /// config, resident ones included.
+  /// Rounds between cohort rotations in Run (RunAsync rotates at every
+  /// global sync instead). >= 1 for every config, resident ones included.
   int cohort_steps = 1;
   /// How the CohortSampler picks each round's cohort.
   CohortScheduleKind cohort_schedule = CohortScheduleKind::kUniform;
@@ -208,17 +212,8 @@ struct TrainerConfig {
 };
 
 /// Builds the SimNetwork a TrainerConfig describes: the topology tree when
-/// `topology` is enabled, single-tier otherwise. Shared by the synchronous
-/// and async trainers so topology selection cannot diverge between them.
+/// `topology` is enabled, single-tier otherwise.
 SimNetwork MakeSimNetwork(const TrainerConfig& config);
-
-/// Feeds the workers' persistent straggler speed factors into the
-/// network's slowest-link collective cost (clamped to >= 1: factors are
-/// slowdowns). Shared by both trainers so the straggler->link mapping
-/// cannot diverge between them; all-ones factors (no stragglers) keep the
-/// homogeneous cost bit-identical.
-void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
-                               SimNetwork* network);
 
 /// Builds the worker cohort over `arena` against the shared `graph`:
 /// partitions `train`, wires every worker's slab slices (view, drift, and
@@ -226,13 +221,13 @@ void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
 /// creates arena-backed optimizers and per-worker sampler/rng forks, and
 /// initializes worker 0 from `initial_params` (or the graph's seeded init
 /// when empty) before broadcasting it to every slice. Slot k holds client
-/// k; the first RotateFleetCohort adopts the sticky ones. Shared by the
-/// synchronous and async trainers so their per-seed rng streams (sampler
-/// fork k+1, worker rng fork k+1000, straggler fork 101) can never
-/// diverge — the fair sync-vs-async straggler comparisons depend on it.
-/// `straggler_rng_out` (optional) receives the straggler stream *after*
-/// the per-worker factor draws — the async trainer keeps sampling step
-/// durations from that exact continuation.
+/// k; the first cohort rotation adopts the sticky ones. Run and RunAsync
+/// share it, so their per-seed rng streams (sampler fork k+1, worker rng
+/// fork k+1000, straggler fork 101) can never diverge — the fair
+/// sync-vs-async straggler comparisons depend on it. `straggler_rng_out`
+/// (optional) receives the straggler stream *after* the per-worker factor
+/// draws — RunAsync keeps sampling step durations from that exact
+/// continuation.
 Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
                          ModelGraph& graph,
                          const std::vector<float>& initial_params,
@@ -240,71 +235,24 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
                          std::vector<WorkerState>* workers,
                          Rng* straggler_rng_out = nullptr);
 
-/// Re-anchors a worker that rejoined after a crash: its parameters become
-/// the last synchronized model, and its gradient, drift, optimizer-state
-/// (Optimizer::Reset), and monitor-state arena slices are zeroed. The
-/// caller bills the catch-up model download. Shared by the synchronous and
-/// async trainers.
-void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
-                            const float* sync_params, size_t dim);
-
 /// Runs one sync contribution of `wire_bytes` from `worker` through the
 /// message-loss gauntlet: samples its delivery, bills the retransmissions
 /// it needed at `wire_bytes` each, and records a drop when the retry budget
 /// ran out. Returns true when the contribution arrived. Under a disabled
 /// FaultConfig it draws nothing, bills nothing, and returns true. Shared by
-/// every sync path of both trainers.
+/// every sync path.
 bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
                          int worker, size_t wire_bytes, TrafficClass traffic);
 
-/// The fleet every run of both trainers goes through: the store, the
-/// sampler, the data shards, the current slot -> client assignment, and
-/// the per-rotation swap markers the rejoin path consults. A resident
-/// cohort is the identity fleet (population == K).
-struct FleetState {
-  std::unique_ptr<ClientStateStore> store;
-  std::unique_ptr<CohortSampler> sampler;
-  /// The K data shards; client c trains on shard c % K (identity at
-  /// population == K, so resident configs keep their exact partitions).
-  std::vector<std::vector<size_t>> shards;
-  /// Compressed-sync state (null without compression): rotation pages each
-  /// slot's error-feedback residual out to the departing client and in
-  /// from the arriving one, so compression memory follows the client.
-  SyncCompressor* compressor = nullptr;
-  std::vector<uint32_t> cohort;        // slot -> client id
-  std::map<uint32_t, int> resident_slot;  // client id -> slot
-  std::vector<char> just_swapped;      // slot freshly checked in this round
-  uint64_t rotations = 0;
-  uint64_t swaps = 0;  // non-sticky check-ins across the run
-
-  /// Resident slot of `client`, or -1.
-  int SlotOfClient(uint32_t client) const;
+/// RunAsync's sync condition (H > theta, estimated by `monitor`) and step
+/// budget.
+struct AsyncFdaConfig {
+  double theta = 1.0;
+  MonitorConfig monitor;
+  /// Stop when this many worker steps have completed in total (the
+  /// in-parallel equivalent is total / K), or earlier on accuracy target.
+  size_t max_total_worker_steps = 8000;
 };
-
-/// Builds `fleet` over config.FleetPopulation() clients: the client store
-/// (home leaf groups from `network`'s tree), then the cohort sampler, then
-/// the K data shards of `train`, with slot k holding client k as
-/// BuildWorkerCohort seeded it. Shared by the synchronous and async
-/// trainers; the caller sizes the store's state and residual segments.
-Status BuildFleet(const TrainerConfig& config, const Dataset& train,
-                  const SimNetwork& network, size_t dim, FleetState* fleet);
-
-/// Rotates the resident cohort to `sampled` (one client per slot): sticky
-/// occupants are untouched (no float roundtrip — the bit-identity
-/// contract), departing occupants are checked out into the store, and
-/// arrivals are checked in (params = anchor + stored drift, optimizer
-/// vectors + step count restored, sampler/worker rng streams resumed) with
-/// the model download billed via SimNetwork::AccountCheckInSync. `initial`
-/// marks the first rotation, where slots hold BuildWorkerCohort's seeded
-/// clients 0..K-1: sticky slots are adopted into the store and nothing is
-/// billed (the broadcast already paid). Returns the number of swapped
-/// slots. Shared by the synchronous and async trainers.
-int RotateFleetCohort(const TrainerConfig& config,
-                      const std::vector<uint32_t>& sampled,
-                      FleetState* fleet, std::vector<WorkerState>* workers,
-                      WorkerArena* arena, SimNetwork* network,
-                      const float* anchor, const VarianceMonitor* monitor,
-                      bool initial);
 
 /// One point of the training history (recorded at every evaluation).
 struct EvalPoint {
@@ -328,6 +276,7 @@ struct TrainResult {
   double sim_seconds_to_target = 0.0;
   // Final state.
   size_t total_steps = 0;
+  size_t total_worker_steps = 0;   // local steps summed over the workers
   uint64_t total_syncs = 0;
   double final_test_accuracy = 0.0;
   double final_train_accuracy = 0.0;
@@ -358,6 +307,22 @@ class DistributedTrainer {
   /// and a fresh arena.
   StatusOr<TrainResult> Run(SyncPolicy* policy);
 
+  /// Asynchronous FDA (paper §3.3), event-driven over simulated time.
+  /// Workers step at their own pace (StragglerModel step durations); after
+  /// every step a worker uploads its small local state to a coordinator,
+  /// which re-evaluates H over the freshest state of every live worker.
+  /// When H > theta it synchronizes the live workers through the same
+  /// ClusterContext::SynchronizeModels as Run (compressed sync included),
+  /// and the collective's duration stalls everyone. The benefit is not
+  /// bandwidth but that fast workers never wait at a per-step barrier.
+  /// Crashes and repairs are event-level (FaultInjector::SampleCrash) and
+  /// every upload runs the message-loss gauntlet; round-scoped faults (link
+  /// outages, deadlines) have no event-driven analogue and are ignored.
+  /// The cohort rotates at every global sync. History steps and
+  /// steps_to_target count in-parallel equivalents (worker steps / K);
+  /// sim_seconds_to_target is the event clock.
+  StatusOr<TrainResult> RunAsync(const AsyncFdaConfig& async);
+
   /// Optionally pre-load initial weights (transfer learning: fine-tune from
   /// a pre-trained model instead of a random init).
   void SetInitialParams(std::vector<float> params);
@@ -370,6 +335,9 @@ class DistributedTrainer {
 
  private:
   void WorkerStep(WorkerState* worker, const Dataset& train);
+  /// The sync codec TrainerConfig::sync_compression describes, fed the
+  /// model's layer offsets; null when compression is off.
+  std::unique_ptr<SyncCompressor> MakeCompressor() const;
 
   Dataset train_;
   Dataset test_;
@@ -380,7 +348,7 @@ class DistributedTrainer {
   size_t dim_ = 0;
   std::vector<float> initial_params_;  // empty => random init from seed
   /// Valid only inside Run(): the last-synchronized global model FedProx's
-  /// proximal term anchors to.
+  /// proximal term anchors to. RunAsync leaves it null.
   const float* fedprox_anchor_ = nullptr;
 };
 

@@ -242,45 +242,6 @@ void SimNetwork::AllReduceAverageSubsetWithPayloads(
   AccountAllReduceSubset(sum, participants, traffic);
 }
 
-void SimNetwork::Broadcast(const std::vector<float*>& buffers, size_t n,
-                           int root, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
-  FEDRA_CHECK(root >= 0 && root < num_workers_);
-  const float* src = buffers[static_cast<size_t>(root)];
-  GlobalThreadPool().ParallelForRange(
-      n, kReduceChunk, [&](size_t begin, size_t end) {
-        for (int k = 0; k < num_workers_; ++k) {
-          if (k == root) {
-            continue;
-          }
-          vec::Copy(src + begin, buffers[static_cast<size_t>(k)] + begin,
-                    end - begin);
-        }
-      });
-  ++stats_.broadcast_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.model_sync_count;
-  }
-  if (num_workers_ == 1) {
-    return;
-  }
-  const size_t payload = n * sizeof(float);
-  if (tree_.enabled()) {
-    ChargeTree(tree_.BroadcastCost(payload, num_workers_,
-                                   LinkFactorsOrNull()),
-               traffic);
-    return;
-  }
-  // K-1 transfers through the root's shared channel, paced by the slowest
-  // participating link.
-  const NetworkModel effective = EffectiveModel();
-  const size_t total = payload * static_cast<size_t>(num_workers_ - 1);
-  const double seconds =
-      effective.latency_seconds +
-      static_cast<double>(total) / effective.bandwidth_bytes_per_sec;
-  ChargeFlat(total, seconds, traffic);
-}
-
 void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
   ++stats_.p2p_calls;
   const size_t payload = n * sizeof(float);

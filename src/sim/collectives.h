@@ -161,13 +161,6 @@ class SimNetwork {
   /// pay nothing.
   void AccountCheckInSync(size_t n, int worker);
 
-  /// Broadcast worker `root`'s buffer to all others: K-1 payload transfers,
-  /// billed in both bytes and time under the configured topology. Counts as
-  /// a broadcast_calls entry (not allreduce_calls) and as a model
-  /// synchronization when `traffic` is kModelSync.
-  void Broadcast(const std::vector<float*>& buffers, size_t n, int root,
-                 TrafficClass traffic);
-
   /// One worker uploads `n` floats to a coordinator (async FDA traffic).
   /// Passing the uploading `worker` bills *that* worker's link: its
   /// straggler factor (when SetWorkerLinkFactors is active) and, under a
@@ -187,8 +180,8 @@ class SimNetwork {
                             const std::vector<char>* active = nullptr);
 
   /// Simulated duration of one full-model collective of `payload_bytes` per
-  /// worker under the configured topology/algorithm (no accounting) — the
-  /// async trainer's synchronization stall.
+  /// worker under the configured topology/algorithm (no accounting) — async
+  /// FDA's synchronization stall.
   double ModelSyncSeconds(size_t payload_bytes) const;
 
   const CommStats& stats() const { return stats_; }
@@ -218,8 +211,8 @@ class SimNetwork {
   // Slowest participating link factor (1.0 when factors are unset).
   double SlowestLinkFactor() const;
   // The single-tier model with its bandwidth divided by the slowest link
-  // factor of the whole cohort, so Broadcast and ModelSyncSeconds pace
-  // exactly as a full-cohort AllReduce does.
+  // factor of the whole cohort, so ModelSyncSeconds paces exactly as a
+  // full-cohort AllReduce does.
   NetworkModel EffectiveModel() const;
   // The worker-factor vector to hand the tree cost model, or null when
   // unset (homogeneous links).

@@ -26,6 +26,8 @@ enum class TrafficClass {
 
 struct CommStats {
   uint64_t allreduce_calls = 0;
+  // Always 0: no collective broadcasts. Kept because bench_e2e's run
+  // fingerprint reads it.
   uint64_t broadcast_calls = 0;
   uint64_t p2p_calls = 0;
   uint64_t model_sync_count = 0;     // #full-model synchronizations

@@ -90,8 +90,9 @@ struct FaultConfig {
 };
 
 /// Seeded source of per-round fault schedules. One injector serves one
-/// training run; the trainer calls BeginRound() once per BSP round (the
-/// async trainer uses the event-level Sample* hooks instead).
+/// training run; the trainer calls BeginRound() once per BSP round (async
+/// FDA, DistributedTrainer::RunAsync, uses the event-level Sample* hooks
+/// instead).
 class FaultInjector {
  public:
   /// One fault entity per worker. `tree` (optional, read only during
@@ -153,8 +154,8 @@ class FaultInjector {
                        std::vector<char>* mask) const;
 
   // ------------------------------------------------ event-driven hooks --
-  // The async trainer has no rounds; it samples the same hazards per
-  // completed worker step.
+  // Async FDA has no rounds; it samples the same hazards per completed
+  // worker step.
 
   /// True when the worker crashes at the end of its current step
   /// (probability 1 / worker_mttf_rounds). Draws nothing with churn off.

@@ -129,13 +129,6 @@ void TopologyTree::SubtreeSpan(int id, int num_workers, int* begin,
   *end = GroupBegin(n.first_leaf + n.num_leaves, num_workers);
 }
 
-int TopologyTree::Representative(int id, int num_workers) const {
-  int begin = 0;
-  int end = 0;
-  SubtreeSpan(id, num_workers, &begin, &end);
-  return begin;
-}
-
 TopologyTree::UpSweep TopologyTree::SweepUp(
     int root_id, double payload_bytes, int num_workers,
     const std::vector<double>* worker_link_factors, bool include_root_phase,
@@ -274,55 +267,6 @@ TreeCost TopologyTree::GroupedAllReduceCost(
         2u * static_cast<uint64_t>(std::llround(
                  static_cast<double>(up.transfers_by_depth[ud]) *
                  payload_bytes));
-  }
-  return cost;
-}
-
-TreeCost TopologyTree::BroadcastCost(
-    size_t payload_bytes, int num_workers,
-    const std::vector<double>* worker_link_factors) const {
-  FEDRA_CHECK(enabled());
-  FEDRA_CHECK_GT(num_workers, 0);
-  TreeCost cost;
-  cost.seconds_by_depth.assign(static_cast<size_t>(num_tiers_), 0.0);
-  cost.bytes_by_depth.assign(static_cast<size_t>(num_tiers_), 0);
-  if (num_workers == 1) {
-    return cost;
-  }
-  const UpSweep up = SweepUp(/*root_id=*/0,
-                             static_cast<double>(payload_bytes), num_workers,
-                             worker_link_factors,
-                             /*include_root_phase=*/false);
-  const Node& root = nodes_[0];
-  if (root.children.empty()) {
-    // Single-node tree: K-1 transfers through the shared channel, the flat
-    // Broadcast formula.
-    NetworkModel effective = root.link;
-    effective.bandwidth_bytes_per_sec /= up.gather_factor[0];
-    const size_t total =
-        payload_bytes * static_cast<size_t>(num_workers - 1);
-    cost.seconds_by_depth[0] =
-        effective.latency_seconds +
-        static_cast<double>(total) / effective.bandwidth_bytes_per_sec;
-    cost.bytes_by_depth[0] = total;
-    return cost;
-  }
-  const int children = up.active_children[0];
-  if (children > 1) {
-    cost.seconds_by_depth[0] =
-        root.link.latency_seconds +
-        static_cast<double>(children - 1) *
-            static_cast<double>(payload_bytes) /
-            (root.link.bandwidth_bytes_per_sec / up.gather_factor[0]);
-    cost.bytes_by_depth[0] =
-        static_cast<uint64_t>(children - 1) * payload_bytes;
-  }
-  // One downward phase per deeper tier (broadcast has no reduce leg).
-  for (int d = 1; d < num_tiers_; ++d) {
-    const size_t ud = static_cast<size_t>(d);
-    cost.seconds_by_depth[ud] = up.phase_by_depth[ud];
-    cost.bytes_by_depth[ud] =
-        static_cast<uint64_t>(up.transfers_by_depth[ud]) * payload_bytes;
   }
   return cost;
 }

@@ -113,9 +113,6 @@ class TopologyTree {
   int NodeOfLeafGroup(int leaf_group) const;
   /// Worker range [begin, end) of node `id`'s subtree.
   void SubtreeSpan(int id, int num_workers, int* begin, int* end) const;
-  /// First worker of the subtree — the node's representative on its
-  /// parent's link.
-  int Representative(int id, int num_workers) const;
 
   // ----------------------------------------------------------- cost model --
   // All cost functions take `payload_bytes` per worker as a double (mean
@@ -135,12 +132,6 @@ class TopologyTree {
       AllReduceAlgorithm root_algorithm,
       const std::vector<double>* worker_link_factors = nullptr,
       const std::vector<char>* active = nullptr) const;
-
-  /// Broadcast from the global representative to every worker: down the
-  /// root link across the root's children, then recursively down each tier.
-  TreeCost BroadcastCost(
-      size_t payload_bytes, int num_workers,
-      const std::vector<double>* worker_link_factors = nullptr) const;
 
   /// One worker uploads to the (root-side) coordinator: one hop per tier on
   /// the path from its leaf group to the root. `link_factor` applies the

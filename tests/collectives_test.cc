@@ -2,11 +2,9 @@
 // numerically transparent (identical means for every transport algorithm
 // and topology, matching the serial scalar oracle), bit-deterministic
 // across runs, and the byte/time accounting matches the cost model
-// formulas exactly — including the three historical accounting bugs: flat
-// AllReduce time now charges K payloads through the shared channel,
-// Broadcast bills K-1 transfers (and counts as a broadcast, not an
-// AllReduce), and variable-size compressed payloads are billed at the
-// per-worker sum.
+// formulas exactly — including two historical accounting bugs: flat
+// AllReduce time now charges K payloads through the shared channel, and
+// variable-size compressed payloads are billed at the per-worker sum.
 
 #include <cmath>
 #include <cstring>
@@ -193,41 +191,6 @@ TEST(AccountingTest, HalvingBeatsRingOnLatencyBoundPayloads) {
   const double halving =
       model.AllReduceSeconds(64, 16, AllReduceAlgorithm::kRecursiveHalving);
   EXPECT_LT(halving, ring);
-}
-
-TEST(AccountingTest, BroadcastBillsKMinusOneTransfers) {
-  // Historical bugs: Broadcast charged one transfer's time regardless of
-  // fan-out, counted as an allreduce, and never counted as a model sync.
-  const size_t n = 128;
-  const size_t payload = n * sizeof(float);
-  const int workers = 4;
-  SimNetwork network(workers, TestModel(), AllReduceAlgorithm::kFlat);
-  auto buffers = RandomBuffers(workers, n, 2);
-  auto pointers = Pointers(buffers);
-  network.Broadcast(pointers, n, /*root=*/1, TrafficClass::kModelSync);
-  for (const auto& buffer : buffers) {
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(buffer[i], buffers[1][i]);
-    }
-  }
-  EXPECT_EQ(network.stats().broadcast_calls, 1u);
-  EXPECT_EQ(network.stats().allreduce_calls, 0u);
-  EXPECT_EQ(network.stats().model_sync_count, 1u);
-  EXPECT_EQ(network.stats().bytes_total, 3u * payload);
-  EXPECT_EQ(network.stats().bytes_model_sync, 3u * payload);
-  EXPECT_DOUBLE_EQ(network.stats().comm_seconds,
-                   1e-3 + 3.0 * payload / 1e9);
-}
-
-TEST(AccountingTest, BroadcastLocalStateDoesNotCountAsModelSync) {
-  const int workers = 3;
-  SimNetwork network(workers, TestModel(), AllReduceAlgorithm::kFlat);
-  auto buffers = RandomBuffers(workers, 8, 3);
-  auto pointers = Pointers(buffers);
-  network.Broadcast(pointers, 8, /*root=*/0, TrafficClass::kLocalState);
-  EXPECT_EQ(network.stats().broadcast_calls, 1u);
-  EXPECT_EQ(network.stats().model_sync_count, 0u);
-  EXPECT_EQ(network.stats().bytes_local_state, network.stats().bytes_total);
 }
 
 TEST(AccountingTest, VariablePayloadsBillThePerWorkerSum) {
@@ -452,7 +415,6 @@ TEST(AccountingTest, AllOnesLinkFactorsMatchHomogeneousExactly) {
     auto buffers = RandomBuffers(workers, n, 22);
     auto pointers = Pointers(buffers);
     network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-    network.Broadcast(pointers, n, 0, TrafficClass::kModelSync);
     return network.stats();
   };
   const CommStats plain = run(false);

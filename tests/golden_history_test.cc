@@ -2,9 +2,9 @@
 //
 // The hard guarantee of the PR that introduced ModelGraph + WorkerArena is
 // that execution is *bit-identical* to the old one-Model-per-worker trainer:
-// for a fixed seed, DistributedTrainer::Run and AsyncFdaTrainer::Run must
-// produce the same EvalPoint history (step, accuracies, bytes, sync_count)
-// they produced before the refactor, with parallel_workers on or off.
+// for a fixed seed, DistributedTrainer::Run and RunAsync must produce the
+// same EvalPoint history (step, accuracies, bytes, sync_count) they
+// produced before the refactor, with parallel_workers on or off.
 //
 // The GOLDEN arrays below were captured from the pre-refactor trainer
 // (commit c11813b) by running this test with FEDRA_GOLDEN_PRINT=1; the
@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
-#include "core/async_fda.h"
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -286,12 +285,11 @@ TEST(GoldenHistoryTest, MlpAsyncFda) {
   async_config.theta = 0.5;
   async_config.monitor.kind = MonitorKind::kLinear;
   async_config.max_total_worker_steps = 150;
-  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                          async_config);
-  auto result = trainer.Run();
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto result = trainer.RunAsync(async_config);
   ASSERT_TRUE(result.ok()) << result.status();
-  testing::ExpectCommStatsConserved(result->base.comm);
-  ExpectHistoryMatches("MlpAsync", result->base.history, kMlpAsync);
+  testing::ExpectCommStatsConserved(result->comm);
+  ExpectHistoryMatches("MlpAsync", result->history, kMlpAsync);
 }
 
 // Captured at the parity-verified introduction of the hierarchical FDA
@@ -492,12 +490,11 @@ TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
   async_config.theta = 0.5;
   async_config.monitor.kind = MonitorKind::kLinear;
   async_config.max_total_worker_steps = 150;
-  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                          async_config);
-  auto result = trainer.Run();
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto result = trainer.RunAsync(async_config);
   ASSERT_TRUE(result.ok()) << result.status();
-  testing::ExpectCommStatsConserved(result->base.comm);
-  ExpectHistoryMatches("MlpAsyncFleet", result->base.history, kMlpAsync);
+  testing::ExpectCommStatsConserved(result->comm);
+  ExpectHistoryMatches("MlpAsyncFleet", result->history, kMlpAsync);
 }
 
 // ---------------------------------------------------------------------------
@@ -749,11 +746,10 @@ TEST(GoldenHistoryTest, AsyncFdaUnderChurnAndLoss) {
         async_config.theta = 0.5;
         async_config.monitor.kind = MonitorKind::kLinear;
         async_config.max_total_worker_steps = 150;
-        AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                                async_config);
-        auto result = trainer.Run();
+        DistributedTrainer trainer(factory, data.train, data.test, config);
+        auto result = trainer.RunAsync(async_config);
         FEDRA_CHECK(result.ok());
-        return std::move(result).value().base;
+        return std::move(result).value();
       },
       kMlpAsyncChurnLoss, kMlpAsyncChurnLossTotals);
 }
@@ -911,11 +907,10 @@ TEST(GoldenHistoryTest, AsyncFdaTwoTierUnderChurnAndLoss) {
         async_config.theta = 0.5;
         async_config.monitor.kind = MonitorKind::kLinear;
         async_config.max_total_worker_steps = 400;
-        AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                                async_config);
-        auto result = trainer.Run();
+        DistributedTrainer trainer(factory, data.train, data.test, config);
+        auto result = trainer.RunAsync(async_config);
         FEDRA_CHECK(result.ok());
-        return std::move(result).value().base;
+        return std::move(result).value();
       },
       kMlpAsyncTwoTier, kMlpAsyncTwoTierTotals, &kMlpAsyncTwoTierDepths);
 }

@@ -117,25 +117,6 @@ TEST(AllReduceAccountingTest, TrafficClassesAccumulateSeparately) {
   EXPECT_EQ(network.stats().model_sync_count, 1u);
 }
 
-TEST(BroadcastTest, CopiesRootToAll) {
-  SimNetwork network(3, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
-  std::vector<std::vector<float>> buffers = {{1.0f, 2.0f},
-                                             {0.0f, 0.0f},
-                                             {9.0f, 9.0f}};
-  auto pointers = Pointers(buffers);
-  network.Broadcast(pointers, 2, /*root=*/0, TrafficClass::kModelSync);
-  for (const auto& buffer : buffers) {
-    EXPECT_EQ(buffer[0], 1.0f);
-    EXPECT_EQ(buffer[1], 2.0f);
-  }
-  EXPECT_EQ(network.stats().bytes_total, 2u * 2u * sizeof(float));
-  // A broadcast is its own collective kind: K-1 transfers, counted as a
-  // model synchronization for kModelSync traffic, never as an AllReduce.
-  EXPECT_EQ(network.stats().broadcast_calls, 1u);
-  EXPECT_EQ(network.stats().allreduce_calls, 0u);
-  EXPECT_EQ(network.stats().model_sync_count, 1u);
-}
-
 TEST(PointToPointTest, AccountsPayload) {
   SimNetwork network(3, NetworkModel::Federated(),
                      AllReduceAlgorithm::kFlat);

@@ -323,31 +323,6 @@ TierCost GroupedAllReduceCost(const TwoTier& h, double payload_bytes,
   return cost;
 }
 
-TierCost BroadcastCost(const TwoTier& h, size_t payload_bytes,
-                       int num_workers, const std::vector<double>* factors) {
-  TierCost cost;
-  if (num_workers == 1) {
-    return cost;
-  }
-  const int clusters = std::min(h.num_clusters, num_workers);
-  const IntraPhase phase = SlowestIntraPhase(
-      h, static_cast<double>(payload_bytes), num_workers, factors);
-  if (clusters > 1) {
-    cost.uplink_seconds += h.uplink.latency_seconds +
-                           static_cast<double>(clusters - 1) *
-                               static_cast<double>(payload_bytes) /
-                               (h.uplink.bandwidth_bytes_per_sec /
-                                phase.max_leader_factor);
-    cost.uplink_bytes += static_cast<size_t>(clusters - 1) * payload_bytes;
-  }
-  if (phase.seconds > 0.0) {
-    cost.intra_seconds += phase.seconds;
-    cost.intra_bytes +=
-        static_cast<size_t>(num_workers - clusters) * payload_bytes;
-  }
-  return cost;
-}
-
 }  // namespace legacy
 
 // A random two-tier layout: one shared cluster link or, half the time, a
@@ -403,16 +378,6 @@ TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
     EXPECT_EQ(expected.uplink_seconds, got.SecondsAt(0));
     EXPECT_EQ(expected.intra_bytes, got.BytesAt(1));
     EXPECT_EQ(expected.uplink_bytes, got.BytesAt(0));
-
-    const size_t bcast_payload = static_cast<size_t>(payload);
-    const auto expected_bcast =
-        legacy::BroadcastCost(h, bcast_payload, workers, factors_ptr);
-    const TreeCost got_bcast =
-        tree.BroadcastCost(bcast_payload, workers, factors_ptr);
-    EXPECT_EQ(expected_bcast.intra_seconds, got_bcast.SecondsAt(1));
-    EXPECT_EQ(expected_bcast.uplink_seconds, got_bcast.SecondsAt(0));
-    EXPECT_EQ(expected_bcast.intra_bytes, got_bcast.BytesAt(1));
-    EXPECT_EQ(expected_bcast.uplink_bytes, got_bcast.BytesAt(0));
   }
 }
 
@@ -439,7 +404,6 @@ TEST(TopologyTreeTest, SingleNodeTreeMatchesFlatNetworkExactly) {
       auto buffers = RandomBuffers(workers, n, 800 + trial);
       auto pointers = Pointers(buffers);
       network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-      network.Broadcast(pointers, n, 0, TrafficClass::kLocalState);
       network.PointToPoint(n, TrafficClass::kLocalState, p2p_worker);
       struct Result {
         CommStats stats;

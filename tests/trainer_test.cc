@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
-#include "core/async_fda.h"
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -310,8 +309,8 @@ TEST(TrainerTest, ValidationErrorsSurface) {
 }
 
 // Every run rotates its cohort every cohort_steps rounds, a resident one
-// too: cohort_steps = 0 is a Status from Validate and from both trainers,
-// never a division by zero.
+// too: cohort_steps = 0 is a Status from Validate, Run and RunAsync, never
+// a division by zero.
 TEST(TrainerTest, ResidentConfigRejectsZeroCohortSteps) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(2);
@@ -325,10 +324,46 @@ TEST(TrainerTest, ResidentConfigRejectsZeroCohortSteps) {
             StatusCode::kInvalidArgument);
   AsyncFdaConfig async_config;
   async_config.max_total_worker_steps = 4;
-  AsyncFdaTrainer async_trainer(SmallMlpFactory(), data.train, data.test,
-                                config, async_config);
-  EXPECT_EQ(async_trainer.Run().status().code(),
+  EXPECT_EQ(trainer.RunAsync(async_config).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// TrainResult::total_worker_steps counts the local steps the workers took:
+// K per round when nobody is down, fewer under churn (a crashed worker
+// computes nothing), and the whole budget for an async run that never
+// reaches its target.
+TEST(TrainerTest, TotalWorkerStepsCountsLocalSteps) {
+  SynthImageData data = SmallMnistLike();
+  auto run = [&](const TrainerConfig& config) {
+    DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                               config);
+    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
+                                 trainer.model_dim());
+    FEDRA_CHECK(policy.ok());
+    auto result = trainer.Run(policy->get());
+    FEDRA_CHECK(result.ok());
+    return std::move(result).value();
+  };
+  TrainerConfig config = BaseConfig(4);
+  const TrainResult fault_free = run(config);
+  EXPECT_EQ(fault_free.total_worker_steps, 4 * fault_free.total_steps);
+
+  config.faults = FaultConfig::Churn(8.0, 2.0);
+  const TrainResult churned = run(config);
+  EXPECT_LT(churned.total_worker_steps, 4 * churned.total_steps);
+  config.parallel_workers = true;
+  EXPECT_EQ(run(config).total_worker_steps, churned.total_worker_steps);
+
+  AsyncFdaConfig async;
+  async.theta = 0.02;
+  async.monitor.kind = MonitorKind::kLinear;
+  async.max_total_worker_steps = 400;
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             BaseConfig(4));
+  auto result = trainer.RunAsync(async);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(result->reached_target);
+  EXPECT_EQ(result->total_worker_steps, 400u);
 }
 
 // Fault chains index clients by int, so a population beyond INT_MAX is a
