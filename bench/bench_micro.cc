@@ -32,7 +32,9 @@
 #include "core/compression.h"
 #include "core/variance_monitor.h"
 #include "core/worker_arena.h"
+#include "nn/composite.h"
 #include "nn/loss.h"
+#include "nn/model.h"
 #include "nn/zoo.h"
 #include "opt/optimizer.h"
 #include "sim/collectives.h"
@@ -537,12 +539,18 @@ void BM_MaxPool2d(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxPool2d);
 
+// 2x2 stride-2 average pools: /0 a DenseNet-style 8x64x32x32 map, /1 and
+// /2 LeNet-5's two pools at batch 32 (6x16x16 and 16x4x4 inputs). The
+// second argument selects the forward (0) or backward (1) pass.
 void BM_AvgPool2d(benchmark::State& state) {
+  const int shapes[][3] = {{8, 64, 32}, {32, 6, 16}, {32, 16, 4}};
+  const int* shape = shapes[state.range(0)];
+  const bool backward = state.range(1) != 0;
   ops::Conv2dGeometry g;
-  g.batch = 8;
-  g.in_channels = 64;
-  g.in_h = g.in_w = 32;
-  g.out_channels = 64;
+  g.batch = shape[0];
+  g.in_channels = shape[1];
+  g.in_h = g.in_w = shape[2];
+  g.out_channels = shape[1];
   g.kernel = 2;
   g.stride = 2;
   g.pad = 0;
@@ -551,20 +559,70 @@ void BM_AvgPool2d(benchmark::State& state) {
   const size_t out_numel = static_cast<size_t>(g.batch) * g.in_channels *
                            g.out_h() * g.out_w();
   auto input = RandomVec(in_numel, 71);
+  auto grad_output = RandomVec(out_numel, 72);
   std::vector<float> output(out_numel);
+  std::vector<float> grad_input(in_numel);
   for (auto _ : state) {
-    if (g_use_ref_backend) {
-      ref::AvgPool2dForward(g, input.data(), output.data());
+    if (backward) {
+      if (g_use_ref_backend) {
+        ref::AvgPool2dBackward(g, grad_output.data(), grad_input.data());
+      } else {
+        ops::AvgPool2dBackward(g, grad_output.data(), grad_input.data());
+      }
+      benchmark::DoNotOptimize(grad_input.data());
     } else {
-      ops::AvgPool2dForward(g, input.data(), output.data());
+      if (g_use_ref_backend) {
+        ref::AvgPool2dForward(g, input.data(), output.data());
+      } else {
+        ops::AvgPool2dForward(g, input.data(), output.data());
+      }
+      benchmark::DoNotOptimize(output.data());
     }
-    benchmark::DoNotOptimize(output.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(out_numel) * g.kernel *
                           g.kernel);
 }
-BENCHMARK(BM_AvgPool2d);
+BENCHMARK(BM_AvgPool2d)->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// LeNet-5's layers one at a time, as lenet_sketchfda trains them: batch
+// 32, 16x16 inputs, one Forward and one Backward per iteration on a fixed
+// input and output gradient. The argument indexes the model's Sequential
+// (0 conv1, 1 tanh, 2 pool1, 3 conv2, 4 tanh, 5 pool2, 6 flatten, 7-11
+// the dense head); the label names the layer. The first layer skips its
+// input gradient, as in training. Run with --threads=1 for the workload's
+// single-threaded pool.
+void BM_LenetLayer(benchmark::State& state) {
+  const size_t index = static_cast<size_t>(state.range(0));
+  auto model = zoo::LeNet5(1, 16, 10);
+  model->InitParams(61);
+  ModelGraph& graph = model->graph();
+  auto& root = static_cast<Sequential&>(graph.root());
+  auto slot = graph.AcquireSlot();
+  ExecContext ctx;
+  ctx.training = true;
+  ctx.view = model->view();
+  ctx.states = slot.states();
+  Tensor x({32, 1, 16, 16});
+  const auto pixels = RandomVec(x.numel(), 62);
+  std::copy(pixels.begin(), pixels.end(), x.data());
+  for (size_t i = 0; i < index; ++i) {
+    x = root.layer(i)->Forward(x, ctx);
+  }
+  Layer* layer = root.layer(index);
+  Tensor grad_output(layer->Forward(x, ctx).shape());
+  const auto grads = RandomVec(grad_output.numel(), 63);
+  std::copy(grads.begin(), grads.end(), grad_output.data());
+  ctx.input_grad = index > 0;
+  for (auto _ : state) {
+    Tensor y = layer->Forward(x, ctx);
+    benchmark::DoNotOptimize(y.data());
+    Tensor grad_input = layer->Backward(grad_output, ctx);
+    benchmark::DoNotOptimize(grad_input.data());
+  }
+  state.SetLabel(layer->name());
+}
+BENCHMARK(BM_LenetLayer)->DenseRange(0, 11);
 
 void BM_BatchNormForward(benchmark::State& state) {
   const int batch = 8;
@@ -1037,6 +1095,50 @@ int RunKernelsSweep(const std::string& path) {
     bucket_entries += static_cast<double>(bucket_args.runs[i].steps) *
                       vec::kBucketLanes;
   }
+  // 2x2 pools: LeNet's first pool at batch 32 (192 planes of 16 x 16, the
+  // kernels' block path) and 16 planes of 32 x 32 (their row path).
+  struct PoolShape {
+    size_t planes;
+    int hw;
+  };
+  const PoolShape pool_blocks{32 * 6, 16};
+  const PoolShape pool_rows{16, 32};
+  const size_t pool_in_max = pool_blocks.planes * pool_blocks.hw *
+                             pool_blocks.hw;
+  auto pool_in = RandomVec(pool_in_max, 97);
+  auto pool_out = RandomVec(pool_in_max / 4, 98);
+  std::vector<float> pool_grad(pool_in_max, 0.0f);
+  // col2im: every output row of LeNet conv2's input gradient at batch 32
+  // (6 x 8 x 8 inputs, 5 x 5 valid: four 4-pixel rows a sample), read
+  // from 32-column tap panels of two samples, as Conv2dBackward does.
+  simd::Col2imRowArgs col2im;
+  col2im.ld = simd::kGemmNr;
+  col2im.channels = 6;
+  col2im.in_h = col2im.in_w = 8;
+  col2im.kernel = 5;
+  col2im.stride = 1;
+  col2im.pad = 0;
+  col2im.x0 = 0;
+  col2im.len = 4;
+  const int col2im_batch = 32;
+  const int col2im_taps = col2im.channels * col2im.kernel * col2im.kernel;
+  const size_t col2im_sample =
+      static_cast<size_t>(col2im.channels) * col2im.in_h * col2im.in_w;
+  const std::vector<int> col2im_lo(5, 0);
+  const std::vector<int> col2im_hi(5, col2im.len);
+  col2im.x_lo = col2im_lo.data();
+  col2im.x_hi = col2im_hi.data();
+  auto col2im_strip =
+      RandomVec(static_cast<size_t>(col2im_taps) * col2im.ld, 99);
+  std::vector<float> col2im_grad(col2im_sample * col2im_batch, 0.0f);
+  const double col2im_adds =
+      static_cast<double>(col2im_batch) * 16 * col2im_taps;
+  auto pool_bytes = [](const PoolShape& s) {
+    return 1.25 * static_cast<double>(s.planes) * s.hw * s.hw * sizeof(float);
+  };
+  auto pool_outputs = [](const PoolShape& s) {
+    return 0.25 * static_cast<double>(s.planes) * s.hw * s.hw;
+  };
 
   struct Kernel {
     const char* name;
@@ -1140,6 +1242,66 @@ int RunKernelsSweep(const std::string& path) {
                                       static_cast<size_t>(pack_dim), pack_dim,
                                       10, pack_dst.data());
          benchmark::DoNotOptimize(pack_dst.data());
+         benchmark::ClobberMemory();
+       }},
+      // Reads 4 inputs and writes 1 output per window: 4 adds and 1 mul.
+      {"avg_pool_2x2", pool_bytes(pool_blocks),
+       5.0 * pool_outputs(pool_blocks),
+       [&] {
+         simd::Kernels().avg_pool_2x2(pool_in.data(), pool_blocks.planes,
+                                      pool_blocks.hw, pool_blocks.hw,
+                                      pool_out.data());
+         benchmark::DoNotOptimize(pool_out.data());
+         benchmark::ClobberMemory();
+       }},
+      {"avg_pool_2x2_rows", pool_bytes(pool_rows),
+       5.0 * pool_outputs(pool_rows),
+       [&] {
+         simd::Kernels().avg_pool_2x2(pool_in.data(), pool_rows.planes,
+                                      pool_rows.hw, pool_rows.hw,
+                                      pool_out.data());
+         benchmark::DoNotOptimize(pool_out.data());
+         benchmark::ClobberMemory();
+       }},
+      // Reads 1 output gradient and reads and writes 4 input cells per
+      // window: a mul and a div per window, one add per cell.
+      {"avg_pool_2x2_grad",
+       pool_bytes(pool_blocks) +
+           4.0 * pool_outputs(pool_blocks) * sizeof(float),
+       6.0 * pool_outputs(pool_blocks),
+       [&] {
+         simd::Kernels().avg_pool_2x2_grad(pool_out.data(), pool_blocks.planes,
+                                           pool_blocks.hw, pool_blocks.hw,
+                                           pool_grad.data());
+         benchmark::DoNotOptimize(pool_grad.data());
+         benchmark::ClobberMemory();
+       }},
+      {"avg_pool_2x2_grad_rows",
+       pool_bytes(pool_rows) + 4.0 * pool_outputs(pool_rows) * sizeof(float),
+       6.0 * pool_outputs(pool_rows),
+       [&] {
+         simd::Kernels().avg_pool_2x2_grad(pool_out.data(), pool_rows.planes,
+                                           pool_rows.hw, pool_rows.hw,
+                                           pool_grad.data());
+         benchmark::DoNotOptimize(pool_grad.data());
+         benchmark::ClobberMemory();
+       }},
+      // Reads each tap once and reads and writes each input cell once; one
+      // add per tap (a valid conv's taps all land inside the map).
+      {"col2im_row",
+       col2im_adds * sizeof(float) +
+           2.0 * static_cast<double>(col2im_grad.size()) * sizeof(float),
+       col2im_adds,
+       [&] {
+         simd::Col2imRowArgs row = col2im;
+         for (int n = 0; n < col2im_batch; ++n) {
+           row.grad_input = col2im_grad.data() + n * col2im_sample;
+           for (row.y = 3; row.y >= 0; --row.y) {
+             row.taps = col2im_strip.data() + (n % 2) * 16 + row.y * 4;
+             simd::Kernels().col2im_row(row);
+           }
+         }
+         benchmark::DoNotOptimize(col2im_grad.data());
          benchmark::ClobberMemory();
        }},
   };

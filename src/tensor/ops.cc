@@ -256,9 +256,9 @@ void Gemm(bool trans_a, bool trans_b, int m, int n, int k, float alpha,
 // is written straight back into NCHW. The weight operand is packed once
 // per call: W for the output, W^T for the input gradient. The weight
 // gradient keeps one chain per sample (merging samples would reassociate
-// its sums): per sample and depth chunk it copies one panel's taps of
-// im2col (at most kNR x kKC) and transposes them into a panel with the
-// dispatch layer's pack_b_trans.
+// its sums): a block of whole samples (or one kKC-pixel chunk of a larger
+// one) shares each tap panel, packed run by run straight from the padded
+// samples, and each sample's chain reads its own rows of it.
 //
 // Every output cell keeps the arithmetic of a per-sample im2col + Gemm
 // lowering: the same micro-kernel chain over the same kKC depth chunks of
@@ -394,12 +394,12 @@ struct PaddedSamples {
 };
 
 // Packs im2col rows [p0, p0 + kc) (taps ic, ky, kx) at the columns of
-// `cols`: out[p * ld + c] is tap p0 + p of the pixel in column c (0.0f in
-// the padding), and columns [cols.nr, pad_to) are zeroed. `out` needs
-// kRunBlock floats of slack past row kc - 1.
+// `cols` into a forward B panel: panel[p * kNR + c] is tap p0 + p of the
+// pixel in column c (0.0f in the padding), and columns [cols.nr, kNR) are
+// zeroed. `panel` needs kRunBlock floats of slack past row kc - 1.
 void PackImageRows(const Conv2dGeometry& g, const float* input,
                    PaddedSamples* samples, int p0, int kc,
-                   const PanelColumns& cols, int ld, int pad_to, float* out) {
+                   const PanelColumns& cols, float* panel) {
   const int k = g.kernel;
   const int s = g.stride;
   const size_t padded_plane = static_cast<size_t>(samples->hp) * samples->wp;
@@ -414,7 +414,7 @@ void PackImageRows(const Conv2dGeometry& g, const float* input,
   int ky = (p0 - ic * k * k) / k;
   int kx = p0 - ic * k * k - ky * k;
   for (int p = 0; p < kc; ++p) {
-    float* dst = out + static_cast<size_t>(p) * ld;
+    float* dst = panel + static_cast<size_t>(p) * kNR;
     const size_t tap = ic * padded_plane +
                        static_cast<size_t>(ky) * samples->wp + kx;
     for (int r = 0; r < cols.num_rows; ++r) {
@@ -433,12 +433,57 @@ void PackImageRows(const Conv2dGeometry& g, const float* input,
         }
       }
     }
-    std::fill(dst + cols.nr, dst + std::max(cols.nr, pad_to), 0.0f);
+    std::fill(dst + cols.nr, dst + kNR, 0.0f);
     if (++kx == k) {
       kx = 0;
       if (++ky == k) {
         ky = 0;
         ++ic;
+      }
+    }
+  }
+}
+
+// Packs taps [t0, t0 + nr) of the im2col rows at the columns of `cols`
+// straight into a weight-gradient B panel, one column per panel row:
+// panel[c * kNR + j] = tap t0 + j of the pixel in column c (0.0f in the
+// padding and in the pad lanes j >= nr). The taps (ic, ky, 0 .. K) of a
+// pixel are one run of its padded sample's row, so a panel row is a few
+// runs, each copied as one 16-float block: the overrun lands in lanes a
+// later run, the pad-lane zeroing or the next panel row rewrites, or in
+// the kRunBlock floats of slack `panel` needs past its last row.
+void PackTapPanel(const Conv2dGeometry& g, const float* input,
+                  PaddedSamples* samples, int t0, int nr,
+                  const PanelColumns& cols, float* panel) {
+  const int k = g.kernel;
+  const size_t padded_plane = static_cast<size_t>(samples->hp) * samples->wp;
+  // Run i copies the taps from lane run_lane[i] on, starting at offset
+  // run_src[i] from a pixel's top-left tap.
+  size_t run_src[kNR];
+  int run_lane[kNR];
+  int num_runs = 0;
+  for (int t = t0; t < t0 + nr; ++num_runs) {
+    const int ic = t / (k * k);
+    const int ky = t / k - ic * k;
+    const int kx = t % k;
+    run_src[num_runs] =
+        ic * padded_plane + static_cast<size_t>(ky) * samples->wp + kx;
+    run_lane[num_runs] = t - t0;
+    t += std::min({k - kx, t0 + nr - t, kRunBlock});
+  }
+  for (int r = 0; r < cols.num_rows; ++r) {
+    const PanelColumns::Row& row = cols.rows[r];
+    const float* src = samples->Get(g, input, row.n) +
+                       static_cast<size_t>(row.y) * g.stride * samples->wp +
+                       row.x0 * g.stride;
+    float* dst = panel + static_cast<size_t>(row.col) * kNR;
+    for (int c = 0; c < row.len; ++c, src += g.stride, dst += kNR) {
+      for (int i = 0; i < num_runs; ++i) {
+        std::memcpy(dst + run_lane[i], src + run_src[i],
+                    kRunBlock * sizeof(float));
+      }
+      for (int j = nr; j < kNR; j += kRunBlock) {
+        std::fill_n(dst + j, kRunBlock, 0.0f);
       }
     }
   }
@@ -467,7 +512,6 @@ void PackGradOutputPanel(const float* grad_output, int out_channels, int ohw,
 // Per-thread scratch of one conv task, each at most one panel's worth.
 struct ConvScratch {
   std::vector<float> panel;    // one B panel: kKC x kNR (+ slack)
-  std::vector<float> rows;     // weight gradient: kNR taps x kKC pixels
   std::vector<float> apack;    // weight gradient: a row block x kKC of dY
   std::vector<float> strip;    // input gradient: one panel's taps x kNR
   std::vector<int> tap_range;  // input gradient: TapRange of every kx
@@ -543,8 +587,7 @@ void Conv2dForward(const Conv2dGeometry& g, const float* input,
       SplitPanel(j0, std::min(kNR, num_cols - j0), oh, ow, &cols);
       for (int p0 = 0; p0 < ickk; p0 += kKC) {
         const int kc = std::min(kKC, ickk - p0);
-        PackImageRows(g, input, &scratch.samples, p0, kc, cols, kNR, kNR,
-                      panel);
+        PackImageRows(g, input, &scratch.samples, p0, kc, cols, panel);
         for (int ir = i0; ir < i0 + mc; ir += kMR) {
           micro_kernel(kc,
                        wpack + static_cast<size_t>(p0) * m_pad +
@@ -607,44 +650,59 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
   }
 
   if (grad_weight) {
-    // dW[OC, IC*K*K] += dY_n[OC, OH*OW] * im2col_n^T, one sample and one
-    // kKC-pixel depth chunk at a time.
-    const auto pack_b_trans = simd::Kernels().pack_b_trans;
+    // dW[OC, IC*K*K] += dY_n[OC, OH*OW] * im2col_n^T, one chain per sample
+    // and kKC-pixel chunk. A block holds the chains of as many whole samples
+    // as fit in kKC pixels and whose padded copies fit in one panel's floats
+    // (or one chunk of a larger sample): each tap panel is packed once per
+    // block, straight from the padded samples, and each chain runs over its
+    // own rows of it, samples in order.
+    const size_t sample_floats =
+        static_cast<size_t>(g.in_channels) * (g.in_h + 2 * g.pad) *
+        (g.in_w + 2 * g.pad);
+    const size_t panel_floats = static_cast<size_t>(kKC) * kNR;
+    const int per_block = static_cast<int>(std::clamp<size_t>(
+        std::min<size_t>(kKC / ohw, panel_floats / sample_floats), 1,
+        static_cast<size_t>(g.batch)));
     auto task = [&](int i0, int mc, int panel_begin, int panel_end) {
       ConvScratch& scratch = tls_conv_scratch;
-      scratch.panel.resize(static_cast<size_t>(kKC) * kNR);
-      scratch.rows.resize(static_cast<size_t>(kNR) * kKC + kRunBlock);
-      scratch.apack.resize(static_cast<size_t>(RoundUp(mc, kMR)) * kKC);
-      scratch.samples.Reset(g, 1);
+      const size_t m_pad = static_cast<size_t>(RoundUp(mc, kMR));
+      scratch.panel.resize(static_cast<size_t>(kKC) * kNR + kRunBlock);
+      scratch.apack.resize(m_pad * kKC);
+      scratch.samples.Reset(g, per_block);
+      float* panel = scratch.panel.data();
+      float* apack = scratch.apack.data();
       PanelColumns pixels;
       alignas(64) float acc[kMR * kNR];
-      for (int n = 0; n < g.batch; ++n) {
-        const float* go_n =
-            grad_output + Idx4(n, 0, 0, 0, oc_total, oh, ow);
+      for (int n0 = 0; n0 < g.batch; n0 += per_block) {
+        const int chains = std::min(per_block, g.batch - n0);
         for (int q0 = 0; q0 < ohw; q0 += kKC) {
           const int kc = std::min(kKC, ohw - q0);
-          SplitPanel(n * ohw + q0, kc, oh, ow, &pixels);
-          PackA(false, go_n, oc_total, ohw, i0, mc, q0, kc,
-                scratch.apack.data());
+          SplitPanel(n0 * ohw + q0, chains * kc, oh, ow, &pixels);
+          for (int i = 0; i < chains; ++i) {
+            PackA(false, grad_output + Idx4(n0 + i, 0, 0, 0, oc_total, oh, ow),
+                  oc_total, ohw, i0, mc, q0, kc,
+                  apack + static_cast<size_t>(i) * m_pad * kc);
+          }
           for (int jp = panel_begin; jp < panel_end; ++jp) {
             const int t0 = jp * kNR;
             const int nr = std::min(kNR, ickk - t0);
-            // im2col rows t0 .. t0 + nr of this chunk, then their transpose.
-            PackImageRows(g, input, &scratch.samples, t0, nr, pixels, kKC,
-                          /*pad_to=*/0, scratch.rows.data());
-            pack_b_trans(scratch.rows.data(), kKC, kc, nr,
-                         scratch.panel.data());
-            for (int ir = 0; ir < mc; ir += kMR) {
-              micro_kernel(kc,
-                           scratch.apack.data() + static_cast<size_t>(ir) * kc,
-                           scratch.panel.data(), acc);
-              const int mr_eff = std::min(kMR, mc - ir);
-              for (int ii = 0; ii < mr_eff; ++ii) {
-                float* gw_row = grad_weight +
-                                static_cast<size_t>(i0 + ir + ii) * ickk + t0;
-                const float* acc_row = acc + ii * kNR;
-                for (int jj = 0; jj < nr; ++jj) {
-                  gw_row[jj] += acc_row[jj];
+            PackTapPanel(g, input, &scratch.samples, t0, nr, pixels, panel);
+            for (int i = 0; i < chains; ++i) {
+              const float* bpanel =
+                  panel + static_cast<size_t>(i) * kc * kNR;
+              const float* apanel = apack + static_cast<size_t>(i) * m_pad * kc;
+              for (int ir = 0; ir < mc; ir += kMR) {
+                micro_kernel(kc, apanel + static_cast<size_t>(ir) * kc, bpanel,
+                             acc);
+                const int mr_eff = std::min(kMR, mc - ir);
+                for (int ii = 0; ii < mr_eff; ++ii) {
+                  float* gw_row = grad_weight +
+                                  static_cast<size_t>(i0 + ir + ii) * ickk +
+                                  t0;
+                  const float* acc_row = acc + ii * kNR;
+                  for (int jj = 0; jj < nr; ++jj) {
+                    gw_row[jj] += acc_row[jj];
+                  }
                 }
               }
             }
@@ -660,22 +718,26 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
     // dX = col2im(W^T[IC*K*K, OC] * dY[OC, cols]). A 1x1 stride-1 unpadded
     // conv's col2im is the identity, so its tiles accumulate straight into
     // grad_input, one depth chunk at a time; every other conv finishes each
-    // panel's taps in `strip` (zero seed + every depth chunk) and then adds
-    // them into grad_input taps ascending. Panels run last to first: an
-    // input cell's taps in ascending order read columns in descending order,
-    // so every cell receives its taps in col2im's order.
+    // panel's taps in `strip` (zero seed + every depth chunk), and the
+    // dispatch layer's col2im_row adds them into grad_input one output row
+    // at a time, each cell's taps in ascending order. Panels and their rows
+    // run last to first: an input cell's taps in ascending order read
+    // columns in descending order, so every cell receives its taps in
+    // col2im's order.
     const bool identity_col2im =
         g.kernel == 1 && g.stride == 1 && g.pad == 0;
     PackAllDepthChunks(true, weight, ickk, oc_total, &ws->packed_weight);
     const float* wtpack = ws->packed_weight.data();
     const size_t m_pad = static_cast<size_t>(RoundUp(ickk, kMR));
     const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
+    const auto col2im_row = simd::Kernels().col2im_row;
 
     auto task = [&](int /*i0*/, int /*mc*/, int n_begin, int n_end) {
       ConvScratch& scratch = tls_conv_scratch;
       scratch.panel.resize(static_cast<size_t>(kKC) * kNR);
       scratch.strip.resize(m_pad * kNR);
-      // Tap column kx adds output columns [x_lo[kx], x_hi[kx]) into the map.
+      // Kernel column kx adds output columns [x_lo[kx], x_hi[kx]) into the
+      // map.
       scratch.tap_range.resize(2 * static_cast<size_t>(g.kernel));
       int* x_lo = scratch.tap_range.data();
       int* x_hi = x_lo + g.kernel;
@@ -684,6 +746,16 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
       }
       float* panel = scratch.panel.data();
       float* strip = scratch.strip.data();
+      simd::Col2imRowArgs rows;
+      rows.ld = kNR;
+      rows.x_lo = x_lo;
+      rows.x_hi = x_hi;
+      rows.channels = g.in_channels;
+      rows.in_h = g.in_h;
+      rows.in_w = g.in_w;
+      rows.kernel = g.kernel;
+      rows.stride = g.stride;
+      rows.pad = g.pad;
       PanelColumns cols;
       alignas(64) float acc[kMR * kNR];
       const int j_begin = n_begin * ohw;
@@ -718,9 +790,9 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
                 }
               }
             } else {
-              float* rows = strip + static_cast<size_t>(ir) * kNR;
+              float* tile = strip + static_cast<size_t>(ir) * kNR;
               for (int e = 0; e < kMR * kNR; ++e) {
-                rows[e] = (p0 == 0 ? 0.0f : rows[e]) + acc[e];
+                tile[e] = (p0 == 0 ? 0.0f : tile[e]) + acc[e];
               }
             }
           }
@@ -728,36 +800,17 @@ void Conv2dBackward(const Conv2dGeometry& g, const float* input,
         if (identity_col2im) {
           continue;
         }
-        // Within the panel, rows run last to first and taps ascend: a
-        // cell's taps with a larger ky read an earlier output row.
+        // Within the panel, rows run last to first: a cell's taps with a
+        // larger ky read an earlier output row.
         for (int r = cols.num_rows - 1; r >= 0; --r) {
           const PanelColumns::Row& row = cols.rows[r];
-          const float* tap = strip + row.col;
-          for (int ic = 0; ic < g.in_channels; ++ic) {
-            float* plane = grad_input +
-                           (static_cast<size_t>(row.n) * g.in_channels + ic) *
-                               in_plane;
-            for (int ky = 0; ky < g.kernel;
-                 ++ky, tap += static_cast<size_t>(g.kernel) * kNR) {
-              const int h = row.y * g.stride - g.pad + ky;
-              if (h < 0 || h >= g.in_h) {
-                continue;
-              }
-              float* gi_row = plane + static_cast<size_t>(h) * g.in_w;
-              for (int kx = 0; kx < g.kernel; ++kx) {
-                const int lo = std::max(x_lo[kx] - row.x0, 0);
-                const int hi = std::min(x_hi[kx] - row.x0, row.len);
-                if (lo >= hi) {
-                  continue;
-                }
-                const float* src = tap + static_cast<size_t>(kx) * kNR;
-                float* dst = gi_row + (row.x0 + lo) * g.stride + kx - g.pad;
-                for (int c = lo; c < hi; ++c) {
-                  dst[(c - lo) * g.stride] += src[c];
-                }
-              }
-            }
-          }
+          rows.taps = strip + row.col;
+          rows.grad_input = grad_input + static_cast<size_t>(row.n) *
+                                             g.in_channels * in_plane;
+          rows.y = row.y;
+          rows.x0 = row.x0;
+          rows.len = row.len;
+          col2im_row(rows);
         }
       }
     };
@@ -1014,15 +1067,30 @@ std::vector<int> ClippedTapCounts(int out, int kernel, int stride, int pad,
   return counts;
 }
 
+// Unpadded 2x2 windows at stride 2 (LeNet's pools, DenseNet's
+// transitions) run the dispatch layer's avg_pool_2x2 kernels, which keep
+// the general loops' arithmetic: no window is clipped, so each output sums
+// its four taps onto +0 in row order and scales by 0.5f * 0.5f, and the
+// backward adds (g * 0.5f) / 2.0f to each tap once. A map with one row or
+// column clips its windows and stays on the general loops.
+bool IsPool2x2(const Conv2dGeometry& g) {
+  return g.kernel == 2 && g.stride == 2 && g.pad == 0 && g.in_h >= 2 &&
+         g.in_w >= 2;
+}
+
 }  // namespace
 
 void AvgPool2dForward(const Conv2dGeometry& g, const float* input,
                       float* output) {
+  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
+  if (IsPool2x2(g)) {
+    simd::Kernels().avg_pool_2x2(input, planes, g.in_h, g.in_w, output);
+    return;
+  }
   const int oh = g.out_h();
   const int ow = g.out_w();
   const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
   const size_t out_plane = static_cast<size_t>(oh) * ow;
-  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
   const auto ch = ClippedTapCounts(oh, g.kernel, g.stride, g.pad, g.in_h);
   const auto cw = ClippedTapCounts(ow, g.kernel, g.stride, g.pad, g.in_w);
   std::vector<float> inv_cw(static_cast<size_t>(ow), 0.0f);
@@ -1075,11 +1143,16 @@ void AvgPool2dForward(const Conv2dGeometry& g, const float* input,
 
 void AvgPool2dBackward(const Conv2dGeometry& g, const float* grad_output,
                        float* grad_input) {
+  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
+  if (IsPool2x2(g)) {
+    simd::Kernels().avg_pool_2x2_grad(grad_output, planes, g.in_h, g.in_w,
+                                      grad_input);
+    return;
+  }
   const int oh = g.out_h();
   const int ow = g.out_w();
   const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
   const size_t out_plane = static_cast<size_t>(oh) * ow;
-  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
   const auto ch = ClippedTapCounts(oh, g.kernel, g.stride, g.pad, g.in_h);
   const auto cw = ClippedTapCounts(ow, g.kernel, g.stride, g.pad, g.in_w);
   const size_t work = out_plane * g.kernel * g.kernel;

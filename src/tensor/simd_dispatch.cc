@@ -15,8 +15,9 @@
 //   2. x86 variants (AVX2+FMA, AVX-512F) behind target attributes, so a
 //     baseline build still carries them and picks them at runtime.
 //   3. tanh: the portable port of glibc's tanhf and its AVX-512F variant,
-//     the one section compiled with FP contraction off.
-//   4. Table construction (fallback ladder) and level resolution.
+//     compiled with FP contraction off.
+//   4. The 2x2 stride-2 average pool, still with contraction off.
+//   5. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -24,14 +25,16 @@
 // across levels therefore agree only to parity tolerance (the latency-bound
 // 4-lane chain is the very thing being fixed; see bench/BENCH_kernels.json).
 // The adam_step variant keeps the portable body's per-element FMA pattern,
-// the tanh variant its operation sequence (element-wise operations leave no
-// reassociation freedom) and the bucket_sum variant its per-cell order of
-// additions, so those three kernels produce the same bits at every level;
-// pack_b_trans only moves data, so it does too, and reduce_scale runs its
-// portable body at every level.
+// the tanh and pool variants their operation sequences (element-wise
+// operations leave no reassociation freedom) and the bucket_sum and
+// col2im_row variants their per-cell order of additions, so those six
+// kernels produce the same bits at every level; pack_b_trans only moves
+// data, so it does too, and reduce_scale runs its portable body at every
+// level.
 
 #include "tensor/simd_dispatch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -262,6 +265,38 @@ void PackBTransPortable(const float* b, size_t ld, int kc, int nr,
     }
     for (int jj = nr; jj < kGemmNr; ++jj) {
       dst[jj] = 0.0f;
+    }
+  }
+}
+
+// The pixels x of a col2im row whose kernel column kx lands inside the map.
+void Col2imTapRange(const Col2imRowArgs& a, int kx, int* lo, int* hi) {
+  *lo = std::max(a.x_lo[kx], a.x0);
+  *hi = std::min(a.x_hi[kx], a.x0 + a.len);
+}
+
+// col2im for one output row, the run loop ops.cc's Conv2dBackward ran
+// before dispatch, with the kernel column outermost: each cell gets one
+// tap per kernel column, so its taps still arrive in ascending order.
+void Col2imRowPortable(const Col2imRowArgs& a) {
+  const size_t plane = static_cast<size_t>(a.in_h) * a.in_w;
+  for (int kx = 0; kx < a.kernel; ++kx) {
+    int lo, hi;
+    Col2imTapRange(a, kx, &lo, &hi);
+    const float* tap = a.taps + static_cast<size_t>(kx) * a.ld;
+    for (int ic = 0; ic < a.channels; ++ic) {
+      float* grad_plane = a.grad_input + static_cast<size_t>(ic) * plane;
+      for (int ky = 0; ky < a.kernel;
+           ++ky, tap += static_cast<size_t>(a.kernel) * a.ld) {
+        const int h = a.y * a.stride - a.pad + ky;
+        if (h < 0 || h >= a.in_h) {
+          continue;
+        }
+        float* row = grad_plane + static_cast<size_t>(h) * a.in_w;
+        for (int x = lo; x < hi; ++x) {
+          row[x * a.stride - a.pad + kx] += tap[x - a.x0];
+        }
+      }
     }
   }
 }
@@ -849,6 +884,82 @@ __attribute__((target("avx512f"))) void PackBTransAvx512(const float* b,
   }
 }
 
+// col2im_row: each input row a (channel, kernel row) pair touches is
+// loaded 16 cells at a time, takes every kernel column's taps in ascending
+// order, and is stored once. A kernel column's in-map pixels that fall in
+// the 16 cells sit at every stride-th lane, in pixel order, so one masked
+// expand-load reads their taps, consecutive in `taps`, into exactly those
+// lanes, and a masked add leaves every other cell as it was. Which lanes
+// and taps a kernel column covers depends only on the 16 cells, so it is
+// worked out once per 16 cells and up to 16 kernel columns. A cell takes
+// taps from one kernel row only, so the rows may go in any order: channels
+// run innermost, because the next kernel row's input row may overlap the
+// 64 bytes just stored, and a load that overlaps a pending masked store
+// waits for it.
+__attribute__((target("avx512f"))) void Col2imRowAvx512(
+    const Col2imRowArgs& a) {
+  const int s = a.stride;
+  // Lanes 0, s, 2s, ...: the cells one kernel column reaches.
+  uint32_t spread = 0;
+  for (int lane = 0; lane < 16; lane += s) {
+    spread |= 1u << lane;
+  }
+  const size_t plane = static_cast<size_t>(a.in_h) * a.in_w;
+  const size_t ky_step = static_cast<size_t>(a.kernel) * a.ld;
+  // ceil(v / s) for v of either sign.
+  auto ceil_div = [s](int v) {
+    return s == 1 ? v : v >= 0 ? (v + s - 1) / s : -(-v / s);
+  };
+  const int w_begin = std::max(0, a.x0 * s - a.pad);
+  const int w_end =
+      std::min(a.in_w, (a.x0 + a.len - 1) * s - a.pad + a.kernel);
+  for (int w0 = w_begin; w0 < w_end; w0 += 16) {
+    const __mmask16 cells =
+        w_end - w0 >= 16 ? __mmask16{0xFFFF}
+                         : static_cast<__mmask16>((1u << (w_end - w0)) - 1u);
+    for (int kx0 = 0; kx0 < a.kernel; kx0 += 16) {
+      const int columns = std::min(16, a.kernel - kx0);
+      __mmask16 lanes[16];
+      size_t offset[16];
+      for (int j = 0; j < columns; ++j) {
+        const int kx = kx0 + j;
+        int lo, hi;
+        Col2imTapRange(a, kx, &lo, &hi);
+        // The pixels whose cell x * s - pad + kx lies in [w0, w0 + 16).
+        const int v = w0 + a.pad - kx;
+        const int first = std::max(lo, ceil_div(v));
+        const int end = std::min(hi, ceil_div(v + 16));
+        lanes[j] = 0;
+        offset[j] = static_cast<size_t>(kx) * a.ld;
+        if (first < end) {
+          const int span = (end - first - 1) * s + 1;
+          lanes[j] = static_cast<__mmask16>((spread & ((1u << span) - 1u))
+                                            << (first * s - v));
+          offset[j] += static_cast<size_t>(first - a.x0);
+        }
+      }
+      for (int ky = 0; ky < a.kernel; ++ky) {
+        const int h = a.y * s - a.pad + ky;
+        if (h < 0 || h >= a.in_h) {
+          continue;
+        }
+        const float* tap = a.taps + static_cast<size_t>(ky) * ky_step;
+        float* row = a.grad_input + static_cast<size_t>(h) * a.in_w + w0;
+        for (int ic = 0; ic < a.channels;
+             ++ic, tap += a.kernel * ky_step, row += plane) {
+          __m512 acc = _mm512_maskz_loadu_ps(cells, row);
+          for (int j = 0; j < columns; ++j) {
+            acc = _mm512_mask_add_ps(
+                acc, lanes[j], acc,
+                _mm512_maskz_expandloadu_ps(lanes[j], tap + offset[j]));
+          }
+          _mm512_mask_storeu_ps(row, cells, acc);
+        }
+      }
+    }
+  }
+}
+
 // bucket_sum: a run's 16 cells in one register. Each step loads the run's
 // 16 entries, widens them to 32 bits and gathers the lanes still in their
 // lists from the L1-resident block; bit 15 of each entry becomes the float
@@ -1176,6 +1287,205 @@ __attribute__((target("avx512f"))) void TanhAvx512(const float* xs,
 #pragma GCC diagnostic pop
 #endif  // FEDRA_SIMD_X86
 
+// ------------------------------------------------------------------------
+// 4. The 2x2 stride-2 average pool, also compiled with FP contraction off.
+// ------------------------------------------------------------------------
+//
+// ops::AvgPool2dForward/Backward's general loops, specialized to unpadded
+// 2x2 windows at stride 2: each output gets `+0 + a + b + c + d` in window
+// row order times 0.5f * 0.5f, and each covered input cell gets
+// `(g * 0.5f) / 2.0f` added once. GCC folds the division into a multiply
+// by 0.5f, which contraction would fuse with the add, so this section
+// keeps contraction off too.
+
+void AvgPool2x2Portable(const float* input, size_t planes, int in_h,
+                        int in_w, float* output) {
+  const int oh = in_h / 2;
+  const int ow = in_w / 2;
+  const size_t plane = static_cast<size_t>(in_h) * in_w;
+  for (size_t p = 0; p < planes; ++p, input += plane) {
+    for (int y = 0; y < oh; ++y, output += ow) {
+      const float* top = input + static_cast<size_t>(2 * y) * in_w;
+      const float* bottom = top + in_w;
+      for (int x = 0; x < ow; ++x) {
+        output[x] = ((((0.0f + top[2 * x]) + top[2 * x + 1]) + bottom[2 * x]) +
+                     bottom[2 * x + 1]) *
+                    (0.5f * 0.5f);
+      }
+    }
+  }
+}
+
+void AvgPool2x2GradPortable(const float* grad_output, size_t planes,
+                            int in_h, int in_w, float* grad_input) {
+  const int oh = in_h / 2;
+  const int ow = in_w / 2;
+  const size_t plane = static_cast<size_t>(in_h) * in_w;
+  for (size_t p = 0; p < planes; ++p, grad_input += plane) {
+    for (int y = 0; y < oh; ++y, grad_output += ow) {
+      float* top = grad_input + static_cast<size_t>(2 * y) * in_w;
+      float* bottom = top + in_w;
+      for (int x = 0; x < ow; ++x) {
+        const float share = (grad_output[x] * 0.5f) / 2.0f;
+        top[2 * x] += share;
+        top[2 * x + 1] += share;
+        bottom[2 * x] += share;
+        bottom[2 * x + 1] += share;
+      }
+    }
+  }
+}
+
+#if defined(FEDRA_SIMD_X86)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// The first `count` lanes, for count clamped to [0, 16].
+__attribute__((target("avx512f"))) inline __mmask16 LaneMask(ptrdiff_t count) {
+  return count >= 16  ? __mmask16{0xFFFF}
+         : count <= 0 ? __mmask16{0}
+                      : static_cast<__mmask16>((1u << count) - 1u);
+}
+
+// Whether a pool runs on whole blocks: with an even in_h and in_w = 2 * ow
+// for ow in {1, 2, 4, 8}, each plane's row pairs follow one another, so 16
+// consecutive outputs read 64 consecutive inputs, whatever plane they are
+// in. LeNet's pools (16 x 16 and 4 x 4 maps) take this path.
+bool Pool2x2OnBlocks(int in_h, int in_w) {
+  return in_h % 2 == 0 && in_w <= 16 && 16 % in_w == 0;
+}
+
+// Forward, on blocks only: a block loads 64 inputs as A B C D. The first 8
+// outputs read A B and the last 8 read C D; one two-source permute per half
+// picks the top-left taps into lanes 0-7 and the top-right taps into lanes
+// 8-15 (a second one the bottom taps), and 128-bit shuffles join the
+// halves. The last block loads and stores under lane masks. Other shapes
+// run the portable body: a row-by-row deinterleave measured 1.10-1.19x
+// over it in four of five baseline-ISA sweeps (bench/README.md), and no
+// benchmark workload pools such a map.
+__attribute__((target("avx512f"))) void AvgPool2x2Avx512(const float* input,
+                                                         size_t planes,
+                                                         int in_h, int in_w,
+                                                         float* output) {
+  if (!Pool2x2OnBlocks(in_h, in_w)) {
+    AvgPool2x2Portable(input, planes, in_h, in_w, output);
+    return;
+  }
+  const int ow = in_w / 2;
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 quarter = _mm512_set1_ps(0.5f * 0.5f);
+  alignas(64) int first[16];
+  alignas(64) int second[16];
+  for (int j = 0; j < 8; ++j) {
+    const int tap = j / ow * 4 * ow + 2 * (j % ow);
+    first[j] = tap;
+    first[j + 8] = tap + 1;
+    second[j] = tap + in_w;
+    second[j + 8] = tap + in_w + 1;
+  }
+  const __m512i top = _mm512_load_si512(first);
+  const __m512i bottom = _mm512_load_si512(second);
+  const ptrdiff_t total = static_cast<ptrdiff_t>(planes) * (in_h / 2) * ow;
+  for (ptrdiff_t j = 0; j < total; j += 16, input += 64, output += 16) {
+    const ptrdiff_t inputs = 4 * (total - j);
+    const __m512 a = _mm512_maskz_loadu_ps(LaneMask(inputs), input);
+    const __m512 b = _mm512_maskz_loadu_ps(LaneMask(inputs - 16), input + 16);
+    const __m512 c = _mm512_maskz_loadu_ps(LaneMask(inputs - 32), input + 32);
+    const __m512 d = _mm512_maskz_loadu_ps(LaneMask(inputs - 48), input + 48);
+    const __m512 top_ab = _mm512_permutex2var_ps(a, top, b);
+    const __m512 top_cd = _mm512_permutex2var_ps(c, top, d);
+    const __m512 bottom_ab = _mm512_permutex2var_ps(a, bottom, b);
+    const __m512 bottom_cd = _mm512_permutex2var_ps(c, bottom, d);
+    __m512 sum =
+        _mm512_add_ps(zero, _mm512_shuffle_f32x4(top_ab, top_cd, 0x44));
+    sum = _mm512_add_ps(sum, _mm512_shuffle_f32x4(top_ab, top_cd, 0xee));
+    sum = _mm512_add_ps(sum, _mm512_shuffle_f32x4(bottom_ab, bottom_cd, 0x44));
+    sum = _mm512_add_ps(sum, _mm512_shuffle_f32x4(bottom_ab, bottom_cd, 0xee));
+    _mm512_mask_storeu_ps(output, LaneMask(total - j),
+                          _mm512_mul_ps(sum, quarter));
+  }
+}
+
+// Backward: each input lane takes its output's share through a one-source
+// permute. On blocks, the four 16-cell vectors of a block's 64 inputs each
+// have their own index vector; on rows, each 16 outputs spread over 32
+// cells of both input rows. Only covered cells are loaded and stored.
+__attribute__((target("avx512f"))) void AvgPool2x2GradAvx512(
+    const float* grad_output, size_t planes, int in_h, int in_w,
+    float* grad_input) {
+  const int oh = in_h / 2;
+  const int ow = in_w / 2;
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  if (Pool2x2OnBlocks(in_h, in_w)) {
+    alignas(64) int owner[64];
+    for (int f = 0; f < 64; ++f) {
+      owner[f] = f / in_w / 2 * ow + f % in_w / 2;
+    }
+    __m512i index[4];
+    for (int v = 0; v < 4; ++v) {
+      index[v] = _mm512_load_si512(owner + 16 * v);
+    }
+    const ptrdiff_t total = static_cast<ptrdiff_t>(planes) * oh * ow;
+    for (ptrdiff_t j = 0; j < total;
+         j += 16, grad_output += 16, grad_input += 64) {
+      const __m512 share = _mm512_div_ps(
+          _mm512_mul_ps(
+              _mm512_maskz_loadu_ps(LaneMask(total - j), grad_output), half),
+          two);
+      const ptrdiff_t inputs = 4 * (total - j);
+      for (int v = 0; v < 4; ++v) {
+        const __mmask16 cells = LaneMask(inputs - 16 * v);
+        float* dst = grad_input + 16 * v;
+        _mm512_mask_storeu_ps(
+            dst, cells,
+            _mm512_add_ps(_mm512_maskz_loadu_ps(cells, dst),
+                          _mm512_permutexvar_ps(index[v], share)));
+      }
+    }
+    return;
+  }
+  alignas(64) int low_owner[16];
+  alignas(64) int high_owner[16];
+  for (int l = 0; l < 16; ++l) {
+    low_owner[l] = l / 2;
+    high_owner[l] = 8 + l / 2;
+  }
+  const __m512i low_index = _mm512_load_si512(low_owner);
+  const __m512i high_index = _mm512_load_si512(high_owner);
+  const size_t plane = static_cast<size_t>(in_h) * in_w;
+  for (size_t p = 0; p < planes; ++p, grad_input += plane) {
+    for (int y = 0; y < oh; ++y, grad_output += ow) {
+      float* top = grad_input + static_cast<size_t>(2 * y) * in_w;
+      float* rows[2] = {top, top + in_w};
+      for (int x = 0; x < ow; x += 16) {
+        const __m512 share = _mm512_div_ps(
+            _mm512_mul_ps(
+                _mm512_maskz_loadu_ps(LaneMask(ow - x), grad_output + x),
+                half),
+            two);
+        const __m512 low = _mm512_permutexvar_ps(low_index, share);
+        const __m512 high = _mm512_permutexvar_ps(high_index, share);
+        const __mmask16 low_cells = LaneMask(2 * (ow - x));
+        const __mmask16 high_cells = LaneMask(2 * (ow - x) - 16);
+        for (float* row : rows) {
+          float* dst = row + 2 * x;
+          _mm512_mask_storeu_ps(
+              dst, low_cells,
+              _mm512_add_ps(_mm512_maskz_loadu_ps(low_cells, dst), low));
+          _mm512_mask_storeu_ps(
+              dst + 16, high_cells,
+              _mm512_add_ps(_mm512_maskz_loadu_ps(high_cells, dst + 16),
+                            high));
+        }
+      }
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+#endif  // FEDRA_SIMD_X86
+
 #if defined(__clang__)
 #pragma float_control(pop)
 #else
@@ -1183,7 +1493,7 @@ __attribute__((target("avx512f"))) void TanhAvx512(const float* xs,
 #endif
 
 // ------------------------------------------------------------------------
-// 4. Tables and resolution.
+// 5. Tables and resolution.
 // ------------------------------------------------------------------------
 
 // Every level, ascending: the order SupportedLevels() lists them in.
@@ -1220,9 +1530,12 @@ struct Tables {
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
     scalar.tanh = TanhPortable;
+    scalar.avg_pool_2x2 = AvgPool2x2Portable;
+    scalar.avg_pool_2x2_grad = AvgPool2x2GradPortable;
     scalar.bucket_sum = BucketSumPortable;
     scalar.gemm_micro_8x32 = GemmMicroPortable;
     scalar.pack_b_trans = PackBTransPortable;
+    scalar.col2im_row = Col2imRowPortable;
 
     KernelTable avx2 = scalar;
     KernelTable avx512 = scalar;
@@ -1242,7 +1555,10 @@ struct Tables {
     avx512.axpy_norm = AxpyNormAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
     avx512.pack_b_trans = PackBTransAvx512;
+    avx512.col2im_row = Col2imRowAvx512;
     avx512.tanh = TanhAvx512;
+    avx512.avg_pool_2x2 = AvgPool2x2Avx512;
+    avx512.avg_pool_2x2_grad = AvgPool2x2GradAvx512;
     avx512.bucket_sum = BucketSumAvx512;
 #endif
 #if defined(FEDRA_SIMD_ADAM_AVX512)

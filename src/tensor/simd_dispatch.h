@@ -1,6 +1,7 @@
 // Runtime SIMD dispatch for the hot flat-span kernels, the GEMM
-// micro-kernel, the GEMM's transposed-panel packing, the tanh activation
-// and the AMS sketch's bucket sums.
+// micro-kernel, the GEMM's transposed-panel packing, the conv input
+// gradient's col2im, the tanh activation, the 2x2 average pool and the AMS
+// sketch's bucket sums.
 //
 // The library is built once and must run well on whatever CPU it lands on:
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
@@ -59,6 +60,21 @@ enum class Level {
 inline constexpr int kGemmMr = 8;
 inline constexpr int kGemmNr = 32;
 
+/// One row of a conv input gradient's col2im (`col2im_row`): the taps of
+/// output pixels (y, x0 .. x0 + len) of one sample, added into its input
+/// gradient.
+struct Col2imRowArgs {
+  const float* taps;   // tap t of pixel x0 + c at taps[t * ld + c]
+  size_t ld;
+  float* grad_input;   // the sample's channels x in_h x in_w planes
+  // Kernel column kx reaches inside the map from output columns
+  // [x_lo[kx], x_hi[kx]): 0 <= x * stride - pad + kx < in_w there.
+  const int* x_lo;
+  const int* x_hi;
+  int channels, in_h, in_w, kernel, stride, pad;
+  int y, x0, len;
+};
+
 /// Function-pointer table for the dispatched kernels. Signatures mirror the
 /// vec:: declarations; `gemm_micro_8x32` computes
 /// acc[kGemmMr][kGemmNr] = apanel * bpanel over kc depth steps of packed
@@ -68,24 +84,39 @@ inline constexpr int kGemmNr = 32;
 /// operand: panel[p * kGemmNr + j] = b[j * ld + p] for p < kc and j < nr
 /// (nr <= kGemmNr), and 0.0f in the pad lanes j >= nr.
 ///
+/// `col2im_row` adds every tap (ic, ky, kx) of each pixel x of the row into
+/// input cell (ic, y * stride - pad + ky, x * stride - pad + kx) when that
+/// cell is inside the map. Each cell gets its taps in ascending order, one
+/// rounded add apiece, and no other addend.
+///
 /// `tanh` computes y[i] = tanh(x[i]); y may alias x.
+///
+/// `avg_pool_2x2` pools `planes` consecutive in_h x in_w planes (in_h,
+/// in_w >= 2) with 2x2 windows at stride 2, no padding, into
+/// (in_h / 2) x (in_w / 2) planes: each output is
+/// `((((+0 + a) + b) + c) + d) * (0.5f * 0.5f)` over its window in row
+/// order. `avg_pool_2x2_grad` is its backward: every input cell of a
+/// window gets `(g * 0.5f) / 2.0f` added once, and an odd last row or
+/// column, which no window covers, is left as it is.
 ///
 /// `bucket_sum` adds each cell's list of signed entries of x into the cell,
 /// 16 cells side by side (vec::BucketSum).
 ///
 /// The reductions (dot, the norms) differ across levels by reassociation.
 /// pack_b_trans only moves data; reduce_scale has one body, the portable
-/// one, at every level; adam_step and tanh are element-wise, each variant
-/// computing the portable body's per-element arithmetic; and bucket_sum's
-/// variant adds each cell's entries in the portable body's order, one
-/// exact sign flip and one rounded add apiece. So those five produce the
-/// same bits at every level. For adam_step that includes the FMAs GCC
+/// one, at every level; adam_step, tanh and the two pool kernels are
+/// element-wise, each variant computing the portable body's per-element
+/// arithmetic; and the variants of bucket_sum and col2im_row add each
+/// cell's addends in the portable body's order, bucket_sum's after one
+/// exact sign flip apiece. So those eight produce the same bits at every
+/// level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
 /// with FMA in the baseline ISA), and kScalar and kAvx2 run the portable
 /// body. tanh's portable body is a port of the fdlibm tanhf/expm1f that
 /// glibc ships; it and its AVX-512F variant are compiled with FP
-/// contraction off, so every build gives glibc 2.36's tanhf bits.
+/// contraction off, so every build gives glibc 2.36's tanhf bits. So are
+/// the pool kernels, whose backward add must not fuse with its scaling.
 struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   double (*dot)(const float* a, const float* b, size_t n);
@@ -98,11 +129,16 @@ struct KernelTable {
   void (*adam_step)(const vec::AdamStepArgs& args, const float* grads,
                     float* params, float* m, float* v, size_t n);
   void (*tanh)(const float* x, float* y, size_t n);
+  void (*avg_pool_2x2)(const float* input, size_t planes, int in_h, int in_w,
+                       float* output);
+  void (*avg_pool_2x2_grad)(const float* grad_output, size_t planes,
+                            int in_h, int in_w, float* grad_input);
   void (*bucket_sum)(const vec::BucketSumArgs& args);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
   void (*pack_b_trans)(const float* b, size_t ld, int kc, int nr,
                        float* panel);
+  void (*col2im_row)(const Col2imRowArgs& args);
 };
 
 /// The table for the active level. First call resolves the level (FEDRA_SIMD

@@ -486,6 +486,20 @@ TEST(ConvParityTest, MatchesPerSampleIm2colGemmByteForByte) {
       {32, 3, 9, 3, 3, 3, 4, 0},     // ohw 1, stride past the map
       {2, 3, 260, 5, 5, 3, 1, 1},    // input gradient over two depth chunks
       {3, 5, 300, 4, 4, 1, 1, 0},    // pointwise, two depth chunks
+      {1, 6, 16, 8, 8, 5, 1, 0},     // LeNet conv2 at batch 1
+      {17, 6, 16, 8, 8, 5, 1, 0},    // conv2: a partial weight-gradient block
+      {33, 6, 16, 8, 8, 5, 1, 0},    // conv2: blocks of 16 samples, then 1
+      {1, 1, 6, 16, 16, 5, 1, 2},    // LeNet conv1 at batch 1
+      {33, 1, 6, 16, 16, 5, 1, 2},   // conv1: one 256-pixel chain a sample
+      {5, 2, 3, 5, 5, 5, 1, 0},      // 5x5 valid, output width 1
+      {4, 2, 3, 6, 6, 5, 1, 0},      // output width 2
+      {3, 2, 3, 7, 7, 5, 1, 0},      // output width 3
+      {3, 2, 3, 9, 9, 5, 1, 0},      // output width 5
+      {2, 2, 3, 10, 10, 5, 1, 0},    // output width 6
+      {2, 2, 3, 11, 11, 5, 1, 0},    // output width 7
+      {2, 2, 3, 12, 12, 5, 1, 0},    // output width 8
+      {21, 2, 4, 9, 9, 5, 1, 0},     // ohw 25: blocks of 10 samples
+      {12, 64, 8, 3, 3, 3, 1, 1},    // ohw 9, 1,600-float samples: blocks of 5
   };
   cases.insert(cases.end(), std::begin(extra), std::end(extra));
   const simd::Level saved = simd::ActiveLevel();
@@ -685,6 +699,200 @@ TEST(PoolParityTest, ShapeStridePadSweep) {
   // Large enough to cross the plane-parallel threshold.
   CheckMaxPoolParity(4, 16, 32, 32, 2, 2, 0, 2900);
   CheckAvgPoolParity(4, 16, 32, 32, 2, 2, 0, 2910);
+}
+
+// Unpadded 2x2 windows at stride 2 run the dispatch layer's avg_pool_2x2
+// kernels. They must keep the arithmetic of the general loops byte for
+// byte; the oracle below is a copy of those loops from ops.cc, one plane at
+// a time.
+
+void OraclePoolTapRange(int w0, int stride, int in_w, int ow, int* x_lo,
+                        int* x_hi) {
+  const int lo = w0 < 0 ? (-w0 + stride - 1) / stride : 0;
+  const int hi =
+      in_w > w0 ? std::min(ow, (in_w - w0 + stride - 1) / stride) : 0;
+  *x_lo = std::min(lo, hi);
+  *x_hi = hi;
+}
+
+std::vector<int> OracleClippedTapCounts(int out, int kernel, int stride,
+                                        int pad, int in_extent) {
+  std::vector<int> counts(static_cast<size_t>(out), 0);
+  for (int i = 0; i < out; ++i) {
+    const int lo = i * stride - pad;
+    counts[static_cast<size_t>(i)] =
+        std::min(lo + kernel, in_extent) - std::max(lo, 0);
+  }
+  return counts;
+}
+
+void OracleAvgPool2dForward(const ops::Conv2dGeometry& g, const float* input,
+                            float* output) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
+  const size_t out_plane = static_cast<size_t>(oh) * ow;
+  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
+  const auto ch = OracleClippedTapCounts(oh, g.kernel, g.stride, g.pad, g.in_h);
+  const auto cw = OracleClippedTapCounts(ow, g.kernel, g.stride, g.pad, g.in_w);
+  std::vector<float> inv_cw(static_cast<size_t>(ow), 0.0f);
+  for (int x = 0; x < ow; ++x) {
+    if (cw[static_cast<size_t>(x)] > 0) {
+      inv_cw[static_cast<size_t>(x)] =
+          1.0f / static_cast<float>(cw[static_cast<size_t>(x)]);
+    }
+  }
+  for (size_t p = 0; p < planes; ++p) {
+    const float* in = input + p * in_plane;
+    float* out = output + p * out_plane;
+    for (int y = 0; y < oh; ++y) {
+      float* out_row = out + static_cast<size_t>(y) * ow;
+      vec::Fill(out_row, static_cast<size_t>(ow), 0.0f);
+      const int h0 = y * g.stride - g.pad;
+      for (int ky = 0; ky < g.kernel; ++ky) {
+        const int h = h0 + ky;
+        if (h < 0 || h >= g.in_h) {
+          continue;
+        }
+        const float* src_row = in + static_cast<size_t>(h) * g.in_w;
+        for (int kx = 0; kx < g.kernel; ++kx) {
+          const int w0 = kx - g.pad;
+          int x_lo, x_hi;
+          OraclePoolTapRange(w0, g.stride, g.in_w, ow, &x_lo, &x_hi);
+          for (int x = x_lo; x < x_hi; ++x) {
+            out_row[x] += src_row[x * g.stride + w0];
+          }
+        }
+      }
+      const int chy = ch[static_cast<size_t>(y)];
+      const float inv_chy = 1.0f / static_cast<float>(chy);
+      for (int x = 0; x < ow; ++x) {
+        out_row[x] *= inv_chy * inv_cw[static_cast<size_t>(x)];
+      }
+    }
+  }
+}
+
+void OracleAvgPool2dBackward(const ops::Conv2dGeometry& g,
+                             const float* grad_output, float* grad_input) {
+  const int oh = g.out_h();
+  const int ow = g.out_w();
+  const size_t in_plane = static_cast<size_t>(g.in_h) * g.in_w;
+  const size_t out_plane = static_cast<size_t>(oh) * ow;
+  const size_t planes = static_cast<size_t>(g.batch) * g.in_channels;
+  const auto ch = OracleClippedTapCounts(oh, g.kernel, g.stride, g.pad, g.in_h);
+  const auto cw = OracleClippedTapCounts(ow, g.kernel, g.stride, g.pad, g.in_w);
+  std::vector<float> share(static_cast<size_t>(ow));
+  for (size_t p = 0; p < planes; ++p) {
+    const float* go = grad_output + p * out_plane;
+    float* gi = grad_input + p * in_plane;
+    for (int y = 0; y < oh; ++y) {
+      const int chy = ch[static_cast<size_t>(y)];
+      const float* go_row = go + static_cast<size_t>(y) * ow;
+      const float inv_chy = 1.0f / static_cast<float>(chy);
+      for (int x = 0; x < ow; ++x) {
+        const int cwx = cw[static_cast<size_t>(x)];
+        share[static_cast<size_t>(x)] =
+            cwx > 0 ? go_row[x] * inv_chy / static_cast<float>(cwx) : 0.0f;
+      }
+      const int h0 = y * g.stride - g.pad;
+      for (int ky = 0; ky < g.kernel; ++ky) {
+        const int h = h0 + ky;
+        if (h < 0 || h >= g.in_h) {
+          continue;
+        }
+        float* gi_row = gi + static_cast<size_t>(h) * g.in_w;
+        for (int kx = 0; kx < g.kernel; ++kx) {
+          const int w0 = kx - g.pad;
+          int x_lo, x_hi;
+          OraclePoolTapRange(w0, g.stride, g.in_w, ow, &x_lo, &x_hi);
+          for (int x = x_lo; x < x_hi; ++x) {
+            gi_row[x * g.stride + w0] += share[static_cast<size_t>(x)];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Denormals and signed zeros with random signs: scaling them by 0.5f
+// twice rounds twice, which a fused or merged scale would not.
+std::vector<float> TinyValues(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const uint32_t bits = static_cast<uint32_t>(rng.NextUint64() % 0x800000u) |
+                          static_cast<uint32_t>(rng.NextUint64() & 1u) << 31;
+    std::memcpy(&x, &bits, sizeof(float));
+  }
+  return v;
+}
+
+TEST(PoolParityTest, Pool2x2MatchesGeneralLoopsByteForByte) {
+  // {batch, channels, in_h, in_w}
+  const int shapes[][4] = {
+      {32, 6, 16, 16},   // LeNet pool1
+      {32, 16, 4, 4},    // LeNet pool2
+      {256, 6, 16, 16},  // pool1 at eval's batch
+      {1, 6, 16, 16},    // batch 1
+      {1, 16, 4, 4},     // batch 1, 4 outputs
+      {3, 5, 9, 7},      // odd extents: the last row and column in no window
+      {2, 3, 5, 5},
+      {3, 1, 6, 8},      // 36 outputs: a partial block
+      {5, 2, 2, 2},      // one output per plane
+      {2, 3, 6, 2},      // one output column
+      {2, 2, 32, 32},    // 16 outputs per row
+      {2, 2, 7, 40},     // 20 outputs per row, odd height
+      {1, 3, 4, 6},      // 3 outputs per row
+  };
+  const simd::Level saved = simd::ActiveLevel();
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    uint64_t seed = 4000;
+    for (const auto& shape : shapes) {
+      const auto g = PoolGeometry(shape[0], shape[1], shape[2], shape[3], 2, 2,
+                                  0);
+      SCOPED_TRACE(::testing::Message()
+                   << "batch=" << g.batch << " c=" << g.in_channels
+                   << " in=" << g.in_h << "x" << g.in_w);
+      const size_t in_numel =
+          static_cast<size_t>(g.batch) * g.in_channels * g.in_h * g.in_w;
+      const size_t out_numel = static_cast<size_t>(g.batch) * g.in_channels *
+                               g.out_h() * g.out_w();
+      for (int variant = 0; variant < 3; ++variant, seed += 10) {
+        // 0: ±0, denormals, ±inf and NaN among values in [-2, 2), onto
+        // gradients of the same kind; 1: denormals and signed zeros only;
+        // 2: onto -0.0f, which an extra +0.0f addend turns into +0.0f.
+        const auto input = variant == 1 ? TinyValues(in_numel, seed)
+                                        : ValuesWithSpecials(in_numel, seed,
+                                                             true);
+        const auto grad_out = variant == 1
+                                  ? TinyValues(out_numel, seed + 1)
+                                  : ValuesWithSpecials(out_numel, seed + 1,
+                                                       true);
+        const auto gi0 = variant == 0 ? ValuesWithSpecials(in_numel, seed + 2,
+                                                           true)
+                         : variant == 1 ? TinyValues(in_numel, seed + 2)
+                                        : std::vector<float>(in_numel, -0.0f);
+        std::vector<float> got(out_numel, 7.0f);
+        std::vector<float> want(out_numel, -7.0f);
+        ops::AvgPool2dForward(g, input.data(), got.data());
+        OracleAvgPool2dForward(g, input.data(), want.data());
+        ExpectSameBytes(got, want, "forward");
+        std::vector<float> gi = gi0;
+        std::vector<float> gi_want = gi0;
+        ops::AvgPool2dBackward(g, grad_out.data(), gi.data());
+        OracleAvgPool2dBackward(g, grad_out.data(), gi_want.data());
+        ExpectSameBytes(gi, gi_want, "grad_input");
+        if (::testing::Test::HasFatalFailure()) {
+          simd::SetLevel(saved);
+          return;
+        }
+      }
+    }
+  }
+  simd::SetLevel(saved);
 }
 
 TEST(PoolParityTest, RepeatedValuesTieBreakIdentically) {
