@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -145,7 +147,23 @@ void BM_FaultInjectorRound(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * workers);
 }
-BENCHMARK(BM_FaultInjectorRound)->Arg(8)->Arg(64)->Arg(512);
+// 100000 is fleet_codec's population, one fault entity per client.
+BENCHMARK(BM_FaultInjectorRound)->Arg(8)->Arg(64)->Arg(512)->Arg(100000);
+
+void BM_MaskPreview(benchmark::State& state) {
+  // The codec's top-5% mask selection alone, as the masked monitor runs it
+  // on every worker step: d = 17,098 is fleet_codec's MLP, d = 2^20 a large
+  // model. A Gaussian drift.
+  const size_t dim = static_cast<size_t>(state.range(0));
+  SyncCompressor compressor(CompressionConfig::TopKQuantize(0.05, 8), dim, 1);
+  const auto drift = RandomVec(dim, 31);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compressor.MaskPreview(drift.data(), dim));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(dim));
+}
+BENCHMARK(BM_MaskPreview)->Arg(17098)->Arg(1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_AllReduceSerial(benchmark::State& state) {
   // The seed's serial scalar AllReduceAverage, kept verbatim as the fixed
@@ -1133,6 +1151,16 @@ int RunKernelsSweep(const std::string& path) {
   std::vector<float> col2im_grad(col2im_sample * col2im_batch, 0.0f);
   const double col2im_adds =
       static_cast<double>(col2im_batch) * 16 * col2im_taps;
+  // The top-k mask's candidate compaction over fleet_codec's drift length
+  // (d = 17,098) of Gaussians, at the floor of the top ~7%: about the
+  // candidate share the sampled floor leaves a 5% mask.
+  const size_t compact_n = 17098;
+  auto compact_x = RandomVec(compact_n, 100);
+  std::vector<uint32_t> compact_out(compact_n);
+  const uint32_t compact_floor = std::bit_cast<uint32_t>(1.8f);
+  const auto compact_passing = static_cast<double>(std::count_if(
+      compact_x.begin(), compact_x.end(),
+      [](float v) { return std::fabs(v) >= 1.8f; }));
   auto pool_bytes = [](const PoolShape& s) {
     return 1.25 * static_cast<double>(s.planes) * s.hw * s.hw * sizeof(float);
   };
@@ -1302,6 +1330,15 @@ int RunKernelsSweep(const std::string& path) {
            }
          }
          benchmark::DoNotOptimize(col2im_grad.data());
+         benchmark::ClobberMemory();
+       }},
+      // Reads each key once and writes the passing indices; no arithmetic.
+      {"magnitude_compact",
+       (static_cast<double>(compact_n) + compact_passing) * sizeof(float),
+       0.0,
+       [&] {
+         benchmark::DoNotOptimize(simd::Kernels().magnitude_compact(
+             compact_x.data(), compact_n, compact_floor, compact_out.data()));
          benchmark::ClobberMemory();
        }},
   };

@@ -1,6 +1,7 @@
 #include "sim/fault_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/check.h"
@@ -8,38 +9,44 @@
 
 namespace fedra {
 
+// Every range check is written so that NaN fails it: a NaN knob would
+// otherwise pass as "off" (NaN > 0 is false) or bill NaN seconds.
 Status FaultConfig::Validate() const {
-  if (worker_mttf_rounds < 0.0 || worker_mttr_rounds < 0.0) {
-    return Status::InvalidArgument("worker MTTF/MTTR must be non-negative");
+  if (!(worker_mttf_rounds >= 0.0) || !(worker_mttr_rounds >= 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "worker MTTF/MTTR must be non-negative numbers, got %g/%g",
+        worker_mttf_rounds, worker_mttr_rounds));
   }
   if (worker_mttf_rounds > 0.0) {
-    if (worker_mttf_rounds < 1.0) {
+    if (!(worker_mttf_rounds >= 1.0)) {
       return Status::InvalidArgument(StrFormat(
           "worker_mttf_rounds must be >= 1 (crash probability 1/mttf), got "
           "%g",
           worker_mttf_rounds));
     }
-    if (worker_mttr_rounds < 1.0) {
+    if (!(worker_mttr_rounds >= 1.0)) {
       return Status::InvalidArgument(StrFormat(
           "worker churn needs worker_mttr_rounds >= 1, got %g",
           worker_mttr_rounds));
     }
   }
-  if (link_mttf_rounds < 0.0 || link_mttr_rounds < 0.0) {
-    return Status::InvalidArgument("link MTTF/MTTR must be non-negative");
+  if (!(link_mttf_rounds >= 0.0) || !(link_mttr_rounds >= 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "link MTTF/MTTR must be non-negative numbers, got %g/%g",
+        link_mttf_rounds, link_mttr_rounds));
   }
   if (link_mttf_rounds > 0.0) {
-    if (link_mttf_rounds < 1.0) {
+    if (!(link_mttf_rounds >= 1.0)) {
       return Status::InvalidArgument(StrFormat(
           "link_mttf_rounds must be >= 1, got %g", link_mttf_rounds));
     }
-    if (link_mttr_rounds < 1.0) {
+    if (!(link_mttr_rounds >= 1.0)) {
       return Status::InvalidArgument(StrFormat(
           "link outages need link_mttr_rounds >= 1, got %g",
           link_mttr_rounds));
     }
   }
-  if (message_loss_prob < 0.0 || message_loss_prob > 1.0) {
+  if (!(message_loss_prob >= 0.0 && message_loss_prob <= 1.0)) {
     return Status::InvalidArgument(StrFormat(
         "message_loss_prob must be in [0, 1], got %g", message_loss_prob));
   }
@@ -47,11 +54,11 @@ Status FaultConfig::Validate() const {
     return Status::InvalidArgument(
         StrFormat("max_retries must be >= 0, got %d", max_retries));
   }
-  if (retry_backoff_seconds < 0.0) {
+  if (!(retry_backoff_seconds >= 0.0)) {
     return Status::InvalidArgument(StrFormat(
         "retry_backoff_seconds must be >= 0, got %g", retry_backoff_seconds));
   }
-  if (round_deadline_seconds < 0.0) {
+  if (!(round_deadline_seconds >= 0.0)) {
     return Status::InvalidArgument(StrFormat(
         "round_deadline_seconds must be >= 0, got %g",
         round_deadline_seconds));
@@ -111,33 +118,61 @@ FaultInjector::FaultInjector(const FaultConfig& config, int num_entities,
   }
 }
 
-bool FaultInjector::AdvanceChain(bool up, double mttf, double mttr) {
-  if (up) {
-    return !rng_.NextBernoulli(1.0 / mttf);
-  }
-  return rng_.NextBernoulli(1.0 / mttr);
+namespace {
+
+// Rng::NextBernoulli(p) without the double: NextDouble() < p reads
+// (u >> 11) * 2^-53 < p, and scaling both sides by 2^53 is exact, so it is
+// (u >> 11) < p * 2^53, which for an integer left side is
+// (u >> 11) < ceil(p * 2^53). p is in [0, 1], so the bound is at most 2^53.
+uint64_t BernoulliBound(double p) {
+  return static_cast<uint64_t>(std::ceil(p * 0x1.0p53));
 }
+
+// Advances the up/down chains state[0 .. n) (1 up, 0 down) by one round, in
+// index order, one draw of `rng` each: an up chain crashes with probability
+// 1 / mttf and a down chain repairs with probability 1 / mttr, exactly as
+// NextBernoulli would decide. Appends the chains that came up, ascending,
+// to `rejoined` when it is non-null; they are gathered as one bit mask per
+// block of 64 chains. The draws run on a local copy of the generator, which
+// stays in registers across the byte stores, and the state picks its bound
+// by mask, so the loop has no data-dependent branch.
+void AdvanceChains(double mttf, double mttr, Rng* rng, char* state, size_t n,
+                   std::vector<int>* rejoined) {
+  const uint64_t repair = BernoulliBound(1.0 / mttr);
+  const uint64_t flip = BernoulliBound(1.0 / mttf) ^ repair;
+  Rng local = *rng;
+  for (size_t base = 0; base < n; base += 64) {
+    const size_t block = std::min<size_t>(64, n - base);
+    char* chains = state + base;
+    uint64_t rejoins = 0;
+    for (size_t i = 0; i < block; ++i) {
+      const uint64_t up = static_cast<unsigned char>(chains[i]);  // 0 or 1
+      const uint64_t bound = repair ^ (flip & (0 - up));
+      const uint64_t now = up ^ ((local.NextUint64() >> 11) < bound);
+      chains[i] = static_cast<char>(now);  // a hit flips the chain
+      rejoins |= (now & ~up) << i;
+    }
+    if (rejoined != nullptr) {
+      for (; rejoins != 0; rejoins &= rejoins - 1) {
+        rejoined->push_back(static_cast<int>(base) +
+                            std::countr_zero(rejoins));
+      }
+    }
+  }
+  *rng = local;
+}
+
+}  // namespace
 
 void FaultInjector::BeginRound() {
   rejoined_.clear();
   if (config_.worker_mttf_rounds > 0.0) {
-    for (int k = 0; k < num_workers_; ++k) {
-      const bool was_up = worker_up_[static_cast<size_t>(k)] != 0;
-      const bool now_up = AdvanceChain(was_up, config_.worker_mttf_rounds,
-                                       config_.worker_mttr_rounds);
-      if (!was_up && now_up) {
-        rejoined_.push_back(k);
-      }
-      worker_up_[static_cast<size_t>(k)] = now_up ? 1 : 0;
-    }
+    AdvanceChains(config_.worker_mttf_rounds, config_.worker_mttr_rounds,
+                  &rng_, worker_up_.data(), worker_up_.size(), &rejoined_);
   }
   if (!link_state_.empty()) {
-    for (char& state : link_state_) {
-      state = AdvanceChain(state != 0, config_.link_mttf_rounds,
-                           config_.link_mttr_rounds)
-                  ? 1
-                  : 0;
-    }
+    AdvanceChains(config_.link_mttf_rounds, config_.link_mttr_rounds, &rng_,
+                  link_state_.data(), link_state_.size(), nullptr);
   }
   ++rounds_;
 }

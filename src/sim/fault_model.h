@@ -29,7 +29,13 @@
 //
 // All chains advance in fixed worker order inside BeginRound, on a private
 // Rng stream forked from the trainer seed — the schedule is a pure function
-// of (config, seed, round index), independent of FEDRA_NUM_THREADS.
+// of (config, seed, round index), independent of FEDRA_NUM_THREADS. Each
+// chain takes one draw u per round and flips when (u >> 11) < ceil(p * 2^53)
+// for its crash or repair probability p: that integer compare is
+// Rng::NextBernoulli(p) bit for bit (NextDouble() is (u >> 11) * 2^-53, and
+// scaling by a power of two is exact), so BeginRound, which costs
+// O(population) per round, runs without a double or a data-dependent branch
+// per chain.
 
 #ifndef FEDRA_SIM_FAULT_MODEL_H_
 #define FEDRA_SIM_FAULT_MODEL_H_
@@ -79,8 +85,8 @@ struct FaultConfig {
   }
 
   /// Validates ranges (MTTF/MTTR >= 1 when set, loss probability in [0, 1],
-  /// non-negative retry/deadline knobs). Returns InvalidArgument instead of
-  /// crashing so callers can surface bad configs.
+  /// non-negative retry/deadline knobs; NaN fails every range). Returns
+  /// InvalidArgument instead of crashing so callers can surface bad configs.
   Status Validate() const;
 
   /// Fault-free schedule (the default).
@@ -165,10 +171,6 @@ class FaultInjector {
   double SampleRepairRounds();
 
  private:
-  // One Markov transition: returns the new state for an entity currently
-  // `up`, crashing with probability 1/mttf and repairing with 1/mttr.
-  bool AdvanceChain(bool up, double mttf, double mttr);
-
   FaultConfig config_;
   int num_workers_;
   Rng rng_;

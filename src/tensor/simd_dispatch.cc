@@ -17,7 +17,8 @@
 //   3. tanh: the portable port of glibc's tanhf and its AVX-512F variant,
 //     compiled with FP contraction off.
 //   4. The 2x2 stride-2 average pool, still with contraction off.
-//   5. Table construction (fallback ladder) and level resolution.
+//   5. The top-k mask's candidate compaction and its AVX-512F variant.
+//   6. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -28,9 +29,9 @@
 // the tanh and pool variants their operation sequences (element-wise
 // operations leave no reassociation freedom) and the bucket_sum and
 // col2im_row variants their per-cell order of additions, so those six
-// kernels produce the same bits at every level; pack_b_trans only moves
-// data, so it does too, and reduce_scale runs its portable body at every
-// level.
+// kernels produce the same bits at every level; pack_b_trans and
+// magnitude_compact only move data, so they do too, and reduce_scale runs
+// its portable body at every level.
 
 #include "tensor/simd_dispatch.h"
 
@@ -1493,7 +1494,61 @@ __attribute__((target("avx512f"))) void AvgPool2x2GradAvx512(
 #endif
 
 // ------------------------------------------------------------------------
-// 5. Tables and resolution.
+// 5. The top-k mask's candidate compaction, the one pass of
+// SyncCompressor::SelectRangeTopK over a whole range.
+// ------------------------------------------------------------------------
+
+// The portable body is the select's loop, moved verbatim: every index is
+// stored and the count advances only past the passing ones, so the loop
+// has no data-dependent branch.
+size_t MagnitudeCompactPortable(const float* x, size_t n, uint32_t floor_key,
+                                uint32_t* out) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[count] = static_cast<uint32_t>(i);
+    count += (std::bit_cast<uint32_t>(x[i]) & 0x7fffffffu) >= floor_key;
+  }
+  return count;
+}
+
+#if defined(FEDRA_SIMD_X86)
+
+// 16 keys per step: vpcompressd packs the indices of the passing lanes to
+// the front of a register, which is stored whole. The store writes
+// out[count .. count + 16), inside out[0 .. n) because count <= i; the
+// lanes past the passing ones are overwritten by the next step's store or
+// lie past the returned count. The tail stores only its passing lanes.
+__attribute__((target("avx512f"))) size_t MagnitudeCompactAvx512(
+    const float* x, size_t n, uint32_t floor_key, uint32_t* out) {
+  const __m512i magnitude = _mm512_set1_epi32(0x7fffffff);
+  const __m512i floor = _mm512_set1_epi32(static_cast<int>(floor_key));
+  const __m512i step = _mm512_set1_epi32(16);
+  __m512i index = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                    13, 14, 15);
+  size_t count = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512i key = _mm512_and_si512(_mm512_loadu_si512(x + i), magnitude);
+    const __mmask16 pass = _mm512_cmpge_epu32_mask(key, floor);
+    _mm512_storeu_si512(out + count, _mm512_maskz_compress_epi32(pass, index));
+    count += static_cast<size_t>(std::popcount(static_cast<unsigned>(pass)));
+    index = _mm512_add_epi32(index, step);
+  }
+  if (i < n) {
+    const __mmask16 live = static_cast<__mmask16>((1u << (n - i)) - 1u);
+    const __m512i key =
+        _mm512_and_si512(_mm512_maskz_loadu_epi32(live, x + i), magnitude);
+    const __mmask16 pass = _mm512_mask_cmpge_epu32_mask(live, key, floor);
+    _mm512_mask_compressstoreu_epi32(out + count, pass, index);
+    count += static_cast<size_t>(std::popcount(static_cast<unsigned>(pass)));
+  }
+  return count;
+}
+
+#endif  // FEDRA_SIMD_X86
+
+// ------------------------------------------------------------------------
+// 6. Tables and resolution.
 // ------------------------------------------------------------------------
 
 // Every level, ascending: the order SupportedLevels() lists them in.
@@ -1536,6 +1591,7 @@ struct Tables {
     scalar.gemm_micro_8x32 = GemmMicroPortable;
     scalar.pack_b_trans = PackBTransPortable;
     scalar.col2im_row = Col2imRowPortable;
+    scalar.magnitude_compact = MagnitudeCompactPortable;
 
     KernelTable avx2 = scalar;
     KernelTable avx512 = scalar;
@@ -1560,6 +1616,7 @@ struct Tables {
     avx512.avg_pool_2x2 = AvgPool2x2Avx512;
     avx512.avg_pool_2x2_grad = AvgPool2x2GradAvx512;
     avx512.bucket_sum = BucketSumAvx512;
+    avx512.magnitude_compact = MagnitudeCompactAvx512;
 #endif
 #if defined(FEDRA_SIMD_ADAM_AVX512)
     avx512.adam_step = AdamStepAvx512;

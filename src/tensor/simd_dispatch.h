@@ -1,7 +1,7 @@
 // Runtime SIMD dispatch for the hot flat-span kernels, the GEMM
 // micro-kernel, the GEMM's transposed-panel packing, the conv input
-// gradient's col2im, the tanh activation, the 2x2 average pool and the AMS
-// sketch's bucket sums.
+// gradient's col2im, the tanh activation, the 2x2 average pool, the AMS
+// sketch's bucket sums and the top-k mask's candidate compaction.
 //
 // The library is built once and must run well on whatever CPU it lands on:
 // a -march=native build cannot ship, and a baseline build leaves 4-16x of
@@ -38,6 +38,7 @@
 #define FEDRA_TENSOR_SIMD_DISPATCH_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -102,13 +103,19 @@ struct Col2imRowArgs {
 /// `bucket_sum` adds each cell's list of signed entries of x into the cell,
 /// 16 cells side by side (vec::BucketSum).
 ///
+/// `magnitude_compact` writes the index i of every x[i], i < n, whose
+/// magnitude key bits(x[i]) & 0x7fffffff is >= floor_key into out, in
+/// ascending order, and returns their count. `out` must hold n indices;
+/// entries past the count are unspecified.
+///
 /// The reductions (dot, the norms) differ across levels by reassociation.
-/// pack_b_trans only moves data; reduce_scale has one body, the portable
+/// pack_b_trans and magnitude_compact only move data (the compaction's
+/// compare is an exact integer one); reduce_scale has one body, the portable
 /// one, at every level; adam_step, tanh and the two pool kernels are
 /// element-wise, each variant computing the portable body's per-element
 /// arithmetic; and the variants of bucket_sum and col2im_row add each
 /// cell's addends in the portable body's order, bucket_sum's after one
-/// exact sign flip apiece. So those eight produce the same bits at every
+/// exact sign flip apiece. So those nine produce the same bits at every
 /// level. For adam_step that includes the FMAs GCC
 /// contracts the portable loop into (docs/determinism.md §5): its AVX-512F
 /// variant is compiled in only in builds that contract it (-O2 and above
@@ -139,6 +146,8 @@ struct KernelTable {
   void (*pack_b_trans)(const float* b, size_t ld, int kc, int nr,
                        float* panel);
   void (*col2im_row)(const Col2imRowArgs& args);
+  size_t (*magnitude_compact)(const float* x, size_t n, uint32_t floor_key,
+                              uint32_t* out);
 };
 
 /// The table for the active level. First call resolves the level (FEDRA_SIMD

@@ -20,6 +20,7 @@
 #include "nn/zoo.h"
 #include "sim/collectives.h"
 #include "sim/topology_tree.h"
+#include "tensor/simd_dispatch.h"
 #include "tensor/vec_ops.h"
 #include "util/rng.h"
 
@@ -69,6 +70,15 @@ TEST(CodecStageTest, PipelineValidationRules) {
                                          CodecStageConfig::Quantize(8)})
                   .Validate()
                   .ok());
+  // A NaN mask fraction fails validation instead of reaching the kept
+  // count's cast to size_t.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(CodecStageConfig::TopK(nan).Validate().ok());
+  EXPECT_FALSE(CodecStageConfig::LayerTopK(nan).Validate().ok());
+  EXPECT_FALSE(CompressionConfig::Stages({CodecStageConfig::TopK(nan),
+                                          CodecStageConfig::Quantize(8)})
+                   .Validate()
+                   .ok());
 }
 
 TEST(CodecStageTest, NoneStaysDisabledAndStagePipelinesEnable) {
@@ -324,6 +334,12 @@ std::vector<uint32_t> OracleCompress(float* data, size_t n, double fraction,
   return kept;
 }
 
+/// SelectRangeTopK's sample stride (src/core/compression.cc): the last
+/// parity family puts its large keys at the sampled positions, so that the
+/// sampled floor overshoots whenever the mask keeps more keys than the
+/// sample holds, and the full-histogram fallback runs.
+constexpr size_t kSelectSampleStride = 13;
+
 /// Input families the parity sweep draws from.
 std::vector<float> ParityInput(int family, size_t n, uint64_t seed) {
   Rng rng(seed);
@@ -369,7 +385,7 @@ std::vector<float> ParityInput(int family, size_t n, uint64_t seed) {
         x = std::round(rng.NextGaussian(0.0f, 1.0f) * 16.0f) / 16.0f;
       }
       break;
-    default: {  // +-Inf among Gaussians.
+    case 8: {  // +-Inf among Gaussians.
       const float inf = std::numeric_limits<float>::infinity();
       for (auto& x : v) {
         const uint64_t r = rng.NextUint64() % 13;
@@ -377,12 +393,46 @@ std::vector<float> ParityInput(int family, size_t n, uint64_t seed) {
       }
       break;
     }
+    case 9:  // One magnitude, both signs: every key ties.
+      for (auto& x : v) {
+        x = rng.NextUint64() % 2 == 0 ? 0.75f : -0.75f;
+      }
+      break;
+    case 10:  // Two magnitudes in one high-digit bucket, both signs.
+      for (auto& x : v) {
+        const uint64_t r = rng.NextUint64();
+        const float level = (r & 2) != 0 ? 1.0f : 1.0625f;
+        x = (r & 1) != 0 ? level : -level;
+      }
+      break;
+    default:  // Large keys exactly at the sampled positions, small elsewhere.
+      for (size_t i = 0; i < n; ++i) {
+        v[i] = i % kSelectSampleStride == 0 ? 4.0f
+                                            : rng.NextGaussian(0.0f, 0.1f);
+      }
+      break;
   }
   return v;
 }
 
-constexpr int kParityFamilies = 9;
+constexpr int kParityFamilies = 12;
 constexpr int kInfFamily = 8;
+
+/// Runs `body` at every SIMD level this host supports (the mask's candidate
+/// compaction is a dispatched kernel), then restores the active level.
+template <typename Body>
+void AtEveryLevel(Body body) {
+  const simd::Level saved = simd::ActiveLevel();
+  for (simd::Level level : simd::SupportedLevels()) {
+    SCOPED_TRACE(simd::LevelName(level));
+    simd::SetLevel(level);
+    body();
+    if (::testing::Test::HasFatalFailure()) {
+      break;
+    }
+  }
+  simd::SetLevel(saved);
+}
 
 /// Runs `rounds` EF encodes of `input` through the codec and the oracle and
 /// requires bit-identical kept sets, payloads and residuals. Also checks
@@ -422,8 +472,13 @@ void ExpectCodecMatchesOracle(double fraction, int bits, bool layered,
   }
 }
 
-TEST(CodecRadixSelectTest, MatchesNthElementOracleBitForBit) {
-  const size_t lengths[] = {1, 2, 3, 7, 64, 1000, 4099};
+/// Global top-k over every family, at lengths 15..33, which straddle the
+/// compaction's 16-lane steps, and at 4099 and 17,098 (fleet_codec's MLP),
+/// which take the sampled floor; the last families make that floor hold
+/// every key (all-equal and two-valued inputs) or overshoot (the fallback).
+void ExpectGlobalTopKMatchesOracle() {
+  const size_t lengths[] = {1,  2,  3,  7,  15,   16,   17,
+                            31, 33, 64, 1000, 4099, 17098};
   for (int family = 0; family < kParityFamilies; ++family) {
     for (size_t n : lengths) {
       const auto input =
@@ -441,17 +496,21 @@ TEST(CodecRadixSelectTest, MatchesNthElementOracleBitForBit) {
         // NaN: one mask-only round for that family.
         if (family == kInfFamily) {
           ExpectCodecMatchesOracle(fraction, 0, false, {}, input, 1);
-          continue;
+        } else {
+          ExpectCodecMatchesOracle(fraction, 0, false, {}, input, 3);
+          ExpectCodecMatchesOracle(fraction, 8, false, {}, input, 3);
         }
-        ExpectCodecMatchesOracle(fraction, 0, false, {}, input, 3);
-        ExpectCodecMatchesOracle(fraction, 8, false, {}, input, 3);
+        if (::testing::Test::HasFatalFailure()) {
+          return;
+        }
       }
     }
   }
 }
 
-TEST(CodecRadixSelectTest, LayerTopKMatchesOracleOnUnevenLayers) {
-  // 1-element layers, a 2-element layer, and uneven large blocks.
+/// Layer top-k over 1-element layers, a 2-element layer, and uneven large
+/// blocks.
+void ExpectLayerTopKMatchesOracle() {
   const size_t n = 3001;
   const std::vector<size_t> offsets = {0, 1, 2, 4, 517, 518, 2049, 3000};
   for (int family = 0; family < kParityFamilies; ++family) {
@@ -461,12 +520,23 @@ TEST(CodecRadixSelectTest, LayerTopKMatchesOracleOnUnevenLayers) {
                                         << fraction);
       if (family == kInfFamily) {
         ExpectCodecMatchesOracle(fraction, 0, true, offsets, input, 1);
-        continue;
+      } else {
+        ExpectCodecMatchesOracle(fraction, 0, true, offsets, input, 3);
+        ExpectCodecMatchesOracle(fraction, 8, true, offsets, input, 3);
       }
-      ExpectCodecMatchesOracle(fraction, 0, true, offsets, input, 3);
-      ExpectCodecMatchesOracle(fraction, 8, true, offsets, input, 3);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
   }
+}
+
+TEST(CodecRadixSelectTest, MatchesNthElementOracleBitForBit) {
+  AtEveryLevel(ExpectGlobalTopKMatchesOracle);
+}
+
+TEST(CodecRadixSelectTest, LayerTopKMatchesOracleOnUnevenLayers) {
+  AtEveryLevel(ExpectLayerTopKMatchesOracle);
 }
 
 // -------------------------------------------------- allocation-free path

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "sim/fault_model.h"
 #include "sim/topology_tree.h"
 #include "tensor/vec_ops.h"
+#include "util/rng.h"
 
 namespace fedra {
 namespace {
@@ -59,6 +61,30 @@ TEST(FaultConfigTest, ValidatesRanges) {
   bad = FaultConfig();
   bad.round_deadline_seconds = -1.0;
   EXPECT_FALSE(bad.Validate().ok());
+
+  // NaN fails every range: as a rate it would switch its mechanism off
+  // (NaN > 0 is false), and a NaN backoff would bill NaN seconds.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  double FaultConfig::*const fields[] = {
+      &FaultConfig::worker_mttf_rounds,    &FaultConfig::worker_mttr_rounds,
+      &FaultConfig::link_mttf_rounds,      &FaultConfig::link_mttr_rounds,
+      &FaultConfig::message_loss_prob,     &FaultConfig::retry_backoff_seconds,
+      &FaultConfig::round_deadline_seconds};
+  for (double FaultConfig::*field : fields) {
+    // On top of a config with every mechanism on, so NaN is the only fault.
+    bad = FaultConfig::Churn(10.0, 2.0);
+    bad.link_mttf_rounds = 6.0;
+    bad.link_mttr_rounds = 2.0;
+    bad.message_loss_prob = 0.1;
+    bad.round_deadline_seconds = 1.0;
+    ASSERT_TRUE(bad.Validate().ok());
+    bad.*field = nan;
+    EXPECT_FALSE(bad.Validate().ok());
+    // Alone on the fault-free default, too.
+    bad = FaultConfig();
+    bad.*field = nan;
+    EXPECT_FALSE(bad.Validate().ok());
+  }
 }
 
 // Satellite contract: a bad fault config surfaces as a Status from
@@ -79,6 +105,20 @@ TEST(FaultConfigTest, TrainerValidateSurfacesFaultErrors) {
   config = TrainerConfig();
   config.faults = FaultConfig::Churn(10.0, 2.0);
   EXPECT_TRUE(config.Validate().ok());
+
+  // NaN knobs surface as a Status too, instead of silently disabling churn
+  // or the deadline.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = TrainerConfig();
+  config.faults.worker_mttf_rounds = nan;
+  EXPECT_FALSE(config.Validate().ok());
+  config = TrainerConfig();
+  config.faults.round_deadline_seconds = nan;
+  EXPECT_FALSE(config.Validate().ok());
+  config = TrainerConfig();
+  config.faults.message_loss_prob = 0.1;
+  config.faults.retry_backoff_seconds = nan;
+  EXPECT_FALSE(config.Validate().ok());
 }
 
 // ---------------------------------------------------------- determinism --
@@ -115,6 +155,141 @@ TEST(FaultInjectorTest, DifferentSeedsDiverge) {
     diverged = a.worker_up() != b.worker_up();
   }
   EXPECT_TRUE(diverged);
+}
+
+// The reference schedule: BeginRound and SampleDelivery written the plain
+// way, one NextBernoulli per chain, an up/down branch and each rejoin
+// pushed as it happens. Its fresh stream is the injector's,
+// Rng(seed).Fork(202).
+class ChainOracle {
+ public:
+  ChainOracle(const FaultConfig& config, int entities, uint64_t seed)
+      : config_(config),
+        rng_(Rng(seed).Fork(202)),
+        up_(static_cast<size_t>(entities), 1) {
+    if (config.link_mttf_rounds > 0.0) {
+      link_.assign(static_cast<size_t>(entities), 1);
+    }
+  }
+
+  void BeginRound() {
+    rejoined_.clear();
+    // The draws run on a local copy of the stream, which the compiler keeps
+    // in registers: the sanitizer builds then instrument only the state
+    // bytes, and the 10^5-client cases stay quick there.
+    Rng rng = rng_;
+    if (config_.worker_mttf_rounds > 0.0) {
+      for (size_t k = 0; k < up_.size(); ++k) {
+        const bool was_up = up_[k] != 0;
+        const bool now_up = Advance(&rng, was_up, config_.worker_mttf_rounds,
+                                    config_.worker_mttr_rounds);
+        if (!was_up && now_up) {
+          rejoined_.push_back(static_cast<int>(k));
+        }
+        up_[k] = now_up ? 1 : 0;
+      }
+    }
+    for (char& state : link_) {
+      state = Advance(&rng, state != 0, config_.link_mttf_rounds,
+                      config_.link_mttr_rounds)
+                  ? 1
+                  : 0;
+    }
+    rng_ = rng;
+  }
+
+  FaultInjector::Delivery SampleDelivery() {
+    FaultInjector::Delivery outcome;
+    for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
+      if (!rng_.NextBernoulli(config_.message_loss_prob)) {
+        outcome.retries = attempt;
+        return outcome;
+      }
+    }
+    outcome.retries = config_.max_retries;
+    outcome.delivered = false;
+    return outcome;
+  }
+
+  const std::vector<char>& up() const { return up_; }
+  bool LinkUp(int k) const {
+    return link_.empty() || link_[static_cast<size_t>(k)] != 0;
+  }
+  const std::vector<int>& rejoined() const { return rejoined_; }
+  int NumUp() const {
+    return static_cast<int>(std::count(up_.begin(), up_.end(), 1));
+  }
+
+ private:
+  static bool Advance(Rng* rng, bool up, double mttf, double mttr) {
+    if (up) {
+      return !rng->NextBernoulli(1.0 / mttf);
+    }
+    return rng->NextBernoulli(1.0 / mttr);
+  }
+
+  FaultConfig config_;
+  Rng rng_;
+  std::vector<char> up_;
+  std::vector<char> link_;
+  std::vector<int> rejoined_;
+};
+
+// The branch-free chain advance (integer Bernoulli bounds, rejoins gathered
+// per 64-chain block) against the oracle: the same schedules, rejoin order
+// and stream position, across the block edges (63, 64, 65), a 10^5-client
+// fleet, crash/repair certainties (1, 1), a never-crashing chain (1e9, 1),
+// and with link outages on and off.
+TEST(FaultInjectorTest, ChainAdvanceMatchesPerChainBernoulliOracle) {
+  const int populations[] = {1, 63, 64, 65, 100000};
+  const double pairs[][2] = {{1.0, 1.0}, {10.0, 2.5}, {3.0, 7.0}, {1e9, 1.0}};
+  for (const int population : populations) {
+    for (const auto& pair : pairs) {
+      for (const bool links : {false, true}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "population " << population << " mttf " << pair[0]
+                     << " mttr " << pair[1] << " links " << links);
+        FaultConfig config = FaultConfig::Churn(pair[0], pair[1]);
+        if (links) {
+          config.link_mttf_rounds = pair[1] + 3.0;
+          config.link_mttr_rounds = pair[0];
+        }
+        config.message_loss_prob = 0.3;
+        const uint64_t seed = 1000 + static_cast<uint64_t>(population);
+        FaultInjector injector(config, population, seed);
+        ChainOracle oracle(config, population, seed);
+        std::vector<char> got_links(static_cast<size_t>(population));
+        std::vector<char> want_links(static_cast<size_t>(population));
+        size_t rejoins = 0;
+        for (int round = 0; round < 500; ++round) {
+          injector.BeginRound();
+          oracle.BeginRound();
+          ASSERT_EQ(injector.worker_up(), oracle.up()) << "round " << round;
+          ASSERT_EQ(injector.rejoined(), oracle.rejoined())
+              << "round " << round;
+          ASSERT_EQ(injector.NumUp(), oracle.NumUp()) << "round " << round;
+          if (links) {
+            for (int k = 0; k < population; ++k) {
+              got_links[static_cast<size_t>(k)] = injector.LinkUp(k);
+              want_links[static_cast<size_t>(k)] = oracle.LinkUp(k);
+            }
+            ASSERT_EQ(got_links, want_links) << "round " << round;
+          } else {
+            ASSERT_TRUE(injector.LinkUp(population - 1));
+          }
+          rejoins += oracle.rejoined().size();
+        }
+        // Every pair but the never-crashing one churns.
+        EXPECT_EQ(rejoins > 0, pair[0] < 1e9);
+        for (int i = 0; i < 1000; ++i) {
+          const FaultInjector::Delivery got = injector.SampleDelivery();
+          const FaultInjector::Delivery want = oracle.SampleDelivery();
+          ASSERT_EQ(got.retries, want.retries) << "draw " << i;
+          ASSERT_EQ(got.delivered, want.delivered) << "draw " << i;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ chain statistics --

@@ -757,6 +757,67 @@ TEST_F(SimdDispatchTest, BucketSumIsBitIdenticalAtEveryLevel) {
   }
 }
 
+TEST_F(SimdDispatchTest, MagnitudeCompactIsExactAtEveryLevel) {
+  // Every length 0..80 (whole 16-lane steps and every tail) and the
+  // fleet_codec drift length, over keys that include +-0, denormals, +-Inf
+  // and NaNs, at floors from 0 (everything passes) to past every key. The
+  // output buffer carries sentinels past n, which no level may touch.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 80; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.push_back(17098);
+  Rng rng(4200);
+  for (const size_t n : lengths) {
+    std::vector<float> x(n);
+    for (float& v : x) {
+      const uint64_t r = rng.NextUint64();
+      switch (r % 8) {
+        case 0:
+          v = (r & 8) != 0 ? -0.0f : 0.0f;
+          break;
+        case 1:
+          v = std::bit_cast<float>(static_cast<uint32_t>(r >> 32) &
+                                   0x807fffffu);  // +-denormal
+          break;
+        case 2:
+          v = std::bit_cast<float>(0x7f800000u |
+                                   static_cast<uint32_t>(r >> 40));  // Inf/NaN
+          break;
+        default:
+          v = rng.NextGaussian(0.0f, 1.0f);
+      }
+    }
+    const uint32_t floors[] = {0u,          1u,          0x00800000u,
+                               0x3f000000u, 0x3f800000u, 0x3fd00000u,
+                               0x7f800000u, 0x7f800001u, 0xffffffffu};
+    for (const uint32_t floor_key : floors) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " floor=0x" << std::hex
+                                        << floor_key);
+      std::vector<uint32_t> want;
+      for (size_t i = 0; i < n; ++i) {
+        if ((std::bit_cast<uint32_t>(x[i]) & 0x7fffffffu) >= floor_key) {
+          want.push_back(static_cast<uint32_t>(i));
+        }
+      }
+      for (simd::Level level : simd::SupportedLevels()) {
+        SCOPED_TRACE(simd::LevelName(level));
+        simd::SetLevel(level);
+        constexpr uint32_t kSentinel = 0xdeadbeefu;
+        std::vector<uint32_t> out(n + 16, kSentinel);
+        const size_t count =
+            simd::Kernels().magnitude_compact(x.data(), n, floor_key,
+                                              out.data());
+        ASSERT_EQ(count, want.size());
+        ASSERT_TRUE(std::equal(want.begin(), want.end(), out.begin()));
+        for (size_t i = n; i < out.size(); ++i) {
+          ASSERT_EQ(out[i], kSentinel) << "write past n at " << i;
+        }
+      }
+    }
+  }
+}
+
 // All 2^32 inputs at every level against kScalar, in fixed 2^16-element
 // chunks over the global pool. About 15 s on 4 cores, so it is
 // disabled in the default run; CI runs it once with
