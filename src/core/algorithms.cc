@@ -90,7 +90,7 @@ Status AlgorithmConfig::Validate() const {
     case Algorithm::kSketchFda:
     case Algorithm::kLinearFda:
     case Algorithm::kExactFda:
-      if (theta < 0.0) {
+      if (!(theta >= 0.0)) {  // NaN fails too
         return Status::InvalidArgument("theta must be >= 0");
       }
       return monitor.Validate();

@@ -110,7 +110,7 @@ void FdaSyncPolicy::Initialize(ClusterContext& ctx) {
 
 bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
   FEDRA_CHECK_EQ(monitor_->dim(), ctx.dim);
-  std::vector<float*> states = ctx.StatePointers();
+  std::vector<float*> states = ctx.arena->StatePointers();
   // (Alg. 1 line 6) every participant updates its local state from its
   // drift; with a masking codec the state covers the compressed drift only.
   ComputeWorkerStates(ctx, *monitor_);
@@ -257,7 +257,7 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
   // (2) leaf tier: states AllReduce within each worker group, on that
   // group's own link. Every participating group evaluates its subtree
   // estimate; fully-absent groups stay silent this round.
-  std::vector<float*> states = ctx.StatePointers();
+  std::vector<float*> states = ctx.arena->StatePointers();
   for (int g = 0; g < tree.num_leaf_groups(); ++g) {
     const int size = tree.GroupSize(g, num_workers);
     if (size == 0) {
@@ -279,9 +279,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     if (span_ptrs_.empty()) {
       continue;
     }
-    ctx.network->SubtreeAllReduceAverageSubset(id, span_ptrs_, mask,
-                                               state_size,
-                                               TrafficClass::kLocalState);
+    ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, state_size,
+                                         TrafficClass::kLocalState, &mask);
     auto& node_state = node_state_[static_cast<size_t>(id)];
     node_state.assign(states[static_cast<size_t>(first_active)],
                       states[static_cast<size_t>(first_active)] + state_size);
@@ -354,9 +353,7 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
   sync_scopes_.clear();
   CollectSyncScopes(tree, 0, &sync_scopes_);
   if (!sync_scopes_.empty()) {
-    std::vector<float*> params = ctx.ParamPointers();
-    const bool compressed =
-        ctx.compressor != nullptr && ctx.compressor->config().enabled();
+    std::vector<float*> params = ctx.arena->ParamPointers();
     for (int id : sync_scopes_) {
       int begin = 0;
       int end = 0;
@@ -371,40 +368,25 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
       if (scope_members_.size() <= 1) {
         continue;  // a single member is already its own average
       }
-      if (compressed) {
+      if (ctx.compressor != nullptr) {
         // Compressed subtree resolution: members exchange coded deltas
-        // from the shared global anchor instead of raw models. Each
-        // member's delta runs through the codec pipeline (error feedback
-        // accumulates per worker exactly as on the global path), the coded
-        // deltas average over this subtree's own tiers at their compressed
-        // wire size, and every member re-bases on anchor + mean delta —
-        // members equalize (within-subtree variance -> 0) while the anchor
-        // and the uplink stay untouched.
-        span_ptrs_.clear();
-        payload_bytes_.clear();
-        for (int w : scope_members_) {
-          WorkerState& worker = (*ctx.workers)[static_cast<size_t>(w)];
-          vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
-                   ctx.dim);
-          payload_bytes_.push_back(
-              ctx.compressor->CompressInPlace(w, worker.drift, ctx.dim));
-          span_ptrs_.push_back(worker.drift);
-        }
-        ctx.network->SubtreeAllReduceAverageSubsetWithPayloads(
-            id, span_ptrs_, mask, ctx.dim, payload_bytes_,
-            TrafficClass::kModelSync);
+        // from the shared global anchor over this subtree's own tiers, and
+        // every member re-bases on anchor + mean delta — members equalize
+        // (within-subtree variance -> 0) while the anchor and the uplink
+        // stay untouched.
+        const float* mean_delta = ctx.ExchangeDeltas(scope_members_, id);
         for (int w : scope_members_) {
           float* member_params = params[static_cast<size_t>(w)];
           vec::Copy(ctx.sync_params->data(), member_params, ctx.dim);
-          vec::Axpy(1.0f, span_ptrs_[0], member_params, ctx.dim);
+          vec::Axpy(1.0f, mean_delta, member_params, ctx.dim);
         }
       } else {
         span_ptrs_.clear();
         for (int w : scope_members_) {
           span_ptrs_.push_back(params[static_cast<size_t>(w)]);
         }
-        ctx.network->SubtreeAllReduceAverageSubset(
-            id, span_ptrs_, mask, ctx.dim, TrafficClass::kModelSync);
+        ctx.network->SubtreeAllReduceAverage(
+            id, span_ptrs_, ctx.dim, TrafficClass::kModelSync, &mask);
       }
       ++local_syncs_;
     }
@@ -423,7 +405,7 @@ Status HierarchicalFdaConfig::Validate() const {
         "theta_by_depth needs one threshold per tier depth");
   }
   for (double theta : theta_by_depth) {
-    if (theta < 0.0) {
+    if (!(theta >= 0.0)) {  // NaN fails too
       return Status::InvalidArgument("thresholds must be >= 0");
     }
   }

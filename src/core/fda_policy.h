@@ -74,7 +74,7 @@ class FdaSyncPolicy : public SyncPolicy {
 ///      threshold, a full synchronization runs (anchor rotates, the
 ///      monitor's OnSynchronized fires, MaybeSync returns true). Otherwise
 ///      every maximal tripped subtree averages its participating members'
-///      models over its own tiers only (SubtreeAllReduceAverageSubset,
+///      models over its own tiers only (SimNetwork::SubtreeAllReduceAverage,
 ///      model-sized but cheap), which zeroes the within-subtree variance
 ///      while the global anchor stands.
 ///
@@ -85,11 +85,12 @@ class FdaSyncPolicy : public SyncPolicy {
 /// threshold degenerates to escalate-always, i.e. plain FDA over the tree.
 ///
 /// Composes with TrainerConfig::sync_compression: subtree resolutions move
-/// coded deltas from the global anchor through the payload-carrying subtree
-/// collectives (billed at the compressed wire size on the tier that
-/// tripped), and a masking codec makes step 1 monitor the *compressed*
-/// drift via SyncCompressor::MaskPreview — the AMS sketch accumulates only
-/// the kept coordinates, so monitoring cost shrinks with the payload.
+/// coded deltas from the global anchor through
+/// ClusterContext::ExchangeDeltas on the tripped node's subtree collective
+/// (billed at the compressed wire size on its own tiers), and a masking
+/// codec makes step 1 monitor the *compressed* drift via
+/// SyncCompressor::MaskPreview — the AMS sketch accumulates only the kept
+/// coordinates, so monitoring cost shrinks with the payload.
 class HierarchicalFdaPolicy : public SyncPolicy {
  public:
   HierarchicalFdaPolicy(std::unique_ptr<VarianceMonitor> monitor,
@@ -132,8 +133,7 @@ class HierarchicalFdaPolicy : public SyncPolicy {
   std::vector<char> node_has_;
   std::vector<char> node_trip_;
   std::vector<float*> span_ptrs_;  // member pointers of one subtree
-  std::vector<int> scope_members_;     // worker ids of one sync scope
-  std::vector<size_t> payload_bytes_;  // compressed bytes per member
+  std::vector<int> scope_members_;  // worker ids of one sync scope
   std::vector<int> sync_scopes_;
   uint64_t local_syncs_ = 0;
   uint64_t global_syncs_ = 0;

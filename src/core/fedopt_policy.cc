@@ -56,47 +56,20 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
   if (ctx.steps_since_sync < steps_per_round_) {
     return false;
   }
-  // Participants compute client deltas relative to the round-start global
-  // model w_global (held in ctx.sync_params), each contribution runs the
-  // loss/retry gauntlet, and the server averages whatever arrived. Workers
-  // whose upload was dropped keep training on their local model — they
-  // re-join the global trajectory at the next delivered round. The
-  // fault-oblivious strawman instead averages every worker, stale params
-  // from absent workers included, and draws no deliveries.
-  const bool compressed =
-      ctx.compressor != nullptr && ctx.compressor->config().enabled();
-  // Retries re-send what the wire would carry: the compressed payload when
-  // a codec is on, the raw model otherwise.
-  const size_t wire =
-      compressed ? ctx.compressor->WireBytes(ctx.dim) : ctx.dim * sizeof(float);
-  std::vector<int> members = ctx.ActiveWorkers();
-  if (config_.fault_oblivious) {
-    members.resize(ctx.workers->size());
-    std::iota(members.begin(), members.end(), 0);
-  }
+  // Participants' uploads run the loss/retry gauntlet, and the server
+  // averages the client deltas that arrived, relative to the round-start
+  // global model w_global (held in ctx.sync_params). FedOpt already moves
+  // deltas, so a codec drops straight in. Workers whose upload was dropped
+  // keep training on their local model — they re-join the global
+  // trajectory at the next delivered round. The fault-oblivious strawman
+  // instead averages every worker, stale params from absent workers
+  // included, and draws no deliveries.
   std::vector<int> delivered;
-  std::vector<float*> deltas;
-  std::vector<size_t> payload_bytes;
-  for (int k : members) {
-    WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
-    vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
-             ctx.dim);
-    if (!config_.fault_oblivious &&
-        !DeliverContribution(ctx.faults, ctx.network, k, wire,
-                             TrafficClass::kModelSync)) {
-      // Dropped uploads never run the codec: the client's error-feedback
-      // residual is untouched, as if it never attempted the round.
-      continue;
-    }
-    if (compressed) {
-      // FedOpt already moves deltas, so the codec pipeline drops straight
-      // in: each client's delta is coded (error feedback accumulates per
-      // worker) and the round bills the compressed wire size.
-      payload_bytes.push_back(
-          ctx.compressor->CompressInPlace(k, worker.drift, ctx.dim));
-    }
-    delivered.push_back(k);
-    deltas.push_back(worker.drift);
+  if (config_.fault_oblivious) {
+    delivered.resize(ctx.workers->size());
+    std::iota(delivered.begin(), delivered.end(), 0);
+  } else {
+    delivered = ctx.DeliverParticipants();
   }
   if (delivered.empty()) {
     // Every contribution was lost: the round still closes (the cadence is
@@ -105,28 +78,20 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
     ctx.steps_since_sync = 0;
     return false;
   }
-  if (compressed) {
-    ctx.network->AllReduceAverageSubsetWithPayloads(
-        deltas, delivered, ctx.dim, payload_bytes, TrafficClass::kModelSync);
-  } else {
-    ctx.network->AllReduceAverageSubset(deltas, delivered, ctx.dim,
-                                        TrafficClass::kModelSync);
-  }
   // Pseudo-gradient is the negated average delta (Reddi et al.).
-  const float* avg_delta = deltas[0];
+  const float* avg_delta = ctx.ExchangeDeltas(delivered, /*node=*/-1);
   for (size_t i = 0; i < ctx.dim; ++i) {
     pseudo_grad_[i] = -avg_delta[i];
   }
-  // Every worker replicates the deterministic server update.
+  // Every worker replicates the deterministic server update; clients are
+  // stateless across rounds, so their local optimizers restart.
   *ctx.prev_sync_params = *ctx.sync_params;
   server_optimizer_->Step(ctx.sync_params->data(), pseudo_grad_.data(),
                           ctx.dim);
   for (int k : delivered) {
     WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
     vec::Copy(ctx.sync_params->data(), worker.view.params, ctx.dim);
-    if (config_.reset_local_optimizer) {
-      worker.optimizer->Reset();
-    }
+    worker.optimizer->Reset();
   }
   ctx.steps_since_sync = 0;
   ++ctx.sync_count;

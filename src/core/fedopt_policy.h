@@ -7,7 +7,9 @@
 // FedAvg; server SGD-momentum gives FedAvgM; server Adam gives FedAdam.
 // Server state is replicated deterministically on every worker, so one
 // AllReduce per round suffices (no extra broadcast), matching the AllReduce
-// formulation the paper uses for its own synchronization.
+// formulation the paper uses for its own synchronization. Clients are
+// stateless in the FedOpt formulation: every round resets the receiving
+// workers' local optimizer state.
 
 #ifndef FEDRA_CORE_FEDOPT_POLICY_H_
 #define FEDRA_CORE_FEDOPT_POLICY_H_
@@ -25,9 +27,6 @@ struct FedOptConfig {
   int local_epochs = 1;
   /// Server optimizer. Defaults to FedAvg (SGD, lr 1.0).
   OptimizerConfig server_optimizer = OptimizerConfig::Sgd(1.0f);
-  /// Reset local optimizer state at round boundaries (clients are
-  /// stateless in the FedOpt formulation).
-  bool reset_local_optimizer = true;
   /// Ignore the round participation mask: average every worker's delta —
   /// stale params from crashed workers included — and never run the
   /// loss/retry gauntlet. This is the fault-oblivious strawman the churn

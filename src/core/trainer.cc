@@ -15,6 +15,27 @@
 #include "util/thread_pool.h"
 
 namespace fedra {
+namespace {
+
+/// Runs one sync contribution of `wire_bytes` from `worker` through the
+/// message-loss gauntlet: samples its delivery, bills the retransmissions
+/// it needed at `wire_bytes` each, and records a drop when the retry budget
+/// ran out. Returns true when the contribution arrived. Under a disabled
+/// FaultConfig it draws nothing, bills nothing, and returns true. Called by
+/// ClusterContext::DeliverParticipants and RunAsync's state upload.
+bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
+                         int worker, size_t wire_bytes, TrafficClass traffic) {
+  const FaultInjector::Delivery delivery = faults->SampleDelivery();
+  network->AccountSyncRetries(worker, wire_bytes, delivery.retries,
+                              faults->config().retry_backoff_seconds,
+                              traffic);
+  if (!delivery.delivered) {
+    network->AccountDroppedMessage();
+  }
+  return delivery.delivered;
+}
+
+}  // namespace
 
 std::vector<int> ClusterContext::ActiveWorkers() const {
   FEDRA_CHECK_EQ(participation.size(), workers->size());
@@ -28,19 +49,65 @@ std::vector<int> ClusterContext::ActiveWorkers() const {
   return active;
 }
 
-std::vector<float*> ClusterContext::ParamPointers() {
-  return arena->ParamPointers();
-}
-
-std::vector<float*> ClusterContext::StatePointers() {
-  return arena->StatePointers();
-}
-
 void ClusterContext::AllocateWorkerStates(size_t state_size) {
   arena->AllocateStateScratch(state_size);
   for (size_t k = 0; k < workers->size(); ++k) {
     (*workers)[k].state = arena->state(static_cast<int>(k));
   }
+}
+
+size_t ClusterContext::WireBytes() const {
+  return compressor != nullptr ? compressor->WireBytes(dim)
+                               : dim * sizeof(float);
+}
+
+std::vector<int> ClusterContext::DeliverParticipants() {
+  FEDRA_CHECK_EQ(participation.size(), workers->size());
+  const size_t wire = WireBytes();
+  std::vector<int> delivered;
+  delivered.reserve(workers->size());
+  for (size_t k = 0; k < workers->size(); ++k) {
+    if (participation[k] != 0 &&
+        DeliverContribution(faults, network, static_cast<int>(k), wire,
+                            TrafficClass::kModelSync)) {
+      delivered.push_back(static_cast<int>(k));
+    }
+  }
+  return delivered;
+}
+
+const float* ClusterContext::ExchangeDeltas(const std::vector<int>& members,
+                                            int node) {
+  // Variable-rate codecs produce different wire sizes per member, so each
+  // is billed at its own. Workers outside `members` never run the codec:
+  // their error-feedback residual is untouched.
+  std::vector<size_t> payload_bytes;
+  std::vector<float*> buffers;
+  if (compressor != nullptr) {
+    payload_bytes.reserve(members.size());
+  }
+  buffers.reserve(members.size());
+  for (int k : members) {
+    WorkerState& worker = (*workers)[static_cast<size_t>(k)];
+    vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
+    if (compressor != nullptr) {
+      payload_bytes.push_back(
+          compressor->CompressInPlace(k, worker.drift, dim));
+    }
+    buffers.push_back(worker.drift);
+  }
+  if (node >= 0) {
+    network->SubtreeAllReduceAverage(
+        node, buffers, dim, TrafficClass::kModelSync, &participation,
+        compressor != nullptr ? &payload_bytes : nullptr);
+  } else if (compressor != nullptr) {
+    network->AllReduceAverageSubsetWithPayloads(
+        buffers, members, dim, payload_bytes, TrafficClass::kModelSync);
+  } else {
+    network->AllReduceAverageSubset(buffers, members, dim,
+                                    TrafficClass::kModelSync);
+  }
+  return buffers[0];
 }
 
 bool ClusterContext::SynchronizeModels() {
@@ -52,23 +119,9 @@ bool ClusterContext::SynchronizeModels() {
     arena->CheckCanaries();
   }
   // Only the round's participants contribute, and every contribution must
-  // survive message loss; retries are billed at what the wire carries.
-  // Absent and dropped workers keep their local models and re-converge via
-  // later rounds (or a rejoin catch-up).
-  const bool compressed =
-      compressor != nullptr && compressor->config().enabled();
-  const size_t wire =
-      compressed ? compressor->WireBytes(dim) : dim * sizeof(float);
-  FEDRA_CHECK_EQ(participation.size(), workers->size());
-  std::vector<int> delivered;
-  delivered.reserve(workers->size());
-  for (size_t k = 0; k < workers->size(); ++k) {
-    if (participation[k] != 0 &&
-        DeliverContribution(faults, network, static_cast<int>(k), wire,
-                            TrafficClass::kModelSync)) {
-      delivered.push_back(static_cast<int>(k));
-    }
-  }
+  // survive message loss. Absent and dropped workers keep their local
+  // models and re-converge via later rounds (or a rejoin catch-up).
+  const std::vector<int> delivered = DeliverParticipants();
   if (delivered.empty()) {
     // Zero-survivor guard: skip the sync entirely; the snapshots stay put
     // and every worker carries its state forward.
@@ -77,59 +130,32 @@ bool ClusterContext::SynchronizeModels() {
                        << ": no contribution survived";
     return false;
   }
-  std::vector<size_t> payload_bytes;
-  std::vector<float*> buffers;
-  if (compressed) {
-    // Compressed path: survivors exchange lossy deltas from w_t0 instead of
-    // full models, billed at each one's actual wire size (variable-rate
-    // codecs produce different sizes per worker). Dropped workers never
-    // compress, so their error-feedback residual is untouched.
-    payload_bytes.reserve(delivered.size());
-    buffers.reserve(delivered.size());
+  if (compressor != nullptr) {
+    // Survivors exchange coded deltas from w_t0 instead of full models.
+    const float* mean_delta = ExchangeDeltas(delivered, /*node=*/-1);
+    // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- w_t0 + mean delta,
+    // installed into the survivors.
+    *prev_sync_params = *sync_params;
+    vec::Axpy(1.0f, mean_delta, sync_params->data(), dim);
     for (int k : delivered) {
-      WorkerState& worker = (*workers)[static_cast<size_t>(k)];
-      vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
-      payload_bytes.push_back(
-          compressor->CompressInPlace(k, worker.drift, dim));
-      buffers.push_back(worker.drift);
+      vec::Copy(sync_params->data(),
+                (*workers)[static_cast<size_t>(k)].view.params, dim);
     }
-    network->AllReduceAverageSubsetWithPayloads(
-        buffers, delivered, dim, payload_bytes, TrafficClass::kModelSync);
   } else {
+    std::vector<float*> buffers;
     buffers.reserve(delivered.size());
     for (int k : delivered) {
       buffers.push_back((*workers)[static_cast<size_t>(k)].view.params);
     }
     network->AllReduceAverageSubset(buffers, delivered, dim,
                                     TrafficClass::kModelSync);
-  }
-  // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- new average.
-  *prev_sync_params = *sync_params;
-  if (compressed) {
-    // New global = w_t0 + mean decoded delta, installed into the survivors.
-    vec::Axpy(1.0f, buffers[0], sync_params->data(), dim);
-    for (int k : delivered) {
-      vec::Copy(sync_params->data(),
-                (*workers)[static_cast<size_t>(k)].view.params, dim);
-    }
-  } else {
+    // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- the new average.
+    *prev_sync_params = *sync_params;
     vec::Copy(buffers[0], sync_params->data(), dim);
   }
   steps_since_sync = 0;
   ++sync_count;
   return true;
-}
-
-bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
-                         int worker, size_t wire_bytes, TrafficClass traffic) {
-  const FaultInjector::Delivery delivery = faults->SampleDelivery();
-  network->AccountSyncRetries(worker, wire_bytes, delivery.retries,
-                              faults->config().retry_backoff_seconds,
-                              traffic);
-  if (!delivery.delivered) {
-    network->AccountDroppedMessage();
-  }
-  return delivery.delivered;
 }
 
 namespace {
@@ -450,7 +476,7 @@ Status TrainerConfig::Validate() const {
   if (max_steps == 0) {
     return Status::InvalidArgument("max_steps must be > 0");
   }
-  if (fedprox_mu < 0.0f) {
+  if (!(fedprox_mu >= 0.0f)) {  // NaN fails too
     return Status::InvalidArgument("fedprox_mu must be >= 0");
   }
   if (topology.enabled()) {
@@ -879,9 +905,7 @@ StatusOr<TrainResult> DistributedTrainer::RunAsync(
                             num_workers;
   size_t next_eval = eval_every;
   size_t total_steps = 0;
-  const size_t wire_bytes = compressor != nullptr
-                                ? compressor->WireBytes(dim_)
-                                : dim_ * sizeof(float);
+  const size_t wire_bytes = ctx.WireBytes();
 
   while (total_steps < async.max_total_worker_steps && !events.empty()) {
     const StepEvent event = events.top();

@@ -63,12 +63,13 @@ struct ClusterContext {
   size_t step = 0;
   size_t steps_since_sync = 0;
   size_t sync_count = 0;
-  /// Optional sync compression (paper §2 compatibility); owned by trainer.
+  /// Optional sync compression (paper §2 compatibility); owned by trainer,
+  /// null when compression is off.
   SyncCompressor* compressor = nullptr;
   /// Fault layer, owned by the trainer and built for every run: a disabled
   /// FaultConfig is the identity schedule (nobody crashes, every
-  /// contribution arrives, nothing is drawn). Policies run each sync
-  /// contribution through DeliverContribution with it.
+  /// contribution arrives, nothing is drawn). DeliverParticipants and
+  /// RunAsync's state uploads sample every delivery from it.
   FaultInjector* faults = nullptr;
   /// The current round's participation mask (sync-eligible survivors), one
   /// char per worker, filled by the trainer every round — all ones on a
@@ -96,26 +97,42 @@ struct ClusterContext {
   /// run). `participation` must hold one entry per worker.
   std::vector<int> ActiveWorkers() const;
 
-  /// Parameter pointers of all workers: dim-strided rows of the arena's
-  /// params slab (for collectives).
-  std::vector<float*> ParamPointers();
-  /// State-scratch pointers of all workers (arena state slab rows).
-  std::vector<float*> StatePointers();
-
   /// Sizes the per-worker monitor-state scratch (one [K x state_size]
   /// arena slab) and wires every worker's `state` pointer. Policies call
   /// this from Initialize() once they know their monitor's StateSize().
   void AllocateWorkerStates(size_t state_size);
 
+  // The model-sync exchange every sync path shares: deliver, then exchange.
+
+  /// Bytes one model-sync contribution puts on the wire (and each retry
+  /// re-sends): the codec's wire size, or dim floats without a codec.
+  size_t WireBytes() const;
+
+  /// Runs every participant's model-sync contribution through the
+  /// message-loss gauntlet in ascending worker order: samples its delivery,
+  /// bills the retransmissions it needed at WireBytes() each, and records a
+  /// drop when the retry budget ran out. Returns the survivors. Under a
+  /// disabled FaultConfig it draws and bills nothing and returns every
+  /// participant.
+  std::vector<int> DeliverParticipants();
+
+  /// Writes each member's drift w_k - w_t0 into its drift row, codes it when
+  /// a codec is set (error feedback accumulates per worker; each member is
+  /// billed at its coded wire size), and averages the members' drift rows in
+  /// one kModelSync collective: the global subset AllReduce when `node` < 0,
+  /// node `node`'s subtree collective otherwise. `members` are ascending
+  /// worker ids (participants, for a subtree). Returns the mean delta, held
+  /// in every member's drift row.
+  const float* ExchangeDeltas(const std::vector<int>& members, int node);
+
   /// Plain synchronization: AllReduce-average the models of the round's
-  /// participants whose contribution survives message loss (lost
-  /// contributions are retried and billed, then dropped), install the mean
-  /// into them, and update the sync snapshots. With a compressor the
-  /// survivors exchange coded deltas from w_t0, billed at their wire size.
-  /// Returns true when the synchronization happened (increments
-  /// sync_count, resets steps_since_sync); false when every contribution
-  /// was lost (the sync is skipped, counted in skipped_syncs, and all state
-  /// carries forward).
+  /// participants whose contribution survives message loss
+  /// (DeliverParticipants), install the mean into them, and update the sync
+  /// snapshots. With a codec the survivors run ExchangeDeltas instead and
+  /// install w_t0 + mean delta. Returns true when the synchronization
+  /// happened (increments sync_count, resets steps_since_sync); false when
+  /// every contribution was lost (the sync is skipped, counted in
+  /// skipped_syncs, and all state carries forward).
   bool SynchronizeModels();
 };
 
@@ -234,15 +251,6 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
                          WorkerArena* arena,
                          std::vector<WorkerState>* workers,
                          Rng* straggler_rng_out = nullptr);
-
-/// Runs one sync contribution of `wire_bytes` from `worker` through the
-/// message-loss gauntlet: samples its delivery, bills the retransmissions
-/// it needed at `wire_bytes` each, and records a drop when the retry budget
-/// ran out. Returns true when the contribution arrived. Under a disabled
-/// FaultConfig it draws nothing, bills nothing, and returns true. Shared by
-/// every sync path.
-bool DeliverContribution(FaultInjector* faults, SimNetwork* network,
-                         int worker, size_t wire_bytes, TrafficClass traffic);
 
 /// RunAsync's sync condition (H > theta, estimated by `monitor`) and step
 /// budget.

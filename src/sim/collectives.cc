@@ -265,32 +265,10 @@ void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
   ChargeFlat(payload, seconds, traffic);
 }
 
-void SimNetwork::SubtreeAllReduceAverage(int node_id,
-                                         const std::vector<float*>& buffers,
-                                         size_t n, TrafficClass traffic) {
-  SubtreeAverage(node_id, buffers, /*active=*/nullptr, n,
-                 /*payload_bytes=*/nullptr, traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageSubset(
-    int node_id, const std::vector<float*>& buffers,
-    const std::vector<char>& active, size_t n, TrafficClass traffic) {
-  SubtreeAverage(node_id, buffers, &active, n, /*payload_bytes=*/nullptr,
-                 traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageSubsetWithPayloads(
-    int node_id, const std::vector<float*>& buffers,
-    const std::vector<char>& active, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  SubtreeAverage(node_id, buffers, &active, n, &payload_bytes, traffic);
-}
-
-void SimNetwork::SubtreeAverage(int node_id,
-                                const std::vector<float*>& buffers,
-                                const std::vector<char>* active, size_t n,
-                                const std::vector<size_t>* payload_bytes,
-                                TrafficClass traffic) {
+void SimNetwork::SubtreeAllReduceAverage(
+    int node_id, const std::vector<float*>& buffers, size_t n,
+    TrafficClass traffic, const std::vector<char>* active,
+    const std::vector<size_t>* payload_bytes) {
   FEDRA_CHECK(tree_.enabled())
       << "subtree collectives need a tree topology";
   int begin = 0;

@@ -17,12 +17,15 @@
 // confined to one subtree, billed only on that subtree's tiers — which the
 // hierarchical FDA scheduler uses to keep drift control on the cheap tiers.
 //
-// Averaging has six entry points: global and subtree scope, each as a full
-// cohort, a participant subset, and a subset billed at per-member wire
-// sizes. Every one runs the same reduce, and each scope bills through one
-// accounting body; a full cohort is the all-participants subset. The
-// trainers always pass a participation mask (all ones when fault-free), so
-// the subset forms carry every training run.
+// Averaging has four entry points: three of global scope (a full cohort, a
+// participant subset, and a subset billed at per-member wire sizes) and one
+// subtree collective, SubtreeAllReduceAverage, whose optional participation
+// mask and per-member wire sizes cover the same three forms. Every one runs
+// the same reduce, and each scope bills through one accounting body; a full
+// cohort is the all-participants subset. The trainers always pass a
+// participation mask (all ones when fault-free), so the subset forms carry
+// every training run; ClusterContext::ExchangeDeltas is the one caller that
+// bills per-member wire sizes.
 
 #ifndef FEDRA_SIM_COLLECTIVES_H_
 #define FEDRA_SIM_COLLECTIVES_H_
@@ -58,7 +61,6 @@ class SimNetwork {
              AllReduceAlgorithm root_algorithm);
 
   int num_workers() const { return num_workers_; }
-  const NetworkModel& network_model() const { return model_; }
   AllReduceAlgorithm algorithm() const { return algorithm_; }
   /// The topology tree (disabled for single-tier networks).
   const TopologyTree& tree() const { return tree_; }
@@ -76,7 +78,7 @@ class SimNetwork {
     return worker_link_factors_;
   }
 
-  // Six averaging entry points over one reduce path (the chunk-parallel
+  // Four averaging entry points over one reduce path (the chunk-parallel
   // mean installed into every member) and one accounting path per scope.
   // `participants` are ascending, unique worker ids; buffers[i] is
   // participants[i]'s span. The mean over the participants installs into
@@ -107,34 +109,21 @@ class SimNetwork {
       const std::vector<size_t>& payload_bytes, TrafficClass traffic);
 
   /// Cluster-scoped AllReduce-average confined to node `node_id`'s subtree
-  /// of the topology tree: `buffers` are the subtree members' spans in
-  /// worker order (size must equal the subtree's worker count). The mean
-  /// installs into every member; cost is billed as gather + broadcast
+  /// of the topology tree. `active` (optional) is the full-length
+  /// per-worker participation mask; null means every member of the subtree
+  /// participates. `buffers` are the spans of the subtree's participating
+  /// members in worker order (size must equal their count). The mean
+  /// installs into every one of them; cost is billed as gather + broadcast
   /// along the subtree's own tiers only — tiers above `node_id` carry
-  /// nothing (the hierarchical scheduler's cheap local averaging). Counts
-  /// as a subtree_allreduce_calls entry, and as subtree_sync_count (never
+  /// nothing (the hierarchical scheduler's cheap local averaging).
+  /// `payload_bytes` (optional) holds the i-th buffer's wire size (a coded
+  /// delta's); null bills n floats per member. Counts as a
+  /// subtree_allreduce_calls entry, and as subtree_sync_count (never
   /// model_sync_count) when `traffic` is kModelSync. Tree topologies only.
-  void SubtreeAllReduceAverage(int node_id,
-                               const std::vector<float*>& buffers, size_t n,
-                               TrafficClass traffic);
-
-  /// Partial-participation SubtreeAllReduceAverage: `active` is the
-  /// full-length per-worker mask and `buffers` are the spans of the
-  /// subtree's *active* members in worker order (size must equal the
-  /// active count within the subtree's span). Tree topologies only.
-  void SubtreeAllReduceAverageSubset(int node_id,
-                                     const std::vector<float*>& buffers,
-                                     const std::vector<char>& active,
-                                     size_t n, TrafficClass traffic);
-
-  /// SubtreeAllReduceAverageSubset billed at per-member wire sizes:
-  /// payload_bytes[i] belongs to the i-th *active* member (the order of
-  /// `buffers`) — the hierarchical scheduler's compressed cluster-local
-  /// model averaging. Tree topologies only.
-  void SubtreeAllReduceAverageSubsetWithPayloads(
-      int node_id, const std::vector<float*>& buffers,
-      const std::vector<char>& active, size_t n,
-      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
+  void SubtreeAllReduceAverage(
+      int node_id, const std::vector<float*>& buffers, size_t n,
+      TrafficClass traffic, const std::vector<char>* active = nullptr,
+      const std::vector<size_t>* payload_bytes = nullptr);
 
   /// Bills `retries` retransmissions of one lost sync contribution of
   /// `payload_bytes` on the wire (a compressed payload is retried at its
@@ -193,13 +182,6 @@ class SimNetwork {
   void AccountAllReduceSubset(size_t payload_bytes_sum,
                               const std::vector<int>& participants,
                               TrafficClass traffic);
-  // The one body of the subtree collectives: `active` null means every
-  // member of the subtree participates; `payload_bytes` null bills n floats
-  // per member.
-  void SubtreeAverage(int node_id, const std::vector<float*>& buffers,
-                      const std::vector<char>* active, size_t n,
-                      const std::vector<size_t>* payload_bytes,
-                      TrafficClass traffic);
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;

@@ -42,7 +42,7 @@ double NetworkModel::AllReduceSeconds(double payload_bytes, int num_workers,
     case AllReduceAlgorithm::kFlat:
       // Shared channel: every worker transmits its payload once and all K
       // payloads transit the same medium serially — the duration charges K
-      // payloads, matching AllReduceTotalBytes.
+      // payloads, matching AllReduceTotalBytesFromSum.
       return latency_seconds + static_cast<double>(num_workers) *
                                    payload_bytes / bandwidth_bytes_per_sec;
     case AllReduceAlgorithm::kRing:
@@ -62,26 +62,6 @@ double NetworkModel::AllReduceSeconds(double payload_bytes, int num_workers,
   }
   FEDRA_CHECK(false) << "unknown allreduce algorithm";
   return 0.0;
-}
-
-size_t NetworkModel::AllReduceTotalBytes(size_t payload_bytes,
-                                         int num_workers,
-                                         AllReduceAlgorithm algorithm) {
-  FEDRA_CHECK_GT(num_workers, 0);
-  if (num_workers == 1) {
-    return 0;
-  }
-  switch (algorithm) {
-    case AllReduceAlgorithm::kFlat:
-      // The paper's accounting: every worker transmits its payload once.
-      return payload_bytes * static_cast<size_t>(num_workers);
-    case AllReduceAlgorithm::kRing:
-    case AllReduceAlgorithm::kRecursiveHalving:
-      // Each worker sends 2 (K-1)/K of a payload.
-      return 2 * payload_bytes * static_cast<size_t>(num_workers - 1);
-  }
-  FEDRA_CHECK(false) << "unknown allreduce algorithm";
-  return 0;
 }
 
 double NetworkModel::AllReduceTotalBytesFromSum(

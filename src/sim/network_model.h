@@ -37,21 +37,18 @@ struct NetworkModel {
 
   /// Simulated duration of one AllReduce of `payload_bytes` per worker.
   /// kFlat models a shared channel: all K payloads transit it serially, so
-  /// the duration charges K payloads (consistent with AllReduceTotalBytes —
-  /// every worker transmits its payload once). kRing/kRecursiveHalving move
-  /// per-worker shares concurrently and pay per-round latencies instead.
+  /// the duration charges K payloads (consistent with
+  /// AllReduceTotalBytesFromSum — every worker transmits its payload once).
+  /// kRing/kRecursiveHalving move per-worker shares concurrently and pay
+  /// per-round latencies instead.
   /// Takes a double so variable-size compressed collectives can bill their
   /// exact mean wire size (sum / K) without integer truncation.
   double AllReduceSeconds(double payload_bytes, int num_workers,
                           AllReduceAlgorithm algorithm) const;
 
-  /// Total bytes transmitted by all workers for one AllReduce.
-  static size_t AllReduceTotalBytes(size_t payload_bytes, int num_workers,
-                                    AllReduceAlgorithm algorithm);
-
-  /// Same mapping, computed from the summed wire size of all workers (the
-  /// variable-payload billing path): flat transmits the sum once, ring and
-  /// recursive halving move 2 (K-1)/K of it. Double in/out so no
+  /// Total bytes transmitted by all workers for one AllReduce, computed
+  /// from the summed wire size of all workers: flat transmits the sum once,
+  /// ring and recursive halving move 2 (K-1)/K of it. Double in/out so no
   /// truncation happens before the caller rounds to whole bytes.
   static double AllReduceTotalBytesFromSum(double payload_bytes_sum,
                                            int num_workers,

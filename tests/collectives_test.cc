@@ -164,22 +164,22 @@ TEST(AccountingTest, FlatTimeChargesKPayloadsThroughSharedChannel) {
 TEST(AccountingTest, RecursiveHalvingFormulas) {
   const size_t payload = 1000;
   // K = 8: 3 halving + 3 doubling rounds, 2 * 7/8 payload per worker.
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(
-                payload, 8, AllReduceAlgorithm::kRecursiveHalving),
-            2u * payload * 7u);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       8.0 * payload, 8, AllReduceAlgorithm::kRecursiveHalving),
+                   2.0 * payload * 7);
   EXPECT_DOUBLE_EQ(TestModel().AllReduceSeconds(
                        payload, 8, AllReduceAlgorithm::kRecursiveHalving),
                    2.0 * 3 * 1e-3 + 2.0 * 7 * payload / (8 * 1e9));
   // Non-power-of-two K = 5: ceil(log2 5) = 3 rounds each way.
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(
-                payload, 5, AllReduceAlgorithm::kRecursiveHalving),
-            2u * payload * 4u);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       5.0 * payload, 5, AllReduceAlgorithm::kRecursiveHalving),
+                   2.0 * payload * 4);
   EXPECT_DOUBLE_EQ(TestModel().AllReduceSeconds(
                        payload, 5, AllReduceAlgorithm::kRecursiveHalving),
                    2.0 * 3 * 1e-3 + 2.0 * 4 * payload / (5 * 1e9));
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(
-                payload, 1, AllReduceAlgorithm::kRecursiveHalving),
-            0u);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       1.0 * payload, 1, AllReduceAlgorithm::kRecursiveHalving),
+                   0.0);
 }
 
 TEST(AccountingTest, HalvingBeatsRingOnLatencyBoundPayloads) {

@@ -484,9 +484,8 @@ TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
   std::vector<float> buffer(n, 2.0f);
   std::vector<char> active = {1, 0, 1, 1};  // worker 1 absent
   const int group0_node = network.tree().NodeOfLeafGroup(0);
-  network.SubtreeAllReduceAverageSubset(group0_node, {buffer.data()},
-                                        active, n,
-                                        TrafficClass::kModelSync);
+  network.SubtreeAllReduceAverage(group0_node, {buffer.data()}, n,
+                                  TrafficClass::kModelSync, &active);
   // A single surviving member is its own average: no wire traffic at all.
   EXPECT_EQ(network.stats().bytes_total, 0u);
   EXPECT_DOUBLE_EQ(network.stats().comm_seconds, 0.0);

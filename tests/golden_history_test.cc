@@ -661,26 +661,35 @@ const GoldenPoint kMlpCodecHier3Tier[] = {
 };
 const GoldenTotals kMlpCodecHier3TierTotals = {598088ull, 0ull, 0ull, 0ull};
 
+// K=8 over DeviceSiteCloud(2, 2) with the top-5% + q8 codec.
+TrainerConfig CodecHierConfig(bool parallel) {
+  TrainerConfig config = MlpConfig(8);
+  config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+  config.sync_compression = CompressionConfig::TopKQuantize(0.05, 8);
+  config.parallel_workers = parallel;
+  return config;
+}
+
+TrainResult RunMlpHier(const TrainerConfig& config,
+                       std::vector<double> theta_by_depth) {
+  const SynthImageData& data = SharedMnistLike();
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  HierarchicalFdaConfig policy_config;
+  policy_config.monitor.kind = MonitorKind::kLinear;
+  policy_config.theta_by_depth = std::move(theta_by_depth);
+  auto policy = MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
 TEST(GoldenHistoryTest, CompressedHierarchicalFdaSequentialAndParallel) {
   ExpectRunGolden(
       "MlpCodecHier3Tier",
       [](bool parallel) {
-        const SynthImageData& data = SharedMnistLike();
-        auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-        TrainerConfig config = MlpConfig(8);
-        config.topology = TopologyTree::DeviceSiteCloud(2, 2);
-        config.sync_compression = CompressionConfig::TopKQuantize(0.05, 8);
-        config.parallel_workers = parallel;
-        DistributedTrainer trainer(factory, data.train, data.test, config);
-        HierarchicalFdaConfig policy_config;
-        policy_config.monitor.kind = MonitorKind::kLinear;
-        policy_config.theta_by_depth = {1.2, 0.5, 0.2};
-        auto policy =
-            MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
-        FEDRA_CHECK(policy.ok());
-        auto result = trainer.Run(policy->get());
-        FEDRA_CHECK(result.ok());
-        return std::move(result).value();
+        return RunMlpHier(CodecHierConfig(parallel), {1.2, 0.5, 0.2});
       },
       kMlpCodecHier3Tier, kMlpCodecHier3TierTotals);
 }
@@ -719,6 +728,56 @@ TEST(GoldenHistoryTest, CompressedFedAvgChurnAndLossSequentialAndParallel) {
         return RunMlp(config, AlgorithmConfig::FedAvg(1));
       },
       kMlpCodecFedAvgChurnLoss, kMlpCodecFedAvgChurnLossTotals);
+}
+
+// The uncompressed twin of MlpCodecFedAvgChurnLoss: raw deltas, with a
+// dropped upload. Captured with FEDRA_GOLDEN_PRINT=1 before the sync paths
+// shared one coded-delta exchange.
+const GoldenPoint kMlpFedAvgChurnLoss[] = {
+    {20, 0.3125, 0.4453125, 513440ull, 2ull, 0.24014834857142861},
+    {40, 0.4765625, 0.59375, 949864ull, 5ull, 0.48028069485714309},
+    {60, 0.671875, 0.65625, 1334944ull, 7ull, 0.6804007062857147},
+};
+const GoldenTotals kMlpFedAvgChurnLossTotals = {1334944ull, 8ull, 1ull, 29ull};
+
+TEST(GoldenHistoryTest, FedAvgChurnAndLossSequentialAndParallel) {
+  ExpectRunGolden(
+      "MlpFedAvgChurnLoss",
+      [](bool parallel) {
+        TrainerConfig config = FedAvgConfig(parallel);
+        config.sync_compression = CompressionConfig::None();
+        config.faults = FaultConfig::Churn(6.0, 2.0);
+        config.faults.message_loss_prob = 0.2;
+        return RunMlp(config, AlgorithmConfig::FedAvg(1));
+      },
+      kMlpFedAvgChurnLoss, kMlpFedAvgChurnLossTotals);
+}
+
+// Compressed subtree resolutions over partial participation masks (64 of
+// them), one global sync with 3 retried uploads, and 15 rejoins.
+// Captured with FEDRA_GOLDEN_PRINT=1 before the sync paths shared one
+// coded-delta exchange.
+const GoldenPoint kMlpCodecHier3TierChurnLoss[] = {
+    {20, 0.1875, 0.328125, 405464ull, 0ull, 0.38687813120000025},
+    {40, 0.28125, 0.421875, 875256ull, 0ull, 0.81889711360000128},
+    {60, 0.609375, 0.6171875, 1407572ull, 1ull, 1.4304060959999987},
+};
+const GoldenTotals kMlpCodecHier3TierChurnLossTotals = {1407572ull, 3ull, 0ull,
+                                                        15ull};
+const GoldenDepthSeconds kMlpCodecHier3TierChurnLossDepth = {
+    0.46629011199999987, 0.05663452799999999};
+
+TEST(GoldenHistoryTest, CompressedHierarchicalFdaChurnAndLoss) {
+  ExpectRunGolden(
+      "MlpCodecHier3TierChurnLoss",
+      [](bool parallel) {
+        TrainerConfig config = CodecHierConfig(parallel);
+        config.faults = FaultConfig::Churn(30.0, 2.0);
+        config.faults.message_loss_prob = 0.2;
+        return RunMlpHier(config, {0.4, 0.4, 0.2});
+      },
+      kMlpCodecHier3TierChurnLoss, kMlpCodecHier3TierChurnLossTotals,
+      &kMlpCodecHier3TierChurnLossDepth);
 }
 
 const GoldenPoint kMlpAsyncChurnLoss[] = {

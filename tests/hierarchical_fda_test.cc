@@ -9,7 +9,9 @@
 // of the scheduler itself.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -198,6 +200,20 @@ TEST(HierarchicalFdaTest, ConfigValidation) {
   EXPECT_FALSE(MakeHierarchicalFdaPolicy(config, 100).ok());
   config.theta_by_depth = {1.0, 0.5};
   EXPECT_TRUE(MakeHierarchicalFdaPolicy(config, 100).ok());
+}
+
+// A NaN threshold is a Status from the factory, never an abort in the
+// policy's constructor.
+TEST(HierarchicalFdaTest, NanThresholdIsInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  HierarchicalFdaConfig config;
+  for (std::vector<double> thetas : {std::vector<double>{nan, 0.5},
+                                     std::vector<double>{1.0, nan}}) {
+    config.theta_by_depth = thetas;
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(MakeHierarchicalFdaPolicy(config, 100).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -163,18 +163,19 @@ TEST(NetworkModelTest, SlowNetworkIsSlower) {
 }
 
 TEST(NetworkModelTest, TotalBytesFormulas) {
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(100, 4,
-                                              AllReduceAlgorithm::kFlat),
-            400u);
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(100, 4,
-                                              AllReduceAlgorithm::kRing),
-            600u);
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(
-                100, 4, AllReduceAlgorithm::kRecursiveHalving),
-            600u);
-  EXPECT_EQ(NetworkModel::AllReduceTotalBytes(100, 1,
-                                              AllReduceAlgorithm::kFlat),
-            0u);
+  // Four workers with 100-byte payloads: 400 bytes summed.
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       400.0, 4, AllReduceAlgorithm::kFlat),
+                   400.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       400.0, 4, AllReduceAlgorithm::kRing),
+                   600.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       400.0, 4, AllReduceAlgorithm::kRecursiveHalving),
+                   600.0);
+  EXPECT_DOUBLE_EQ(NetworkModel::AllReduceTotalBytesFromSum(
+                       100.0, 1, AllReduceAlgorithm::kFlat),
+                   0.0);
 }
 
 // -------------------------------------------------------------- straggler

@@ -385,6 +385,21 @@ TEST(TrainerTest, PopulationBeyondIntIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+// A NaN fedprox_mu is a Status from Validate and Run: it must not run
+// silently without FedProx (NaN > 0 is false).
+TEST(TrainerTest, NanFedProxMuIsInvalidArgument) {
+  TrainerConfig config = BaseConfig(2);
+  config.max_steps = 2;
+  config.fedprox_mu = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  SynthImageData data = SmallMnistLike();
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             config);
+  SynchronousPolicy policy;
+  EXPECT_EQ(trainer.Run(&policy).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(TrainerTest, HistoryIsMonotoneInStepsAndBytes) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(3);
@@ -570,6 +585,19 @@ TEST(AlgorithmConfigTest, ValidationAndNames) {
   EXPECT_EQ(std::string(AlgorithmName(Algorithm::kSketchFda)), "SketchFDA");
   EXPECT_NE(AlgorithmConfig::FedAdam(2).ToString().find("E=2"),
             std::string::npos);
+}
+
+// A NaN theta is a Status from the factory, never an abort in
+// FdaSyncPolicy's constructor.
+TEST(AlgorithmConfigTest, NanThetaIsInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const AlgorithmConfig& config :
+       {AlgorithmConfig::SketchFda(nan), AlgorithmConfig::LinearFda(nan),
+        AlgorithmConfig::ExactFda(nan)}) {
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(MakeSyncPolicy(config, 100).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(AlgorithmConfigTest, FactoryBuildsEveryAlgorithm) {

@@ -267,7 +267,7 @@ TEST(WorkerCohortTest, AllocateWorkerStatesWiresArenaSlices) {
   for (int k = 0; k < 4; ++k) {
     EXPECT_EQ(workers[static_cast<size_t>(k)].state, arena.state(k));
   }
-  EXPECT_EQ(ctx.StatePointers()[2], arena.state(2));
+  EXPECT_EQ(ctx.arena->StatePointers()[2], arena.state(2));
 }
 
 }  // namespace
