@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,6 +502,57 @@ void BM_SubSquaredNorm(benchmark::State& state) {
                           static_cast<int64_t>(3 * dim * sizeof(float)));
 }
 BENCHMARK(BM_SubSquaredNorm)->Arg(1 << 14)->Arg(1 << 18);
+
+void BM_WorkerStepFold(benchmark::State& state) {
+  // One worker's Adam step and its LinearFDA state, as the trainer runs
+  // them: range(1) == 0 steps, then runs the separate dense pass
+  // (ComputeDriftAndState through a drift row); 1 folds the state into the
+  // step's blocks (VarianceMonitor::FoldBlock). The calls cycle through 32
+  // workers' rows, so each streams its rows from beyond L2 as a round over
+  // a cohort does (tree_hierfda: d = 68,362; mlp_wide_parallel: 265,482).
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const bool folded = state.range(1) != 0;
+  constexpr size_t kRows = 32;
+  std::vector<float> params(kRows * dim);
+  std::vector<float> grads(kRows * dim);
+  std::vector<float> drift(kRows * dim);
+  std::vector<float> moments(kRows * 2 * dim);
+  std::vector<float> states(kRows * 2);
+  std::vector<std::unique_ptr<Optimizer>> optimizers;
+  optimizers.reserve(kRows);
+  for (size_t k = 0; k < kRows; ++k) {
+    const auto p = RandomVec(dim, 80 + k);
+    const auto g = RandomVec(dim, 120 + k);
+    std::copy(p.begin(), p.end(), params.begin() + k * dim);
+    std::transform(g.begin(), g.end(), grads.begin() + k * dim,
+                   [](float x) { return 0.01f * x; });
+    optimizers.push_back(Optimizer::Create(OptimizerConfig::Adam(0.001f),
+                                           dim, moments.data() + k * 2 * dim));
+  }
+  const auto sync = RandomVec(dim, 78);
+  const auto prev_sync = RandomVec(dim, 79);
+  LinearVarianceMonitor monitor(dim);
+  monitor.OnSynchronized(sync.data(), prev_sync.data());
+  size_t k = 0;
+  for (auto _ : state) {
+    float* p = params.data() + k * dim;
+    const float* g = grads.data() + k * dim;
+    float* s = states.data() + k * 2;
+    if (folded) {
+      StateFold fold(monitor, sync.data(), s);
+      optimizers[k]->Step(p, g, dim, &VarianceMonitor::FoldBlockFn, &fold);
+    } else {
+      optimizers[k]->Step(p, g, dim);
+      monitor.ComputeDriftAndState(p, sync.data(), drift.data() + k * dim,
+                                   s);
+    }
+    benchmark::DoNotOptimize(s[0]);
+    k = (k + 1) % kRows;
+  }
+  state.SetLabel(folded ? "folded" : "separate");
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(dim));
+}
+BENCHMARK(BM_WorkerStepFold)->ArgsProduct({{68362, 265482}, {0, 1}});
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   // Scheduler round-trip cost: fan a trivial chunked loop over the pool and
@@ -1192,10 +1244,20 @@ int RunKernelsSweep(const std::string& path) {
          benchmark::DoNotOptimize(simd::Kernels().sub_squared_norm(
              x.data(), b2.data(), out.data(), n));
        }},
-      {"axpy_norm", 3 * fn * sizeof(float), 4 * fn,
+      // One whole pass as a single block, with <xi, u> and no store of u:
+      // LinearFDA's fold. Reads w, w_t0 and xi; sub + two FMAs per element.
+      {"drift_fold", 3 * fn * sizeof(float), 5 * fn,
        [&] {
-         benchmark::DoNotOptimize(
-             simd::Kernels().axpy_norm(-0.01f, x.data(), y.data(), n));
+         vec::DriftFoldLanes lanes;
+         vec::DriftFoldArgs args;
+         args.a = x.data();
+         args.b = b2.data();
+         args.xi = y.data();
+         args.n = n;
+         args.last = true;
+         args.lanes = &lanes;
+         simd::Kernels().drift_fold(args);
+         benchmark::DoNotOptimize(lanes.dot_sum);
        }},
       {"reduce_scale",
        (static_cast<double>(reduce_bufs) + 1) * fn * sizeof(float),
@@ -1584,27 +1646,6 @@ int RunSchedulerSweep(const std::string& path) {
   std::printf("wrote %s\n", path.c_str());
   return 0;
 }
-
-void BM_AxpyNorm(benchmark::State& state) {
-  // The fused SGD update kernel: w -= lr * g and ||w||^2 in one pass.
-  const size_t dim = static_cast<size_t>(state.range(0));
-  auto g = RandomVec(dim, 60);
-  auto w = RandomVec(dim, 61);
-  for (auto _ : state) {
-    if (g_use_ref_backend) {
-      benchmark::DoNotOptimize(
-          ref::AxpyNorm(-0.01f, g.data(), w.data(), dim));
-    } else {
-      benchmark::DoNotOptimize(
-          vec::AxpyNorm(-0.01f, g.data(), w.data(), dim));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(dim));
-  // Reads g and w, writes w back: three dim-length streams per pass.
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(3 * dim * sizeof(float)));
-}
-BENCHMARK(BM_AxpyNorm)->Arg(1 << 14)->Arg(1 << 18);
 
 }  // namespace
 }  // namespace fedra

@@ -23,7 +23,12 @@ int ActiveInSpan(const std::vector<char>& mask, int begin, int end) {
 // worker runs the serial kernels into its own drift and state rows only, so
 // the pass fans out over the global pool and stays bit-identical at any
 // thread count (docs/determinism.md, mechanism 1); a 1-thread pool runs it
-// inline.
+// inline. When the trainer's worker steps already folded the dense states
+// into the rows (ctx.states_folded), the dense branch has nothing to do.
+// The pass still runs: returning early would also drop the body's one
+// std::function allocation per round, and that alone moved glibc's heap
+// layout (tree_hierfda +2.1k minor faults per process in
+// scripts/setup_faults.py).
 //
 // With a masking sync compressor the monitor sees the drift that would
 // actually ship: the mask preview selects the kept coordinates (no
@@ -49,6 +54,9 @@ void ComputeWorkerStates(ClusterContext& ctx, const VarianceMonitor& monitor) {
           }
           WorkerState& worker = workers[k];
           if (masking == nullptr) {
+            if (ctx.states_folded) {
+              continue;
+            }
             monitor.ComputeDriftAndState(worker.view.params, anchor,
                                          worker.drift, worker.state);
             continue;

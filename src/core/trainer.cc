@@ -1,6 +1,7 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -593,7 +594,9 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
 }
 
 void DistributedTrainer::WorkerStep(WorkerState* worker,
-                                    const Dataset& train) {
+                                    const Dataset& train,
+                                    const VarianceMonitor* fold_monitor,
+                                    const float* sync_params) {
   const std::vector<size_t>& batch = worker->sampler->NextBatch();
   Tensor images = train.GatherImages(batch);
   std::vector<int> labels = train.GatherLabels(batch);
@@ -610,7 +613,24 @@ void DistributedTrainer::WorkerStep(WorkerState* worker,
     vec::AddScaledDiff(config_.fedprox_mu, worker->view.params,
                        fedprox_anchor_, worker->view.grads, dim_);
   }
-  worker->optimizer->Step(worker->view.params, worker->view.grads, dim_);
+  if (fold_monitor == nullptr) {
+    worker->optimizer->Step(worker->view.params, worker->view.grads, dim_);
+  } else {
+    // The monitor folds each block of updated params into the local state
+    // while the block is still in L1: no drift row, no second pass.
+    StateFold fold(*fold_monitor, sync_params, worker->state);
+    worker->optimizer->Step(worker->view.params, worker->view.grads, dim_,
+                            &VarianceMonitor::FoldBlockFn, &fold);
+    if constexpr (WorkerArena::guards_enabled()) {
+      // Debug guard: the folded state has the bits of the unfused pass.
+      std::vector<float> unfused(fold_monitor->StateSize());
+      fold_monitor->ComputeDriftAndState(worker->view.params, sync_params,
+                                         worker->drift, unfused.data());
+      FEDRA_CHECK(std::memcmp(unfused.data(), worker->state,
+                              unfused.size() * sizeof(float)) == 0)
+          << "folded monitor state differs from ComputeDriftAndState";
+    }
+  }
   worker->last_loss = loss.loss;
 }
 
@@ -706,6 +726,16 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   // the pages' residual segment when compressed sync carries memory.
   fleet.store->SetResidualSize(
       compressor != nullptr && compressor->has_residuals() ? dim_ : 0);
+  // An FDA policy's dense local states come out of the worker steps: each
+  // step folds its worker's state into the arena row, and the policy skips
+  // its own pass. A masking codec monitors the masked drift instead, which
+  // the policy computes.
+  const VarianceMonitor* fold_monitor =
+      arena.has_state_scratch() &&
+              (compressor == nullptr || !compressor->has_mask())
+          ? ctx.monitor
+          : nullptr;
+  ctx.states_folded = fold_monitor != nullptr;
 
   // The fault entity of slot k is its resident client.
   auto entity_of = [&](size_t k) { return static_cast<int>(fleet.cohort[k]); };
@@ -756,7 +786,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     // Crashed workers compute nothing this round; everyone else steps.
     auto run_worker = [&](size_t k) {
       if (injector->IsUp(entity_of(k))) {
-        WorkerStep(&workers[k], train_);
+        WorkerStep(&workers[k], train_, fold_monitor, sync_params.data());
       }
     };
     if (config_.parallel_workers && workers.size() > 1) {
@@ -926,7 +956,8 @@ StatusOr<TrainResult> DistributedTrainer::RunAsync(
       continue;
     }
 
-    WorkerStep(&worker, train_);
+    // The step folds the worker's local state into its state row.
+    WorkerStep(&worker, train_, monitor.get(), sync_params.data());
     ++total_steps;
 
     if (injector.SampleCrash()) {
@@ -941,12 +972,9 @@ StatusOr<TrainResult> DistributedTrainer::RunAsync(
       continue;
     }
 
-    // Upload the local state to the coordinator (point-to-point); the fused
-    // kernel computes the drift and its squared norm in one pass. A dropped
+    // Upload the local state to the coordinator (point-to-point). A dropped
     // upload leaves the coordinator's view of this worker stale (no
     // decision).
-    monitor->ComputeDriftAndState(worker.view.params, sync_params.data(),
-                                  worker.drift, worker.state);
     bool trip = false;
     if (DeliverContribution(&injector, &network, event.worker,
                             state_size * sizeof(float),

@@ -90,6 +90,13 @@ struct ClusterContext {
   /// store's off-cohort sum. Null for non-FDA policies (check-outs then
   /// store a zero state).
   const VarianceMonitor* monitor = nullptr;
+  /// True when the trainer's worker steps fold `monitor`'s dense local
+  /// state into each stepping worker's state row (VarianceMonitor::
+  /// FoldBlock inside the optimizer step), so the FDA policies skip their
+  /// own dense state pass. Run sets it when a monitor is set and no
+  /// masking codec runs; callers that drive MaybeSync directly leave it
+  /// false.
+  bool states_folded = false;
 
   int num_workers() const { return static_cast<int>(workers->size()); }
 
@@ -342,7 +349,12 @@ class DistributedTrainer {
   Model& shared_model() { return *shared_model_; }
 
  private:
-  void WorkerStep(WorkerState* worker, const Dataset& train);
+  /// One local step of `worker`. With a non-null `fold_monitor` the
+  /// optimizer step also folds the worker's local state against
+  /// `sync_params` into worker->state (VarianceMonitor::FoldBlock).
+  void WorkerStep(WorkerState* worker, const Dataset& train,
+                  const VarianceMonitor* fold_monitor,
+                  const float* sync_params);
   /// The sync codec TrainerConfig::sync_compression describes, fed the
   /// model's layer offsets; null when compression is off.
   std::unique_ptr<SyncCompressor> MakeCompressor() const;

@@ -26,6 +26,35 @@ void VarianceMonitor::ComputeDriftAndState(const float* params,
   FillStateTail(drift, state);
 }
 
+void VarianceMonitor::FoldBlockFn(void* fold, const float* params,
+                                  size_t begin, size_t n) {
+  StateFold* state_fold = static_cast<StateFold*>(fold);
+  state_fold->monitor->FoldBlock(state_fold, params, begin, n);
+}
+
+bool VarianceMonitor::FoldDrift(StateFold* fold, const float* params,
+                                size_t begin, size_t n, const float* xi,
+                                float* drift) const {
+  FEDRA_DCHECK_LE(begin + n, dim_);
+  if (begin == 0) {
+    fold->lanes = vec::DriftFoldLanes{};
+  }
+  vec::DriftFoldArgs args;
+  args.a = params;
+  args.b = fold->sync_params + begin;
+  args.xi = xi;
+  args.out = drift;
+  args.n = n;
+  args.last = begin + n == dim_;
+  args.lanes = &fold->lanes;
+  FEDRA_DCHECK(args.last || n % vec::kFoldStep == 0);
+  vec::DriftFold(args);
+  if (args.last) {
+    fold->state[0] = static_cast<float>(fold->lanes.sq_sum);
+  }
+  return args.last;
+}
+
 void VarianceMonitor::ComputeLocalStateSparse(const float* drift,
                                               const uint32_t* kept,
                                               size_t kept_count,
@@ -49,6 +78,12 @@ ExactVarianceMonitor::ExactVarianceMonitor(size_t dim)
 void ExactVarianceMonitor::FillStateTail(const float* drift,
                                          float* state) const {
   vec::Copy(drift, state + 1, dim());
+}
+
+// u goes straight into the state tail, which is the drift itself.
+void ExactVarianceMonitor::FoldBlock(StateFold* fold, const float* params,
+                                     size_t begin, size_t n) const {
+  FoldDrift(fold, params, begin, n, /*xi=*/nullptr, fold->state + 1 + begin);
 }
 
 void ExactVarianceMonitor::FillStateTailSparse(const float* drift,
@@ -87,6 +122,29 @@ void SketchVarianceMonitor::FillStateTail(const float* drift,
   AmsSketch::AccumulateVector(*family_, drift, state + 1);
 }
 
+// u is staged a sketch block at a time in the fold's stack block, and each
+// block is bucket-summed into the state as soon as it is complete. Blocks
+// reach the cells in ascending order, so every cell adds its coordinates in
+// the order FillStateTail's one BucketSum call does.
+void SketchVarianceMonitor::FoldBlock(StateFold* fold, const float* params,
+                                      size_t begin, size_t n) const {
+  if (begin == 0) {
+    std::fill(fold->state + 1, fold->state + StateSize(), 0.0f);
+  }
+  while (n > 0) {
+    const size_t offset = begin % vec::kBucketBlock;
+    const size_t len = std::min(n, vec::kBucketBlock - offset);
+    FoldDrift(fold, params, begin, len, /*xi=*/nullptr, fold->block + offset);
+    if (offset + len == vec::kBucketBlock || begin + len == dim()) {
+      vec::BucketSum(family_->BlockBucketSumArgs(
+          begin / vec::kBucketBlock, fold->block, fold->state + 1));
+    }
+    params += len;
+    begin += len;
+    n -= len;
+  }
+}
+
 void SketchVarianceMonitor::FillStateTailSparse(const float* drift,
                                                 const uint32_t* kept,
                                                 size_t kept_count,
@@ -119,6 +177,15 @@ void LinearVarianceMonitor::FillStateTail(const float* drift,
   state[1] = xi_valid_
                  ? static_cast<float>(vec::Dot(xi_.data(), drift, dim()))
                  : 0.0f;
+}
+
+void LinearVarianceMonitor::FoldBlock(StateFold* fold, const float* params,
+                                      size_t begin, size_t n) const {
+  if (FoldDrift(fold, params, begin, n,
+                xi_valid_ ? xi_.data() + begin : nullptr, /*drift=*/nullptr)) {
+    fold->state[1] =
+        xi_valid_ ? static_cast<float>(fold->lanes.dot_sum) : 0.0f;
+  }
 }
 
 void LinearVarianceMonitor::FillStateTailSparse(const float* drift,

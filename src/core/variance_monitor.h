@@ -14,12 +14,18 @@
 // States are flat float vectors so the simulator's collectives can average
 // them; element 0 is always ||u_k||^2.
 //
+// The trainer computes a worker's dense state inside its optimizer step
+// (FoldBlock): the step hands every block of updated params to the monitor
+// while the block is still in L1, so the round makes no second pass over
+// the params and writes no drift row.
+//
 // Thread safety: the state methods (ComputeLocalState, ComputeDriftAndState,
-// ComputeLocalStateSparse) are const and write only the drift/state rows
-// they are given, so one monitor may serve every worker concurrently as long
-// as the rows are distinct — the FDA policies compute all K states on the
-// global thread pool. OnSynchronized is the only mutator; it runs between
-// passes, never during one.
+// ComputeLocalStateSparse, FoldBlock) are const and write only the
+// drift/state rows and the fold they are given, so one monitor may serve
+// every worker concurrently as long as those are distinct — the FDA
+// policies compute all K states on the global thread pool, and parallel
+// worker steps fold theirs. OnSynchronized is the only mutator; it runs
+// between passes, never during one.
 
 #ifndef FEDRA_CORE_VARIANCE_MONITOR_H_
 #define FEDRA_CORE_VARIANCE_MONITOR_H_
@@ -29,9 +35,28 @@
 #include <vector>
 
 #include "sketch/ams_sketch.h"
+#include "tensor/vec_ops.h"
 #include "util/status.h"
 
 namespace fedra {
+
+class VarianceMonitor;
+
+/// The carried state of one blockwise fold of a worker's local state
+/// (VarianceMonitor::FoldBlock), kept on the stack of the pass that visits
+/// the params.
+struct StateFold {
+  StateFold(const VarianceMonitor& m, const float* w_sync, float* out)
+      : monitor(&m), sync_params(w_sync), state(out) {}
+
+  const VarianceMonitor* monitor;
+  const float* sync_params;  // w_t0
+  float* state;              // receives S_k
+  vec::DriftFoldLanes lanes;
+  /// SketchFDA: the drift of the current block of vec::kBucketBlock
+  /// coordinates, bucket-summed once the block is complete.
+  alignas(64) float block[vec::kBucketBlock];
+};
 
 class VarianceMonitor {
  public:
@@ -44,12 +69,28 @@ class VarianceMonitor {
   /// state[0] = ||drift||^2; the monitor-specific tail follows.
   void ComputeLocalState(const float* drift, float* state) const;
 
-  /// Fused per-step path: writes drift = params - sync_params and computes
-  /// the local state, obtaining ||drift||^2 in the same pass over the
-  /// model-sized spans (vec::SubSquaredNorm). Equivalent to vec::Sub followed
-  /// by ComputeLocalState, at roughly half the memory traffic.
+  /// One-pass dense path (the FDA policies' state pass when the worker
+  /// steps did not fold the state): writes drift = params - sync_params and
+  /// computes the local state, obtaining ||drift||^2 in the same pass over
+  /// the model-sized spans (vec::SubSquaredNorm). Equivalent to vec::Sub
+  /// followed by ComputeLocalState, at roughly half the memory traffic.
   void ComputeDriftAndState(const float* params, const float* sync_params,
                             float* drift, float* state) const;
+
+  /// Blockwise ComputeDriftAndState without a drift row: folds
+  /// params[begin, begin + n) of one worker (`params` points at element
+  /// begin) into `fold`. Blocks arrive in ascending order from 0 and cover
+  /// [0, dim()); every block but the last spans a multiple of
+  /// vec::kFoldStep floats. After the last block, fold->state holds the
+  /// bits ComputeDriftAndState(params, fold->sync_params, drift, state)
+  /// writes, at every SIMD level.
+  virtual void FoldBlock(StateFold* fold, const float* params, size_t begin,
+                         size_t n) const = 0;
+
+  /// FoldBlock as an Optimizer::BlockFn: `fold` is the StateFold, whose
+  /// monitor runs the block.
+  static void FoldBlockFn(void* fold, const float* params, size_t begin,
+                          size_t n);
 
   /// Local state of the *masked* drift: the state ComputeLocalState would
   /// produce for the vector equal to `drift` on the `kept_count` listed
@@ -101,6 +142,13 @@ class VarianceMonitor {
                                    size_t kept_count,
                                    float* state) const = 0;
 
+  /// FoldBlock's shared part: folds u = params - w_t0 over the block into
+  /// fold->lanes, with <xi, u> when `xi` (the block's slice) is set, and
+  /// stores u to `drift` when set. The first block resets the lanes; the
+  /// last sets state[0] = ||u||^2 and returns true.
+  bool FoldDrift(StateFold* fold, const float* params, size_t begin,
+                 size_t n, const float* xi, float* drift) const;
+
  private:
   size_t dim_;
 };
@@ -116,6 +164,8 @@ class ExactVarianceMonitor : public VarianceMonitor {
   size_t StateSize() const override { return dim() + 1; }
   double EstimateVariance(const float* avg_state) const override;
   std::string name() const override { return "ExactFDA"; }
+  void FoldBlock(StateFold* fold, const float* params, size_t begin,
+                 size_t n) const override;
 
  protected:
   void FillStateTail(const float* drift, float* state) const override;
@@ -134,6 +184,8 @@ class SketchVarianceMonitor : public VarianceMonitor {
   size_t StateSize() const override;
   double EstimateVariance(const float* avg_state) const override;
   std::string name() const override { return "SketchFDA"; }
+  void FoldBlock(StateFold* fold, const float* params, size_t begin,
+                 size_t n) const override;
 
   const AmsHashFamily& family() const { return *family_; }
 
@@ -161,6 +213,8 @@ class LinearVarianceMonitor : public VarianceMonitor {
                       const float* prev_global) override;
   bool StateTailSyncInvariant() const override { return false; }
   std::string name() const override { return "LinearFDA"; }
+  void FoldBlock(StateFold* fold, const float* params, size_t begin,
+                 size_t n) const override;
 
   /// Current heuristic direction (unit norm or all-zero before 2 syncs).
   const std::vector<float>& xi() const { return xi_; }

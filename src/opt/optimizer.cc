@@ -1,5 +1,6 @@
 #include "opt/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -62,18 +63,19 @@ Status OptimizerConfig::Validate() const {
   if (!(learning_rate > 0.0f)) {
     return Status::InvalidArgument("learning_rate must be > 0");
   }
-  if (momentum < 0.0f || momentum >= 1.0f) {
+  // Every range is written as !(in range), so NaN fails it too.
+  if (!(momentum >= 0.0f && momentum < 1.0f)) {
     return Status::InvalidArgument("momentum must be in [0, 1)");
   }
   if (kind == Kind::kAdam || kind == Kind::kAdamW) {
-    if (beta1 <= 0.0f || beta1 >= 1.0f || beta2 <= 0.0f || beta2 >= 1.0f) {
+    if (!(beta1 > 0.0f && beta1 < 1.0f && beta2 > 0.0f && beta2 < 1.0f)) {
       return Status::InvalidArgument("Adam betas must be in (0, 1)");
     }
     if (!(epsilon > 0.0f)) {
       return Status::InvalidArgument("Adam epsilon must be > 0");
     }
   }
-  if (weight_decay < 0.0f) {
+  if (!(weight_decay >= 0.0f)) {
     return Status::InvalidArgument("weight_decay must be >= 0");
   }
   return Status::Ok();
@@ -102,6 +104,21 @@ std::string OptimizerConfig::ToString() const {
 
 namespace {
 
+// Runs update(params + begin, grads + begin, begin, len) over ascending
+// blocks of Optimizer::kStepBlock floats, each followed by its callback.
+template <typename Update>
+void UpdateInBlocks(float* params, const float* grads, size_t n,
+                    Optimizer::BlockFn on_block, void* context,
+                    const Update& update) {
+  for (size_t begin = 0; begin < n; begin += Optimizer::kStepBlock) {
+    const size_t len = std::min(Optimizer::kStepBlock, n - begin);
+    update(params + begin, grads + begin, begin, len);
+    if (on_block != nullptr) {
+      on_block(context, params + begin, begin, len);
+    }
+  }
+}
+
 class SgdOptimizer : public Optimizer {
  public:
   SgdOptimizer(const OptimizerConfig& config, size_t dim, float* state)
@@ -117,59 +134,62 @@ class SgdOptimizer : public Optimizer {
     }
   }
 
-  void Step(float* params, const float* grads, size_t n) override {
+  void Step(float* params, const float* grads, size_t n, BlockFn on_block,
+            void* context) override {
     const float lr = config_.learning_rate;
     const float wd = config_.weight_decay;
     if (config_.kind == OptimizerConfig::Kind::kSgd) {
-      if (wd == 0.0f) {
-        // params -= lr * grads is a single fused AXPY; the same pass yields
-        // the post-step parameter norm.
-        last_param_sq_norm_ = vec::AxpyNorm(-lr, grads, params, n);
-        return;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const float g = grads[i] + wd * params[i];
-        params[i] -= lr * g;
-      }
+      UpdateInBlocks(params, grads, n, on_block, context,
+                     [&](float* p, const float* g, size_t, size_t len) {
+                       if (wd == 0.0f) {
+                         vec::Axpy(-lr, g, p, len);  // p -= lr * g
+                         return;
+                       }
+                       for (size_t i = 0; i < len; ++i) {
+                         const float gi = g[i] + wd * p[i];
+                         p[i] -= lr * gi;
+                       }
+                     });
       return;
     }
     FEDRA_CHECK_EQ(dim_, n);
-    float* velocity = velocity_;
     const float mu = config_.momentum;
-    if (config_.nesterov) {
-      // v <- mu*v + g ; w <- w - lr*(g + mu*v)  (Sutskever formulation)
-      for (size_t i = 0; i < n; ++i) {
-        const float g = grads[i] + wd * params[i];
-        velocity[i] = mu * velocity[i] + g;
-        params[i] -= lr * (g + mu * velocity[i]);
-      }
-    } else {
-      // v <- mu*v + g ; w <- w - lr*v
-      for (size_t i = 0; i < n; ++i) {
-        const float g = grads[i] + wd * params[i];
-        velocity[i] = mu * velocity[i] + g;
-        params[i] -= lr * velocity[i];
-      }
-    }
+    const bool nesterov = config_.nesterov;
+    UpdateInBlocks(
+        params, grads, n, on_block, context,
+        [&](float* p, const float* g, size_t begin, size_t len) {
+          float* velocity = velocity_ + begin;
+          if (nesterov) {
+            // v <- mu*v + g ; w <- w - lr*(g + mu*v)  (Sutskever)
+            for (size_t i = 0; i < len; ++i) {
+              const float gi = g[i] + wd * p[i];
+              velocity[i] = mu * velocity[i] + gi;
+              p[i] -= lr * (gi + mu * velocity[i]);
+            }
+          } else {
+            // v <- mu*v + g ; w <- w - lr*v
+            for (size_t i = 0; i < len; ++i) {
+              const float gi = g[i] + wd * p[i];
+              velocity[i] = mu * velocity[i] + gi;
+              p[i] -= lr * velocity[i];
+            }
+          }
+        });
   }
 
   void Reset() override {
     if (velocity_ != nullptr) {
       vec::Fill(velocity_, dim_, 0.0f);
     }
-    last_param_sq_norm_ = -1.0;
   }
 
   std::string name() const override { return config_.ToString(); }
-
-  double last_param_sq_norm() const override { return last_param_sq_norm_; }
 
  private:
   OptimizerConfig config_;
   size_t dim_;
   float* velocity_ = nullptr;   // external slab slice or owned_.data()
   std::vector<float> owned_;
-  double last_param_sq_norm_ = -1.0;
 };
 
 class AdamOptimizer : public Optimizer {
@@ -190,7 +210,8 @@ class AdamOptimizer : public Optimizer {
 
   // The bias correction stays in double here; the element loop is
   // vec::AdamStep, dispatched per SIMD level and bit-identical across them.
-  void Step(float* params, const float* grads, size_t n) override {
+  void Step(float* params, const float* grads, size_t n, BlockFn on_block,
+            void* context) override {
     FEDRA_CHECK_EQ(dim_, n);
     ++step_;
     vec::AdamStepArgs args;
@@ -207,7 +228,10 @@ class AdamOptimizer : public Optimizer {
         1.0 - std::pow(static_cast<double>(args.beta2),
                        static_cast<double>(step_));
     args.corrected_lr = args.lr * static_cast<float>(std::sqrt(bias2) / bias1);
-    vec::AdamStep(args, grads, params, m_, v_, n);
+    UpdateInBlocks(params, grads, n, on_block, context,
+                   [&](float* p, const float* g, size_t begin, size_t len) {
+                     vec::AdamStep(args, g, p, m_ + begin, v_ + begin, len);
+                   });
   }
 
   void Reset() override {

@@ -11,6 +11,12 @@
 // the element loop as vec::AdamStep, a SIMD-dispatched kernel that produces
 // the same bits at every level (docs/determinism.md §5). Both roles above
 // use it.
+//
+// Every update is element-wise, and Step runs it over ascending blocks of
+// kStepBlock floats. An optional per-block callback sees each block right
+// after the update wrote it, while it is still in L1: the trainer folds the
+// FDA monitor's local state there (VarianceMonitor::FoldBlock), so the
+// round needs no second pass over the worker's params.
 
 #ifndef FEDRA_OPT_OPTIMIZER_H_
 #define FEDRA_OPT_OPTIMIZER_H_
@@ -59,10 +65,28 @@ struct OptimizerConfig {
 
 class Optimizer {
  public:
+  /// Floats per update block: 4 KB of params, which stay in L1 for the
+  /// block callback. A multiple of vec::kFoldStep.
+  static constexpr size_t kStepBlock = 1024;
+
+  /// A per-block callback: `params` points at the updated
+  /// params[begin, begin + n).
+  using BlockFn = void (*)(void* context, const float* params, size_t begin,
+                           size_t n);
+
   virtual ~Optimizer() = default;
 
   /// Applies one update step: params -= f(grads, state).
-  virtual void Step(float* params, const float* grads, size_t n) = 0;
+  void Step(float* params, const float* grads, size_t n) {
+    Step(params, grads, n, nullptr, nullptr);
+  }
+
+  /// The same step, calling on_block(context, ...) after the update of each
+  /// block [begin, begin + n), in ascending order; every block but the last
+  /// spans kStepBlock floats. Blocking does not change the bits: every
+  /// update is element-wise. on_block may be null.
+  virtual void Step(float* params, const float* grads, size_t n,
+                    BlockFn on_block, void* context) = 0;
 
   /// Clears internal state (momentum buffers, Adam moments, step count).
   virtual void Reset() = 0;
@@ -75,12 +99,6 @@ class Optimizer {
   /// and ignore the setter.
   virtual uint64_t step_count() const { return 0; }
   virtual void set_step_count(uint64_t steps) { (void)steps; }
-
-  /// ||params||^2 after the most recent Step, when the active update path
-  /// tracks it for free (plain SGD fuses the update and the reduction via
-  /// vec::AxpyNorm); negative when the path doesn't track it. A steadily
-  /// growing value is a cheap divergence signal.
-  virtual double last_param_sq_norm() const { return -1.0; }
 
   /// Creates an optimizer for a model of dimension `dim`.
   ///

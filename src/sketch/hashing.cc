@@ -158,6 +158,18 @@ vec::BucketSumArgs AmsHashFamily::BucketSumArgs(const float* x,
   return args;
 }
 
+vec::BucketSumArgs AmsHashFamily::BlockBucketSumArgs(size_t block,
+                                                     const float* x_block,
+                                                     float* cells) const {
+  vec::BucketSumArgs args = BucketSumArgs(x_block, cells);
+  FEDRA_DCHECK_LT(block, args.num_blocks);
+  const size_t groups =
+      (static_cast<size_t>(cols_) + vec::kBucketLanes - 1) / vec::kBucketLanes;
+  args.runs += block * static_cast<size_t>(rows_) * groups;
+  args.num_blocks = 1;
+  return args;
+}
+
 std::shared_ptr<const AmsHashFamily> AmsHashFamily::Create(int rows, int cols,
                                                            size_t dim,
                                                            uint64_t seed) {

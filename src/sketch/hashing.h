@@ -103,6 +103,13 @@ class AmsHashFamily {
   /// row-major): its lists hold every (row, coordinate) once.
   vec::BucketSumArgs BucketSumArgs(const float* x, float* cells) const;
 
+  /// The same call restricted to coordinate block `block` (coordinates
+  /// [block * vec::kBucketBlock, ...)), with `x_block` holding that block's
+  /// values from its first coordinate on. Running every block in ascending
+  /// order adds each cell's entries in BucketSumArgs' order.
+  vec::BucketSumArgs BlockBucketSumArgs(size_t block, const float* x_block,
+                                        float* cells) const;
+
   /// Creates a family usable by every worker of a run (value-shared).
   static std::shared_ptr<const AmsHashFamily> Create(int rows, int cols,
                                                      size_t dim,

@@ -496,11 +496,6 @@ double SubSquaredNorm(const float* a, const float* b, float* out, size_t n) {
   return SquaredNorm(out, n);
 }
 
-double AxpyNorm(float alpha, const float* x, float* y, size_t n) {
-  Axpy(alpha, x, y, n);
-  return SquaredNorm(y, n);
-}
-
 void AddScaledDiff(float alpha, const float* a, const float* b, float* y,
                    size_t n) {
   for (size_t i = 0; i < n; ++i) {

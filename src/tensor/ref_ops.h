@@ -69,10 +69,9 @@ double Dot(const float* a, const float* b, size_t n);
 double SquaredNorm(const float* x, size_t n);
 double Sum(const float* x, size_t n);
 
-/// Unfused references for the fused fast kernels: out = a - b and returns
-/// ||out||^2; y += alpha * x and returns ||y||^2.
+/// Unfused reference for the fused fast kernel: out = a - b and returns
+/// ||out||^2.
 double SubSquaredNorm(const float* a, const float* b, float* out, size_t n);
-double AxpyNorm(float alpha, const float* x, float* y, size_t n);
 
 /// Scalar FedProx proximal term: y[i] += alpha * (a[i] - b[i]).
 void AddScaledDiff(float alpha, const float* a, const float* b, float* y,

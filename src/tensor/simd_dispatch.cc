@@ -18,7 +18,9 @@
 //     compiled with FP contraction off.
 //   4. The 2x2 stride-2 average pool, still with contraction off.
 //   5. The top-k mask's candidate compaction and its AVX-512F variant.
-//   6. Table construction (fallback ladder) and level resolution.
+//   6. The blockwise drift fold (sub_squared_norm and dot with carried
+//     lanes) and its AVX2 and AVX-512F variants.
+//   7. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -31,7 +33,9 @@
 // col2im_row variants their per-cell order of additions, so those six
 // kernels produce the same bits at every level; pack_b_trans and
 // magnitude_compact only move data, so they do too, and reduce_scale runs
-// its portable body at every level.
+// its portable body at every level. Each drift_fold variant carries its own
+// level's sub_squared_norm and dot lanes between blocks, so a blockwise
+// pass has that level's one-pass bits (docs/determinism.md §5).
 
 #include "tensor/simd_dispatch.h"
 
@@ -122,31 +126,6 @@ double SubSquaredNormPortable(const float* a, const float* b, float* out,
     const float d = a[i] - b[i];
     out[i] = d;
     acc0 += static_cast<double>(d) * static_cast<double>(d);
-  }
-  return (acc0 + acc1) + (acc2 + acc3);
-}
-
-double AxpyNormPortable(float alpha, const float* x, float* y, size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float y0 = y[i] + alpha * x[i];
-    const float y1 = y[i + 1] + alpha * x[i + 1];
-    const float y2 = y[i + 2] + alpha * x[i + 2];
-    const float y3 = y[i + 3] + alpha * x[i + 3];
-    y[i] = y0;
-    y[i + 1] = y1;
-    y[i + 2] = y2;
-    y[i + 3] = y3;
-    acc0 += static_cast<double>(y0) * static_cast<double>(y0);
-    acc1 += static_cast<double>(y1) * static_cast<double>(y1);
-    acc2 += static_cast<double>(y2) * static_cast<double>(y2);
-    acc3 += static_cast<double>(y3) * static_cast<double>(y3);
-  }
-  for (; i < n; ++i) {
-    const float yi = y[i] + alpha * x[i];
-    y[i] = yi;
-    acc0 += static_cast<double>(yi) * static_cast<double>(yi);
   }
   return (acc0 + acc1) + (acc2 + acc3);
 }
@@ -473,40 +452,6 @@ __attribute__((target("avx2,fma"))) double SubSquaredNormAvx2(
   return total;
 }
 
-__attribute__((target("avx2,fma"))) double AxpyNormAvx2(float alpha,
-                                                        const float* x,
-                                                        float* y, size_t n) {
-  const __m256 av = _mm256_set1_ps(alpha);
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 y0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i),
-                                      _mm256_loadu_ps(y + i));
-    const __m256 y1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(x + i + 8),
-                                      _mm256_loadu_ps(y + i + 8));
-    _mm256_storeu_ps(y + i, y0);
-    _mm256_storeu_ps(y + i + 8, y1);
-    const __m256d w0 = _mm256_cvtps_pd(_mm256_castps256_ps128(y0));
-    const __m256d w1 = _mm256_cvtps_pd(_mm256_extractf128_ps(y0, 1));
-    const __m256d w2 = _mm256_cvtps_pd(_mm256_castps256_ps128(y1));
-    const __m256d w3 = _mm256_cvtps_pd(_mm256_extractf128_ps(y1, 1));
-    acc0 = _mm256_fmadd_pd(w0, w0, acc0);
-    acc1 = _mm256_fmadd_pd(w1, w1, acc1);
-    acc2 = _mm256_fmadd_pd(w2, w2, acc2);
-    acc3 = _mm256_fmadd_pd(w3, w3, acc3);
-  }
-  double total = HSum16(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float yi = y[i] + alpha * x[i];
-    y[i] = yi;
-    total += static_cast<double>(yi) * static_cast<double>(yi);
-  }
-  return total;
-}
-
 // 8x32 micro-tile as four 4x16 register sub-tiles (8 ymm accumulators + 2
 // B vectors + 1 broadcast fits the 16-register AVX2 file; the full 8x32
 // tile would need 32 ymm accumulators and spill every iteration). Each
@@ -677,44 +622,6 @@ __attribute__((target("avx512f"))) double SubSquaredNormAvx512(
     const float d = a[i] - b[i];
     out[i] = d;
     total += static_cast<double>(d) * static_cast<double>(d);
-  }
-  return total;
-}
-
-__attribute__((target("avx512f"))) double AxpyNormAvx512(float alpha,
-                                                         const float* x,
-                                                         float* y, size_t n) {
-  const __m512 av = _mm512_set1_ps(alpha);
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  __m512d acc2 = _mm512_setzero_pd();
-  __m512d acc3 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512 y0 = _mm512_fmadd_ps(av, _mm512_loadu_ps(x + i),
-                                      _mm512_loadu_ps(y + i));
-    const __m512 y1 = _mm512_fmadd_ps(av, _mm512_loadu_ps(x + i + 16),
-                                      _mm512_loadu_ps(y + i + 16));
-    _mm512_storeu_ps(y + i, y0);
-    _mm512_storeu_ps(y + i + 16, y1);
-    const __m512d w0 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(y0));
-    const __m512d w1 =
-        _mm512_cvtps_pd(UpperHalfAvx512(y0));
-    const __m512d w2 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(y1));
-    const __m512d w3 =
-        _mm512_cvtps_pd(UpperHalfAvx512(y1));
-    acc0 = _mm512_fmadd_pd(w0, w0, acc0);
-    acc1 = _mm512_fmadd_pd(w1, w1, acc1);
-    acc2 = _mm512_fmadd_pd(w2, w2, acc2);
-    acc3 = _mm512_fmadd_pd(w3, w3, acc3);
-  }
-  double total = HSum32(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float yi = y[i] + alpha * x[i];
-    y[i] = yi;
-    total += static_cast<double>(yi) * static_cast<double>(yi);
   }
   return total;
 }
@@ -1548,7 +1455,261 @@ __attribute__((target("avx512f"))) size_t MagnitudeCompactAvx512(
 #endif  // FEDRA_SIMD_X86
 
 // ------------------------------------------------------------------------
-// 6. Tables and resolution.
+// 6. The blockwise drift fold: sub_squared_norm and dot over one block at a
+// time, each level's accumulators carried between blocks in memory.
+// ------------------------------------------------------------------------
+//
+// Each body is its level's SubSquaredNorm and Dot loops run together over
+// one block: the same lanes, loaded from the carried ones and stored back.
+// A block other than the last spans whole steps of every level, so the
+// lanes see the elements a one-pass kernel would give them, in the same
+// order. The last block runs the level's tail and final combine. kDot
+// folds <xi, u> too; kStore writes u out.
+
+using DriftFoldBody = void (*)(const vec::DriftFoldArgs& args);
+
+template <bool kDot, bool kStore>
+void DriftFoldPortableBody(const vec::DriftFoldArgs& args) {
+  const float* a = args.a;
+  const float* b = args.b;
+  const float* xi = args.xi;
+  float* out = args.out;
+  const size_t n = args.n;
+  vec::DriftFoldLanes* lanes = args.lanes;
+  double acc0 = lanes->sq[0], acc1 = lanes->sq[1], acc2 = lanes->sq[2],
+         acc3 = lanes->sq[3];
+  double dot0 = lanes->dot[0], dot1 = lanes->dot[1], dot2 = lanes->dot[2],
+         dot3 = lanes->dot[3];
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const float d0 = a[i] - b[i];
+    const float d1 = a[i + 1] - b[i + 1];
+    const float d2 = a[i + 2] - b[i + 2];
+    const float d3 = a[i + 3] - b[i + 3];
+    if constexpr (kStore) {
+      out[i] = d0;
+      out[i + 1] = d1;
+      out[i + 2] = d2;
+      out[i + 3] = d3;
+    }
+    acc0 += static_cast<double>(d0) * static_cast<double>(d0);
+    acc1 += static_cast<double>(d1) * static_cast<double>(d1);
+    acc2 += static_cast<double>(d2) * static_cast<double>(d2);
+    acc3 += static_cast<double>(d3) * static_cast<double>(d3);
+    if constexpr (kDot) {
+      dot0 += static_cast<double>(xi[i]) * static_cast<double>(d0);
+      dot1 += static_cast<double>(xi[i + 1]) * static_cast<double>(d1);
+      dot2 += static_cast<double>(xi[i + 2]) * static_cast<double>(d2);
+      dot3 += static_cast<double>(xi[i + 3]) * static_cast<double>(d3);
+    }
+  }
+  if (args.last) {
+    for (; i < n; ++i) {
+      const float d = a[i] - b[i];
+      if constexpr (kStore) {
+        out[i] = d;
+      }
+      acc0 += static_cast<double>(d) * static_cast<double>(d);
+      if constexpr (kDot) {
+        dot0 += static_cast<double>(xi[i]) * static_cast<double>(d);
+      }
+    }
+    lanes->sq_sum = (acc0 + acc1) + (acc2 + acc3);
+    if constexpr (kDot) {
+      lanes->dot_sum = (dot0 + dot1) + (dot2 + dot3);
+    }
+  }
+  lanes->sq[0] = acc0;
+  lanes->sq[1] = acc1;
+  lanes->sq[2] = acc2;
+  lanes->sq[3] = acc3;
+  lanes->dot[0] = dot0;
+  lanes->dot[1] = dot1;
+  lanes->dot[2] = dot2;
+  lanes->dot[3] = dot3;
+}
+
+void DriftFoldPortable(const vec::DriftFoldArgs& args) {
+  static constexpr DriftFoldBody kBodies[2][2] = {
+      {DriftFoldPortableBody<false, false>, DriftFoldPortableBody<false, true>},
+      {DriftFoldPortableBody<true, false>, DriftFoldPortableBody<true, true>}};
+  kBodies[args.xi != nullptr][args.out != nullptr](args);
+}
+
+#if defined(FEDRA_SIMD_X86)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// SubSquaredNormAvx2 and DotAvx2: lane l of accumulator j holds element
+// i + 4j + l of each 16-element step.
+template <bool kDot, bool kStore>
+__attribute__((target("avx2,fma"))) void DriftFoldAvx2Body(
+    const vec::DriftFoldArgs& args) {
+  const float* a = args.a;
+  const float* b = args.b;
+  const float* xi = args.xi;
+  float* out = args.out;
+  const size_t n = args.n;
+  vec::DriftFoldLanes* lanes = args.lanes;
+  __m256d acc0 = _mm256_load_pd(lanes->sq);
+  __m256d acc1 = _mm256_load_pd(lanes->sq + 4);
+  __m256d acc2 = _mm256_load_pd(lanes->sq + 8);
+  __m256d acc3 = _mm256_load_pd(lanes->sq + 12);
+  __m256d dot0 = _mm256_load_pd(lanes->dot);
+  __m256d dot1 = _mm256_load_pd(lanes->dot + 4);
+  __m256d dot2 = _mm256_load_pd(lanes->dot + 8);
+  __m256d dot3 = _mm256_load_pd(lanes->dot + 12);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a + i),
+                                    _mm256_loadu_ps(b + i));
+    const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + 8),
+                                    _mm256_loadu_ps(b + i + 8));
+    if constexpr (kStore) {
+      _mm256_storeu_ps(out + i, d0);
+      _mm256_storeu_ps(out + i + 8, d1);
+    }
+    const __m256d w0 = _mm256_cvtps_pd(_mm256_castps256_ps128(d0));
+    const __m256d w1 = _mm256_cvtps_pd(_mm256_extractf128_ps(d0, 1));
+    const __m256d w2 = _mm256_cvtps_pd(_mm256_castps256_ps128(d1));
+    const __m256d w3 = _mm256_cvtps_pd(_mm256_extractf128_ps(d1, 1));
+    acc0 = _mm256_fmadd_pd(w0, w0, acc0);
+    acc1 = _mm256_fmadd_pd(w1, w1, acc1);
+    acc2 = _mm256_fmadd_pd(w2, w2, acc2);
+    acc3 = _mm256_fmadd_pd(w3, w3, acc3);
+    if constexpr (kDot) {
+      dot0 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(xi + i)), w0, dot0);
+      dot1 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(xi + i + 4)), w1,
+                             dot1);
+      dot2 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(xi + i + 8)), w2,
+                             dot2);
+      dot3 = _mm256_fmadd_pd(_mm256_cvtps_pd(_mm_loadu_ps(xi + i + 12)), w3,
+                             dot3);
+    }
+  }
+  if (args.last) {
+    double total = HSum16(acc0, acc1, acc2, acc3);
+    double dot_total = kDot ? HSum16(dot0, dot1, dot2, dot3) : 0.0;
+    for (; i < n; ++i) {
+      const float d = a[i] - b[i];
+      if constexpr (kStore) {
+        out[i] = d;
+      }
+      total += static_cast<double>(d) * static_cast<double>(d);
+      if constexpr (kDot) {
+        dot_total += static_cast<double>(xi[i]) * static_cast<double>(d);
+      }
+    }
+    lanes->sq_sum = total;
+    if constexpr (kDot) {
+      lanes->dot_sum = dot_total;
+    }
+  }
+  _mm256_store_pd(lanes->sq, acc0);
+  _mm256_store_pd(lanes->sq + 4, acc1);
+  _mm256_store_pd(lanes->sq + 8, acc2);
+  _mm256_store_pd(lanes->sq + 12, acc3);
+  _mm256_store_pd(lanes->dot, dot0);
+  _mm256_store_pd(lanes->dot + 4, dot1);
+  _mm256_store_pd(lanes->dot + 8, dot2);
+  _mm256_store_pd(lanes->dot + 12, dot3);
+}
+
+void DriftFoldAvx2(const vec::DriftFoldArgs& args) {
+  static constexpr DriftFoldBody kBodies[2][2] = {
+      {DriftFoldAvx2Body<false, false>, DriftFoldAvx2Body<false, true>},
+      {DriftFoldAvx2Body<true, false>, DriftFoldAvx2Body<true, true>}};
+  kBodies[args.xi != nullptr][args.out != nullptr](args);
+}
+
+// SubSquaredNormAvx512 and DotAvx512: lane l of accumulator j holds
+// element i + 8j + l of each 32-element step.
+template <bool kDot, bool kStore>
+__attribute__((target("avx512f"))) void DriftFoldAvx512Body(
+    const vec::DriftFoldArgs& args) {
+  const float* a = args.a;
+  const float* b = args.b;
+  const float* xi = args.xi;
+  float* out = args.out;
+  const size_t n = args.n;
+  vec::DriftFoldLanes* lanes = args.lanes;
+  __m512d acc0 = _mm512_load_pd(lanes->sq);
+  __m512d acc1 = _mm512_load_pd(lanes->sq + 8);
+  __m512d acc2 = _mm512_load_pd(lanes->sq + 16);
+  __m512d acc3 = _mm512_load_pd(lanes->sq + 24);
+  __m512d dot0 = _mm512_load_pd(lanes->dot);
+  __m512d dot1 = _mm512_load_pd(lanes->dot + 8);
+  __m512d dot2 = _mm512_load_pd(lanes->dot + 16);
+  __m512d dot3 = _mm512_load_pd(lanes->dot + 24);
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m512 d0 = _mm512_sub_ps(_mm512_loadu_ps(a + i),
+                                    _mm512_loadu_ps(b + i));
+    const __m512 d1 = _mm512_sub_ps(_mm512_loadu_ps(a + i + 16),
+                                    _mm512_loadu_ps(b + i + 16));
+    if constexpr (kStore) {
+      _mm512_storeu_ps(out + i, d0);
+      _mm512_storeu_ps(out + i + 16, d1);
+    }
+    const __m512d w0 = _mm512_cvtps_pd(_mm512_castps512_ps256(d0));
+    const __m512d w1 = _mm512_cvtps_pd(UpperHalfAvx512(d0));
+    const __m512d w2 = _mm512_cvtps_pd(_mm512_castps512_ps256(d1));
+    const __m512d w3 = _mm512_cvtps_pd(UpperHalfAvx512(d1));
+    acc0 = _mm512_fmadd_pd(w0, w0, acc0);
+    acc1 = _mm512_fmadd_pd(w1, w1, acc1);
+    acc2 = _mm512_fmadd_pd(w2, w2, acc2);
+    acc3 = _mm512_fmadd_pd(w3, w3, acc3);
+    if constexpr (kDot) {
+      dot0 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm256_loadu_ps(xi + i)), w0,
+                             dot0);
+      dot1 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm256_loadu_ps(xi + i + 8)), w1,
+                             dot1);
+      dot2 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm256_loadu_ps(xi + i + 16)),
+                             w2, dot2);
+      dot3 = _mm512_fmadd_pd(_mm512_cvtps_pd(_mm256_loadu_ps(xi + i + 24)),
+                             w3, dot3);
+    }
+  }
+  if (args.last) {
+    double total = HSum32(acc0, acc1, acc2, acc3);
+    double dot_total = kDot ? HSum32(dot0, dot1, dot2, dot3) : 0.0;
+    for (; i < n; ++i) {
+      const float d = a[i] - b[i];
+      if constexpr (kStore) {
+        out[i] = d;
+      }
+      total += static_cast<double>(d) * static_cast<double>(d);
+      if constexpr (kDot) {
+        dot_total += static_cast<double>(xi[i]) * static_cast<double>(d);
+      }
+    }
+    lanes->sq_sum = total;
+    if constexpr (kDot) {
+      lanes->dot_sum = dot_total;
+    }
+  }
+  _mm512_store_pd(lanes->sq, acc0);
+  _mm512_store_pd(lanes->sq + 8, acc1);
+  _mm512_store_pd(lanes->sq + 16, acc2);
+  _mm512_store_pd(lanes->sq + 24, acc3);
+  _mm512_store_pd(lanes->dot, dot0);
+  _mm512_store_pd(lanes->dot + 8, dot1);
+  _mm512_store_pd(lanes->dot + 16, dot2);
+  _mm512_store_pd(lanes->dot + 24, dot3);
+}
+
+void DriftFoldAvx512(const vec::DriftFoldArgs& args) {
+  static constexpr DriftFoldBody kBodies[2][2] = {
+      {DriftFoldAvx512Body<false, false>, DriftFoldAvx512Body<false, true>},
+      {DriftFoldAvx512Body<true, false>, DriftFoldAvx512Body<true, true>}};
+  kBodies[args.xi != nullptr][args.out != nullptr](args);
+}
+
+#pragma GCC diagnostic pop
+#endif  // FEDRA_SIMD_X86
+
+// ------------------------------------------------------------------------
+// 7. Tables and resolution.
 // ------------------------------------------------------------------------
 
 // Every level, ascending: the order SupportedLevels() lists them in.
@@ -1581,13 +1742,13 @@ struct Tables {
     scalar.dot = DotPortable;
     scalar.squared_norm = SquaredNormPortable;
     scalar.sub_squared_norm = SubSquaredNormPortable;
-    scalar.axpy_norm = AxpyNormPortable;
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
     scalar.tanh = TanhPortable;
     scalar.avg_pool_2x2 = AvgPool2x2Portable;
     scalar.avg_pool_2x2_grad = AvgPool2x2GradPortable;
     scalar.bucket_sum = BucketSumPortable;
+    scalar.drift_fold = DriftFoldPortable;
     scalar.gemm_micro_8x32 = GemmMicroPortable;
     scalar.pack_b_trans = PackBTransPortable;
     scalar.col2im_row = Col2imRowPortable;
@@ -1600,7 +1761,7 @@ struct Tables {
     avx2.dot = DotAvx2;
     avx2.squared_norm = SquaredNormAvx2;
     avx2.sub_squared_norm = SubSquaredNormAvx2;
-    avx2.axpy_norm = AxpyNormAvx2;
+    avx2.drift_fold = DriftFoldAvx2;
     avx2.gemm_micro_8x32 = GemmMicroAvx2;
 
     avx512 = avx2;
@@ -1608,7 +1769,7 @@ struct Tables {
     avx512.dot = DotAvx512;
     avx512.squared_norm = SquaredNormAvx512;
     avx512.sub_squared_norm = SubSquaredNormAvx512;
-    avx512.axpy_norm = AxpyNormAvx512;
+    avx512.drift_fold = DriftFoldAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
     avx512.pack_b_trans = PackBTransAvx512;
     avx512.col2im_row = Col2imRowAvx512;

@@ -46,6 +46,7 @@ namespace fedra {
 namespace vec {
 struct AdamStepArgs;   // tensor/vec_ops.h
 struct BucketSumArgs;  // tensor/vec_ops.h
+struct DriftFoldArgs;  // tensor/vec_ops.h
 }  // namespace vec
 
 namespace simd {
@@ -103,12 +104,19 @@ struct Col2imRowArgs {
 /// `bucket_sum` adds each cell's list of signed entries of x into the cell,
 /// 16 cells side by side (vec::BucketSum).
 ///
+/// `drift_fold` is one block of a blockwise sub_squared_norm plus dot
+/// (vec::DriftFold): it carries the level's accumulators between blocks in
+/// memory and runs the level's tail and final combine on the last block,
+/// so a pass over ascending blocks has the bits of that level's
+/// sub_squared_norm and dot.
+///
 /// `magnitude_compact` writes the index i of every x[i], i < n, whose
 /// magnitude key bits(x[i]) & 0x7fffffff is >= floor_key into out, in
 /// ascending order, and returns their count. `out` must hold n indices;
 /// entries past the count are unspecified.
 ///
-/// The reductions (dot, the norms) differ across levels by reassociation.
+/// The reductions (dot, the norms, drift_fold) differ across levels by
+/// reassociation.
 /// pack_b_trans and magnitude_compact only move data (the compaction's
 /// compare is an exact integer one); reduce_scale has one body, the portable
 /// one, at every level; adam_step, tanh and the two pool kernels are
@@ -130,7 +138,7 @@ struct KernelTable {
   double (*squared_norm)(const float* x, size_t n);
   double (*sub_squared_norm)(const float* a, const float* b, float* out,
                              size_t n);
-  double (*axpy_norm)(float alpha, const float* x, float* y, size_t n);
+  void (*drift_fold)(const vec::DriftFoldArgs& args);
   void (*reduce_scale)(const float* const* bufs, size_t num_bufs, size_t n,
                        double scale, float* out);
   void (*adam_step)(const vec::AdamStepArgs& args, const float* grads,

@@ -91,9 +91,7 @@ double SubSquaredNorm(const float* a, const float* b, float* out, size_t n) {
   return simd::Kernels().sub_squared_norm(a, b, out, n);
 }
 
-double AxpyNorm(float alpha, const float* x, float* y, size_t n) {
-  return simd::Kernels().axpy_norm(alpha, x, y, n);
-}
+void DriftFold(const DriftFoldArgs& args) { simd::Kernels().drift_fold(args); }
 
 void SumAndSquaredNorm(const float* x, size_t n, double* sum,
                        double* sum_sq) {

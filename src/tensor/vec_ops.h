@@ -4,17 +4,19 @@
 // payloads are all contiguous float spans; these kernels are the numeric
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
-// The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm / AxpyNorm,
-// the Adam update, tanh, the AMS sketch's bucket sums, and the collective
-// reductions) route through the runtime SIMD dispatch table in
-// tensor/simd_dispatch.h — resolved once per process to the best ISA tier the
-// CPU supports (or FEDRA_SIMD), bit-deterministic per tier. Reductions
-// accumulate in double across independent lanes (four in the portable bodies,
-// more under AVX2/AVX-512) so results differ from a single-accumulator
-// loop — and across tiers — only by floating-point reassociation. The fused
-// kernels (SubSquaredNorm, AxpyNorm) exist for the FDA hot path: every local
-// step computes a drift and its squared norm, and fusing the two halves the
-// memory traffic over the model-sized spans.
+// The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm, the
+// blockwise DriftFold, the Adam update, tanh, the AMS sketch's bucket sums,
+// and the collective reductions) route through the runtime SIMD dispatch
+// table in tensor/simd_dispatch.h — resolved once per process to the best ISA
+// tier the CPU supports (or FEDRA_SIMD), bit-deterministic per tier.
+// Reductions accumulate in double across independent lanes (four in the
+// portable bodies, more under AVX2/AVX-512) so results differ from a
+// single-accumulator loop — and across tiers — only by floating-point
+// reassociation. The FDA monitors derive each worker's local state from its
+// drift u_k = w_k - w_t0 once per round: SubSquaredNorm computes the drift
+// and its squared norm in one pass, and DriftFold does the same a block at a
+// time inside the optimizer step, while each block is still in L1, with the
+// bits of SubSquaredNorm and Dot.
 // Scalar oracles live in tensor/ref_ops.h.
 
 #ifndef FEDRA_TENSOR_VEC_OPS_H_
@@ -63,13 +65,44 @@ double Norm(const float* x, size_t n);
 double MaxAbsDiff(const float* a, const float* b, size_t n);
 
 /// Fused drift kernel: out[i] = a[i] - b[i], returns sum_i out[i]^2.
-/// One pass instead of Sub + SquaredNorm (FDA computes u_k = w_k - w_sync
-/// and ||u_k||^2 on every local step).
+/// One pass instead of Sub + SquaredNorm (VarianceMonitor::
+/// ComputeDriftAndState's drift u_k = w_k - w_sync and ||u_k||^2).
 double SubSquaredNorm(const float* a, const float* b, float* out, size_t n);
 
-/// Fused update kernel: y[i] += alpha * x[i], returns sum_i y[i]^2 of the
-/// updated y. One pass instead of Axpy + SquaredNorm.
-double AxpyNorm(float alpha, const float* x, float* y, size_t n);
+/// Floats a DriftFold block must span, except the last block of a pass:
+/// the widest level's reduction step (4 x 8 double lanes), so every block
+/// starts on a step boundary of each level's one-pass kernel.
+inline constexpr size_t kFoldStep = 32;
+
+/// The accumulators a blockwise drift fold carries from block to block,
+/// enough for the widest level, and the pass's results.
+struct DriftFoldLanes {
+  alignas(64) double sq[kFoldStep] = {};   // ||u||^2
+  alignas(64) double dot[kFoldStep] = {};  // <xi, u>
+  double sq_sum = 0.0;   // set by the last block
+  double dot_sum = 0.0;  // set by the last block when xi is given
+};
+
+/// One block of a pass over [0, dim): the block's spans and the carried
+/// lanes. Every block but the last spans a multiple of kFoldStep floats.
+struct DriftFoldArgs {
+  const float* a = nullptr;   // this block of w_k
+  const float* b = nullptr;   // the same block of w_t0
+  const float* xi = nullptr;  // the same block of xi; null: no dot product
+  float* out = nullptr;       // receives u = a - b; null: u is not stored
+  size_t n = 0;
+  bool last = false;  // the pass's final block
+  DriftFoldLanes* lanes = nullptr;
+};
+
+/// Folds one block of u = a - b into the carried lanes: ||u||^2, and
+/// <xi, u> when xi is given, stores u when out is given, and on the last
+/// block sets lanes->sq_sum (and dot_sum) to the pass's results. Run over
+/// ascending blocks from zeroed lanes, the results have the bits of
+/// SubSquaredNorm(w_k, w_t0, u, dim) and Dot(xi, u, dim) at every level:
+/// each level keeps its one-pass kernels' lane pattern, tail and final
+/// combine (docs/determinism.md §5).
+void DriftFold(const DriftFoldArgs& args);
 
 /// Fused moment kernel: *sum += sum_i x[i], *sum_sq += sum_i x[i]^2 in one
 /// pass. BatchNorm's statistics pass needs both over every channel plane.

@@ -553,18 +553,6 @@ TEST(VecParityTest, SubSquaredNormMatchesUnfused) {
   }
 }
 
-TEST(VecParityTest, AxpyNormMatchesUnfused) {
-  for (size_t n : {size_t{1}, size_t{6}, size_t{1025}, size_t{8191}}) {
-    auto x = RandomVec(n, 60 + n);
-    auto y0 = RandomVec(n, 61 + n);
-    std::vector<float> y_fast = y0, y_ref = y0;
-    const double sq_fast = vec::AxpyNorm(-0.37f, x.data(), y_fast.data(), n);
-    const double sq_ref = ref::AxpyNorm(-0.37f, x.data(), y_ref.data(), n);
-    EXPECT_LE(MaxRelError(y_fast, y_ref), kRelTol);
-    EXPECT_NEAR(sq_fast, sq_ref, kRelTol * std::max(1.0, sq_ref));
-  }
-}
-
 TEST(VecParityTest, AddScaledDiffMatchesRef) {
   // The fused FedProx proximal kernel: y += mu * (w - anchor).
   for (size_t n : {size_t{1}, size_t{5}, size_t{255}, size_t{1024},

@@ -1133,5 +1133,80 @@ TEST(GoldenHistoryTest, FlatLinkOutagesAndDeadline) {
       kMlpFlatOutages, kMlpFlatOutagesTotals);
 }
 
+// ---------------------------------------------------------------------------
+// RunAsync folds every uploaded state into the worker's optimizer step.
+// These pin the monitors the goldens above leave out, SketchFDA over a
+// 3-tier tree and ExactFDA with SGD momentum, under churn and message loss.
+// Captured with FEDRA_GOLDEN_PRINT=1 from the trainer that computed each
+// state in a pass of its own after the step; the folded step must
+// reproduce them.
+
+TrainResult RunAsyncChurnLoss(MonitorKind kind, const OptimizerConfig& opt,
+                              bool tree, bool parallel) {
+  const SynthImageData& data = SharedMnistLike();
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  TrainerConfig config = MlpConfig(8);
+  config.local_optimizer = opt;
+  config.eval_every_steps = 10;
+  if (tree) {
+    config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+  }
+  config.straggler = EdgeStragglers();
+  config.faults = FaultConfig::Churn(8.0, 2.0);
+  config.faults.message_loss_prob = 0.2;
+  config.parallel_workers = parallel;
+  AsyncFdaConfig async_config;
+  async_config.theta = 0.5;
+  async_config.monitor.kind = kind;
+  async_config.max_total_worker_steps = 400;
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto result = trainer.RunAsync(async_config);
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+const GoldenPoint kMlpAsyncSketch3Tier[] = {
+    {10, 0.359375, 0.4921875, 1980264ull, 0ull, 0.16},
+    {20, 0.453125, 0.5078125, 4689564ull, 1ull, 0.38406795520000009},
+    {30, 0.609375, 0.640625, 6712908ull, 1ull, 0.54406795520000018},
+    {40, 0.6640625, 0.75, 8922264ull, 2ull, 0.71813591040000047},
+    {50, 0.6171875, 0.6953125, 11105508ull, 2ull, 0.89813591040000063},
+};
+const GoldenTotals kMlpAsyncSketch3TierTotals = {11105508ull, 120ull, 2ull,
+                                                 43ull};
+
+TEST(GoldenHistoryTest, AsyncSketchFdaThreeTierUnderChurnAndLoss) {
+  ExpectRunGolden(
+      "MlpAsyncSketch3Tier",
+      [](bool parallel) {
+        return RunAsyncChurnLoss(MonitorKind::kSketch,
+                                 OptimizerConfig::Adam(0.002f),
+                                 /*tree=*/true, parallel);
+      },
+      kMlpAsyncSketch3Tier, kMlpAsyncSketch3TierTotals);
+}
+
+const GoldenPoint kMlpAsyncExactMomentum[] = {
+    {10, 0.5859375, 0.6875, 3106684ull, 2ull, 0.18024471542857146},
+    {20, 0.7265625, 0.8046875, 5853932ull, 3ull, 0.37036707314285727},
+    {30, 0.859375, 0.8515625, 9166024ull, 5ull, 0.54061178857142878},
+    {40, 0.859375, 0.9140625, 11810628ull, 5ull, 0.70061178857142892},
+    {50, 0.9296875, 0.890625, 14711940ull, 6ull, 0.88073414628571478},
+};
+const GoldenTotals kMlpAsyncExactMomentumTotals = {14711940ull, 129ull, 2ull,
+                                                   43ull};
+
+TEST(GoldenHistoryTest, AsyncExactFdaMomentumUnderChurnAndLoss) {
+  ExpectRunGolden(
+      "MlpAsyncExactMomentum",
+      [](bool parallel) {
+        return RunAsyncChurnLoss(
+            MonitorKind::kExact,
+            OptimizerConfig::SgdMomentum(0.05f, 0.9f, /*nesterov=*/true),
+            /*tree=*/false, parallel);
+      },
+      kMlpAsyncExactMomentum, kMlpAsyncExactMomentumTotals);
+}
+
 }  // namespace
 }  // namespace fedra

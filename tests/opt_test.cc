@@ -38,6 +38,24 @@ TEST(OptimizerConfigTest, ValidationCatchesBadValues) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
+TEST(OptimizerConfigTest, ValidationRejectsNaN) {
+  // A NaN momentum or beta trains to an all-NaN model, so every range
+  // check must fail on NaN rather than pass it.
+  const float nan = std::nanf("");
+  auto config = OptimizerConfig::SgdMomentum(0.1f, nan);
+  EXPECT_FALSE(config.Validate().ok()) << "momentum";
+  for (float OptimizerConfig::*field :
+       {&OptimizerConfig::beta1, &OptimizerConfig::beta2,
+        &OptimizerConfig::epsilon, &OptimizerConfig::weight_decay,
+        &OptimizerConfig::learning_rate}) {
+    config = OptimizerConfig::Adam(0.001f);
+    config.*field = nan;
+    EXPECT_FALSE(config.Validate().ok());
+  }
+  config = OptimizerConfig::Sgd(0.1f, nan);
+  EXPECT_FALSE(config.Validate().ok()) << "weight_decay";
+}
+
 TEST(OptimizerConfigTest, ToStringNamesKind) {
   EXPECT_NE(OptimizerConfig::Adam().ToString().find("Adam"),
             std::string::npos);

@@ -182,24 +182,6 @@ TEST_F(SimdDispatchTest, SubSquaredNormMatchesOracleAtEveryLevel) {
   }
 }
 
-TEST_F(SimdDispatchTest, AxpyNormMatchesOracleAtEveryLevel) {
-  for (simd::Level level : simd::SupportedLevels()) {
-    SCOPED_TRACE(simd::LevelName(level));
-    simd::SetLevel(level);
-    for (size_t n : kSizes) {
-      SCOPED_TRACE(::testing::Message() << "n=" << n);
-      const auto x = RandomVec(n, 808 + n);
-      auto y = RandomVec(n, 909 + n);
-      auto want_y = y;
-      const double want = ref::AxpyNorm(-0.21f, x.data(), want_y.data(), n);
-      const double got =
-          simd::Kernels().axpy_norm(-0.21f, x.data(), y.data(), n);
-      EXPECT_NEAR(got, want, kRelTol * std::max(1.0, want));
-      ExpectSpanNear(y, want_y);
-    }
-  }
-}
-
 // -------------------------------------------------------- reduction parity --
 
 TEST_F(SimdDispatchTest, ReduceScaleMatchesOracleAtEveryLevel) {
