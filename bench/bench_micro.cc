@@ -1239,9 +1239,10 @@ int RunKernelsSweep(const std::string& path) {
        [&] {
          benchmark::DoNotOptimize(simd::Kernels().squared_norm(x.data(), n));
        }},
+      // A drift_fold pass of one block that stores u and has no xi.
       {"sub_squared_norm", 3 * fn * sizeof(float), 3 * fn,
        [&] {
-         benchmark::DoNotOptimize(simd::Kernels().sub_squared_norm(
+         benchmark::DoNotOptimize(vec::SubSquaredNorm(
              x.data(), b2.data(), out.data(), n));
        }},
       // One whole pass as a single block, with <xi, u> and no store of u:

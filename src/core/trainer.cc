@@ -593,6 +593,12 @@ Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
   return Status::Ok();
 }
 
+// The folded state has ComputeDriftAndState's bits only if every fold block
+// but the last spans whole vec::kFoldStep steps: the optimizer's blocks, and
+// SketchFDA's split of them at its sketch blocks.
+static_assert(Optimizer::kStepBlock % vec::kFoldStep == 0);
+static_assert(vec::kBucketBlock % vec::kFoldStep == 0);
+
 void DistributedTrainer::WorkerStep(WorkerState* worker,
                                     const Dataset& train,
                                     const VarianceMonitor* fold_monitor,

@@ -18,8 +18,9 @@
 //     compiled with FP contraction off.
 //   4. The 2x2 stride-2 average pool, still with contraction off.
 //   5. The top-k mask's candidate compaction and its AVX-512F variant.
-//   6. The blockwise drift fold (sub_squared_norm and dot with carried
-//     lanes) and its AVX2 and AVX-512F variants.
+//   6. The blockwise drift fold (u = a - b, ||u||^2 and <xi, u> with
+//     carried lanes; vec::SubSquaredNorm is a one-block pass) and its AVX2
+//     and AVX-512F variants.
 //   7. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
@@ -33,9 +34,10 @@
 // col2im_row variants their per-cell order of additions, so those six
 // kernels produce the same bits at every level; pack_b_trans and
 // magnitude_compact only move data, so they do too, and reduce_scale runs
-// its portable body at every level. Each drift_fold variant carries its own
-// level's sub_squared_norm and dot lanes between blocks, so a blockwise
-// pass has that level's one-pass bits (docs/determinism.md §5).
+// its portable body at every level. Each drift_fold variant carries its
+// level's lanes between blocks, so a blockwise pass has the bits of a
+// one-block pass at that level, and its <xi, u> those of the level's dot
+// (docs/determinism.md §5).
 
 #include "tensor/simd_dispatch.h"
 
@@ -100,32 +102,6 @@ double SquaredNormPortable(const float* x, size_t n) {
   for (; i < n; ++i) {
     const double xi = x[i];
     acc0 += xi * xi;
-  }
-  return (acc0 + acc1) + (acc2 + acc3);
-}
-
-double SubSquaredNormPortable(const float* a, const float* b, float* out,
-                              size_t n) {
-  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float d0 = a[i] - b[i];
-    const float d1 = a[i + 1] - b[i + 1];
-    const float d2 = a[i + 2] - b[i + 2];
-    const float d3 = a[i + 3] - b[i + 3];
-    out[i] = d0;
-    out[i + 1] = d1;
-    out[i + 2] = d2;
-    out[i + 3] = d3;
-    acc0 += static_cast<double>(d0) * static_cast<double>(d0);
-    acc1 += static_cast<double>(d1) * static_cast<double>(d1);
-    acc2 += static_cast<double>(d2) * static_cast<double>(d2);
-    acc3 += static_cast<double>(d3) * static_cast<double>(d3);
-  }
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    out[i] = d;
-    acc0 += static_cast<double>(d) * static_cast<double>(d);
   }
   return (acc0 + acc1) + (acc2 + acc3);
 }
@@ -420,38 +396,6 @@ __attribute__((target("avx2,fma"))) double SquaredNormAvx2(const float* x,
   return total;
 }
 
-__attribute__((target("avx2,fma"))) double SubSquaredNormAvx2(
-    const float* a, const float* b, float* out, size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256 d0 = _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                    _mm256_loadu_ps(b + i));
-    const __m256 d1 = _mm256_sub_ps(_mm256_loadu_ps(a + i + 8),
-                                    _mm256_loadu_ps(b + i + 8));
-    _mm256_storeu_ps(out + i, d0);
-    _mm256_storeu_ps(out + i + 8, d1);
-    const __m256d w0 = _mm256_cvtps_pd(_mm256_castps256_ps128(d0));
-    const __m256d w1 = _mm256_cvtps_pd(_mm256_extractf128_ps(d0, 1));
-    const __m256d w2 = _mm256_cvtps_pd(_mm256_castps256_ps128(d1));
-    const __m256d w3 = _mm256_cvtps_pd(_mm256_extractf128_ps(d1, 1));
-    acc0 = _mm256_fmadd_pd(w0, w0, acc0);
-    acc1 = _mm256_fmadd_pd(w1, w1, acc1);
-    acc2 = _mm256_fmadd_pd(w2, w2, acc2);
-    acc3 = _mm256_fmadd_pd(w3, w3, acc3);
-  }
-  double total = HSum16(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    out[i] = d;
-    total += static_cast<double>(d) * static_cast<double>(d);
-  }
-  return total;
-}
-
 // 8x32 micro-tile as four 4x16 register sub-tiles (8 ymm accumulators + 2
 // B vectors + 1 broadcast fits the 16-register AVX2 file; the full 8x32
 // tile would need 32 ymm accumulators and spill every iteration). Each
@@ -580,48 +524,6 @@ __attribute__((target("avx512f"))) double SquaredNormAvx512(const float* x,
   for (; i < n; ++i) {
     const double xi = x[i];
     total += xi * xi;
-  }
-  return total;
-}
-
-// The upper 8 floats of x. _mm512_extractf32x8_ps would be one intrinsic,
-// but it is AVX-512DQ, and the AVX-512 level probes only AVX-512F.
-__attribute__((target("avx512f"))) inline __m256 UpperHalfAvx512(__m512 x) {
-  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1));
-}
-
-__attribute__((target("avx512f"))) double SubSquaredNormAvx512(
-    const float* a, const float* b, float* out, size_t n) {
-  __m512d acc0 = _mm512_setzero_pd();
-  __m512d acc1 = _mm512_setzero_pd();
-  __m512d acc2 = _mm512_setzero_pd();
-  __m512d acc3 = _mm512_setzero_pd();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m512 d0 = _mm512_sub_ps(_mm512_loadu_ps(a + i),
-                                    _mm512_loadu_ps(b + i));
-    const __m512 d1 = _mm512_sub_ps(_mm512_loadu_ps(a + i + 16),
-                                    _mm512_loadu_ps(b + i + 16));
-    _mm512_storeu_ps(out + i, d0);
-    _mm512_storeu_ps(out + i + 16, d1);
-    const __m512d w0 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(d0));
-    const __m512d w1 =
-        _mm512_cvtps_pd(UpperHalfAvx512(d0));
-    const __m512d w2 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(d1));
-    const __m512d w3 =
-        _mm512_cvtps_pd(UpperHalfAvx512(d1));
-    acc0 = _mm512_fmadd_pd(w0, w0, acc0);
-    acc1 = _mm512_fmadd_pd(w1, w1, acc1);
-    acc2 = _mm512_fmadd_pd(w2, w2, acc2);
-    acc3 = _mm512_fmadd_pd(w3, w3, acc3);
-  }
-  double total = HSum32(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    out[i] = d;
-    total += static_cast<double>(d) * static_cast<double>(d);
   }
   return total;
 }
@@ -1455,16 +1357,17 @@ __attribute__((target("avx512f"))) size_t MagnitudeCompactAvx512(
 #endif  // FEDRA_SIMD_X86
 
 // ------------------------------------------------------------------------
-// 6. The blockwise drift fold: sub_squared_norm and dot over one block at a
-// time, each level's accumulators carried between blocks in memory.
+// 6. The blockwise drift fold: u = a - b, ||u||^2 and <xi, u> over one
+// block at a time, each level's accumulators carried between blocks in
+// memory. vec::SubSquaredNorm runs it as one last block from zeroed lanes.
 // ------------------------------------------------------------------------
 //
-// Each body is its level's SubSquaredNorm and Dot loops run together over
-// one block: the same lanes, loaded from the carried ones and stored back.
-// A block other than the last spans whole steps of every level, so the
-// lanes see the elements a one-pass kernel would give them, in the same
-// order. The last block runs the level's tail and final combine. kDot
-// folds <xi, u> too; kStore writes u out.
+// Each body runs its level's lanes over one block, loaded from the carried
+// ones and stored back; the <xi, u> lanes map elements as the level's dot
+// kernel does. A block other than the last spans whole steps of every
+// level, so the lanes see the elements a one-block pass would give them, in
+// the same order. The last block runs the level's tail and final combine.
+// kDot folds <xi, u> too; kStore writes u out.
 
 using DriftFoldBody = void (*)(const vec::DriftFoldArgs& args);
 
@@ -1540,8 +1443,8 @@ void DriftFoldPortable(const vec::DriftFoldArgs& args) {
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-// SubSquaredNormAvx2 and DotAvx2: lane l of accumulator j holds element
-// i + 4j + l of each 16-element step.
+// Lane l of accumulator j holds element i + 4j + l of each 16-element
+// step, as in DotAvx2.
 template <bool kDot, bool kStore>
 __attribute__((target("avx2,fma"))) void DriftFoldAvx2Body(
     const vec::DriftFoldArgs& args) {
@@ -1622,8 +1525,14 @@ void DriftFoldAvx2(const vec::DriftFoldArgs& args) {
   kBodies[args.xi != nullptr][args.out != nullptr](args);
 }
 
-// SubSquaredNormAvx512 and DotAvx512: lane l of accumulator j holds
-// element i + 8j + l of each 32-element step.
+// The upper 8 floats of x. _mm512_extractf32x8_ps would be one intrinsic,
+// but it is AVX-512DQ, and the AVX-512 level probes only AVX-512F.
+__attribute__((target("avx512f"))) inline __m256 UpperHalfAvx512(__m512 x) {
+  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1));
+}
+
+// Lane l of accumulator j holds element i + 8j + l of each 32-element
+// step, as in DotAvx512.
 template <bool kDot, bool kStore>
 __attribute__((target("avx512f"))) void DriftFoldAvx512Body(
     const vec::DriftFoldArgs& args) {
@@ -1741,7 +1650,6 @@ struct Tables {
     scalar.axpy = AxpyPortable;
     scalar.dot = DotPortable;
     scalar.squared_norm = SquaredNormPortable;
-    scalar.sub_squared_norm = SubSquaredNormPortable;
     scalar.reduce_scale = ReduceScalePortable;
     scalar.adam_step = AdamStepPortable;
     scalar.tanh = TanhPortable;
@@ -1760,7 +1668,6 @@ struct Tables {
     avx2.axpy = AxpyAvx2;
     avx2.dot = DotAvx2;
     avx2.squared_norm = SquaredNormAvx2;
-    avx2.sub_squared_norm = SubSquaredNormAvx2;
     avx2.drift_fold = DriftFoldAvx2;
     avx2.gemm_micro_8x32 = GemmMicroAvx2;
 
@@ -1768,7 +1675,6 @@ struct Tables {
     avx512.axpy = AxpyAvx512;
     avx512.dot = DotAvx512;
     avx512.squared_norm = SquaredNormAvx512;
-    avx512.sub_squared_norm = SubSquaredNormAvx512;
     avx512.drift_fold = DriftFoldAvx512;
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
     avx512.pack_b_trans = PackBTransAvx512;

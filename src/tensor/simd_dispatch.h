@@ -104,11 +104,12 @@ struct Col2imRowArgs {
 /// `bucket_sum` adds each cell's list of signed entries of x into the cell,
 /// 16 cells side by side (vec::BucketSum).
 ///
-/// `drift_fold` is one block of a blockwise sub_squared_norm plus dot
-/// (vec::DriftFold): it carries the level's accumulators between blocks in
-/// memory and runs the level's tail and final combine on the last block,
-/// so a pass over ascending blocks has the bits of that level's
-/// sub_squared_norm and dot.
+/// `drift_fold` is one block of a blockwise pass computing u = a - b,
+/// ||u||^2 and <xi, u> (vec::DriftFold): it carries the level's
+/// accumulators between blocks in memory and runs the level's tail and
+/// final combine on the last block, so a pass over ascending blocks has
+/// the bits of a one-block pass (vec::SubSquaredNorm) and its <xi, u>
+/// those of that level's dot.
 ///
 /// `magnitude_compact` writes the index i of every x[i], i < n, whose
 /// magnitude key bits(x[i]) & 0x7fffffff is >= floor_key into out, in
@@ -136,8 +137,6 @@ struct KernelTable {
   void (*axpy)(float alpha, const float* x, float* y, size_t n);
   double (*dot)(const float* a, const float* b, size_t n);
   double (*squared_norm)(const float* x, size_t n);
-  double (*sub_squared_norm)(const float* a, const float* b, float* out,
-                             size_t n);
   void (*drift_fold)(const vec::DriftFoldArgs& args);
   void (*reduce_scale)(const float* const* bufs, size_t num_bufs, size_t n,
                        double scale, float* out);

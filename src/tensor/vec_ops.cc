@@ -88,7 +88,16 @@ double MaxAbsDiff(const float* a, const float* b, size_t n) {
 }
 
 double SubSquaredNorm(const float* a, const float* b, float* out, size_t n) {
-  return simd::Kernels().sub_squared_norm(a, b, out, n);
+  DriftFoldLanes lanes;
+  DriftFoldArgs args;
+  args.a = a;
+  args.b = b;
+  args.out = out;
+  args.n = n;
+  args.last = true;
+  args.lanes = &lanes;
+  DriftFold(args);
+  return lanes.sq_sum;
 }
 
 void DriftFold(const DriftFoldArgs& args) { simd::Kernels().drift_fold(args); }

@@ -4,11 +4,12 @@
 // payloads are all contiguous float spans; these kernels are the numeric
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
-// The hot kernels (Axpy, Dot, SquaredNorm, the fused SubSquaredNorm, the
-// blockwise DriftFold, the Adam update, tanh, the AMS sketch's bucket sums,
-// and the collective reductions) route through the runtime SIMD dispatch
-// table in tensor/simd_dispatch.h — resolved once per process to the best ISA
-// tier the CPU supports (or FEDRA_SIMD), bit-deterministic per tier.
+// The hot kernels (Axpy, Dot, SquaredNorm, the blockwise DriftFold and
+// SubSquaredNorm, its one-block form, the Adam update, tanh, the AMS
+// sketch's bucket sums, and the collective reductions) route through the
+// runtime SIMD dispatch table in tensor/simd_dispatch.h — resolved once per
+// process to the best ISA tier the CPU supports (or FEDRA_SIMD),
+// bit-deterministic per tier.
 // Reductions accumulate in double across independent lanes (four in the
 // portable bodies, more under AVX2/AVX-512) so results differ from a
 // single-accumulator loop — and across tiers — only by floating-point
@@ -66,7 +67,8 @@ double MaxAbsDiff(const float* a, const float* b, size_t n);
 
 /// Fused drift kernel: out[i] = a[i] - b[i], returns sum_i out[i]^2.
 /// One pass instead of Sub + SquaredNorm (VarianceMonitor::
-/// ComputeDriftAndState's drift u_k = w_k - w_sync and ||u_k||^2).
+/// ComputeDriftAndState's drift u_k = w_k - w_sync and ||u_k||^2): a
+/// DriftFold of one last block from zeroed lanes, storing u.
 double SubSquaredNorm(const float* a, const float* b, float* out, size_t n);
 
 /// Floats a DriftFold block must span, except the last block of a pass:
@@ -100,8 +102,9 @@ struct DriftFoldArgs {
 /// block sets lanes->sq_sum (and dot_sum) to the pass's results. Run over
 /// ascending blocks from zeroed lanes, the results have the bits of
 /// SubSquaredNorm(w_k, w_t0, u, dim) and Dot(xi, u, dim) at every level:
-/// each level keeps its one-pass kernels' lane pattern, tail and final
-/// combine (docs/determinism.md §5).
+/// the carried lanes see each element as a one-block pass does, and the
+/// <xi, u> lanes, tail and final combine are the level's Dot ones
+/// (docs/determinism.md §5).
 void DriftFold(const DriftFoldArgs& args);
 
 /// Fused moment kernel: *sum += sum_i x[i], *sum_sq += sum_i x[i]^2 in one

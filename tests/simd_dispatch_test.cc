@@ -175,7 +175,7 @@ TEST_F(SimdDispatchTest, SubSquaredNormMatchesOracleAtEveryLevel) {
       const double want =
           ref::SubSquaredNorm(a.data(), b.data(), want_out.data(), n);
       const double got =
-          simd::Kernels().sub_squared_norm(a.data(), b.data(), out.data(), n);
+          vec::SubSquaredNorm(a.data(), b.data(), out.data(), n);
       EXPECT_NEAR(got, want, kRelTol * std::max(1.0, want));
       ExpectSpanNear(out, want_out);
     }

@@ -245,11 +245,12 @@ TEST_F(StateFoldTest, FoldedStepMatchesStepThenComputeDriftAndState) {
 }
 
 // The carried-lane kernel itself, split at other kFoldStep multiples: the
-// double results equal the one-pass sub_squared_norm and dot of the same
-// level bit for bit, and the stored drift equals theirs. The float state
-// rounds most last-bit differences of these sums away, so this compares
-// them before the rounding, over many lengths and values scaled by 2^-7 to
-// 2^7: a lane combine or tail in another order shows here.
+// double <xi, u> equals the same level's dot kernel bit for bit, and
+// ||u||^2 and the stored drift equal a one-block pass (vec::SubSquaredNorm),
+// so carrying the lanes changes nothing. The float state rounds most
+// last-bit differences of these sums away, so this compares them before
+// the rounding, over many lengths and values scaled by 2^-7 to 2^7: a dot
+// lane combine or tail in another order shows here.
 TEST_F(StateFoldTest, DriftFoldMatchesOnePassKernelsAtEveryLevel) {
   std::vector<size_t> dims = {0, 1, 7, 31, 32, 33};
   for (size_t n = 40; n < 9000; n = n * 5 / 4 + 7) {
@@ -273,8 +274,8 @@ TEST_F(StateFoldTest, DriftFoldMatchesOnePassKernelsAtEveryLevel) {
       const std::vector<float> b = spread(n, 22 + n);
       const std::vector<float> xi = spread(n, 23 + n);
       std::vector<float> want_drift(n);
-      const double want_sq = simd::Kernels().sub_squared_norm(
-          a.data(), b.data(), want_drift.data(), n);
+      const double want_sq =
+          vec::SubSquaredNorm(a.data(), b.data(), want_drift.data(), n);
       const double want_dot = simd::Kernels().dot(xi.data(), want_drift.data(),
                                                   n);
       for (size_t block : {size_t{32}, size_t{96}, size_t{1024}}) {
