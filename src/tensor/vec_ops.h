@@ -4,9 +4,9 @@
 // payloads are all contiguous float spans; these kernels are the numeric
 // backbone shared by the optimizers, the FDA monitors, and the simulator.
 //
-// The hot kernels (Axpy, Dot, SquaredNorm, the blockwise DriftFold and
-// SubSquaredNorm, its one-block form, the Adam update, tanh, the AMS
-// sketch's bucket sums, and the collective reductions) route through the
+// The hot kernels (Axpy, Dot, SquaredNorm, the blockwise DriftFold, whose
+// one-block form is SubSquaredNorm, the Adam update, tanh, the AMS sketch's
+// bucket sums, and the collective reductions) route through the
 // runtime SIMD dispatch table in tensor/simd_dispatch.h — resolved once per
 // process to the best ISA tier the CPU supports (or FEDRA_SIMD),
 // bit-deterministic per tier.
