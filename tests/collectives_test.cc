@@ -6,8 +6,13 @@
 // AllReduce time now charges K payloads through the shared channel, and
 // variable-size compressed payloads are billed at the per-worker sum.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -499,6 +504,288 @@ TEST(HierarchicalTest, EdgeCloudPresetIsTwoTier) {
   EXPECT_GT(cluster.bandwidth_bytes_per_sec, uplink.bandwidth_bytes_per_sec);
   EXPECT_LT(cluster.latency_seconds, uplink.latency_seconds);
   EXPECT_FALSE(TopologyTree().enabled());
+}
+
+// ------------------------------------------------ flat billing golden ----
+//
+// A seeded sweep drives the flat (NetworkModel) constructor under every
+// AllReduceAlgorithm, with and without worker link factors, through every
+// billing entry point, one call at a time from cleared stats. Two checks:
+//   - each call against FlatBill, the flat closed forms: every integer and
+//     every non-retry second exactly; a retry's seconds at 1e-9 relative,
+//     since its latency, transfer and backoff terms may be summed in either
+//     order;
+//   - each case's totals against kFlatBillGolden, captured from the flat
+//     formula path that billed before a flat network was a one-node tree
+//     (FEDRA_GOLDEN_PRINT=1 prints the table): integers exactly, seconds at
+//     golden_history_test's 1e-9 relative tolerance, because a native build
+//     contracts the recursive-halving formula into an FMA and a
+//     baseline-ISA build does not.
+
+NetworkModel RandomLink(Rng& rng) {
+  NetworkModel link;
+  link.name = "random";
+  link.bandwidth_bytes_per_sec = 1e8 * (1.0 + 50.0 * rng.NextDouble());
+  link.latency_seconds = 1e-5 * (1.0 + 100.0 * rng.NextDouble());
+  return link;
+}
+
+// The flat cost model: every charge lands on the one shared channel (depth
+// 0); a collective paces on its slowest participating link, a transfer or
+// retry on its sender's own link.
+struct FlatBill {
+  NetworkModel model;
+  AllReduceAlgorithm algorithm;
+  std::vector<double> factors;  // empty: homogeneous links
+  CommStats stats;
+
+  double Factor(int worker) const {
+    return worker >= 0 && !factors.empty()
+               ? factors[static_cast<size_t>(worker)]
+               : 1.0;
+  }
+  double Transfer(size_t payload_bytes, int worker) const {
+    return model.latency_seconds +
+           static_cast<double>(payload_bytes) /
+               (model.bandwidth_bytes_per_sec / Factor(worker));
+  }
+  double AllReduceSeconds(double payload_bytes,
+                          const std::vector<int>& members) const {
+    double slowest = 1.0;
+    for (int worker : members) {
+      slowest = std::max(slowest, Factor(worker));
+    }
+    NetworkModel effective = model;
+    effective.bandwidth_bytes_per_sec /= slowest;
+    return effective.AllReduceSeconds(
+        payload_bytes, static_cast<int>(members.size()), algorithm);
+  }
+  void Charge(uint64_t bytes, double seconds, TrafficClass traffic) {
+    stats.bytes_total += bytes;
+    stats.comm_seconds += seconds;
+    stats.ChargeDepth(0, bytes, seconds);
+    const bool local = traffic == TrafficClass::kLocalState;
+    (local ? stats.bytes_local_state : stats.bytes_model_sync) += bytes;
+    (local ? stats.seconds_local_state : stats.seconds_model_sync) += seconds;
+  }
+
+  void AllReduce(size_t payload_bytes_sum, const std::vector<int>& members,
+                 TrafficClass traffic) {
+    ++stats.allreduce_calls;
+    stats.model_sync_count += traffic == TrafficClass::kModelSync;
+    const int m = static_cast<int>(members.size());
+    if (m > 1) {
+      const double sum = static_cast<double>(payload_bytes_sum);
+      Charge(static_cast<uint64_t>(std::llround(
+                 NetworkModel::AllReduceTotalBytesFromSum(sum, m, algorithm))),
+             AllReduceSeconds(sum / m, members), traffic);
+    }
+  }
+  void PointToPoint(size_t n, TrafficClass traffic, int worker) {
+    ++stats.p2p_calls;
+    Charge(n * sizeof(float), Transfer(n * sizeof(float), worker), traffic);
+  }
+  // A catch-up or check-in model download, counted in `counter`.
+  void Download(size_t n, int worker, uint64_t CommStats::*counter) {
+    PointToPoint(n, TrafficClass::kModelSync, worker);
+    ++(stats.*counter);
+    stats.bytes_model_downlink += n * sizeof(float);
+  }
+  void Retries(int worker, size_t payload_bytes, int retries,
+               double backoff_base_seconds, TrafficClass traffic) {
+    for (int attempt = 0; attempt < retries; ++attempt) {
+      const double seconds = std::ldexp(backoff_base_seconds, attempt) +
+                             Transfer(payload_bytes, worker);
+      ++stats.retries;
+      stats.seconds_retry += seconds;
+      Charge(payload_bytes, seconds, traffic);
+    }
+  }
+};
+
+// Every integer field of a bill, and every second.
+std::vector<uint64_t> Counts(const CommStats& s) {
+  return {s.allreduce_calls,   s.p2p_calls,
+          s.model_sync_count,  s.subtree_allreduce_calls,
+          s.retries,           s.catch_up_syncs,
+          s.check_in_syncs,    s.bytes_total,
+          s.bytes_local_state, s.bytes_model_sync,
+          s.bytes_model_downlink, s.bytes_by_depth.size(),
+          s.BytesAtDepth(0)};
+}
+std::vector<double> Seconds(const CommStats& s) {
+  return {s.comm_seconds, s.seconds_local_state, s.seconds_model_sync,
+          s.seconds_retry, s.SecondsAtDepth(0)};
+}
+
+void ExpectNear(const std::vector<double>& got,
+                const std::vector<double>& want, double rel) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_NEAR(got[i], want[i], rel * std::fabs(want[i])) << "second " << i;
+  }
+}
+
+struct FlatBillTotals {
+  CommStats stats;                  // every call's bill, merged
+  double model_sync_seconds = 0.0;  // ModelSyncSeconds' returns, summed
+};
+
+// One case of the sweep: eight random flat networks (1-16 workers, random
+// link), 250 calls each, drawn uniformly over the billing entry points.
+FlatBillTotals SweepFlatBilling(AllReduceAlgorithm algorithm,
+                                bool with_factors, uint64_t seed) {
+  constexpr size_t kMaxFloats = 1024;  // collective spans
+  Rng rng(seed);
+  FlatBillTotals totals;
+  for (int net = 0; net < 8; ++net) {
+    const int workers = 1 + static_cast<int>(rng.NextBounded(16));
+    FlatBill want{RandomLink(rng), algorithm, {}, {}};
+    for (int k = 0; with_factors && k < workers; ++k) {
+      want.factors.push_back(1.0 + 4.0 * rng.NextDouble());
+    }
+    SimNetwork network(workers, want.model, algorithm);
+    if (with_factors) {
+      network.SetWorkerLinkFactors(want.factors);
+    }
+    auto buffers = RandomBuffers(workers, kMaxFloats, seed + net);
+    const std::vector<float*> all = Pointers(buffers);
+    std::vector<int> everyone(static_cast<size_t>(workers));
+    std::iota(everyone.begin(), everyone.end(), 0);
+    for (int call = 0; call < 250; ++call) {
+      network.ResetStats();
+      want.stats.Clear();
+      const TrafficClass traffic = rng.NextBernoulli(0.5)
+                                       ? TrafficClass::kLocalState
+                                       : TrafficClass::kModelSync;
+      // -1 takes the default (homogeneous) path.
+      const int worker = static_cast<int>(rng.NextBounded(workers + 1)) - 1;
+      const size_t floats = 1 + rng.NextBounded(size_t{1} << 22);
+      const uint64_t op = rng.NextBounded(7);
+      SCOPED_TRACE(::testing::Message()
+                   << "network " << net << " workers " << workers
+                   << " call " << call << " op " << op);
+      bool retry = false;
+      if (op <= 1) {
+        const size_t n = 1 + rng.NextBounded(kMaxFloats);
+        const double keep = rng.NextDouble();
+        std::vector<int> members;
+        std::vector<float*> spans;
+        std::vector<size_t> wire;
+        size_t wire_sum = 0;
+        for (int k = 0; k < workers; ++k) {
+          if (rng.NextBernoulli(keep)) {
+            members.push_back(k);
+            spans.push_back(all[static_cast<size_t>(k)]);
+            wire.push_back(rng.NextBounded(size_t{1} << 24));
+            wire_sum += wire.back();
+          }
+        }
+        if (op == 0) {
+          network.AllReduceAverageSubset(spans, members, n, traffic);
+          want.AllReduce(n * sizeof(float) * members.size(), members,
+                         traffic);
+        } else {
+          network.AllReduceAverageSubsetWithPayloads(spans, members, n, wire,
+                                                     traffic);
+          want.AllReduce(wire_sum, members, traffic);
+        }
+      } else if (op == 2) {
+        network.PointToPoint(floats, traffic, worker);
+        want.PointToPoint(floats, traffic, worker);
+      } else if (op == 3) {
+        network.AccountCatchUpSync(floats, worker);
+        want.Download(floats, worker, &CommStats::catch_up_syncs);
+      } else if (op == 4) {
+        network.AccountCheckInSync(floats, worker);
+        want.Download(floats, worker, &CommStats::check_in_syncs);
+      } else if (op == 5) {
+        const int retries = static_cast<int>(rng.NextBounded(6));
+        const double backoff = 0.05 * rng.NextDouble();
+        const size_t payload = rng.NextBounded(size_t{1} << 22);
+        network.AccountSyncRetries(worker, payload, retries, backoff,
+                                   traffic);
+        want.Retries(worker, payload, retries, backoff, traffic);
+        retry = true;
+      } else {
+        const size_t payload = rng.NextBounded(size_t{1} << 26);
+        const double got = network.ModelSyncSeconds(payload);
+        EXPECT_EQ(got, want.AllReduceSeconds(static_cast<double>(payload),
+                                             everyone));
+        totals.model_sync_seconds += got;
+      }
+      EXPECT_EQ(Counts(network.stats()), Counts(want.stats));
+      if (retry) {
+        ExpectNear(Seconds(network.stats()), Seconds(want.stats), 1e-9);
+      } else {
+        EXPECT_EQ(Seconds(network.stats()), Seconds(want.stats));
+      }
+      totals.stats.Merge(network.stats());
+    }
+  }
+  return totals;
+}
+
+struct FlatBillGolden {
+  std::vector<uint64_t> counts;  // Counts() of the merged bill
+  std::vector<double> seconds;   // Seconds(), then ModelSyncSeconds' sum
+};
+
+// Captured with FEDRA_GOLDEN_PRINT=1 from the flat formula path, one row
+// per case: {kFlat, kRing, kRecursiveHalving} x {no factors, factors}.
+const FlatBillGolden kFlatBillGolden[] = {
+    {{560, 872, 283, 0, 662, 296, 288, 20278375526, 7538360084, 12740015442, 4807976056, 1, 20278375526},
+     {74.022933960695028, 36.368960640307478, 37.653973320387578, 61.091526629232526, 74.022933960695028, 59.577147265782649}},
+    {{533, 861, 262, 0, 789, 291, 295, 19216930589, 7658812556, 11558118033, 5169676396, 1, 19216930589},
+     {134.01627106940705, 62.031481365062611, 71.984789704344365, 80.995201456114685, 134.01627106940705, 354.50400955287438}},
+    {{592, 860, 309, 0, 733, 257, 305, 24352458940, 9095288589, 15257170351, 4714740820, 1, 24352458940},
+     {83.246739139293254, 44.509237646172195, 38.737501493121044, 74.716015157608851, 83.246739139293254, 7.1129668685790133}},
+    {{583, 872, 276, 0, 658, 288, 288, 26669491501, 11083892547, 15585598954, 4669717684, 1, 26669491501},
+     {94.736905847928981, 45.935027643727345, 48.801878204201728, 59.591812133428469, 94.736905847928981, 83.205955655686026}},
+    {{593, 840, 299, 0, 781, 276, 287, 30584221234, 12378471323, 18205749911, 4933366884, 1, 30584221234},
+     {79.301727301185736, 43.351025720785799, 35.950701580399915, 72.696801556277691, 79.301727301185736, 7.7280940887853804}},
+    {{588, 814, 277, 0, 661, 280, 279, 21656519563, 8860742266, 12795777297, 4683225480, 1, 21656519563},
+     {85.958944426030243, 35.303271159056585, 50.6556732669737, 66.84277455223517, 85.958944426030243, 48.917192076917416}},
+};
+
+TEST(FlatBillingTest, SweepMatchesFlatClosedFormsAndGolden) {
+  const char* env = std::getenv("FEDRA_GOLDEN_PRINT");
+  const bool print = env != nullptr && env[0] == '1';
+  size_t row = 0;
+  for (AllReduceAlgorithm algorithm :
+       {AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
+        AllReduceAlgorithm::kRecursiveHalving}) {
+    for (bool with_factors : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << AllReduceAlgorithmName(algorithm)
+                   << (with_factors ? " with" : " without")
+                   << " link factors");
+      const FlatBillTotals totals =
+          SweepFlatBilling(algorithm, with_factors, 7000 + row);
+      testing::ExpectCommStatsConserved(totals.stats);
+      const std::vector<uint64_t> counts = Counts(totals.stats);
+      std::vector<double> seconds = Seconds(totals.stats);
+      seconds.push_back(totals.model_sync_seconds);
+      ASSERT_LT(row, std::size(kFlatBillGolden));
+      const FlatBillGolden& golden = kFlatBillGolden[row++];
+      if (print) {
+        const char* sep = "    {{";
+        for (uint64_t c : counts) {
+          std::printf("%s%llu", sep, static_cast<unsigned long long>(c));
+          sep = ", ";
+        }
+        sep = "},\n     {";
+        for (double x : seconds) {
+          std::printf("%s%.17g", sep, x);
+          sep = ", ";
+        }
+        std::printf("}},\n");
+        continue;
+      }
+      EXPECT_EQ(counts, golden.counts);
+      ExpectNear(seconds, golden.seconds, 1e-9);
+    }
+  }
 }
 
 }  // namespace
