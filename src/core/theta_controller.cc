@@ -17,10 +17,10 @@ Status ThetaControllerConfig::Validate() const {
   if (!(gain > 0.0) || gain > 1.0) {
     return Status::InvalidArgument("gain must be in (0, 1]");
   }
-  if (!(min_theta > 0.0) || min_theta >= max_theta) {
+  if (!(min_theta > 0.0) || !(min_theta < max_theta)) {  // NaN fails too
     return Status::InvalidArgument("need 0 < min_theta < max_theta");
   }
-  if (max_step_ratio <= 1.0) {
+  if (!(max_step_ratio > 1.0)) {
     return Status::InvalidArgument("max_step_ratio must be > 1");
   }
   return Status::Ok();

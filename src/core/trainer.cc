@@ -480,9 +480,8 @@ Status TrainerConfig::Validate() const {
   if (!(fedprox_mu >= 0.0f)) {  // NaN fails too
     return Status::InvalidArgument("fedprox_mu must be >= 0");
   }
-  if (topology.enabled()) {
-    FEDRA_RETURN_IF_ERROR(topology.Validate());
-  }
+  FEDRA_RETURN_IF_ERROR(topology.enabled() ? topology.Validate()
+                                            : network.Validate());
   FEDRA_RETURN_IF_ERROR(local_optimizer.Validate());
   FEDRA_RETURN_IF_ERROR(partition.Validate());
   FEDRA_RETURN_IF_ERROR(sync_compression.Validate());

@@ -82,6 +82,18 @@ double NetworkModel::AllReduceTotalBytesFromSum(
   return 0.0;
 }
 
+Status NetworkModel::Validate() const {
+  if (!(bandwidth_bytes_per_sec > 0.0)) {  // NaN fails too
+    return Status::InvalidArgument("link bandwidth must be > 0 (" + name +
+                                   ")");
+  }
+  if (!(latency_seconds >= 0.0)) {
+    return Status::InvalidArgument("link latency must be >= 0 (" + name +
+                                   ")");
+  }
+  return Status::Ok();
+}
+
 NetworkModel NetworkModel::Hpc() {
   NetworkModel model;
   model.name = "HPC";

@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <string>
 
+#include "util/status.h"
+
 namespace fedra {
 
 enum class AllReduceAlgorithm {
@@ -53,6 +55,10 @@ struct NetworkModel {
   static double AllReduceTotalBytesFromSum(double payload_bytes_sum,
                                            int num_workers,
                                            AllReduceAlgorithm algorithm);
+
+  /// OK when the link can carry traffic: bandwidth > 0 and latency >= 0,
+  /// NaN failing both.
+  Status Validate() const;
 
   /// ARIS-like HPC interconnect (InfiniBand FDR14, 56 Gb/s).
   static NetworkModel Hpc();

@@ -370,15 +370,11 @@ Status TopologyTree::Validate() const {
     return Status::InvalidArgument("topology tree has no nodes");
   }
   for (const Node& n : nodes_) {
-    if (n.link.bandwidth_bytes_per_sec <= 0.0) {
-      return Status::InvalidArgument("tree link bandwidth must be > 0 (" +
-                                     n.name + ")");
+    const Status link = n.link.Validate();
+    if (!link.ok()) {
+      return Status::InvalidArgument(link.message() + " at node " + n.name);
     }
-    if (n.link.latency_seconds < 0.0) {
-      return Status::InvalidArgument("tree link latency must be >= 0 (" +
-                                     n.name + ")");
-    }
-    if (n.parent_link_factor < 1.0) {
+    if (!(n.parent_link_factor >= 1.0)) {  // NaN fails too
       return Status::InvalidArgument(
           "child link factors are slowdowns (>= 1) (" + n.name + ")");
     }

@@ -1,5 +1,7 @@
 // Tests for the dynamic-Theta controller (paper §5 future-work extension).
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "core/theta_controller.h"
@@ -35,6 +37,14 @@ TEST(ThetaControllerConfigTest, Validation) {
   EXPECT_FALSE(config.Validate().ok());
   config = BaseConfig();
   config.max_step_ratio = 1.0;
+  EXPECT_FALSE(config.Validate().ok());
+  // NaN fails every range check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  config = BaseConfig();
+  config.max_theta = nan;
+  EXPECT_FALSE(config.Validate().ok());
+  config = BaseConfig();
+  config.max_step_ratio = nan;
   EXPECT_FALSE(config.Validate().ok());
 }
 

@@ -5,6 +5,7 @@
 
 #include <limits>
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -398,6 +399,52 @@ TEST(TrainerTest, NanFedProxMuIsInvalidArgument) {
   SynchronousPolicy policy;
   EXPECT_EQ(trainer.Run(&policy).status().code(),
             StatusCode::kInvalidArgument);
+}
+
+// A link that cannot carry traffic is a Status from Validate and Run, on a
+// flat network and at any node of a tree: never an abort on the first
+// collective (bandwidth 0 or NaN), nor a run billed in negative or NaN
+// seconds (latency -1 or NaN).
+TEST(TrainerTest, BadNetworkLinksAreInvalidArgument) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SynthImageData data = SmallMnistLike();
+  auto expect_invalid = [&](const TrainerConfig& config) {
+    EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+    DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                               config);
+    SynchronousPolicy policy;
+    EXPECT_EQ(trainer.Run(&policy).status().code(),
+              StatusCode::kInvalidArgument);
+  };
+  TrainerConfig flat = BaseConfig(2);
+  flat.max_steps = 2;
+  TopologyNode root;
+  root.children.resize(2);
+  TrainerConfig tree = flat;
+  tree.topology = TopologyTree(root);
+  ASSERT_TRUE(flat.Validate().ok());
+  ASSERT_TRUE(tree.Validate().ok());
+  const std::pair<double, double> bad_links[] = {
+      {0.0, 1e-3}, {nan, 1e-3}, {1e9, -1.0}, {1e9, nan}};
+  for (const auto& [bandwidth, latency] : bad_links) {
+    SCOPED_TRACE(::testing::Message() << "bandwidth " << bandwidth
+                                      << " latency " << latency);
+    TrainerConfig bad_flat = flat;
+    bad_flat.network.bandwidth_bytes_per_sec = bandwidth;
+    bad_flat.network.latency_seconds = latency;
+    expect_invalid(bad_flat);
+    TopologyNode bad_root = root;
+    bad_root.children[1].link.bandwidth_bytes_per_sec = bandwidth;
+    bad_root.children[1].link.latency_seconds = latency;
+    TrainerConfig bad_tree = flat;
+    bad_tree.topology = TopologyTree(bad_root);
+    expect_invalid(bad_tree);
+  }
+  // A NaN child link factor fails the tree's slowdown check too.
+  TopologyNode nan_factor = root;
+  nan_factor.child_link_factors = {1.0, nan};
+  tree.topology = TopologyTree(nan_factor);
+  expect_invalid(tree);
 }
 
 TEST(TrainerTest, HistoryIsMonotoneInStepsAndBytes) {
