@@ -172,9 +172,6 @@ HierarchicalFdaPolicy::HierarchicalFdaPolicy(
 
 void HierarchicalFdaPolicy::Initialize(ClusterContext& ctx) {
   const TopologyTree& tree = ctx.network->tree();
-  FEDRA_CHECK(tree.enabled())
-      << "HierarchicalFdaPolicy needs a tree topology "
-         "(TrainerConfig::topology)";
   FEDRA_CHECK_EQ(theta_.size(), static_cast<size_t>(tree.depth()))
       << "theta_by_depth must have one threshold per tier depth";
   ctx.AllocateWorkerStates(monitor_->StateSize());

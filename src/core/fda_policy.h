@@ -56,8 +56,9 @@ class FdaSyncPolicy : public SyncPolicy {
   std::vector<double> estimate_history_;
 };
 
-/// Topology-aware FDA scheduling over a TopologyTree (requires
-/// TrainerConfig::topology). Per step:
+/// Topology-aware FDA scheduling over the network's TopologyTree. A flat
+/// network is a one-tier hierarchy: one theta, and the same syncs and
+/// models as flat FDA at that theta. Per step:
 ///
 ///   1. every worker computes its local state from its drift u_k = w_k -
 ///      w_t0 (the *global* sync anchor — cluster-local averaging never

@@ -702,12 +702,12 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   ctx.store = fleet.store.get();
   // Fault layer: every run carries an injector over the whole population,
   // so a client can crash and repair while off-cohort. Link outages group
-  // clients by their home leaf (flat topologies give every client its own
-  // link). A disabled config is the identity schedule: no chain advances,
-  // everyone is up behind a live link, every contribution arrives, and the
-  // barrier is the plain max.
+  // clients by their home leaf under a configured topology; a flat network
+  // gives every client its own link. A disabled config is the identity
+  // schedule: no chain advances, everyone is up behind a live link, every
+  // contribution arrives, and the barrier is the plain max.
   const size_t population = config_.FleetPopulation();
-  const bool tree = network.tree().enabled();
+  const bool tree = config_.topology.enabled();
   std::vector<int> client_links(population);
   for (size_t c = 0; c < population; ++c) {
     client_links[c] = tree ? fleet.store->LeafGroupOfClient(
@@ -869,9 +869,11 @@ StatusOr<TrainResult> DistributedTrainer::RunAsync(
 
   // Event-level faults: a worker crashes at step completion with
   // probability 1/mttf and repairs after a geometric number of its own
-  // step times. A disabled config is the identity schedule.
+  // step times. A disabled config is the identity schedule. Link outages
+  // group workers by leaf under a configured topology; a flat network
+  // gives every worker its own link.
   FaultInjector injector(config_.faults, config_.num_workers, config_.seed,
-                         &network.tree());
+                         &config_.topology);
   std::unique_ptr<SyncCompressor> compressor = MakeCompressor();
   // No rounds: the cohort rotates at every successful sync, sampled without
   // the round-scoped availability chains (uniform). A crash models the

@@ -173,13 +173,18 @@ struct TrainerConfig {
   size_t eval_every_steps = 0;   // 0 => once per local epoch
   size_t eval_subset = 1024;     // test samples per evaluation probe
 
+  /// The shared channel of a flat network (no `topology`): the simulator
+  /// runs it as the one-node tree TopologyTree::SingleTier(network).
   NetworkModel network = NetworkModel::Hpc();
+  /// The AllReduce algorithm of the root tier (a flat network's only one).
   AllReduceAlgorithm allreduce = AllReduceAlgorithm::kFlat;
   /// Multi-tier topology: TopologyTree::EdgeCloud(n) for the two-tier
   /// edge->cloud layout, DeviceSiteCloud or a hand-built tree for deeper
-  /// ones. When enabled, collectives run the tree's recursive grouped
-  /// schedule, `network` is ignored, and `allreduce` becomes the root-tier
-  /// algorithm. Leaf groups beyond num_workers stay empty.
+  /// ones. When enabled, collectives run this tree's recursive grouped
+  /// schedule and `network` is ignored; disabled (the default) means a flat
+  /// network. Link outages group workers by this tree's leaf groups; a flat
+  /// network gives every client its own link. Leaf groups beyond
+  /// num_workers stay empty.
   TopologyTree topology;
   StragglerModel straggler = StragglerModel::None();
   /// Fault injection: worker churn, link outages, sync-message loss, and
@@ -236,7 +241,7 @@ struct TrainerConfig {
 };
 
 /// Builds the SimNetwork a TrainerConfig describes: the topology tree when
-/// `topology` is enabled, single-tier otherwise.
+/// `topology` is enabled, else the one-node tree over `network`.
 SimNetwork MakeSimNetwork(const TrainerConfig& config);
 
 /// Builds the worker cohort over `arena` against the shared `graph`:

@@ -71,11 +71,8 @@ void ReduceMeanInto(const float* const* srcs, size_t num_srcs, size_t n,
 
 SimNetwork::SimNetwork(int num_workers, NetworkModel model,
                        AllReduceAlgorithm algorithm)
-    : num_workers_(num_workers),
-      model_(std::move(model)),
-      algorithm_(algorithm) {
-  FEDRA_CHECK_GT(num_workers, 0);
-}
+    : SimNetwork(num_workers, TopologyTree::SingleTier(std::move(model)),
+                 algorithm) {}
 
 SimNetwork::SimNetwork(int num_workers, TopologyTree tree,
                        AllReduceAlgorithm root_algorithm)
@@ -94,36 +91,8 @@ void SimNetwork::SetWorkerLinkFactors(std::vector<double> factors) {
   worker_link_factors_ = std::move(factors);
 }
 
-double SimNetwork::SlowestLinkFactor() const {
-  double max_factor = 1.0;
-  for (double factor : worker_link_factors_) {
-    max_factor = std::max(max_factor, factor);
-  }
-  return max_factor;
-}
-
 const std::vector<double>* SimNetwork::LinkFactorsOrNull() const {
   return worker_link_factors_.empty() ? nullptr : &worker_link_factors_;
-}
-
-NetworkModel SimNetwork::EffectiveModel() const {
-  NetworkModel effective = model_;
-  effective.bandwidth_bytes_per_sec /= SlowestLinkFactor();
-  return effective;
-}
-
-void SimNetwork::ChargeFlat(size_t bytes, double seconds,
-                            TrafficClass traffic) {
-  stats_.bytes_total += bytes;
-  stats_.comm_seconds += seconds;
-  stats_.ChargeDepth(0, bytes, seconds);
-  if (traffic == TrafficClass::kLocalState) {
-    stats_.bytes_local_state += bytes;
-    stats_.seconds_local_state += seconds;
-  } else {
-    stats_.bytes_model_sync += bytes;
-    stats_.seconds_model_sync += seconds;
-  }
 }
 
 void SimNetwork::ChargeTree(const TreeCost& cost, TrafficClass traffic) {
@@ -189,34 +158,13 @@ void SimNetwork::AccountAllReduceSubset(size_t payload_bytes_sum,
   // from their exact sum, never a truncated per-worker quotient.
   const double per_worker =
       static_cast<double>(payload_bytes_sum) / static_cast<double>(m);
-  if (tree_.enabled()) {
-    active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
-    for (int worker : participants) {
-      active_scratch_[static_cast<size_t>(worker)] = 1;
-    }
-    ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_,
-                                          algorithm_, LinkFactorsOrNull(),
-                                          &active_scratch_),
-               traffic);
-    return;
+  active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
+  for (int worker : participants) {
+    active_scratch_[static_cast<size_t>(worker)] = 1;
   }
-  const size_t total_bytes = static_cast<size_t>(
-      std::llround(NetworkModel::AllReduceTotalBytesFromSum(
-          static_cast<double>(payload_bytes_sum), static_cast<int>(m),
-          algorithm_)));
-  // Paced by the slowest *participating* link only.
-  double slowest = 1.0;
-  if (!worker_link_factors_.empty()) {
-    for (int worker : participants) {
-      slowest = std::max(slowest,
-                         worker_link_factors_[static_cast<size_t>(worker)]);
-    }
-  }
-  NetworkModel effective = model_;
-  effective.bandwidth_bytes_per_sec /= slowest;
-  const double seconds = effective.AllReduceSeconds(
-      per_worker, static_cast<int>(m), algorithm_);
-  ChargeFlat(total_bytes, seconds, traffic);
+  ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_, algorithm_,
+                                        LinkFactorsOrNull(), &active_scratch_),
+             traffic);
 }
 
 void SimNetwork::AllReduceAverageSubset(const std::vector<float*>& buffers,
@@ -242,35 +190,33 @@ void SimNetwork::AllReduceAverageSubsetWithPayloads(
   AccountAllReduceSubset(sum, participants, traffic);
 }
 
+TreeCost SimNetwork::PathCost(size_t payload_bytes, int worker,
+                              size_t* edge_depth) const {
+  int leaf_group = 0;
+  double factor = 1.0;
+  if (worker >= 0) {
+    leaf_group = tree_.LeafGroupOfWorker(worker, num_workers_);
+    if (!worker_link_factors_.empty()) {
+      factor = worker_link_factors_[static_cast<size_t>(worker)];
+    }
+  }
+  if (edge_depth != nullptr) {
+    *edge_depth = static_cast<size_t>(
+        tree_.node(tree_.NodeOfLeafGroup(leaf_group)).depth);
+  }
+  return tree_.PointToPointCost(payload_bytes, num_workers_, leaf_group,
+                                factor);
+}
+
 void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
   ++stats_.p2p_calls;
-  const size_t payload = n * sizeof(float);
-  double factor = 1.0;
-  if (worker >= 0 && !worker_link_factors_.empty()) {
-    FEDRA_CHECK_LT(worker, num_workers_);
-    factor = worker_link_factors_[static_cast<size_t>(worker)];
-  }
-  if (tree_.enabled()) {
-    const int leaf_group =
-        worker >= 0 ? tree_.LeafGroupOfWorker(worker, num_workers_) : 0;
-    ChargeTree(tree_.PointToPointCost(payload, num_workers_, leaf_group,
-                                      std::max(1.0, factor)),
-               traffic);
-    return;
-  }
-  const double seconds =
-      model_.latency_seconds +
-      static_cast<double>(payload) / (model_.bandwidth_bytes_per_sec /
-                                      factor);
-  ChargeFlat(payload, seconds, traffic);
+  ChargeTree(PathCost(n * sizeof(float), worker), traffic);
 }
 
 void SimNetwork::SubtreeAllReduceAverage(
     int node_id, const std::vector<float*>& buffers, size_t n,
     TrafficClass traffic, const std::vector<char>* active,
     const std::vector<size_t>* payload_bytes) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
   int begin = 0;
   int end = 0;
   tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
@@ -312,41 +258,17 @@ void SimNetwork::SubtreeAllReduceAverage(
 void SimNetwork::AccountSyncRetries(int worker, size_t payload_bytes,
                                     int retries, double backoff_base_seconds,
                                     TrafficClass traffic) {
-  if (retries <= 0) {
-    return;
-  }
-  const size_t payload = payload_bytes;
-  double factor = 1.0;
-  if (worker >= 0 && !worker_link_factors_.empty()) {
-    FEDRA_CHECK_LT(worker, num_workers_);
-    factor = worker_link_factors_[static_cast<size_t>(worker)];
-  }
   for (int attempt = 0; attempt < retries; ++attempt) {
     // Exponential backoff before retry i, then one retransmission over the
     // worker's own path. Backoff stalls the worker's edge link, so it is
     // attributed to the deepest tier of the path — both breakdowns (class
     // and depth) keep summing to comm_seconds.
-    const double backoff = std::ldexp(backoff_base_seconds, attempt);
+    size_t edge = 0;
+    TreeCost cost = PathCost(payload_bytes, worker, &edge);
+    cost.seconds_by_depth[edge] += std::ldexp(backoff_base_seconds, attempt);
     ++stats_.retries;
-    if (tree_.enabled()) {
-      const int leaf_group =
-          worker >= 0 ? tree_.LeafGroupOfWorker(worker, num_workers_) : 0;
-      TreeCost cost = tree_.PointToPointCost(payload, num_workers_,
-                                             leaf_group,
-                                             std::max(1.0, factor));
-      const size_t edge = static_cast<size_t>(
-          tree_.node(tree_.NodeOfLeafGroup(leaf_group)).depth);
-      cost.seconds_by_depth[edge] += backoff;
-      stats_.seconds_retry += cost.total_seconds();
-      ChargeTree(cost, traffic);
-    } else {
-      const double seconds =
-          backoff + model_.latency_seconds +
-          static_cast<double>(payload) /
-              (model_.bandwidth_bytes_per_sec / factor);
-      stats_.seconds_retry += seconds;
-      ChargeFlat(payload, seconds, traffic);
-    }
+    stats_.seconds_retry += cost.total_seconds();
+    ChargeTree(cost, traffic);
   }
 }
 
@@ -365,8 +287,6 @@ void SimNetwork::AccountCheckInSync(size_t n, int worker) {
 void SimNetwork::AccountChildExchange(int node_id, size_t n,
                                       TrafficClass traffic,
                                       const std::vector<char>* active) {
-  FEDRA_CHECK(tree_.enabled())
-      << "child exchanges need a tree topology";
   ++stats_.child_exchange_calls;
   ChargeTree(tree_.ChildExchangeCost(node_id, n * sizeof(float),
                                      num_workers_, LinkFactorsOrNull(),
@@ -375,17 +295,10 @@ void SimNetwork::AccountChildExchange(int node_id, size_t n,
 }
 
 double SimNetwork::ModelSyncSeconds(size_t payload_bytes) const {
-  if (num_workers_ == 1) {
-    return 0.0;
-  }
-  if (tree_.enabled()) {
-    return tree_
-        .GroupedAllReduceCost(payload_bytes, num_workers_, algorithm_,
-                              LinkFactorsOrNull())
-        .total_seconds();
-  }
-  return EffectiveModel().AllReduceSeconds(payload_bytes, num_workers_,
-                                           algorithm_);
+  return tree_
+      .GroupedAllReduceCost(payload_bytes, num_workers_, algorithm_,
+                            LinkFactorsOrNull())
+      .total_seconds();
 }
 
 }  // namespace fedra

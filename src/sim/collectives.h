@@ -11,11 +11,13 @@
 // Chunk boundaries depend only on the span length, so results are
 // bit-deterministic for any thread count.
 //
-// Topologies: single-tier (one shared NetworkModel) or an arbitrary-depth
-// TopologyTree (edge -> cloud, device -> site -> cloud and deeper). Tree
-// networks additionally expose cluster-scoped collectives — AllReduces
-// confined to one subtree, billed only on that subtree's tiers — which the
-// hierarchical FDA scheduler uses to keep drift control on the cheap tiers.
+// Every network is a TopologyTree and bills through its cost model: a flat
+// network (one shared NetworkModel) is the one-node tree
+// TopologyTree::SingleTier, and deeper trees model edge -> cloud, device ->
+// site -> cloud and beyond. Cluster-scoped collectives — AllReduces
+// confined to one subtree, billed only on that subtree's tiers — let the
+// hierarchical FDA scheduler keep drift control on the cheap tiers; on a
+// flat network the one subtree is the whole cohort.
 //
 // Averaging has four entry points: three of global scope (a full cohort, a
 // participant subset, and a subset billed at per-member wire sizes) and one
@@ -48,8 +50,8 @@ void ReduceMeanInto(const float* const* srcs, size_t num_srcs, size_t n,
 
 class SimNetwork {
  public:
-  /// Single-tier topology: every collective is costed by `model` under
-  /// `algorithm`.
+  /// Flat network: the one-node tree TopologyTree::SingleTier(model), so
+  /// every collective is costed by `model` under `algorithm`.
   SimNetwork(int num_workers, NetworkModel model,
              AllReduceAlgorithm algorithm);
 
@@ -62,17 +64,18 @@ class SimNetwork {
 
   int num_workers() const { return num_workers_; }
   AllReduceAlgorithm algorithm() const { return algorithm_; }
-  /// The topology tree (disabled for single-tier networks).
+  /// The topology tree; a flat network's is one node holding every
+  /// worker.
   const TopologyTree& tree() const { return tree_; }
 
   /// Straggler-aware collective cost: per-worker link-speed factors (>= 1,
   /// e.g. the trainer's persistent straggler speed factors). When set,
-  /// grouped and flat collectives bill the *slowest participating link* —
-  /// single-tier collectives divide the channel bandwidth by the slowest
-  /// participant's factor; grouped collectives pace each gather phase by
-  /// the slowest member of that subtree and each cross tier by the slowest
-  /// participating representative. Bytes are unaffected. All-ones (or
-  /// never calling this) keeps the homogeneous formulas bit-identical.
+  /// collectives bill the *slowest participating link*: each gather phase
+  /// paces on the slowest member of that subtree and the root tier on the
+  /// slowest participating representative (on a flat network, the channel
+  /// bandwidth divided by the slowest participant's factor). Bytes are
+  /// unaffected. All-ones (or never calling this) keeps the homogeneous
+  /// formulas bit-identical.
   void SetWorkerLinkFactors(std::vector<double> factors);
   const std::vector<double>& worker_link_factors() const {
     return worker_link_factors_;
@@ -83,9 +86,9 @@ class SimNetwork {
   // `participants` are ascending, unique worker ids; buffers[i] is
   // participants[i]'s span. The mean over the participants installs into
   // their buffers only — absent workers transmit and receive nothing and
-  // keep their state. Cost is billed for the participant count: flat
-  // topologies pace on the slowest *participating* link, trees drop empty
-  // groups from every phase. The full-cohort forms are the all-participants
+  // keep their state. Cost is billed for the participant count: empty
+  // groups drop out of every phase, and each phase paces on its slowest
+  // *participating* link. The full-cohort forms are the all-participants
   // case of the subset forms, bit for bit.
 
   /// In-place AllReduce-average over every worker: each buffers[k] (length
@@ -119,7 +122,7 @@ class SimNetwork {
   /// `payload_bytes` (optional) holds the i-th buffer's wire size (a coded
   /// delta's); null bills n floats per member. Counts as a
   /// subtree_allreduce_calls entry, and as subtree_sync_count (never
-  /// model_sync_count) when `traffic` is kModelSync. Tree topologies only.
+  /// model_sync_count) when `traffic` is kModelSync.
   void SubtreeAllReduceAverage(
       int node_id, const std::vector<float*>& buffers, size_t n,
       TrafficClass traffic, const std::vector<char>* active = nullptr,
@@ -129,9 +132,9 @@ class SimNetwork {
   /// `payload_bytes` on the wire (a compressed payload is retried at its
   /// compressed size) from `worker`: retry i waits
   /// backoff_base_seconds * 2^i and resends the payload over the worker's
-  /// own path (its link factor; one hop per tier under a tree). Every
-  /// second and byte lands in the normal class/depth breakdowns and is
-  /// additionally accumulated in CommStats::seconds_retry / retries.
+  /// own path (its link factor; one hop per tier). Every second and byte
+  /// lands in the normal class/depth breakdowns and is additionally
+  /// accumulated in CommStats::seconds_retry / retries.
   void AccountSyncRetries(int worker, size_t payload_bytes, int retries,
                           double backoff_base_seconds, TrafficClass traffic);
 
@@ -152,19 +155,19 @@ class SimNetwork {
 
   /// One worker uploads `n` floats to a coordinator (async FDA traffic).
   /// Passing the uploading `worker` bills *that* worker's link: its
-  /// straggler factor (when SetWorkerLinkFactors is active) and, under a
-  /// tree topology, one hop per tier on the path from its leaf group to
-  /// the root. worker < 0 takes leaf group 0's path (the homogeneous
-  /// default links).
+  /// straggler factor (when SetWorkerLinkFactors is active) on each hop,
+  /// one hop per tier on the path from its leaf group to the root.
+  /// worker < 0 takes leaf group 0's path (the homogeneous default links).
   void PointToPoint(size_t n, TrafficClass traffic, int worker = -1);
 
   /// Bills an escalation state exchange at internal node `node_id`: its
   /// child representatives gather `n` floats to the node's representative
   /// and receive the aggregate back, over that node's link only. No
   /// arithmetic — the scheduler aggregates the states itself. Counts as a
-  /// child_exchange_calls entry. Tree topologies only. `active` (optional
-  /// full-length per-worker mask) drops children whose subtrees hold no
-  /// active workers from the exchange; null is identical to all-ones.
+  /// child_exchange_calls entry. `node_id` must be an internal node (a
+  /// flat network has none). `active` (optional full-length per-worker
+  /// mask) drops children whose subtrees hold no active workers from the
+  /// exchange; null is identical to all-ones.
   void AccountChildExchange(int node_id, size_t n, TrafficClass traffic,
                             const std::vector<char>* active = nullptr);
 
@@ -185,24 +188,19 @@ class SimNetwork {
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;
-  // Splits a single-tier charge across the class/depth breakdowns (the one
-  // shared channel is depth 0).
-  void ChargeFlat(size_t bytes, double seconds, TrafficClass traffic);
   // Splits a per-depth tree charge across the class/depth breakdowns.
   void ChargeTree(const TreeCost& cost, TrafficClass traffic);
-  // Slowest participating link factor (1.0 when factors are unset).
-  double SlowestLinkFactor() const;
-  // The single-tier model with its bandwidth divided by the slowest link
-  // factor of the whole cohort, so ModelSyncSeconds paces exactly as a
-  // full-cohort AllReduce does.
-  NetworkModel EffectiveModel() const;
+  // One transfer of `payload_bytes` over `worker`'s own path (leaf group
+  // 0's for worker < 0) at its link factor. `edge_depth` (optional)
+  // receives the depth of the path's leaf tier.
+  TreeCost PathCost(size_t payload_bytes, int worker,
+                    size_t* edge_depth = nullptr) const;
   // The worker-factor vector to hand the tree cost model, or null when
   // unset (homogeneous links).
   const std::vector<double>* LinkFactorsOrNull() const;
 
   int num_workers_;
-  NetworkModel model_;
-  TopologyTree tree_;  // disabled for single-tier networks
+  TopologyTree tree_;
   AllReduceAlgorithm algorithm_;
   CommStats stats_;
   std::vector<double> worker_link_factors_;  // empty => homogeneous links

@@ -20,8 +20,9 @@
 //                max of member/representative link factors and the optional
 //                per-child factors).
 //   root tier:   the root's children AllReduce across the root link with a
-//                configurable AllReduceAlgorithm (a degenerate single-node
-//                tree therefore reproduces the flat single-tier cost).
+//                configurable AllReduceAlgorithm (a single-node tree is
+//                therefore the flat single-tier network, which is how
+//                SimNetwork runs one).
 //   broadcast:   the mirror image back down.
 // Per-tier charges are keyed by depth (0 = root tier) and feed the
 // CommStats per-depth breakdown. Bytes follow the paper's "total data
@@ -71,7 +72,7 @@ struct TreeCost {
 
 class TopologyTree {
  public:
-  /// Disabled tree (flat single-tier topology).
+  /// Disabled tree: no topology configured (TrainerConfig's flat default).
   TopologyTree() = default;
 
   /// Flattens `root` into the compiled preorder node table.
@@ -165,8 +166,8 @@ class TopologyTree {
   /// Two-tier edge->cloud preset: a root on a Federated() uplink over
   /// `num_clusters` leaf groups `cluster<c>` on EdgeLan() links.
   static TopologyTree EdgeCloud(int num_clusters);
-  /// Degenerate single-node tree: all workers in one group on `link`.
-  /// Reproduces the flat single-tier AllReduce cost.
+  /// Single-node tree: all workers in one group on `link`. This is the
+  /// flat single-tier network (SimNetwork's NetworkModel constructor).
   static TopologyTree SingleTier(NetworkModel link,
                                  std::string name = "single-tier");
   /// Three-tier device -> site -> cloud preset: `sites` site nodes joined

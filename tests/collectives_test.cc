@@ -544,11 +544,6 @@ struct FlatBill {
                ? factors[static_cast<size_t>(worker)]
                : 1.0;
   }
-  double Transfer(size_t payload_bytes, int worker) const {
-    return model.latency_seconds +
-           static_cast<double>(payload_bytes) /
-               (model.bandwidth_bytes_per_sec / Factor(worker));
-  }
   double AllReduceSeconds(double payload_bytes,
                           const std::vector<int>& members) const {
     double slowest = 1.0;
@@ -582,8 +577,13 @@ struct FlatBill {
     }
   }
   void PointToPoint(size_t n, TrafficClass traffic, int worker) {
+    const size_t payload = n * sizeof(float);
     ++stats.p2p_calls;
-    Charge(n * sizeof(float), Transfer(n * sizeof(float), worker), traffic);
+    Charge(payload,
+           model.latency_seconds +
+               static_cast<double>(payload) /
+                   (model.bandwidth_bytes_per_sec / Factor(worker)),
+           traffic);
   }
   // A catch-up or check-in model download, counted in `counter`.
   void Download(size_t n, int worker, uint64_t CommStats::*counter) {
@@ -594,8 +594,11 @@ struct FlatBill {
   void Retries(int worker, size_t payload_bytes, int retries,
                double backoff_base_seconds, TrafficClass traffic) {
     for (int attempt = 0; attempt < retries; ++attempt) {
-      const double seconds = std::ldexp(backoff_base_seconds, attempt) +
-                             Transfer(payload_bytes, worker);
+      // Backoff first, as the flat formula path summed it.
+      const double seconds =
+          std::ldexp(backoff_base_seconds, attempt) + model.latency_seconds +
+          static_cast<double>(payload_bytes) /
+              (model.bandwidth_bytes_per_sec / Factor(worker));
       ++stats.retries;
       stats.seconds_retry += seconds;
       Charge(payload_bytes, seconds, traffic);
@@ -641,11 +644,12 @@ FlatBillTotals SweepFlatBilling(AllReduceAlgorithm algorithm,
   for (int net = 0; net < 8; ++net) {
     const int workers = 1 + static_cast<int>(rng.NextBounded(16));
     FlatBill want{RandomLink(rng), algorithm, {}, {}};
-    for (int k = 0; with_factors && k < workers; ++k) {
-      want.factors.push_back(1.0 + 4.0 * rng.NextDouble());
-    }
     SimNetwork network(workers, want.model, algorithm);
     if (with_factors) {
+      want.factors.resize(static_cast<size_t>(workers));
+      for (double& factor : want.factors) {
+        factor = 1.0 + 4.0 * rng.NextDouble();
+      }
       network.SetWorkerLinkFactors(want.factors);
     }
     auto buffers = RandomBuffers(workers, kMaxFloats, seed + net);

@@ -1,6 +1,6 @@
 // Property suite for the arbitrary-depth TopologyTree.
 //
-// Four locks, per the tree's contract:
+// Three locks, per the tree's contract:
 //   1. numeric transparency — a tree AllReduce over any random topology
 //      produces the flat ref:: oracle's mean, bitwise-identical to the
 //      flat engine (topology only changes cost accounting);
@@ -11,9 +11,9 @@
 //   3. depth-2 parity — a random two-tier tree costs exactly (to the last
 //      byte and the last double bit) what the closed-form edge-cluster /
 //      uplink formulas compute; those formulas are implemented here as the
-//      independent reference;
-//   4. degeneracy — a single-node tree reproduces the flat single-tier
-//      network's accounting exactly.
+//      independent reference.
+// A flat network is the single-node tree; collectives_test's flat billing
+// golden pins its accounting.
 
 #include <unistd.h>
 
@@ -378,53 +378,6 @@ TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
     EXPECT_EQ(expected.uplink_seconds, got.SecondsAt(0));
     EXPECT_EQ(expected.intra_bytes, got.BytesAt(1));
     EXPECT_EQ(expected.uplink_bytes, got.BytesAt(0));
-  }
-}
-
-// --------------------------------------------------------- degeneracy ----
-
-TEST(TopologyTreeTest, SingleNodeTreeMatchesFlatNetworkExactly) {
-  Rng rng(55);
-  const AllReduceAlgorithm algorithms[] = {
-      AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
-      AllReduceAlgorithm::kRecursiveHalving};
-  for (int trial = 0; trial < 30; ++trial) {
-    const NetworkModel model = RandomLink(rng);
-    const int workers = 1 + static_cast<int>(rng.NextBounded(10));
-    const size_t n = 1 + rng.NextBounded(4096);
-    const AllReduceAlgorithm algorithm = algorithms[rng.NextBounded(3)];
-    const bool with_factors = rng.NextBernoulli(0.5);
-    std::vector<double> factors =
-        with_factors ? RandomFactors(rng, workers) : std::vector<double>();
-    const int p2p_worker = static_cast<int>(rng.NextBounded(workers));
-    auto run = [&](SimNetwork network) {
-      if (with_factors) {
-        network.SetWorkerLinkFactors(factors);
-      }
-      auto buffers = RandomBuffers(workers, n, 800 + trial);
-      auto pointers = Pointers(buffers);
-      network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-      network.PointToPoint(n, TrafficClass::kLocalState, p2p_worker);
-      struct Result {
-        CommStats stats;
-        double model_sync_seconds;
-      };
-      return Result{network.stats(),
-                    network.ModelSyncSeconds(n * sizeof(float))};
-    };
-    const auto flat = run(SimNetwork(workers, model, algorithm));
-    const auto tree =
-        run(SimNetwork(workers, TopologyTree::SingleTier(model), algorithm));
-    SCOPED_TRACE(::testing::Message()
-                 << "trial " << trial << " workers " << workers
-                 << " algorithm " << AllReduceAlgorithmName(algorithm));
-    EXPECT_EQ(flat.stats.bytes_total, tree.stats.bytes_total);
-    EXPECT_EQ(flat.stats.comm_seconds, tree.stats.comm_seconds);
-    EXPECT_EQ(flat.stats.seconds_local_state, tree.stats.seconds_local_state);
-    EXPECT_EQ(flat.stats.seconds_model_sync, tree.stats.seconds_model_sync);
-    EXPECT_EQ(flat.stats.BytesAtDepth(0), tree.stats.BytesAtDepth(0));
-    EXPECT_EQ(flat.stats.SecondsAtDepth(0), tree.stats.SecondsAtDepth(0));
-    EXPECT_EQ(flat.model_sync_seconds, tree.model_sync_seconds);
   }
 }
 

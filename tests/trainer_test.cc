@@ -447,6 +447,60 @@ TEST(TrainerTest, BadNetworkLinksAreInvalidArgument) {
   expect_invalid(tree);
 }
 
+// A flat network is a one-tier hierarchy: HierarchicalFDA(LinearFDA, {theta})
+// decides on the same cohort-wide state average as LinearFDA(theta), so
+// under churn and message loss both sync in the same rounds and end on the
+// same model. Only the bytes differ: the hierarchical policy bills its
+// state averages as subtree collectives.
+TEST(TrainerTest, HierarchicalFdaOnFlatNetworkMatchesLinearFda) {
+  SynthImageData data = SmallMnistLike();
+  TrainerConfig config = BaseConfig(6);
+  config.faults = FaultConfig::Churn(10.0, 2.0);
+  config.faults.message_loss_prob = 0.2;
+  const double theta = 0.05;
+  struct Outcome {
+    TrainResult result;
+    uint64_t params_hash = 1469598103934665603ull;  // FNV-1a
+  };
+  auto run = [&](bool hierarchical) {
+    DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                               config);
+    HierarchicalFdaConfig hier;
+    hier.monitor.kind = MonitorKind::kLinear;
+    hier.theta_by_depth = {theta};
+    auto flat_policy =
+        MakeSyncPolicy(AlgorithmConfig::LinearFda(theta), trainer.model_dim());
+    auto hier_policy = MakeHierarchicalFdaPolicy(hier, trainer.model_dim());
+    FEDRA_CHECK(flat_policy.ok() && hier_policy.ok());
+    auto result = trainer.Run(hierarchical ? hier_policy->get()
+                                           : flat_policy->get());
+    FEDRA_CHECK(result.ok()) << result.status();
+    Outcome outcome{std::move(result).value()};
+    const auto* bytes = reinterpret_cast<const unsigned char*>(
+        trainer.shared_model().params());
+    for (size_t i = 0; i < trainer.model_dim() * sizeof(float); ++i) {
+      outcome.params_hash = (outcome.params_hash ^ bytes[i]) * 1099511628211ull;
+    }
+    return outcome;
+  };
+  const Outcome flat = run(false);
+  const Outcome hier = run(true);
+  EXPECT_GT(flat.result.total_syncs, 0u);
+  EXPECT_GT(flat.result.comm.retries, 0u);
+  EXPECT_EQ(hier.result.total_syncs, flat.result.total_syncs);
+  EXPECT_EQ(hier.result.comm.model_sync_count,
+            flat.result.comm.model_sync_count);
+  ASSERT_EQ(hier.result.history.size(), flat.result.history.size());
+  for (size_t i = 0; i < flat.result.history.size(); ++i) {
+    EXPECT_EQ(hier.result.history[i].train_accuracy,
+              flat.result.history[i].train_accuracy);
+    EXPECT_EQ(hier.result.history[i].test_accuracy,
+              flat.result.history[i].test_accuracy);
+  }
+  EXPECT_EQ(hier.params_hash, flat.params_hash);
+  testing::ExpectCommStatsConserved(hier.result.comm);
+}
+
 TEST(TrainerTest, HistoryIsMonotoneInStepsAndBytes) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(3);
