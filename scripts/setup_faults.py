@@ -6,16 +6,18 @@ single-threaded workload's minor-fault count repeats exactly from run to
 run. So when two builds that should allocate alike differ in faults, an
 allocation moved. This runs the two binaries alternately, one child per
 run at `--seed 1 --trace 0`, and reads each child's `ru_minflt` with
-os.wait4.
+os.wait4. The build that runs first alternates from pair to pair.
 
 Usage:
   scripts/setup_faults.py PARENT_BENCH_E2E CHANGE_BENCH_E2E
       [--pairs N] [--setup-reps R] [--workloads W [W ...]]
 
 Per workload it prints both builds' fault counts, their `setup_s`
-samples (one per run, in ms) and their fingerprints. It exits 1 when, on
-any workload, the two builds' fault medians differ by more than 30 pages
-or a run fails, and 2 on bad usage. `mlp_wide_parallel` is not a default
+samples (one per run, in ms) with their medians, the change/parent ratio
+of those medians next to BENCHMARK.json's `setup_s` bound, and both
+builds' fingerprints. It exits 1 when, on any workload, the two builds'
+fault medians differ by more than 30 pages, their fingerprints differ or
+a run fails, and 2 on bad usage. `mlp_wide_parallel` is not a default
 workload: it runs 4 threads and its faults vary from run to run.
 """
 
@@ -28,6 +30,15 @@ import tempfile
 
 DEFAULT_WORKLOADS = ["lenet_sketchfda", "fleet_codec", "tree_hierfda"]
 MAX_FAULT_SHIFT = 30  # pages
+BENCHMARK_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                              os.pardir, "BENCHMARK.json")
+
+
+def setup_bound():
+    """BENCHMARK.json's relative bound on `setup_s`."""
+    with open(BENCHMARK_JSON) as f:
+        metrics = json.load(f)["end_to_end"]
+    return next(m["bound"] for m in metrics if m["name"] == "setup_s")
 
 
 def run_child(binary, workload, setup_reps):
@@ -68,12 +79,13 @@ def main():
         if not os.access(binary, os.X_OK):
             parser.error("not an executable: %s" % binary)
 
+    bound = setup_bound()
     failed = False
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
-        for _ in range(args.pairs):
-            for name, binary in (("parent", args.parent),
-                                 ("change", args.change)):
+        builds = [("parent", args.parent), ("change", args.change)]
+        for pair in range(args.pairs):
+            for name, binary in builds[::1 if pair % 2 == 0 else -1]:
                 result = run_child(binary, workload, args.setup_reps)
                 if isinstance(result, str):
                     print("%s: %s" % (workload, result))
@@ -84,19 +96,28 @@ def main():
             continue
         print(workload)
         medians = {}
+        setup = {}
+        prints = {}
         for name, results in runs.items():
             faults = [r[0] for r in results]
             medians[name] = statistics.median(faults)
+            setup[name] = statistics.median(r[1] for r in results)
+            prints[name] = sorted({r[2] for r in results})
             print("  %s faults   %s  median %g" % (
                 name, " ".join(str(f) for f in faults), medians[name]))
-            print("  %s setup_ms %s" % (
-                name, " ".join("%.2f" % (r[1] * 1e3) for r in results)))
-            print("  %s fingerprints %s" % (
-                name, " ".join(sorted({r[2] for r in results}))))
+            print("  %s setup_ms %s  median %.2f" % (
+                name, " ".join("%.2f" % (r[1] * 1e3) for r in results),
+                setup[name] * 1e3))
+            print("  %s fingerprints %s" % (name, " ".join(prints[name])))
         shift = medians["change"] - medians["parent"]
         verdict = "ok" if abs(shift) <= MAX_FAULT_SHIFT else "MOVED"
         failed = failed or verdict != "ok"
         print("  fault median shift %+g pages: %s" % (shift, verdict))
+        print("  setup_s median change/parent %.3f (BENCHMARK.json bound: "
+              "+%g%%)" % (setup["change"] / setup["parent"], bound * 100))
+        if prints["parent"] != prints["change"]:
+            failed = True
+            print("  fingerprints DIFFER")
     return 1 if failed else 0
 
 
